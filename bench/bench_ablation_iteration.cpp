@@ -1,12 +1,15 @@
-// Ablation of the MLP fixpoint update scheme (paper Section IV remarks):
-// Jacobi (the printed algorithm) vs Gauss-Seidel ("obviously possible") vs
-// the event-driven mechanism ("can be easily implemented. With such an
-// enhancement, the cost of the iterative steps is greatly reduced").
+// Ablation of the MLP fixpoint update (paper Section IV remarks): the
+// Jacobi iteration as printed (the check/ oracle) vs the engine, which
+// sweeps each strongly connected component Gauss-Seidel in topological
+// order ("obviously possible"; LEADOUT's SCC partition confines the sweeps
+// to feedback loops, much as the suggested "only calculate the departure
+// times which have changed" mechanism would).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "base/table.h"
+#include "check/oracle.h"
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
 #include "circuits/synthetic.h"
@@ -27,8 +30,8 @@ Circuit big_circuit() {
 }
 
 void print_sweep_table() {
-  std::printf("== MLP fixpoint: update-scheme ablation ==\n");
-  TextTable table({"circuit", "scheme", "sweeps", "updates", "Tc*"});
+  std::printf("== MLP fixpoint: Jacobi oracle vs SCC-ordered engine ==\n");
+  TextTable table({"circuit", "update", "sweeps", "updates", "Tc*"});
   struct Named {
     const char* name;
     Circuit circuit;
@@ -37,22 +40,22 @@ void print_sweep_table() {
                                  {"gaas", circuits::gaas_datapath()},
                                  {"synthetic(l=96)", big_circuit()}};
   for (const auto& [name, circuit] : circuits_list) {
-    for (const auto scheme :
-         {sta::UpdateScheme::kJacobi, sta::UpdateScheme::kGaussSeidel,
-          sta::UpdateScheme::kEventDriven, sta::UpdateScheme::kSccOrdered}) {
-      opt::MlpOptions opt;
-      opt.fixpoint.scheme = scheme;
-      const auto r = opt::minimize_cycle_time(circuit, opt);
-      if (!r) continue;
-      char tc[32];
-      std::snprintf(tc, sizeof tc, "%.4g", r->min_cycle);
-      table.add_row({name, sta::to_string(scheme), std::to_string(r->fixpoint_sweeps),
-                     std::to_string(r->fixpoint_updates), tc});
-    }
+    const auto r = opt::minimize_cycle_time(circuit);
+    if (!r) continue;
+    char tc[32];
+    std::snprintf(tc, sizeof tc, "%.4g", r->min_cycle);
+    // Both slide from the same LP point under the LP-optimal schedule.
+    const sta::FixpointResult jacobi =
+        check::jacobi_departures(circuit, r->schedule, r->lp_departure);
+    table.add_row({name, "jacobi (oracle)", std::to_string(jacobi.sweeps),
+                   std::to_string(jacobi.updates), tc});
+    table.add_row({name, "scc-ordered (engine)", std::to_string(r->fixpoint_sweeps),
+                   std::to_string(r->fixpoint_updates), tc});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("paper: 'the update process usually terminated in two to three\n"
-              "iterations (in some cases no iterations were even necessary).'\n\n");
+              "iterations (in some cases no iterations were even necessary).'\n"
+              "(engine sweeps are the most any one component needed)\n\n");
 }
 
 void BM_FixpointFromZero(benchmark::State& state) {
@@ -62,16 +65,16 @@ void BM_FixpointFromZero(benchmark::State& state) {
     state.SkipWithError("optimization failed");
     return;
   }
-  sta::FixpointOptions opt;
-  opt.scheme = static_cast<sta::UpdateScheme>(state.range(0));
+  const bool oracle = state.range(0) == 0;
   const std::vector<double> zero(static_cast<size_t>(c.num_elements()), 0.0);
   for (auto _ : state) {
-    auto fix = sta::compute_departures(c, r->schedule, zero, opt);
+    auto fix = oracle ? check::jacobi_departures(c, r->schedule, zero)
+                      : sta::compute_departures(c, r->schedule, zero);
     benchmark::DoNotOptimize(fix);
   }
-  state.SetLabel(sta::to_string(opt.scheme));
+  state.SetLabel(oracle ? "jacobi (oracle)" : "scc-ordered (engine)");
 }
-BENCHMARK(BM_FixpointFromZero)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_FixpointFromZero)->Arg(0)->Arg(1);
 
 }  // namespace
 

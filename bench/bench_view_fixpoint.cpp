@@ -1,14 +1,18 @@
-// Before/after benchmark for the TimingView refactor: the pre-refactor
-// pointer-chasing Gauss-Seidel sweep (replicated below verbatim) vs the
-// flattened-view kernel, on synthetic pipelined datapaths up to 10k latches.
+// Sweep-throughput benchmark of the eq. (17) engine on the TimingView
+// kernel layer, on synthetic pipelined datapaths up to 10k latches. The
+// datapaths are rings (the last stage feeds the first), so the whole
+// circuit is one strongly connected component and eps = -1 forces exactly
+// max_sweeps full Gauss-Seidel sweeps: every run does the same amount of
+// eq. (17) work and the rate is edge relaxations per second. Each case also
+// checks a converged solve against the Jacobi oracle (check/oracle.h).
 //
-// Measures steady-state sweep throughput: eps = -1 forces exactly
-// max_sweeps full sweeps regardless of convergence, so both engines do the
-// identical amount of eq. (17) work and the timing difference is purely the
-// memory layout. Writes BENCH_view.json (override with --out <path>);
-// --small shrinks the circuit set for CI smoke runs.
+// --overhead-check times the engine (tracing disabled) against the same
+// per-component routine with its telemetry hooks stripped, and fails above
+// 5%. Writes BENCH_view.json (override with --out <path>); --small shrinks
+// the circuit set for CI smoke runs.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +22,7 @@
 #include "base/table.h"
 #include "baselines/binary_search.h"
 #include "baselines/edge_triggered.h"
+#include "check/oracle.h"
 #include "model/timing_view.h"
 #include "netlist/extract.h"
 #include "netlist/generators.h"
@@ -25,85 +30,45 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sta/fixpoint.h"
+#include "sta/parallel_fixpoint.h"
+#include "sta/relax_kernel.h"
 
 using namespace mintc;
 
 namespace {
 
-// ---- The pre-refactor inner loop, kept verbatim for comparison ----------
+// ---- The engine's per-component routine, minus the telemetry hooks -------
+// The inline solve of sta::ParallelFixpoint with no trace span, no tracing
+// instantiation, no metrics, no cost charge and no timer, so the
+// --overhead-check gate measures only what the hooks cost with tracing off.
 
-double legacy_departure_update(const Circuit& circuit, const ClockSchedule& schedule,
-                               const std::vector<double>& departure, int i) {
-  const Element& e = circuit.element(i);
-  if (!e.is_latch()) return 0.0;
-  double best = 0.0;
-  for (const int pi : circuit.fanin(i)) {
-    const CombPath& path = circuit.path(pi);
-    const Element& src = circuit.element(path.from);
-    const double a = departure[static_cast<size_t>(path.from)] + src.dq + path.delay +
-                     schedule.shift(src.phase, e.phase);
-    if (a > best) best = a;
-  }
-  return best;
-}
-
-// Gauss-Seidel with the convergence test disabled: exactly `sweeps` passes.
-std::vector<double> legacy_forced_sweeps(const Circuit& circuit, const ClockSchedule& schedule,
-                                         int sweeps, long& relaxations) {
-  const int l = circuit.num_elements();
-  std::vector<double> d(static_cast<size_t>(l), 0.0);
-  for (int s = 0; s < sweeps; ++s) {
-    for (int i = 0; i < l; ++i) {
-      relaxations += static_cast<long>(circuit.fanin(i).size());
-      d[static_cast<size_t>(i)] = legacy_departure_update(circuit, schedule, d, i);
-    }
-  }
-  return d;
-}
-
-// ---- The PR2 engine loop, minus the observability hooks -----------------
-// Replicates the Gauss-Seidel branch of compute_departures exactly as it
-// stood before the obs layer was wired in (update/relaxation counters, eps
-// test, divergence guard) so the --overhead-check gate measures only what
-// tracing-disabled instrumentation costs.
-
-double pre_obs_forced_sweeps(const TimingView& view, const ShiftTable& shifts,
-                             std::vector<double> initial, int max_sweeps, double eps,
-                             long& updates, long& relaxations) {
-  const int l = view.num_elements();
-  const StageTimer timer;
-  sta::FixpointResult res;
-  res.departure = std::move(initial);
-  const double bound =
-      std::fabs(shifts.cycle()) * (view.num_phases() + 1) + 1.0 + view.divergence_base();
-  const auto diverged = [&](double v) { return v > bound; };
-  const auto relax = [&](int i) {
-    ++res.updates;
-    res.stats.edge_relaxations += view.fanin_count(i);
-    return departure_update(view, shifts, res.departure, i);
-  };
-  for (res.sweeps = 0; res.sweeps < max_sweeps; ++res.sweeps) {
-    bool changed = false;
-    for (int i = 0; i < l; ++i) {
-      const double v = relax(i);
-      if (std::fabs(v - res.departure[static_cast<size_t>(i)]) > eps) changed = true;
-      res.departure[static_cast<size_t>(i)] = v;
-      if (diverged(v)) {
-        res.diverged = true;
-        updates = res.updates;
-        relaxations = res.stats.edge_relaxations;
-        return timer.seconds();
+void bare_solve(const TimingView& view, const ShiftTable& shifts, const sta::SccPlan& plan,
+                sta::RelaxRunFn relax, std::vector<double>& d, double eps, int max_sweeps,
+                std::int64_t& updates, long& relaxations) {
+  const double bound = sta::divergence_bound(view, shifts);
+  for (int c = 0; c < plan.num_components; ++c) {
+    const int* first = plan.members.data() + plan.member_offset[static_cast<size_t>(c)];
+    const int* last = plan.members.data() + plan.member_offset[static_cast<size_t>(c) + 1];
+    const bool cyclic = plan.cyclic[static_cast<size_t>(c)] != 0;
+    bool settled = false;
+    bool diverged = false;
+    for (int sweeps = 0; !settled && !diverged && sweeps < max_sweeps; ++sweeps) {
+      bool changed = false;
+      for (const int* m = first; m != last; ++m) {
+        const int i = *m;
+        ++updates;
+        relaxations += static_cast<long>(view.fanin_count(i));
+        const double v = sta::relax_element(relax, view, shifts, d, i);
+        if (std::fabs(v - d[static_cast<size_t>(i)]) > eps) changed = true;
+        d[static_cast<size_t>(i)] = v;
+        if (v > bound) {
+          diverged = true;
+          break;
+        }
       }
-    }
-    if (!changed) {
-      res.converged = true;
-      ++res.sweeps;
-      break;
+      settled = !changed || !cyclic;
     }
   }
-  updates = res.updates;
-  relaxations = res.stats.edge_relaxations;
-  return timer.seconds();
 }
 
 // -------------------------------------------------------------------------
@@ -113,15 +78,11 @@ struct CaseResult {
   int latches = 0;
   int edges = 0;
   int sweeps = 0;
-  double legacy_seconds = 0.0;
-  double view_seconds = 0.0;
+  double view_seconds = 0.0;        // forced-sweep solve, min over reps
   double view_build_seconds = 0.0;
-  double legacy_rate = 0.0;  // edge relaxations / second
-  double view_rate = 0.0;
-  double speedup = 0.0;
-  bool agrees = false;  // final departures agree to 1e-9 (the legacy loop
-                        // keeps the historical FP association, which may
-                        // differ from the fused constant by ulps)
+  double plan_seconds = 0.0;        // SCC plan build
+  double view_rate = 0.0;           // edge relaxations / second
+  bool agrees = false;  // a converged solve matches the Jacobi oracle to 1e-9
 };
 
 Circuit make_datapath(int bits, int stages) {
@@ -150,50 +111,44 @@ CaseResult run_case(const std::string& name, int bits, int stages, int sweeps, i
   res.name = name;
   res.latches = circuit.num_elements();
   res.edges = circuit.num_paths();
-  res.sweeps = sweeps;
 
-  sta::FixpointOptions opt;
-  opt.scheme = sta::UpdateScheme::kGaussSeidel;
-  opt.eps = -1.0;  // every update "changes": forces exactly max_sweeps sweeps
-  opt.max_sweeps = sweeps;
+  sta::ParallelFixpointOptions opt;
+  opt.fixpoint.eps = -1.0;  // every update "changes": forces exactly max_sweeps sweeps
+  opt.fixpoint.max_sweeps = sweeps;
 
   const TimingView view(circuit);
   const ShiftTable shifts(schedule);
   res.view_build_seconds = view.build_seconds();
   const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
+  const StageTimer plan_timer;
+  sta::ParallelFixpoint engine(view, opt);
+  res.plan_seconds = plan_timer.seconds();
 
-  std::vector<double> legacy_final, view_final;
-  long legacy_relax = 0;
+  long relaxations = 0;
   for (int r = 0; r < reps; ++r) {
-    long relax = 0;
-    const StageTimer timer;
-    legacy_final = legacy_forced_sweeps(circuit, schedule, sweeps, relax);
-    const double t = timer.seconds();
-    legacy_relax = relax;
-    if (r == 0 || t < res.legacy_seconds) res.legacy_seconds = t;
-  }
-  for (int r = 0; r < reps; ++r) {
-    const sta::FixpointResult fix = sta::compute_departures(view, shifts, zero, opt);
-    view_final = fix.departure;
+    const sta::FixpointResult fix = engine.solve(shifts, zero);
+    relaxations = fix.stats.edge_relaxations;
+    res.sweeps = fix.sweeps;
     if (r == 0 || fix.stats.solve_seconds < res.view_seconds) {
       res.view_seconds = fix.stats.solve_seconds;
     }
   }
+  res.view_rate = static_cast<double>(relaxations) / res.view_seconds;
 
-  res.legacy_rate = static_cast<double>(legacy_relax) / res.legacy_seconds;
-  res.view_rate = static_cast<double>(legacy_relax) / res.view_seconds;
-  res.speedup = res.legacy_seconds / res.view_seconds;
-  res.agrees = legacy_final.size() == view_final.size();
-  for (size_t i = 0; res.agrees && i < legacy_final.size(); ++i) {
-    const double scale = std::max(1.0, std::fabs(legacy_final[i]));
-    if (std::fabs(legacy_final[i] - view_final[i]) > 1e-9 * scale) res.agrees = false;
+  const std::vector<double> engine_final = sta::compute_departures(view, shifts, zero).departure;
+  const std::vector<double> oracle_final =
+      check::jacobi_departures(circuit, schedule, zero).departure;
+  res.agrees = engine_final.size() == oracle_final.size();
+  for (size_t i = 0; res.agrees && i < oracle_final.size(); ++i) {
+    const double scale = std::max(1.0, std::fabs(oracle_final[i]));
+    if (std::fabs(oracle_final[i] - engine_final[i]) > 1e-9 * scale) res.agrees = false;
   }
   return res;
 }
 
 struct OverheadResult {
-  double baseline_seconds = 0.0;      // pre-obs loop, min of reps
-  double instrumented_seconds = 0.0;  // compute_departures, tracing disabled
+  double baseline_seconds = 0.0;      // bare per-component routine, min of reps
+  double instrumented_seconds = 0.0;  // ParallelFixpoint::solve, tracing disabled
   double overhead = 0.0;              // instrumented / baseline - 1
 };
 
@@ -206,10 +161,12 @@ OverheadResult run_overhead_check(int bits, int stages, int sweeps, int reps) {
   const ShiftTable shifts(schedule);
   const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
 
-  sta::FixpointOptions opt;
-  opt.scheme = sta::UpdateScheme::kGaussSeidel;
-  opt.eps = -1.0;
-  opt.max_sweeps = sweeps;
+  sta::ParallelFixpointOptions opt;
+  opt.fixpoint.eps = -1.0;
+  opt.fixpoint.max_sweeps = sweeps;
+  sta::ParallelFixpoint engine(view, opt);
+  const sta::SccPlan plan(view);
+  const sta::RelaxRunFn relax = sta::relax_run_fn(opt.kernel);
 
   OverheadResult res;
   // Paired measurement: each rep times both sides back to back, so slow
@@ -218,11 +175,17 @@ OverheadResult run_overhead_check(int bits, int stages, int sweeps, int reps) {
   // second doesn't systematically eat the turbo decay. A warmup pair
   // absorbs cold caches.
   const auto run_base = [&]() {
-    long updates = 0, relaxations = 0;
-    return pre_obs_forced_sweeps(view, shifts, zero, sweeps, -1.0, updates, relaxations);
+    std::vector<double> d = zero;
+    std::int64_t updates = 0;
+    long relaxations = 0;
+    const StageTimer timer;
+    bare_solve(view, shifts, plan, relax, d, -1.0, sweeps, updates, relaxations);
+    return timer.seconds();
   };
   const auto run_instr = [&]() {
-    return sta::compute_departures(view, shifts, zero, opt).stats.solve_seconds;
+    const StageTimer timer;
+    const sta::FixpointResult fix = engine.solve(shifts, zero);
+    return timer.seconds();
   };
   for (int r = -1; r < reps; ++r) {
     double base = 0.0, instr = 0.0;
@@ -259,12 +222,11 @@ void write_json(const std::vector<CaseResult>& cases, const std::string& path, b
     const CaseResult& c = cases[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"latches\": %d, \"edges\": %d, \"sweeps\": %d,\n"
-                 "     \"legacy_seconds\": %.6e, \"view_seconds\": %.6e,\n"
-                 "     \"view_build_seconds\": %.6e,\n"
-                 "     \"legacy_relax_per_sec\": %.6e, \"view_relax_per_sec\": %.6e,\n"
-                 "     \"speedup\": %.3f, \"agrees\": %s}%s\n",
-                 c.name.c_str(), c.latches, c.edges, c.sweeps, c.legacy_seconds,
-                 c.view_seconds, c.view_build_seconds, c.legacy_rate, c.view_rate, c.speedup,
+                 "     \"view_seconds\": %.6e, \"view_build_seconds\": %.6e,\n"
+                 "     \"plan_seconds\": %.6e, \"view_relax_per_sec\": %.6e,\n"
+                 "     \"agrees\": %s}%s\n",
+                 c.name.c_str(), c.latches, c.edges, c.sweeps, c.view_seconds,
+                 c.view_build_seconds, c.plan_seconds, c.view_rate,
                  c.agrees ? "true" : "false", i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -317,25 +279,26 @@ int main(int argc, char** argv) {
     int bits, stages, sweeps, reps;
   };
   std::vector<Spec> specs;
+  // A solve is tens of microseconds to a few milliseconds; the minimum over
+  // this many reps keeps the recorded rate within a few percent run to run.
   if (small) {
-    specs = {{"datapath-8x32", 8, 32, 10, 3}};
+    specs = {{"datapath-8x32", 8, 32, 10, 100}};
   } else {
-    specs = {{"datapath-8x32", 8, 32, 20, 5},
-             {"datapath-16x64", 16, 64, 20, 5},
-             {"datapath-16x625", 16, 625, 20, 3}};  // 10k latches
+    specs = {{"datapath-8x32", 8, 32, 20, 100},
+             {"datapath-16x64", 16, 64, 20, 50},
+             {"datapath-16x625", 16, 625, 20, 10}};  // 10k latches
   }
 
-  std::printf("== fixpoint sweep throughput: legacy pointer-chasing vs TimingView ==\n");
-  TextTable table({"circuit", "latches", "edges", "legacy s", "view s", "speedup", "agrees"});
+  std::printf("== eq. (17) engine sweep throughput on the TimingView ==\n");
+  TextTable table({"circuit", "latches", "edges", "sweeps", "solve s", "relax/s", "agrees"});
   std::vector<CaseResult> results;
   for (const Spec& s : specs) {
     const CaseResult r = run_case(s.name, s.bits, s.stages, s.sweeps, s.reps);
-    char lbuf[32], vbuf[32], sbuf[32];
-    std::snprintf(lbuf, sizeof lbuf, "%.4f", r.legacy_seconds);
-    std::snprintf(vbuf, sizeof vbuf, "%.4f", r.view_seconds);
-    std::snprintf(sbuf, sizeof sbuf, "%.2fx", r.speedup);
-    table.add_row({r.name, std::to_string(r.latches), std::to_string(r.edges), lbuf, vbuf,
-                   sbuf, r.agrees ? "yes" : "NO"});
+    char vbuf[32], rbuf[32];
+    std::snprintf(vbuf, sizeof vbuf, "%.6f", r.view_seconds);
+    std::snprintf(rbuf, sizeof rbuf, "%.3g", r.view_rate);
+    table.add_row({r.name, std::to_string(r.latches), std::to_string(r.edges),
+                   std::to_string(r.sweeps), vbuf, rbuf, r.agrees ? "yes" : "NO"});
     results.push_back(r);
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -346,7 +309,7 @@ int main(int argc, char** argv) {
   }
 
   // Overhead gate: the instrumented engine with tracing DISABLED must stay
-  // within 5% of the pre-obs loop on forced sweeps. The workload must be
+  // within 5% of the bare per-component routine on forced sweeps. The workload must be
   // big enough (>= ~30 ms per side) that timer granularity, cache warmup
   // and scheduler jitter cannot fake a violation.
   OverheadResult oh;
@@ -363,7 +326,8 @@ int main(int argc, char** argv) {
 
   for (const CaseResult& r : results) {
     if (!r.agrees) {
-      std::fprintf(stderr, "FAIL: %s departures differ between engines\n", r.name.c_str());
+      std::fprintf(stderr, "FAIL: %s departures differ from the Jacobi oracle\n",
+                   r.name.c_str());
       return 1;
     }
   }

@@ -77,8 +77,8 @@ int cmd_min(const Circuit& c) {
   return 0;
 }
 
-// --threads N (global flag) routes the departure fixpoint through the
-// SCC-parallel engine; 0 keeps the scalar scheme.
+// --threads N (global flag): worker threads of the departure fixpoint
+// engine; 0 or 1 solves inline. The answer is the same at any N.
 int g_threads = 0;
 
 // --remote <addr> (global flag): address of a timing_serve daemon; empty
@@ -331,7 +331,7 @@ int usage() {
       "                  [--html <file>] [--nworst <K>] [--corners]\n"
       "       <circuit> is a .lct file or a built-in: example1, example2, gaas\n"
       "       global flags: --metrics-out <file>, --trace-out <file>,\n"
-      "                     --threads <N> (parallel fixpoint engine for check),\n"
+      "                     --threads <N> (fixpoint engine threads for check),\n"
       "                     --remote <unix:/path | host:port> (timing_serve daemon;\n"
       "                       min, check, corners and report run server-side)\n");
   return 2;

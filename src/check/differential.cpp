@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "base/strings.h"
+#include "check/oracle.h"
 #include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "sim/token_sim.h"
@@ -20,7 +21,6 @@ const char* to_string(CheckKind kind) {
     case CheckKind::kSolverAgreement: return "solver-agreement";
     case CheckKind::kP1Satisfaction: return "p1-satisfaction";
     case CheckKind::kSchemeAgreement: return "scheme-agreement";
-    case CheckKind::kIncrementalAgreement: return "incremental-agreement";
     case CheckKind::kSimAgreement: return "sim-agreement";
     case CheckKind::kSessionAgreement: return "session-agreement";
     case CheckKind::kParallelAgreement: return "parallel-agreement";
@@ -163,67 +163,73 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     fail(CheckKind::kP1Satisfaction, "graph-solver (schedule, departures) violates P1");
   }
 
-  // One flattened view serves every fixpoint below (four schemes, the sim
+  // One flattened view serves every fixpoint below (the engine legs, the sim
   // cross-check and the perturbation baseline); only the shift tables differ
   // per schedule.
   const TimingView view(circuit);
   const ShiftTable opt_shifts(lp->schedule);
 
-  // Engine 3, internal consistency: every UpdateScheme must reach the same
-  // least fixpoint from zero under the optimal schedule.
-  const sta::UpdateScheme schemes[] = {
-      sta::UpdateScheme::kJacobi, sta::UpdateScheme::kGaussSeidel,
-      sta::UpdateScheme::kEventDriven, sta::UpdateScheme::kSccOrdered};
-  std::vector<double> scheme_ref;
-  for (const sta::UpdateScheme scheme : schemes) {
-    sta::FixpointOptions fo;
-    fo.scheme = scheme;
-    const sta::FixpointResult r = sta::compute_departures(view, opt_shifts, zeros(circuit), fo);
-    if (!r.converged) {
+  // Engine 3, the eq. (17) engine against the paper's Jacobi iteration (an
+  // oracle evaluated from the Circuit), from zero at the LP optimum and from
+  // the LP departures MLP slides down from. The float operator F is
+  // monotone, so from a start x0 with F(x0) >= x0 (zero) every iteration
+  // climbs to the least fixpoint, and from one with F(x0) <= x0 it slides to
+  // the greatest fixpoint under x0: where both land on an exact fixpoint
+  // from such a start they must agree bit for bit. Elsewhere — either stops
+  // at the eps deadband (a zero-gain loop drifting by ulps), or the LP point
+  // sits an ulp above its image somewhere and the order picks one of a
+  // zero-gain loop's many fixpoints — within departure_tol.
+  const auto check_against_oracle = [&](const char* leg, const std::vector<double>& engine,
+                                        const std::vector<double>& initial) {
+    const sta::FixpointResult oracle = jacobi_departures(circuit, lp->schedule, initial);
+    if (!oracle.converged) {
       fail(CheckKind::kSchemeAgreement,
-           std::string(sta::to_string(scheme)) + " " + flag_string(r) + " at the LP optimum");
-      continue;
+           std::string(leg) + ": jacobi oracle " + flag_string(oracle));
+      return;
     }
-    if (scheme_ref.empty()) {
-      scheme_ref = r.departure;
-      continue;
+    bool up = true;
+    bool down = true;
+    for (int i = 0; i < circuit.num_elements(); ++i) {
+      const double image = departure_update(view, opt_shifts, initial, i);
+      up = up && image >= initial[static_cast<size_t>(i)];
+      down = down && image <= initial[static_cast<size_t>(i)];
     }
-    const VecDiff d = max_abs_diff(scheme_ref, r.departure);
-    if (d.amount > options.departure_tol) {
+    const bool exact = (up || down) && oracle.residual == 0.0 &&
+                       sta::fixpoint_residual(view, opt_shifts, engine) == 0.0;
+    const VecDiff d = max_abs_diff(engine, oracle.departure);
+    if (exact ? engine != oracle.departure : d.amount > options.departure_tol) {
       fail(CheckKind::kSchemeAgreement,
-           std::string(sta::to_string(scheme)) + " differs from " +
-               sta::to_string(schemes[0]) + " by " + fmt_time(d.amount, 9) + " at element '" +
-               circuit.element(d.element).name + "'");
+           std::string(leg) + ": engine differs from the jacobi oracle by " +
+               fmt_time(d.amount, 12) + " at element '" + circuit.element(d.element).name +
+               "'" + (exact ? " (both fixpoints exact: bitwise required)" : ""));
     }
+  };
+  const sta::FixpointResult from_zero =
+      sta::compute_departures(view, opt_shifts, zeros(circuit));
+  if (from_zero.converged) {
+    check_against_oracle("from zero", from_zero.departure, zeros(circuit));
+  } else {
+    fail(CheckKind::kSchemeAgreement, "engine " + flag_string(from_zero) + " at the LP optimum");
   }
+  check_against_oracle("MLP slide", lp->departure, lp->lp_departure);
 
-  // Engine 3b, parallel leg: the SCC-parallel engine must be BITWISE equal
-  // to the scalar kSccOrdered scheme on a convergent solve — not within
-  // departure_tol, exactly (that is its documented contract; see
-  // parallel_fixpoint.h). Run it at a couple of thread counts so both the
-  // single-worker and genuinely concurrent schedules are exercised.
-  {
-    sta::FixpointOptions fo;
-    fo.scheme = sta::UpdateScheme::kSccOrdered;
-    const sta::FixpointResult scalar_ref =
-        sta::compute_departures(view, opt_shifts, zeros(circuit), fo);
-    for (const int threads : {1, 4}) {
-      sta::ParallelFixpointOptions po;
-      po.num_threads = threads;
-      po.fixpoint = fo;
-      const sta::FixpointResult par =
-          sta::compute_departures_parallel(view, opt_shifts, zeros(circuit), po);
-      if (par.converged != scalar_ref.converged) {
-        fail(CheckKind::kParallelAgreement,
-             "parallel(" + std::to_string(threads) + ") " + flag_string(par) +
-                 " but scc-ordered " + flag_string(scalar_ref));
-      } else if (scalar_ref.converged && par.departure != scalar_ref.departure) {
-        const VecDiff d = max_abs_diff(par.departure, scalar_ref.departure);
-        fail(CheckKind::kParallelAgreement,
-             "parallel(" + std::to_string(threads) + ") departures not bitwise equal: off by " +
-                 fmt_time(d.amount, 12) + " at element '" +
-                 circuit.element(d.element).name + "'");
-      }
+  // Engine 3b, thread counts: the engine at one and at four threads must
+  // agree bitwise in status and departures — at the LP optimum and at the
+  // relaxed schedule the perturbation checks use.
+  for (const ClockSchedule& sch : {lp->schedule, lp->schedule.scaled(options.slack_factor)}) {
+    const ShiftTable shifts(sch);
+    const sta::FixpointResult one = sta::compute_departures(view, shifts, zeros(circuit));
+    sta::ParallelFixpoint four_threads(view, {.num_threads = 4, .fixpoint = {}});
+    const sta::FixpointResult four = four_threads.solve(shifts, zeros(circuit));
+    const std::string where = "Tc=" + fmt_time(sch.cycle, 9) + ": ";
+    if (one.status != four.status) {
+      fail(CheckKind::kParallelAgreement,
+           where + "4 threads " + flag_string(four) + " but 1 thread " + flag_string(one));
+    } else if (one.departure != four.departure) {
+      const VecDiff d = max_abs_diff(one.departure, four.departure);
+      fail(CheckKind::kParallelAgreement,
+           where + "4-thread departures not bitwise equal: off by " + fmt_time(d.amount, 12) +
+               " at element '" + circuit.element(d.element).name + "'");
     }
   }
 
@@ -251,10 +257,10 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     }
   }
 
-  // Incremental re-analysis vs from-scratch after a random perturbation,
-  // at a relaxed schedule. With slack_factor > 1 + max_perturb every loop
-  // keeps strictly negative gain (a path's delay is at most its loop's sum,
-  // which the optimal Tc covers), so both routes must stay convergent.
+  // Warm re-analysis vs a fresh analysis after a random perturbation, at a
+  // relaxed schedule. With slack_factor > 1 + max_perturb every loop keeps
+  // strictly negative gain (a path's delay is at most its loop's sum, which
+  // the optimal Tc covers), so every solve must stay convergent.
   if (circuit.num_paths() > 0) {
     std::mt19937_64 rng(rng_seed);
     std::uniform_int_distribution<int> pick_path(0, circuit.num_paths() - 1);
@@ -272,26 +278,11 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
           increase ? old_delay + delta
                    : std::max(circuit.path(p).min_delay, old_delay - delta);
       mutated.set_path_delay(p, new_delay);
-      const sta::FixpointResult inc =
-          sta::incremental_update(mutated, relaxed, before.departure, p, old_delay);
-      const sta::FixpointResult full = sta::compute_departures(mutated, relaxed, zeros(mutated));
       const std::string what = "path " + circuit.element(circuit.path(p).from).name + "->" +
                                circuit.element(circuit.path(p).to).name + " delay " +
                                fmt_time(old_delay, 6) + " -> " + fmt_time(new_delay, 6);
-      if (inc.converged != full.converged || inc.diverged != full.diverged) {
-        fail(CheckKind::kIncrementalAgreement,
-             what + ": incremental " + flag_string(inc) + " but from-scratch " +
-                 flag_string(full));
-      } else if (inc.converged) {
-        const VecDiff d = max_abs_diff(inc.departure, full.departure);
-        if (d.amount > options.departure_tol) {
-          fail(CheckKind::kIncrementalAgreement,
-               what + ": departures differ by " + fmt_time(d.amount, 9) + " at element '" +
-                   circuit.element(d.element).name + "'");
-        }
-      }
 
-      // The same perturbation driven through an AnalysisSession: cold, warm
+      // The perturbation driven through an AnalysisSession: cold, warm
       // after the edit, cold again after the undo — each leg bit-identical
       // to a fresh check_schedule of the corresponding circuit.
       sta::AnalysisOptions an;

@@ -12,11 +12,13 @@
 //     same infeasibility),
 //   * each engine's (schedule, departures) satisfies the nonlinear problem
 //     P1 exactly,
-//   * all four UpdateSchemes converge to the same least fixpoint,
-//   * incremental_update after a random delay perturbation matches a
-//     from-scratch solve,
-//   * an sta::AnalysisSession driven through the same perturbation (and its
-//     undo) reproduces fresh check_schedule reports BIT-identically, and
+//   * the eq. (17) engine matches the paper's Jacobi iteration (the
+//     check/oracle.h oracle) from zero and on MLP's slide from the LP point:
+//     bit for bit where the engine's fixpoint is exact, within
+//     departure_tol where it stopped at the eps deadband,
+//   * the engine gives bitwise the same answer at one and at four threads,
+//   * an sta::AnalysisSession driven through a random delay perturbation
+//     (and its undo) reproduces fresh check_schedule reports BIT-identically,
 //   * the token simulator's steady state matches the analytic fixpoint, and
 //   * the whole matrix holds again under deterministic random per-latch
 //     clock skews, reached both by construction and by AnalysisSession
@@ -38,11 +40,10 @@ namespace mintc::check {
 enum class CheckKind {
   kSolverAgreement,       // simplex Tc* vs graph-solver Tc* (or error kinds)
   kP1Satisfaction,        // an engine's (schedule, departures) violates P1
-  kSchemeAgreement,       // the four UpdateSchemes disagree on the fixpoint
-  kIncrementalAgreement,  // incremental_update != from-scratch recompute
+  kSchemeAgreement,       // the fixpoint engine disagrees with the Jacobi oracle
   kSimAgreement,          // token-sim steady state != analytic fixpoint
   kSessionAgreement,      // AnalysisSession warm/undo != fresh check_schedule
-  kParallelAgreement,     // ParallelFixpoint != scalar kSccOrdered bitwise
+  kParallelAgreement,     // the engine at 4 threads != at 1 thread, bitwise
   kSkewAgreement,         // engines disagree under random per-latch skews
 };
 
@@ -61,11 +62,11 @@ struct DifferentialOptions {
   double departure_tol = 1e-6;  // per-element departure tolerance
   double p1_eps = 1e-5;         // tolerance handed to satisfies_p1
   /// The perturbation checks run at the optimum scaled by this factor, so
-  /// every loop has strictly negative gain and all schemes stay convergent.
+  /// every loop has strictly negative gain and every solve stays convergent.
   double slack_factor = 1.25;
   /// Relative size of the random delay perturbation. Must stay below
   /// slack_factor - 1 - margin or an increase on a tight loop could
-  /// legitimately diverge incrementally (see differential.cpp).
+  /// legitimately diverge after the edit (see differential.cpp).
   double max_perturb = 0.2;
   bool check_simulation = true;
   int sim_max_generations = 1024;
@@ -94,7 +95,7 @@ struct DifferentialReport {
 };
 
 /// Run every cross-engine check on one circuit. `rng_seed` drives the
-/// random delay perturbation of the incremental check; the same seed always
+/// random delay perturbation of the session check; the same seed always
 /// perturbs the same path by the same amount.
 DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
                                  const DifferentialOptions& options = {});

@@ -7,66 +7,13 @@ namespace mintc::graph {
 SccResult strongly_connected_components(const Digraph& g) {
   const int n = g.num_nodes();
   SccResult res;
-  res.component.assign(static_cast<size_t>(n), -1);
-
-  std::vector<int> index(static_cast<size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<size_t>(n), false);
-  std::vector<int> stack;
-  int next_index = 0;
-
-  // Iterative Tarjan: frame = (node, position in out-edge list).
-  struct Frame {
-    int node;
-    size_t edge_pos;
-  };
-  std::vector<Frame> call_stack;
-
-  for (int start = 0; start < n; ++start) {
-    if (index[static_cast<size_t>(start)] != -1) continue;
-    call_stack.push_back({start, 0});
-    index[static_cast<size_t>(start)] = lowlink[static_cast<size_t>(start)] = next_index++;
-    stack.push_back(start);
-    on_stack[static_cast<size_t>(start)] = true;
-
-    while (!call_stack.empty()) {
-      Frame& f = call_stack.back();
-      const auto& outs = g.out_edges(f.node);
-      if (f.edge_pos < outs.size()) {
-        const int w = g.edge(outs[f.edge_pos]).to;
-        ++f.edge_pos;
-        if (index[static_cast<size_t>(w)] == -1) {
-          index[static_cast<size_t>(w)] = lowlink[static_cast<size_t>(w)] = next_index++;
-          stack.push_back(w);
-          on_stack[static_cast<size_t>(w)] = true;
-          call_stack.push_back({w, 0});
-        } else if (on_stack[static_cast<size_t>(w)]) {
-          lowlink[static_cast<size_t>(f.node)] =
-              std::min(lowlink[static_cast<size_t>(f.node)], index[static_cast<size_t>(w)]);
-        }
-      } else {
-        const int v = f.node;
-        call_stack.pop_back();
-        if (!call_stack.empty()) {
-          const int parent = call_stack.back().node;
-          lowlink[static_cast<size_t>(parent)] =
-              std::min(lowlink[static_cast<size_t>(parent)], lowlink[static_cast<size_t>(v)]);
-        }
-        if (lowlink[static_cast<size_t>(v)] == index[static_cast<size_t>(v)]) {
-          std::vector<int> comp;
-          while (true) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<size_t>(w)] = false;
-            res.component[static_cast<size_t>(w)] = res.num_components;
-            comp.push_back(w);
-            if (w == v) break;
-          }
-          res.members.push_back(std::move(comp));
-          ++res.num_components;
-        }
-      }
-    }
+  res.num_components = tarjan_components(
+      n, [&](int v) { return std::pair<size_t, size_t>(0, g.out_edges(v).size()); },
+      [&](int v, std::int64_t k) { return g.edge(g.out_edges(v)[static_cast<size_t>(k)]).to; },
+      res.component);
+  res.members.resize(static_cast<size_t>(res.num_components));
+  for (int v = 0; v < n; ++v) {
+    res.members[static_cast<size_t>(res.component[static_cast<size_t>(v)])].push_back(v);
   }
 
   res.nontrivial.assign(static_cast<size_t>(res.num_components), false);

@@ -248,11 +248,9 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
   // and each sweep only sheds that much, so the sweep limit trips. The
   // upward iteration's cost is bounded by path depth instead and reaches
   // the same least fixpoint (found by differential fuzzing, seed 26).
-  sta::FixpointOptions fix_opts;
-  fix_opts.scheme = sta::UpdateScheme::kEventDriven;
   const sta::FixpointResult fix = sta::compute_departures(
       circuit, res.schedule,
-      std::vector<double>(static_cast<size_t>(circuit.num_elements()), 0.0), fix_opts);
+      std::vector<double>(static_cast<size_t>(circuit.num_elements()), 0.0));
   if (!fix.converged) {
     return make_error(ErrorKind::kNotConverged,
                       fix.hit_sweep_limit()

@@ -12,6 +12,7 @@
 // this and is exercised by the property tests).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ struct MlpResult {
   std::vector<double> lp_departure; // D_i straight out of the LP (step 1)
   std::vector<double> departure;    // D_i after the fixpoint (steps 3-5)
   int fixpoint_sweeps = 0;          // iterations of steps 3-5
-  int fixpoint_updates = 0;
+  std::int64_t fixpoint_updates = 0;
   lp::SolveStats lp_stats;
   ConstraintCounts counts;
   std::vector<TightConstraint> critical;

@@ -100,7 +100,7 @@ struct ServiceConfig {
   size_t cache_bytes = 64u << 20;
   /// Session-pool byte budget (estimated bytes of warm sessions kept).
   size_t session_bytes = 256u << 20;
-  /// AnalysisOptions::num_threads for solves (0 = scalar engine).
+  /// AnalysisOptions::num_threads for solves (0 or 1 = inline, no pool).
   int analyze_threads = 0;
   /// Per-frame size cap enforced on handle_line input.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;

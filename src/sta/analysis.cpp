@@ -1,7 +1,5 @@
 #include "sta/analysis.h"
 
-#include "sta/parallel_fixpoint.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,6 +10,7 @@
 #include "base/table.h"
 #include "obs/cost.h"
 #include "obs/trace.h"
+#include "sta/parallel_fixpoint.h"
 
 namespace mintc::sta {
 
@@ -38,7 +37,7 @@ FixpointResult compute_early_departures(const TimingView& view, const ShiftTable
   res.departure.assign(static_cast<size_t>(l), 0.0);
   // The min-fixpoint iterated upward from zero is monotone nondecreasing and
   // bounded by the (max) departure fixpoint, so a plain Gauss-Seidel loop
-  // suffices regardless of the configured scheme.
+  // suffices (a different operator from eq. 17: min over fan-in).
   const int max_sweeps = options.effective_max_sweeps(l);
   for (res.sweeps = 0; res.sweeps < max_sweeps; ++res.sweeps) {
     bool changed = false;
@@ -86,16 +85,9 @@ TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedul
   const int l = circuit.num_elements();
 
   // Departure fixpoint from below (analysis direction).
-  std::vector<double> zeros(static_cast<size_t>(l), 0.0);
-  FixpointResult fixpoint;
-  if (options.num_threads >= 1) {
-    ParallelFixpointOptions popt;
-    popt.num_threads = options.num_threads;
-    popt.fixpoint = options.fixpoint;
-    fixpoint = compute_departures_parallel(view, shifts, std::move(zeros), popt);
-  } else {
-    fixpoint = compute_departures(view, shifts, std::move(zeros), options.fixpoint);
-  }
+  FixpointResult fixpoint =
+      ParallelFixpoint(view, {.num_threads = options.num_threads, .fixpoint = options.fixpoint})
+          .solve(shifts, std::vector<double>(static_cast<size_t>(l), 0.0));
 
   TimingReport rep =
       assemble_report(circuit, schedule, view, shifts, options, std::move(fixpoint));

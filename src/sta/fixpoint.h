@@ -14,12 +14,15 @@
 // feedback loop), the upward iteration diverges; this is detected and
 // reported instead of looping forever.
 //
-// Three update schemes are provided, matching the paper's Section IV
-// discussion: Jacobi (the algorithm as printed), Gauss-Seidel ("obviously
-// possible", usually fewer sweeps) and event-driven (the suggested
-// "only calculate the departure times which have changed" mechanism).
+// Every cold solve runs ONE routine: the SCC-ordered engine of
+// sta/parallel_fixpoint.h (the LEADOUT partition the paper cites in
+// Section II), at whatever thread count the caller asks for. The
+// compute_departures overloads below are that engine at one thread. The
+// Jacobi iteration the paper prints lives in check/oracle.h as the
+// independent oracle the fuzzer compares against; warm_departures is the
+// single warm path.
 //
-// All schemes run on the flattened TimingView/ShiftTable kernel layer
+// The engine runs on the flattened TimingView/ShiftTable kernel layer
 // (model/timing_view.h). The Circuit-based overloads are thin wrappers that
 // build the view (and record the build time in FixpointResult::stats); hot
 // callers evaluating many schedules against one circuit should build the
@@ -27,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -35,23 +39,18 @@
 
 namespace mintc::sta {
 
-// kSccOrdered is the LEADOUT-inspired scheme (paper Section II: LEADOUT
-// "first partitioned [the circuit] into its strongest-connected
-// components"): solve each SCC of the latch graph to its local fixpoint in
-// topological order, so acyclic regions converge in a single pass and
-// sweeps are confined to actual feedback loops.
-enum class UpdateScheme { kJacobi, kGaussSeidel, kEventDriven, kSccOrdered };
-
-const char* to_string(UpdateScheme scheme);
-
 struct FixpointOptions {
-  UpdateScheme scheme = UpdateScheme::kGaussSeidel;
-  /// Sweep budget. <= 0 (the default) auto-scales with the element count via
-  /// effective_max_sweeps(): the old fixed default of 100000 silently capped
-  /// million-latch chains, whose Jacobi sweep count grows with depth.
+  /// Sweep budget of each strongly connected component. <= 0 (the default)
+  /// auto-scales with the element count via effective_max_sweeps(): the old
+  /// fixed default of 100000 silently capped million-latch chains, whose
+  /// Jacobi sweep count grows with depth.
   /// Hitting the budget is reported as FixpointStatus::kSweepLimit with the
   /// remaining residual — never as a plausible-looking converged result.
   int max_sweeps = 0;
+  /// Convergence deadband: a component's sweep that moves no member by
+  /// more than eps ends its iteration. It stays nonzero on purpose: at an
+  /// MLP-optimal schedule the critical loop has zero gain and climbs about
+  /// one ulp per sweep, so strict acceptance would exhaust the budget.
   double eps = 1e-9;
 
   /// The sweep budget actually enforced for a circuit of `num_elements`
@@ -76,8 +75,8 @@ const char* to_string(FixpointStatus status);
 
 struct FixpointResult {
   std::vector<double> departure;  // D_i at the fixpoint
-  int sweeps = 0;                 // full passes over the latch set
-  int updates = 0;                // individual D_i recomputations
+  int sweeps = 0;                 // most sweeps any one component needed
+  std::int64_t updates = 0;       // individual D_i recomputations
   bool converged = false;
   bool diverged = false;          // departures blew past the divergence bound
   /// Distinct terminal status; kSweepLimit means the sweep budget ran out
@@ -99,14 +98,16 @@ double departure_update(const Circuit& circuit, const ClockSchedule& schedule,
                         const std::vector<double>& departure, int i);
 
 /// Iterate eq. (17) from `initial` until convergence, divergence or the
-/// sweep limit. `initial` must have one entry per element; pass all-zeros
-/// for analysis, or the LP departures for Algorithm MLP.
+/// sweep limit: the SCC-ordered engine at one thread, run inline. `initial`
+/// must have one entry per element; pass all-zeros for analysis, or the LP
+/// departures for Algorithm MLP.
 FixpointResult compute_departures(const Circuit& circuit, const ClockSchedule& schedule,
                                   std::vector<double> initial,
                                   const FixpointOptions& options = {});
 
-/// The kernel-layer engine: same contract, but the caller owns the view and
-/// shift table (amortizing their builds across many solves).
+/// Same contract on a caller-owned view and shift table. Builds the SCC plan
+/// per call; callers solving repeatedly against one view should own a
+/// ParallelFixpoint instead (sta/parallel_fixpoint.h).
 FixpointResult compute_departures(const TimingView& view, const ShiftTable& shifts,
                                   std::vector<double> initial,
                                   const FixpointOptions& options = {});
@@ -117,16 +118,10 @@ FixpointResult compute_departures(const TimingView& view, const ShiftTable& shif
 double fixpoint_residual(const TimingView& view, const ShiftTable& shifts,
                          const std::vector<double>& departure);
 
-/// The divergence guard shared by every scheme: any departure beyond this
+/// The divergence guard of the cold and warm solves: any departure beyond this
 /// bound implies a positive loop (in one period a signal cannot legitimately
 /// accumulate more than every delay in the circuit plus a cycle of slack).
 double divergence_bound(const TimingView& view, const ShiftTable& shifts);
-
-/// The latch connectivity graph rebuilt from the view, edge-for-edge
-/// identical to Circuit::latch_graph() (insertion in path order keeps the
-/// SCC decomposition — and therefore the kSccOrdered / parallel sweep
-/// orders — unchanged).
-graph::Digraph latch_graph_of(const TimingView& view);
 
 /// Arrival times A_i (eq. 14) given fixed departures. Latches with no fanin
 /// get -infinity (the paper's "Δ == -inf for unconnected" convention).
@@ -149,15 +144,5 @@ std::vector<double> compute_arrivals(const TimingView& view, const ShiftTable& s
 FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
                                std::vector<double> departure, const std::vector<int>& seeds,
                                const FixpointOptions& options = {});
-
-/// Incremental re-analysis after one path's delay changed: starting from the
-/// previous fixpoint `departure`, propagate only from the changed path's
-/// destination (event-driven). Exact for delay INCREASES (the fixpoint moves
-/// monotonically up from the old one); for decreases the result can be stale
-/// upstream of clamps, so the implementation falls back to a full event-
-/// driven solve when the new delay is smaller. Returns the updated fixpoint.
-FixpointResult incremental_update(const Circuit& circuit, const ClockSchedule& schedule,
-                                  std::vector<double> departure, int changed_path,
-                                  double old_delay, const FixpointOptions& options = {});
 
 }  // namespace mintc::sta

@@ -1,131 +1,119 @@
-// Parallel eq. (17) fixpoint engine: SCC partition + work-stealing topology
-// scheduling + vectorized shard relaxation.
+// The eq. (17) fixpoint engine: one SCC-ordered routine for every cold
+// solve, at every thread count (DESIGN §5.5).
 //
-// The scalar kSccOrdered scheme (fixpoint.cpp) already exploits the key
-// structural fact — eq. (17) only couples latches within a strongly
-// connected component of the latch graph, so each SCC can be solved to its
-// local fixpoint once its upstream SCCs are done. This engine is the same
-// algorithm with the two sequential bottlenecks removed:
+// eq. (17) only couples latches inside a strongly connected component of
+// the latch graph (LEADOUT's partition, paper Section II), so the engine
+// visits the components in topological order and solves each before
+// anything downstream reads it: a component's members are swept
+// Gauss-Seidel in ascending element index until no member moves by more
+// than FixpointOptions::eps, and a component without a cycle gets one pass.
+// compute_departures, check_schedule, AnalysisSession cold solves, the MLP
+// slide and the graph solver's departures all run this routine.
 //
-//   * independent SCCs run concurrently on a base::ThreadPool, released in
-//     topological order by per-component predecessor counts (one task
-//     "chains" down its dependency spine inline and only forks surplus
-//     newly-ready components, so a deep pipeline costs O(fork points) task
-//     submissions, not O(components));
-//   * the per-latch fan-in reduction runs through the relax_kernel trait
-//     (portable scalar or runtime-dispatched AVX2 gathers).
-//
-// Bit-identity contract (tested, not aspirational): for a CONVERGENT solve,
-// the departure vector is bitwise identical to UpdateScheme::kSccOrdered at
-// every thread count and kernel choice. The argument:
-//
-//   1. A component's relaxations read only departures of its own members
-//      (same Gauss-Seidel member order as the scalar scheme) and of upstream
-//      components, which are fully converged — and therefore hold exactly
-//      the scalar run's values — before the component is released. The
-//      release is the synchronization edge: the final predecessor-count
-//      decrement (acq_rel) plus the pool's queue handoff order every
-//      upstream store before every downstream load.
-//   2. Components never share members, so concurrent shards write disjoint
-//      slices of the departure vector.
-//   3. The AVX2 kernel preserves the scalar per-lane add order and max is
-//      exact (relax_kernel.h), so the shard-local arithmetic is identical.
-//
-// On DIVERGENCE the two engines legitimately differ in everything but the
-// verdict: the scalar scheme abandons the whole solve at the first value
-// over the bound, while this engine stops only the offending component and
-// finishes the rest of the schedule (aborting siblings on a shared flag
-// would make the final vector depend on thread timing). The resulting
-// departure vector is still deterministic for a fixed circuit — every
-// component's local solve is a deterministic function of its upstream
-// values — but it is NOT the scalar scheme's vector; only status/diverged
-// agree, which is what callers act on.
+// The thread count decides WHO runs a component, never what it computes.
+// With at most one thread the components run inline on the calling thread
+// and no ThreadPool exists; with more, ready components run on a pool,
+// released by per-component predecessor counts (a task chains down its
+// dependency spine inline and forks only surplus ready components). A
+// component reads only its own members and finished upstream components
+// (the final acq_rel predecessor decrement orders every upstream store
+// before every downstream load), components never share members, and the
+// scalar and AVX2 kernels return identical bits — so every outcome,
+// converged, diverged or sweep-limited, is bitwise the same at every thread
+// count. A component stops at its first value past the divergence bound;
+// the others still run. Member order matters only where a solve stops at
+// the eps deadband with a nonzero residual (a zero-gain loop at an
+// MLP-optimal schedule); ascending index is the order the plan fixes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/thread_pool.h"
-#include "graph/scc.h"
 #include "model/timing_view.h"
 #include "sta/fixpoint.h"
 #include "sta/relax_kernel.h"
 
 namespace mintc::sta {
 
+/// The SCC plan of a TimingView's latch graph: the components in
+/// topological order (sources first), each component's members sorted by
+/// element index, and the condensation the pooled scheduler releases
+/// components along. Built from the view's fan-out CSR by an iterative
+/// Tarjan; it depends only on the view's structure, so delay, skew and
+/// schedule edits keep it valid.
+struct SccPlan {
+  int num_components = 0;
+  std::vector<int> member_offset;  // num_components + 1
+  std::vector<int> members;        // ascending within each component
+  std::vector<char> cyclic;        // component holds a cycle (size > 1 or a self-loop)
+  // Condensation: cross-component successor lists with edge multiplicity
+  // preserved (predecessor counts use the same multiplicity, so a component
+  // becomes ready exactly when its last cross edge resolves).
+  std::vector<EdgeIndex> succ_offset;  // num_components + 1
+  std::vector<int> succ;
+  std::vector<int> pred_count;
+  std::vector<int> roots;  // components without predecessors
+
+  explicit SccPlan(const TimingView& view);
+
+  int num_cyclic() const;
+};
+
 struct ParallelFixpointOptions {
-  /// Worker count. <= 0 picks std::thread::hardware_concurrency().
+  /// Worker count. At most 1 runs every component inline on the calling
+  /// thread, with no pool.
   int num_threads = 1;
   /// Inner-loop kernel; kAuto resolves to AVX2 when the host supports it.
   RelaxKernelKind kernel = RelaxKernelKind::kAuto;
-  /// Sweep budget per component and convergence deadband, with exactly the
-  /// FixpointOptions semantics (max_sweeps <= 0 auto-scales; see
-  /// FixpointOptions::effective_max_sweeps). `scheme` is ignored — this
-  /// engine is kSccOrdered by construction.
+  /// Sweep budget per component and convergence deadband.
   FixpointOptions fixpoint;
 };
 
 /// Per-solve scheduler observability, also exported as obs metrics
-/// (parallel.* counters/histograms) by solve().
+/// (parallel.* counters/histograms) by pooled solves.
 struct ParallelSolveStats {
   int sccs = 0;             // components in the partition
   int nontrivial_sccs = 0;  // components containing a cycle
   int threads = 0;          // workers actually used
   int max_shard_sweeps = 0; // deepest local sweep count over all shards
-  std::int64_t tasks = 0;   // pool submissions (roots + surplus forks)
+  std::int64_t tasks = 0;   // pool submissions (0 for an inline solve)
   std::int64_t steals = 0;  // cross-deque takes during this solve
   RelaxKernelKind kernel = RelaxKernelKind::kScalar;  // resolved kernel
 };
 
-/// Reusable engine bound to one TimingView's STRUCTURE: the SCC partition
-/// and its condensation CSR are built once in the constructor and amortized
-/// across solves (delay/Tc edits change edge constants, not edges, so
-/// sessions re-solve against the same plan). The view must outlive the
-/// engine; structural invalidation (a different circuit) requires a new
-/// ParallelFixpoint.
+/// The engine bound to one TimingView's STRUCTURE: the SCC plan is built
+/// once in the constructor and amortized across solves (delay/Tc edits
+/// change edge constants, not edges). The view must outlive the engine; a
+/// structural edit needs a new ParallelFixpoint.
 class ParallelFixpoint {
  public:
   ParallelFixpoint(const TimingView& view, const ParallelFixpointOptions& options = {});
 
   /// One full solve from `initial` (zeros for analysis, LP departures for
-  /// MLP sliding). Same result contract as compute_departures with
-  /// kSccOrdered — see the bit-identity notes above.
+  /// MLP sliding). Same result contract as compute_departures, bit for bit.
   FixpointResult solve(const ShiftTable& shifts, std::vector<double> initial);
 
   /// Scheduler counters of the most recent solve().
   const ParallelSolveStats& last_stats() const { return stats_; }
 
-  int num_threads() const { return pool_.num_threads(); }
-  int num_components() const { return scc_.num_components; }
+  int num_threads() const { return stats_.threads; }
+  int num_components() const { return plan_.num_components; }
   RelaxKernelKind kernel() const { return kernel_; }
 
  private:
   struct SolveCtx;
 
   void run_chain(SolveCtx& ctx, int comp);
-  void process_component(SolveCtx& ctx, int comp);
 
   const TimingView& view_;
   ParallelFixpointOptions options_;
   RelaxKernelKind kernel_;
   RelaxRunFn relax_fn_;
-  graph::SccResult scc_;
-  // Condensation in CSR form: cross-component successor lists with edge
-  // multiplicity preserved (pred counts use the same multiplicity, so the
-  // component becomes ready exactly when its last cross edge resolves —
-  // no dedup pass needed).
-  std::vector<EdgeIndex> succ_offset_;
-  std::vector<int> succ_;
-  std::vector<int> pred_template_;
-  std::vector<int> roots_;
-  base::ThreadPool pool_;
+  SccPlan plan_;
+  std::unique_ptr<base::ThreadPool> pool_;  // only with more than one thread
   ParallelSolveStats stats_;
 };
-
-/// Convenience wrapper: build a throwaway engine and solve once. Prefer
-/// owning a ParallelFixpoint when solving repeatedly against one view.
-FixpointResult compute_departures_parallel(const TimingView& view, const ShiftTable& shifts,
-                                           std::vector<double> initial,
-                                           const ParallelFixpointOptions& options = {});
 
 }  // namespace mintc::sta

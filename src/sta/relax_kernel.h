@@ -1,8 +1,7 @@
 // Vectorized inner loop of the eq. (17) relaxation.
 //
-// Both the scalar scheme and the parallel engine spend essentially all their
-// time computing, for one destination latch i, the maximum over its
-// contiguous fan-in CSR run of
+// The fixpoint engine spends essentially all its time computing, for one
+// destination latch i, the maximum over its contiguous fan-in CSR run of
 //
 //     departure[src[e]] + max_const[e] + shift_data[shift_index[e]]
 //

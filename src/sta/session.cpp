@@ -421,30 +421,22 @@ const TimingReport& AnalysisSession::analyze() {
   const bool had_report = have_report_;
 
   bool rebuilt = false;
-  if (!view_ || structural_dirty_) {
-    parallel_.reset();
+  const auto rebuild = [&] {
+    engine_.reset();
     view_.emplace(circuit_);
     shifts_.emplace(schedule_);
+    engine_.emplace(*view_, ParallelFixpointOptions{.num_threads = options_.num_threads,
+                                                    .fixpoint = options_.fixpoint});
     rebuilt = true;
-  }
+  };
+  if (!view_ || structural_dirty_) rebuild();
   const int l = circuit_.num_elements();
 
-  // Cold solve through the engine AnalysisOptions selects: the scalar scheme
-  // by default, the SCC-parallel engine when num_threads >= 1. Warm starts
-  // stay on the scalar event-driven path — they touch a handful of latches,
-  // far below the parallel engine's useful granularity.
+  // Cold solves run the engine check_schedule runs, on the plan kept with
+  // the view. Warm starts take the event-driven path — they touch a handful
+  // of latches.
   const auto cold_solve = [&]() -> FixpointResult {
-    std::vector<double> zeros(static_cast<size_t>(l), 0.0);
-    if (options_.num_threads >= 1) {
-      if (!parallel_) {
-        ParallelFixpointOptions popt;
-        popt.num_threads = options_.num_threads;
-        popt.fixpoint = options_.fixpoint;
-        parallel_.emplace(*view_, popt);
-      }
-      return parallel_->solve(*shifts_, std::move(zeros));
-    }
-    return compute_departures(*view_, *shifts_, std::move(zeros), options_.fixpoint);
+    return engine_->solve(*shifts_, std::vector<double>(static_cast<size_t>(l), 0.0));
   };
 
   // Warm start is sound only for a monotone-nondecreasing perturbation of a
@@ -484,10 +476,7 @@ const TimingReport& AnalysisSession::analyze() {
       // The incrementally maintained divergence bound can drift by ulps from
       // a fresh build's; on the (rare) non-converged path, rebuild and rerun
       // so even the divergence diagnostics match a cold analysis exactly.
-      parallel_.reset();
-      view_.emplace(circuit_);
-      shifts_.emplace(schedule_);
-      rebuilt = true;
+      rebuild();
       fp = cold_solve();
       fixpoint_exact_ =
           fp.converged && fixpoint_residual(*view_, *shifts_, fp.departure) == 0.0;

@@ -58,6 +58,10 @@ class AnalysisSession {
   /// analyze() asserts until set_schedule() is called.
   explicit AnalysisSession(Circuit circuit);
   AnalysisSession(Circuit circuit, ClockSchedule schedule, AnalysisOptions options = {});
+  // The engine holds a reference to view_: a copy or move would solve
+  // against the source's view.
+  AnalysisSession(const AnalysisSession&) = delete;
+  AnalysisSession& operator=(const AnalysisSession&) = delete;
 
   const Circuit& circuit() const { return circuit_; }
   const ClockSchedule& schedule() const { return schedule_; }
@@ -197,9 +201,11 @@ class AnalysisSession {
 
   std::optional<TimingView> view_;
   std::optional<ShiftTable> shifts_;
-  // Lazily built when options_.num_threads >= 1 routes cold solves through
-  // the SCC-parallel engine; tied to view_'s lifetime (reset on rebuild).
-  std::optional<ParallelFixpoint> parallel_;
+  // The fixpoint engine and its SCC plan, built with view_ and rebuilt only
+  // with it (structural edits); every cold solve runs through it. After a
+  // structural edit resets view_ the engine is stale but unused until
+  // analyze() rebuilds both.
+  std::optional<ParallelFixpoint> engine_;
 
   TimingReport report_;
   bool report_valid_ = false;  // report_ matches the current state

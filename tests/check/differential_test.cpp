@@ -14,7 +14,8 @@
 #include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "parser/lct.h"
-#include "sta/fixpoint.h"
+#include "sta/analysis.h"
+#include "sta/session.h"
 
 namespace mintc::check {
 namespace {
@@ -131,9 +132,9 @@ TEST(GraphSolverRegression, PinsToSimplexOnEveryCircuitFamily) {
   }
 }
 
-// Incremental re-analysis equals a from-scratch solve in both directions,
-// on a circuit drawn by the fuzzer (the named-circuit variants live in
-// sta/incremental_test.cpp).
+// Warm re-analysis equals a fresh analysis in both directions, on a
+// circuit drawn by the fuzzer (the named-circuit variants live in
+// sta/session_test.cpp).
 TEST(IncrementalEquivalence, BothDirectionsOnFuzzCircuit) {
   // Not every fuzz draw is feasible; take the first seed from 11 that is.
   Circuit c = fuzz_circuit(11);
@@ -144,26 +145,21 @@ TEST(IncrementalEquivalence, BothDirectionsOnFuzzCircuit) {
   }
   ASSERT_TRUE(r) << "no feasible fuzz circuit in seed range";
   const ClockSchedule sch = r->schedule.scaled(1.3);
-  const auto from_scratch = [&](const Circuit& cc) {
-    return sta::compute_departures(
-        cc, sch, std::vector<double>(static_cast<size_t>(cc.num_elements()), 0.0));
-  };
-  const sta::FixpointResult before = from_scratch(c);
-  ASSERT_TRUE(before.converged);
-  for (const double factor : {1.15, 0.6}) {  // increase, then decrease
+  sta::AnalysisSession session(c, sch);
+  ASSERT_TRUE(session.analyze().converged);
+  const int p = c.num_paths() / 2;
+  for (const double factor : {1.15, 0.6}) {  // increase (warm), then decrease (cold)
     Circuit mutated = c;
-    const int p = c.num_paths() / 2;
-    const double old_delay = c.path(p).delay;
-    mutated.set_path_delay(p, old_delay * factor);
-    const sta::FixpointResult inc =
-        sta::incremental_update(mutated, sch, before.departure, p, old_delay);
-    const sta::FixpointResult full = from_scratch(mutated);
+    mutated.set_path_delay(p, c.path(p).delay * factor);
+    session.set_path_delay(p, mutated.path(p).delay);
+    const sta::TimingReport& inc = session.analyze();
+    const sta::TimingReport full = sta::check_schedule(mutated, sch);
     ASSERT_TRUE(inc.converged) << factor;
     ASSERT_TRUE(full.converged) << factor;
-    for (size_t i = 0; i < full.departure.size(); ++i) {
-      EXPECT_NEAR(inc.departure[i], full.departure[i], 1e-9) << factor << " @" << i;
-    }
+    EXPECT_EQ(inc.fixpoint.departure, full.fixpoint.departure) << factor;
   }
+  EXPECT_EQ(session.counters().warm_hits, 1);
+  EXPECT_EQ(session.counters().cold_fallbacks, 1);
 }
 
 TEST(Shrink, ReducesToTheFailingCore) {

@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "model/timing_view.h"
+#include "sta/fixpoint.h"
 
 namespace mintc {
 namespace {
@@ -27,6 +28,9 @@ static_assert(std::is_same_v<decltype(std::declval<const TimingView&>().fanout_b
                              EdgeIndex>);
 static_assert(std::is_same_v<decltype(std::declval<const TimingView&>().edge_of_path(0)),
                              EdgeIndex>);
+// The warm path stops after effective_max_sweeps(l) * l updates, which
+// passes INT_MAX once l >= 21,475; the update counter must hold it.
+static_assert(std::is_same_v<decltype(sta::FixpointResult::updates), std::int64_t>);
 
 TEST(IndexWidth, CapacityCheckAtTheBoundary) {
   // 2^31 - 1 edges is the last representable count (Circuit's path ids are

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/scc.h"
-#include "model/timing_view.h"
 #include "netlist/extract.h"
 #include "opt/mlp.h"
 #include "sta/analysis.h"
-#include "sta/fixpoint.h"
 
 namespace mintc::netlist {
 namespace {
@@ -90,8 +88,7 @@ TEST(Generators, MultiPhaseVariant) {
 // ---------------------------------------------------------------------------
 
 graph::SccResult sccs_of(const Circuit& c) {
-  const TimingView view(c);
-  return graph::strongly_connected_components(sta::latch_graph_of(view));
+  return graph::strongly_connected_components(c.latch_graph());
 }
 
 TEST(LargeGenerators, DeepPipelineShape) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "circuits/example1.h"
+#include "circuits/gaas.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parser/lct.h"
@@ -60,35 +61,54 @@ TEST(ServeService, LoadBuiltinReportsShapeAndOptimum) {
 }
 
 TEST(ServeService, AnalyzeIsBitIdenticalToDirectCheckSchedule) {
-  TimingService service;
-  const Json loaded = load_example1(service, "e1").get("result");
-  const Json analyzed = expect_ok(service, req({{"verb", Json("analyze")},
-                                                {"circuit", Json("e1")},
-                                                {"detail", Json(true)}}))
+  // example1 on the inline engine, and the paper's GaAs datapath at its MLP
+  // optimum (a zero-gain critical loop, where the solve stops at the eps
+  // deadband) on two solver threads: both must reproduce check_schedule at
+  // 0 threads to the last bit.
+  struct Input {
+    const char* builtin;
+    Circuit circuit;
+    int analyze_threads;
+  };
+  const Input inputs[] = {{"example1", circuits::example1(), 0},
+                          {"gaas", circuits::gaas_datapath(), 2}};
+  for (const Input& in : inputs) {
+    ServiceConfig config;
+    config.analyze_threads = in.analyze_threads;
+    TimingService service(config);
+    const Json loaded = expect_ok(service, req({{"verb", Json("load")},
+                                                {"circuit", Json("c")},
+                                                {"builtin", Json(in.builtin)}}))
                             .get("result");
+    const Json analyzed = expect_ok(service, req({{"verb", Json("analyze")},
+                                                  {"circuit", Json("c")},
+                                                  {"detail", Json(true)}}))
+                              .get("result");
 
-  ClockSchedule schedule;
-  schedule.cycle = loaded.get("schedule").num_or("cycle", 0.0);
-  for (const Json& v : loaded.get("schedule").get("start").items()) {
-    schedule.start.push_back(v.as_number());
-  }
-  for (const Json& v : loaded.get("schedule").get("width").items()) {
-    schedule.width.push_back(v.as_number());
-  }
-  sta::AnalysisOptions options;
-  options.check_hold = true;
-  const sta::TimingReport direct =
-      sta::check_schedule(circuits::example1(), schedule, options);
+    ClockSchedule schedule;
+    schedule.cycle = loaded.get("schedule").num_or("cycle", 0.0);
+    for (const Json& v : loaded.get("schedule").get("start").items()) {
+      schedule.start.push_back(v.as_number());
+    }
+    for (const Json& v : loaded.get("schedule").get("width").items()) {
+      schedule.width.push_back(v.as_number());
+    }
+    sta::AnalysisOptions options;
+    options.check_hold = true;
+    const sta::TimingReport direct = sta::check_schedule(in.circuit, schedule, options);
 
-  EXPECT_EQ(analyzed.get("feasible").as_bool(!direct.feasible), direct.feasible);
-  EXPECT_EQ(analyzed.num_or("worst_setup_slack", direct.worst_setup_slack + 1),
-            direct.worst_setup_slack);
-  const Json& elements = analyzed.get("elements");
-  ASSERT_EQ(elements.size(), direct.elements.size());
-  for (size_t i = 0; i < direct.elements.size(); ++i) {
-    EXPECT_EQ(elements.at(i).num_or("departure", direct.elements[i].departure + 1),
-              direct.elements[i].departure)
-        << "element " << i;
+    EXPECT_EQ(analyzed.get("feasible").as_bool(!direct.feasible), direct.feasible)
+        << in.builtin;
+    EXPECT_EQ(analyzed.num_or("worst_setup_slack", direct.worst_setup_slack + 1),
+              direct.worst_setup_slack)
+        << in.builtin;
+    const Json& elements = analyzed.get("elements");
+    ASSERT_EQ(elements.size(), direct.elements.size()) << in.builtin;
+    for (size_t i = 0; i < direct.elements.size(); ++i) {
+      EXPECT_EQ(elements.at(i).num_or("departure", direct.elements[i].departure + 1),
+                direct.elements[i].departure)
+          << in.builtin << " element " << i;
+    }
   }
 }
 

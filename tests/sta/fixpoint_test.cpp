@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "check/oracle.h"
 #include "circuits/example1.h"
 
 namespace mintc::sta {
@@ -37,22 +38,16 @@ TEST(Fixpoint, LeastFixpointFromZero) {
 }
 
 TEST(Fixpoint, SchemesAgreeOnLeastFixpoint) {
+  // The engine and the paper's Jacobi iteration (the check/ oracle, which
+  // evaluates eq. 17 from the Circuit) reach the same least fixpoint; it is
+  // exact here, so they agree to the last bit.
   const Circuit c = circuits::example1(120.0);
   const ClockSchedule sch(140.0, {0.0, 90.0}, {90.0, 50.0});
-  std::vector<std::vector<double>> results;
-  for (const auto scheme :
-       {UpdateScheme::kJacobi, UpdateScheme::kGaussSeidel, UpdateScheme::kEventDriven}) {
-    FixpointOptions opt;
-    opt.scheme = scheme;
-    const FixpointResult r = compute_departures(c, sch, std::vector<double>(4, 0.0), opt);
-    ASSERT_TRUE(r.converged) << to_string(scheme);
-    results.push_back(r.departure);
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    for (size_t j = 0; j < results[i].size(); ++j) {
-      EXPECT_NEAR(results[i][j], results[0][j], 1e-7);
-    }
-  }
+  const FixpointResult engine = compute_departures(c, sch, std::vector<double>(4, 0.0));
+  const FixpointResult jacobi = check::jacobi_departures(c, sch, std::vector<double>(4, 0.0));
+  ASSERT_TRUE(engine.converged && jacobi.converged);
+  EXPECT_EQ(jacobi.residual, 0.0);
+  EXPECT_EQ(engine.departure, jacobi.departure);
 }
 
 TEST(Fixpoint, MonotoneFromBelowAndAbove) {
@@ -120,15 +115,9 @@ TEST(Fixpoint, NoFaninLatchHasMinusInfArrival) {
   EXPECT_LT(a[0], 0.0);
 }
 
-TEST(Fixpoint, UpdateSchemeNames) {
-  EXPECT_STREQ(to_string(UpdateScheme::kJacobi), "jacobi");
-  EXPECT_STREQ(to_string(UpdateScheme::kGaussSeidel), "gauss-seidel");
-  EXPECT_STREQ(to_string(UpdateScheme::kEventDriven), "event-driven");
-}
-
 TEST(Fixpoint, EventDrivenDoesFewerUpdatesOnSparseChange) {
-  // A long pipeline where only the head moves: event-driven should touch
-  // far fewer nodes than Jacobi sweeps do.
+  // A long pipeline where only the head moves: the event-driven warm path
+  // touches the changed cone once, where Jacobi re-sweeps the whole chain.
   Circuit c("pipe", 2);
   const int n = 40;
   for (int i = 0; i < n; ++i) {
@@ -138,19 +127,19 @@ TEST(Fixpoint, EventDrivenDoesFewerUpdatesOnSparseChange) {
   // whole chain (D_i = 12*i) and the fixpoint takes n Jacobi sweeps.
   for (int i = 0; i + 1 < n; ++i) c.add_path(i, i + 1, 60.0);
   const ClockSchedule sch = symmetric_schedule(2, 100.0);
+  const std::vector<double> zero(n, 0.0);
+  const FixpointResult before = compute_departures(c, sch, zero);
+  ASSERT_TRUE(before.converged);
 
-  FixpointOptions jac;
-  jac.scheme = UpdateScheme::kJacobi;
-  FixpointOptions evd;
-  evd.scheme = UpdateScheme::kEventDriven;
-  const FixpointResult a = compute_departures(c, sch, std::vector<double>(n, 0.0), jac);
-  const FixpointResult b = compute_departures(c, sch, std::vector<double>(n, 0.0), evd);
-  ASSERT_TRUE(a.converged && b.converged);
-  EXPECT_LT(b.updates, a.updates);
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(a.departure[static_cast<size_t>(i)], b.departure[static_cast<size_t>(i)],
-                1e-9);
-  }
+  c.set_path_delay(n / 2, 61.0);  // slows only the tail half
+  const TimingView view(c);
+  const FixpointResult warm = warm_departures(view, ShiftTable(sch), before.departure,
+                                              {c.path(n / 2).to});
+  const FixpointResult jacobi = check::jacobi_departures(c, sch, zero);
+  ASSERT_TRUE(warm.converged && jacobi.converged);
+  EXPECT_LT(warm.updates, jacobi.updates);
+  EXPECT_EQ(warm.departure, jacobi.departure);
+  EXPECT_EQ(warm.departure, compute_departures(c, sch, zero).departure);
 }
 
 }  // namespace

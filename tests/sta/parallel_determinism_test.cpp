@@ -1,19 +1,24 @@
-// Cross-thread-count determinism of the parallel fixpoint engine.
+// Cross-thread-count determinism of the fixpoint engine.
 //
-// The contract under test: for any circuit and any convergent schedule, the
-// parallel engine's departure vector is EXACTLY equal (operator==, i.e.
-// bitwise for doubles without NaN) across every thread count, every kernel,
-// and equal to the scalar kSccOrdered scheme. 200 fuzzed circuits x
-// {1, 2, 4, 8} threads, plus the two topological extremes: a single giant
-// SCC (zero scheduling freedom, all parallelism in the kernel) and a
-// 10^4-component soup (maximal scheduling freedom, the adversarial case for
-// determinism).
+// The contract under test: for any circuit and any schedule, the engine's
+// departure vector is EXACTLY equal (operator==, i.e. bitwise for doubles
+// without NaN) across every thread count and every kernel, and check_schedule
+// reports the same departures and worst slacks at every num_threads. 200
+// fuzzed circuits x {1, 2, 4, 8} threads; MLP-optimal schedules, where a
+// zero-gain critical loop stops the solve at the eps deadband and any
+// thread-dependent member order would show; and the two topological
+// extremes: a single giant SCC (zero scheduling freedom, all parallelism in
+// the kernel) and a 10^4-component soup (maximal scheduling freedom, the
+// adversarial case for determinism).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "circuits/gaas.h"
 #include "circuits/synthetic.h"
 #include "netlist/generators.h"
+#include "opt/mlp.h"
 #include "sta/analysis.h"
 #include "sta/fixpoint.h"
 #include "sta/parallel_fixpoint.h"
@@ -27,41 +32,41 @@ std::vector<double> zeros(const Circuit& c) {
   return std::vector<double>(static_cast<size_t>(c.num_elements()), 0.0);
 }
 
-// Solve with the scalar kSccOrdered baseline and with the parallel engine at
-// every thread count; require exact equality of vectors and verdicts.
+// check_schedule at 0 threads is the reference: the engine at every thread
+// count, and check_schedule at 1, 2 and 4 threads, must reproduce it exactly.
 void expect_deterministic(const Circuit& c, const ClockSchedule& sch,
-                          const char* what) {
+                          const std::string& what) {
+  AnalysisOptions options;
+  options.check_hold = true;
+  const TimingReport ref = check_schedule(c, sch, options);
+  ASSERT_TRUE(ref.converged) << what << ": reference did not converge";
   const TimingView view(c);
   const ShiftTable shifts(sch);
-  FixpointOptions fo;
-  fo.scheme = UpdateScheme::kSccOrdered;
-  const FixpointResult ref = compute_departures(view, shifts, zeros(c), fo);
-  ASSERT_TRUE(ref.converged) << what << ": baseline did not converge";
   for (const int threads : kThreadCounts) {
     ParallelFixpointOptions po;
     po.num_threads = threads;
     ParallelFixpoint engine(view, po);
     const FixpointResult par = engine.solve(shifts, zeros(c));
     ASSERT_TRUE(par.converged) << what << " threads=" << threads;
-    ASSERT_EQ(par.departure, ref.departure)
+    ASSERT_EQ(par.departure, ref.fixpoint.departure)
         << what << " threads=" << threads << ": departures not bitwise equal";
-    EXPECT_EQ(par.sweeps, ref.sweeps) << what << " threads=" << threads;
-    EXPECT_EQ(par.updates, ref.updates) << what << " threads=" << threads;
+    EXPECT_EQ(par.sweeps, ref.fixpoint.sweeps) << what << " threads=" << threads;
+    EXPECT_EQ(par.updates, ref.fixpoint.updates) << what << " threads=" << threads;
   }
-  // The analysis wiring inherits the property: full reports (slacks included)
-  // built from equal fixpoints must compare equal field-for-field where
-  // derived from departures.
-  AnalysisOptions scalar_opt;
-  scalar_opt.fixpoint.scheme = UpdateScheme::kSccOrdered;
-  scalar_opt.check_hold = true;
-  const TimingReport ref_rep = check_schedule(c, sch, scalar_opt);
-  AnalysisOptions par_opt = scalar_opt;
-  par_opt.num_threads = 2;
-  const TimingReport par_rep = check_schedule(c, sch, par_opt);
-  EXPECT_EQ(par_rep.feasible, ref_rep.feasible) << what;
-  EXPECT_EQ(par_rep.fixpoint.departure, ref_rep.fixpoint.departure) << what;
-  EXPECT_EQ(par_rep.worst_setup_slack, ref_rep.worst_setup_slack) << what;
-  EXPECT_EQ(par_rep.worst_hold_slack, ref_rep.worst_hold_slack) << what;
+  // The analysis wiring inherits the property: reports built from equal
+  // fixpoints compare equal field for field where derived from departures.
+  for (const int threads : {1, 2, 4}) {
+    options.num_threads = threads;
+    const TimingReport rep = check_schedule(c, sch, options);
+    EXPECT_EQ(rep.feasible, ref.feasible) << what << " num_threads=" << threads;
+    EXPECT_EQ(rep.fixpoint.departure, ref.fixpoint.departure)
+        << what << " num_threads=" << threads;
+    EXPECT_EQ(rep.worst_setup_slack, ref.worst_setup_slack)
+        << what << " num_threads=" << threads;
+    EXPECT_EQ(rep.worst_setup_element, ref.worst_setup_element)
+        << what << " num_threads=" << threads;
+    EXPECT_EQ(rep.worst_hold_slack, ref.worst_hold_slack) << what << " num_threads=" << threads;
+  }
 }
 
 TEST(ParallelDeterminism, TwoHundredFuzzSeeds) {
@@ -79,7 +84,7 @@ TEST(ParallelDeterminism, TwoHundredFuzzSeeds) {
     // Tc > k * (dq + max_delay) gives every loop strictly negative gain.
     const ClockSchedule sch = symmetric_schedule(
         p.num_phases, 1.05 * p.num_phases * (p.dq + p.max_delay));
-    expect_deterministic(c, sch, ("seed " + std::to_string(seed)).c_str());
+    expect_deterministic(c, sch, "seed " + std::to_string(seed));
   }
 }
 
@@ -115,9 +120,7 @@ TEST(ParallelDeterminism, TenThousandComponentSoup) {
   const TimingView view(c);
   const ShiftTable shifts(
       netlist::generator_schedule(cfg.num_phases, cfg.dq, cfg.delay));
-  FixpointOptions fo;
-  fo.scheme = UpdateScheme::kSccOrdered;
-  const FixpointResult ref = compute_departures(view, shifts, zeros(c), fo);
+  const FixpointResult ref = compute_departures(view, shifts, zeros(c));
   ASSERT_TRUE(ref.converged);
   for (const int threads : kThreadCounts) {
     ParallelFixpointOptions po;
@@ -141,6 +144,28 @@ TEST(ParallelDeterminism, AcyclicMeshWavefront) {
   expect_deterministic(
       c, netlist::generator_schedule(cfg.num_phases, cfg.dq, cfg.delay),
       "mesh 40x40");
+}
+
+TEST(ParallelDeterminism, GaasAtMlpOptimum) {
+  // At the MLP optimum the critical loop has zero gain: the solve stops at
+  // the eps deadband with a nonzero residual, where the member order decides
+  // the last bits. Every thread count must still give the same ones.
+  const Circuit c = circuits::gaas_datapath();
+  const auto r = opt::minimize_cycle_time(c);
+  ASSERT_TRUE(r) << r.error().to_string();
+  expect_deterministic(c, r->schedule, "gaas at the MLP optimum");
+}
+
+TEST(ParallelDeterminism, SyntheticAtMlpOptimum) {
+  circuits::SyntheticParams p;
+  p.num_phases = 2;
+  p.num_stages = 14;
+  p.latches_per_stage = 4;
+  p.extra_long_edges = 4;
+  const Circuit c = circuits::synthetic_circuit(p, 3103);
+  const auto r = opt::minimize_cycle_time(c);
+  ASSERT_TRUE(r) << r.error().to_string();
+  expect_deterministic(c, r->schedule, "synthetic seed 3103 at the MLP optimum");
 }
 
 TEST(ParallelDeterminism, RepeatedSolvesAreStable) {

@@ -1,7 +1,7 @@
-// sta::ParallelFixpoint: SCC-parallel, SIMD-dispatched eq. (17) engine.
-// The load-bearing property is BIT-identity with the scalar kSccOrdered
-// scheme on convergent solves — these tests pin it on the paper circuits,
-// plus the status semantics, engine wiring and kernel dispatch.
+// sta::ParallelFixpoint: the eq. (17) engine at every thread count. The
+// load-bearing property is BIT-identity with the one-thread inline solve
+// (compute_departures) — these tests pin it on the paper circuits, plus the
+// status semantics, engine wiring and kernel dispatch.
 #include "sta/parallel_fixpoint.h"
 
 #include <gtest/gtest.h>
@@ -22,10 +22,8 @@ std::vector<double> zeros(const Circuit& c) {
   return std::vector<double>(static_cast<size_t>(c.num_elements()), 0.0);
 }
 
-FixpointResult scalar_scc(const Circuit& c, const ClockSchedule& sch) {
-  FixpointOptions fo;
-  fo.scheme = UpdateScheme::kSccOrdered;
-  return compute_departures(c, sch, zeros(c), fo);
+FixpointResult inline_solve(const Circuit& c, const ClockSchedule& sch) {
+  return compute_departures(c, sch, zeros(c));
 }
 
 TEST(ParallelFixpoint, BitIdenticalToScalarOnPaperCircuits) {
@@ -34,7 +32,7 @@ TEST(ParallelFixpoint, BitIdenticalToScalarOnPaperCircuits) {
     const auto r = opt::minimize_cycle_time(c);
     ASSERT_TRUE(r) << c.name();
     const ClockSchedule sch = r->schedule.scaled(1.02);
-    const FixpointResult ref = scalar_scc(c, sch);
+    const FixpointResult ref = inline_solve(c, sch);
     ASSERT_TRUE(ref.converged) << c.name();
     const TimingView view(c);
     const ShiftTable shifts(sch);
@@ -86,9 +84,7 @@ TEST(ParallelFixpoint, EngineIsReusableAcrossSchedules) {
   for (const double tc : {350.0, 400.0, 500.0}) {
     const ShiftTable shifts(symmetric_schedule(c.num_phases(), tc));
     const FixpointResult par = engine.solve(shifts, zeros(c));
-    FixpointOptions fo;
-    fo.scheme = UpdateScheme::kSccOrdered;
-    const FixpointResult ref = compute_departures(view, shifts, zeros(c), fo);
+    const FixpointResult ref = compute_departures(view, shifts, zeros(c));
     EXPECT_EQ(par.converged, ref.converged) << tc;
     if (ref.converged) {
       EXPECT_EQ(par.departure, ref.departure) << tc;
@@ -103,17 +99,20 @@ TEST(ParallelFixpoint, DivergenceVerdictMatchesScalar) {
   c.add_path("A", "B", 30.0);
   c.add_path("B", "A", 30.0);
   const ClockSchedule sch(10.0, {0.0}, {10.0});
-  const FixpointResult ref = scalar_scc(c, sch);
+  const FixpointResult ref = inline_solve(c, sch);
   ASSERT_TRUE(ref.diverged);
   const TimingView view(c);
   const ShiftTable shifts(sch);
   for (const int threads : {1, 4}) {
     ParallelFixpointOptions po;
     po.num_threads = threads;
-    const FixpointResult par = compute_departures_parallel(view, shifts, zeros(c), po);
+    const FixpointResult par = ParallelFixpoint(view, po).solve(shifts, zeros(c));
     EXPECT_TRUE(par.diverged) << threads;
     EXPECT_EQ(par.status, FixpointStatus::kDiverged) << threads;
     EXPECT_FALSE(par.converged) << threads;
+    // Each component stops at its own first divergent value, so even the
+    // abandoned vector is the same at every thread count.
+    EXPECT_EQ(par.departure, ref.departure) << threads;
   }
 }
 
@@ -132,8 +131,7 @@ TEST(ParallelFixpoint, SweepLimitStatusCarriesResidual) {
   po.num_threads = 2;
   po.fixpoint.max_sweeps = 1;  // starve the ring
   const TimingView view(c);
-  const FixpointResult par =
-      compute_departures_parallel(view, ShiftTable(sch), zeros(c), po);
+  const FixpointResult par = ParallelFixpoint(view, po).solve(ShiftTable(sch), zeros(c));
   EXPECT_FALSE(par.converged);
   EXPECT_FALSE(par.diverged);
   EXPECT_EQ(par.status, FixpointStatus::kSweepLimit);
@@ -148,17 +146,11 @@ TEST(ParallelFixpoint, CheckScheduleHonorsNumThreads) {
   const TimingReport ref = check_schedule(c, sch, scalar_opt);
   AnalysisOptions par_opt = scalar_opt;
   par_opt.num_threads = 2;
-  // The scalar default scheme is Gauss-Seidel; route the reference through
-  // kSccOrdered so the comparison isolates the engine, not the scheme.
-  // (All schemes converge to the same fixpoint; the parallel engine is
-  // bitwise equal to kSccOrdered specifically.)
-  AnalysisOptions scc_opt = scalar_opt;
-  scc_opt.fixpoint.scheme = UpdateScheme::kSccOrdered;
-  const TimingReport scc_ref = check_schedule(c, sch, scc_opt);
   const TimingReport par = check_schedule(c, sch, par_opt);
   ASSERT_TRUE(par.converged);
   EXPECT_EQ(par.feasible, ref.feasible);
-  EXPECT_EQ(par.fixpoint.departure, scc_ref.fixpoint.departure);
+  EXPECT_EQ(par.fixpoint.departure, ref.fixpoint.departure);
+  EXPECT_EQ(par.worst_setup_slack, ref.worst_setup_slack);
 }
 
 TEST(ParallelFixpoint, SessionColdSolveUsesParallelEngine) {
@@ -166,14 +158,31 @@ TEST(ParallelFixpoint, SessionColdSolveUsesParallelEngine) {
   const ClockSchedule sch = symmetric_schedule(c.num_phases(), 400.0);
   AnalysisOptions opt;
   opt.num_threads = 2;
-  opt.fixpoint.scheme = UpdateScheme::kSccOrdered;
   AnalysisSession session(c, sch, opt);
   const TimingReport& warm = session.analyze();
-  AnalysisOptions scalar_opt;
-  scalar_opt.fixpoint.scheme = UpdateScheme::kSccOrdered;
-  const TimingReport ref = check_schedule(c, sch, scalar_opt);
+  const TimingReport ref = check_schedule(c, sch, AnalysisOptions{});
   EXPECT_EQ(warm.feasible, ref.feasible);
   EXPECT_EQ(warm.fixpoint.departure, ref.fixpoint.departure);
+}
+
+TEST(ParallelFixpoint, OneThreadRunsInlineWithoutAPool) {
+  const Circuit c = circuits::example2();
+  const TimingView view(c);
+  const ShiftTable shifts(symmetric_schedule(c.num_phases(), 400.0));
+  ParallelFixpoint inline_engine(view);  // default: one thread
+  const FixpointResult inline_result = inline_engine.solve(shifts, zeros(c));
+  EXPECT_EQ(inline_engine.num_threads(), 1);
+  EXPECT_EQ(inline_engine.last_stats().tasks, 0);  // nothing was submitted
+  EXPECT_EQ(inline_engine.last_stats().steals, 0);
+  ParallelFixpointOptions po;
+  po.num_threads = 3;
+  ParallelFixpoint pooled(view, po);
+  const FixpointResult pooled_result = pooled.solve(shifts, zeros(c));
+  EXPECT_EQ(pooled.num_threads(), 3);
+  EXPECT_GE(pooled.last_stats().tasks, 1);
+  EXPECT_EQ(pooled_result.departure, inline_result.departure);
+  EXPECT_EQ(pooled_result.updates, inline_result.updates);
+  EXPECT_EQ(pooled_result.sweeps, inline_result.sweeps);
 }
 
 TEST(RelaxKernel, RunMaxMatchesScalarLoop) {

@@ -9,6 +9,7 @@
 
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
+#include "circuits/synthetic.h"
 #include "opt/mlp.h"
 #include "sta/analysis.h"
 #include "sta/corners.h"
@@ -203,6 +204,47 @@ TEST(AnalysisSession, SetterNoOpsDoNotInvalidate) {
   session.analyze();
   EXPECT_EQ(session.counters().invalidations, 0);
   EXPECT_EQ(session.counters().warm_hits, 1);  // pure cache hit
+}
+
+// Warm re-analysis cases no other session test covers: the warm path must
+// stay local, and must still report a runaway loop.
+
+TEST(Incremental, TouchesFewerNodesThanFullSolve) {
+  // A wide synthetic circuit: bumping one path must not re-visit everything.
+  circuits::SyntheticParams p;
+  p.num_phases = 2;
+  p.num_stages = 10;
+  p.latches_per_stage = 4;
+  const Circuit c = circuits::synthetic_circuit(p, 12);
+  const auto r = opt::minimize_cycle_time(c);
+  ASSERT_TRUE(r.has_value());
+  const ClockSchedule sch = r->schedule.scaled(1.3);  // roomy
+  AnalysisSession session(c, sch);
+  const long cold_updates = static_cast<long>(session.analyze().fixpoint.updates);
+  session.set_path_delay(0, c.path(0).delay + 1.0);  // small bump, localized effect
+  const TimingReport& warm = session.analyze();
+  EXPECT_EQ(session.counters().warm_hits, 1);
+  EXPECT_LT(warm.fixpoint.updates, cold_updates);
+  Circuit mutated = c;
+  mutated.set_path_delay(0, c.path(0).delay + 1.0);
+  expect_reports_identical(warm, check_schedule(mutated, sch));
+}
+
+TEST(Incremental, DivergenceDetectedOnRunawayIncrease) {
+  Circuit c("race", 1);
+  c.add_latch("A", 1, 1.0, 2.0);
+  c.add_latch("B", 1, 1.0, 2.0);
+  c.add_path("A", "B", 1.0);
+  c.add_path("B", "A", 1.0);
+  const ClockSchedule sch(10.0, {0.0}, {10.0});
+  AnalysisSession session(c, sch);
+  ASSERT_TRUE(session.analyze().converged);  // feasible: tiny delays
+  session.set_path_delay(0, 30.0);  // now the loop gains every traversal
+  const TimingReport& rep = session.analyze();
+  EXPECT_FALSE(rep.converged);
+  EXPECT_TRUE(rep.fixpoint.diverged);
+  c.set_path_delay(0, 30.0);
+  expect_reports_identical(rep, check_schedule(c, sch));
 }
 
 }  // namespace

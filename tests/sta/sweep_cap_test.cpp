@@ -28,8 +28,7 @@ Circuit two_latch_ring(double delay) {
 // and every latch has dq = 2, so the chain edges i -> i-1 (delay 53) each add
 // +5 while the closing edge 0 -> l-1 (delay 0) subtracts 48: the loop gain is
 // 5(l-1) - 48 < 0 for small l, but the +5 chain runs AGAINST element order,
-// so every scheme propagates one hop per sweep (and the event-driven budget
-// of max_sweeps * l accepted updates is quadratically short).
+// so the engine's ascending-index sweep propagates one hop per sweep.
 Circuit slow_ring(int l) {
   Circuit c("slow_ring", 2);
   for (int i = 0; i < l; ++i) {
@@ -45,8 +44,8 @@ TEST(SweepCap, EffectiveBudgetScalesWithElements) {
   // Small circuits keep the historical floor.
   EXPECT_EQ(opt.effective_max_sweeps(0), 100000);
   EXPECT_EQ(opt.effective_max_sweeps(1000), 100000);
-  // Beyond the floor the budget grows with l: a depth-l chain needs ~l
-  // Jacobi sweeps before information crosses it even once.
+  // Beyond the floor the budget grows with l: a depth-l ring swept against
+  // its order needs ~l sweeps before information crosses it even once.
   EXPECT_EQ(opt.effective_max_sweeps(1000000), 4 * 1000000 + 1024);
   // And saturates instead of overflowing int.
   EXPECT_EQ(opt.effective_max_sweeps(std::numeric_limits<int>::max()),
@@ -61,20 +60,14 @@ TEST(SweepCap, SweepLimitIsADistinctStatusWithResidual) {
   // kSweepLimit (not converged, not diverged) and a positive residual.
   const Circuit c = slow_ring(6);
   const ClockSchedule sch = symmetric_schedule(2, 100.0);
-  for (const UpdateScheme scheme :
-       {UpdateScheme::kJacobi, UpdateScheme::kGaussSeidel, UpdateScheme::kSccOrdered,
-        UpdateScheme::kEventDriven}) {
-    FixpointOptions opt;
-    opt.scheme = scheme;
-    opt.max_sweeps = 1;
-    const FixpointResult r =
-        compute_departures(c, sch, std::vector<double>(6, 0.0), opt);
-    EXPECT_FALSE(r.converged) << to_string(scheme);
-    EXPECT_FALSE(r.diverged) << to_string(scheme);
-    EXPECT_EQ(r.status, FixpointStatus::kSweepLimit) << to_string(scheme);
-    EXPECT_TRUE(r.hit_sweep_limit()) << to_string(scheme);
-    EXPECT_GT(r.residual, 0.0) << to_string(scheme);
-  }
+  FixpointOptions opt;
+  opt.max_sweeps = 1;
+  const FixpointResult r = compute_departures(c, sch, std::vector<double>(6, 0.0), opt);
+  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(r.diverged);
+  EXPECT_EQ(r.status, FixpointStatus::kSweepLimit);
+  EXPECT_TRUE(r.hit_sweep_limit());
+  EXPECT_GT(r.residual, 0.0);
 }
 
 TEST(SweepCap, ConvergedAndDivergedStatusesAreLabelled) {
@@ -102,7 +95,6 @@ TEST(SweepCap, ResidualShrinksWithBudget) {
   int starved = 0;
   for (const int budget : {1, 2, 4, 8}) {
     FixpointOptions opt;
-    opt.scheme = UpdateScheme::kJacobi;
     opt.max_sweeps = budget;
     const FixpointResult r =
         compute_departures(c, sch, std::vector<double>(8, 0.0), opt);
@@ -116,8 +108,8 @@ TEST(SweepCap, ResidualShrinksWithBudget) {
 
 TEST(SweepCap, DeepPipelineConvergesUnderTheAutoBudget) {
   // The bug this fix exists for: a chain deeper than the old fixed default
-  // would silently "finish" under Jacobi at 100000 sweeps. The auto budget
-  // must cover it. (Depth here is reduced from 10^6 to keep tier-1 fast; the
+  // would silently "finish" at 100000 Jacobi sweeps. The auto budget must
+  // cover it. (Depth here is reduced from 10^6 to keep tier-1 fast; the
   // budget math is exercised identically and the full scale runs in
   // bench_parallel_fixpoint.)
   netlist::DeepPipelineConfig cfg;
@@ -127,10 +119,8 @@ TEST(SweepCap, DeepPipelineConvergesUnderTheAutoBudget) {
   const Circuit c = netlist::make_deep_pipeline(cfg);
   const ClockSchedule sch =
       netlist::generator_schedule(cfg.num_phases, cfg.dq, cfg.delay);
-  FixpointOptions opt;
-  opt.scheme = UpdateScheme::kGaussSeidel;
   const FixpointResult r = compute_departures(
-      c, sch, std::vector<double>(static_cast<size_t>(c.num_elements()), 0.0), opt);
+      c, sch, std::vector<double>(static_cast<size_t>(c.num_elements()), 0.0));
   EXPECT_EQ(r.status, FixpointStatus::kConverged) << "residual " << r.residual;
 }
 
