@@ -34,12 +34,11 @@ void TaskGroup::enter() {
 }
 
 void TaskGroup::leave() {
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    --pending_;
-    if (pending_ > 0) return;
-  }
-  cv_.notify_all();
+  // Notify while holding the lock: once pending_ reaches 0 and the lock is
+  // released, wait() may return and its caller destroy the group, so cv_
+  // must not be touched after the unlock.
+  const std::lock_guard<std::mutex> lk(mu_);
+  if (--pending_ == 0) cv_.notify_all();
 }
 
 void TaskGroup::wait() {

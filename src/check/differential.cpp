@@ -106,6 +106,14 @@ std::string diff_reports(const sta::TimingReport& a, const sta::TimingReport& b)
   return {};
 }
 
+// The session's incrementally kept content fingerprint against the one a
+// fresh session computes from scratch for the expected content.
+bool fingerprint_matches(const sta::AnalysisSession& session, const Circuit& circuit,
+                         const ClockSchedule& schedule) {
+  return session.content_fingerprint() ==
+         sta::AnalysisSession(circuit, schedule).content_fingerprint();
+}
+
 }  // namespace
 
 DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
@@ -293,16 +301,23 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
       if (!diff.empty()) {
         fail(CheckKind::kSessionAgreement, what + ": cold session: " + diff);
       }
+      session.content_fingerprint();  // from here on the sum is kept per edit
       const size_t mark = session.mark();
       session.set_path_delay(p, new_delay);
       diff = diff_reports(session.analyze(), sta::check_schedule(mutated, relaxed, an));
       if (!diff.empty()) {
         fail(CheckKind::kSessionAgreement, what + ": session after edit: " + diff);
       }
+      if (!fingerprint_matches(session, mutated, relaxed)) {
+        fail(CheckKind::kSessionAgreement, what + ": session fingerprint after edit");
+      }
       session.undo_to(mark);
       diff = diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
       if (!diff.empty()) {
         fail(CheckKind::kSessionAgreement, what + ": session after undo: " + diff);
+      }
+      if (!fingerprint_matches(session, circuit, relaxed)) {
+        fail(CheckKind::kSessionAgreement, what + ": session fingerprint after undo");
       }
     }
   }
@@ -340,6 +355,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     if (!diff.empty()) {
       fail(CheckKind::kSkewAgreement, "session before skew edits: " + diff);
     }
+    session.content_fingerprint();  // from here on the sum is kept per edit
     const size_t mark = session.mark();
     for (int i = 0; i < circuit.num_elements(); ++i) {
       session.set_element_skew(i, skewed.element(i).skew);
@@ -348,10 +364,16 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     if (!diff.empty()) {
       fail(CheckKind::kSkewAgreement, "session after skew edits: " + diff);
     }
+    if (!fingerprint_matches(session, skewed, relaxed)) {
+      fail(CheckKind::kSkewAgreement, "session fingerprint after skew edits");
+    }
     session.undo_to(mark);
     diff = diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
     if (!diff.empty()) {
       fail(CheckKind::kSkewAgreement, "session after skew undo: " + diff);
+    }
+    if (!fingerprint_matches(session, circuit, relaxed)) {
+      fail(CheckKind::kSkewAgreement, "session fingerprint after skew undo");
     }
   }
 

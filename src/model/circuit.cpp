@@ -196,48 +196,57 @@ graph::Digraph Circuit::latch_graph() const {
   return g;
 }
 
+void Circuit::validate_element(int i, std::vector<std::string>& problems) const {
+  const Element& e = elements_.at(static_cast<size_t>(i));
+  if (e.phase < 1 || e.phase > num_phases_) {
+    problems.push_back("element '" + e.name + "' uses phase " + std::to_string(e.phase) +
+                       " outside 1.." + std::to_string(num_phases_));
+  }
+  if (!std::isfinite(e.setup) || !std::isfinite(e.dq) || !std::isfinite(e.hold) ||
+      !std::isfinite(e.min_dq()) || !std::isfinite(e.skew)) {
+    problems.push_back("element '" + e.name + "' has a non-finite timing parameter");
+    return;  // the sign/ordering checks below are meaningless on NaN
+  }
+  if (e.setup < 0.0) problems.push_back("element '" + e.name + "' has negative setup time");
+  if (e.dq < 0.0) problems.push_back("element '" + e.name + "' has negative Δ_DQ");
+  if (e.hold < 0.0) problems.push_back("element '" + e.name + "' has negative hold time");
+  if (e.skew < 0.0) problems.push_back("element '" + e.name + "' has negative clock skew");
+  if (e.is_latch() && e.dq < e.setup) {
+    problems.push_back("element '" + e.name +
+                       "' violates the paper's assumption Δ_DQ >= Δ_DC (Δ_DQ=" +
+                       fmt_time(e.dq) + ", Δ_DC=" + fmt_time(e.setup) + ")");
+  }
+  if (e.min_dq() > e.dq) {
+    problems.push_back("element '" + e.name + "' has min Δ_DQ greater than max Δ_DQ");
+  }
+}
+
+void Circuit::validate_path(int p, std::vector<std::string>& problems) const {
+  const CombPath& path = paths_.at(static_cast<size_t>(p));
+  if (!std::isfinite(path.delay) || !std::isfinite(path.min_delay)) {
+    problems.push_back("path '" + path.label + "' has a non-finite delay");
+    return;
+  }
+  if (path.delay < 0.0) {
+    problems.push_back("path '" + path.label + "' has negative max delay");
+  }
+  if (path.min_delay < 0.0) {
+    problems.push_back("path '" + path.label + "' has negative min delay");
+  }
+  if (path.min_delay > path.delay) {
+    problems.push_back("path '" + path.label + "' has min delay greater than max delay");
+  }
+}
+
 std::vector<std::string> Circuit::validate() const {
   std::vector<std::string> problems;
   if (num_phases_ < 1) problems.push_back("circuit must have at least one clock phase");
-  for (int i = 0; i < num_elements(); ++i) {
-    const Element& e = elements_[static_cast<size_t>(i)];
-    if (e.phase < 1 || e.phase > num_phases_) {
-      problems.push_back("element '" + e.name + "' uses phase " + std::to_string(e.phase) +
-                         " outside 1.." + std::to_string(num_phases_));
-    }
-    if (!std::isfinite(e.setup) || !std::isfinite(e.dq) || !std::isfinite(e.hold) ||
-        !std::isfinite(e.min_dq()) || !std::isfinite(e.skew)) {
-      problems.push_back("element '" + e.name + "' has a non-finite timing parameter");
-      continue;  // the sign/ordering checks below are meaningless on NaN
-    }
-    if (e.setup < 0.0) problems.push_back("element '" + e.name + "' has negative setup time");
-    if (e.dq < 0.0) problems.push_back("element '" + e.name + "' has negative Δ_DQ");
-    if (e.hold < 0.0) problems.push_back("element '" + e.name + "' has negative hold time");
-    if (e.skew < 0.0) problems.push_back("element '" + e.name + "' has negative clock skew");
-    if (e.is_latch() && e.dq < e.setup) {
-      problems.push_back("element '" + e.name +
-                         "' violates the paper's assumption Δ_DQ >= Δ_DC (Δ_DQ=" +
-                         fmt_time(e.dq) + ", Δ_DC=" + fmt_time(e.setup) + ")");
-    }
-    if (e.min_dq() > e.dq) {
-      problems.push_back("element '" + e.name + "' has min Δ_DQ greater than max Δ_DQ");
-    }
-  }
+  for (int i = 0; i < num_elements(); ++i) validate_element(i, problems);
   std::set<std::pair<int, int>> seen;
-  for (const CombPath& p : paths_) {
-    if (!std::isfinite(p.delay) || !std::isfinite(p.min_delay)) {
-      problems.push_back("path '" + p.label + "' has a non-finite delay");
-      continue;
-    }
-    if (p.delay < 0.0) {
-      problems.push_back("path '" + p.label + "' has negative max delay");
-    }
-    if (p.min_delay < 0.0) {
-      problems.push_back("path '" + p.label + "' has negative min delay");
-    }
-    if (p.min_delay > p.delay) {
-      problems.push_back("path '" + p.label + "' has min delay greater than max delay");
-    }
+  for (int i = 0; i < num_paths(); ++i) {
+    validate_path(i, problems);
+    const CombPath& p = paths_[static_cast<size_t>(i)];
+    if (!std::isfinite(p.delay) || !std::isfinite(p.min_delay)) continue;
     if (!seen.insert({p.from, p.to}).second) {
       problems.push_back("parallel combinational paths between '" +
                          elements_[static_cast<size_t>(p.from)].name + "' and '" +

@@ -119,8 +119,20 @@ class Circuit {
   /// Structural validation; returns human-readable problems (empty = OK).
   /// Checks: phases in range, finite and nonnegative parameters, min <= max
   /// delays, the paper's Δ_DQ >= Δ_DC assumption, and duplicate parallel
-  /// paths.
+  /// paths. Runs validate_element over every element, then validate_path
+  /// plus the parallel-path check over every path, in index order.
   std::vector<std::string> validate() const;
+
+  /// The checks validate() makes on element `i` alone (phase range, finite
+  /// and nonnegative parameters, Δ_DQ >= Δ_DC, min Δ_DQ <= Δ_DQ); appends
+  /// to `problems`. A parameter edit can only break the items it touches,
+  /// so re-checking those keeps an already-valid circuit valid in O(edits).
+  void validate_element(int i, std::vector<std::string>& problems) const;
+
+  /// The checks validate() makes on path `p` alone (finite, nonnegative,
+  /// min <= max delays); appends to `problems`. The parallel-path check
+  /// needs every path and stays in validate().
+  void validate_path(int p, std::vector<std::string>& problems) const;
 
  private:
   std::string name_;

@@ -551,12 +551,17 @@ Json TimingService::handle_edit_batch(const Json& req, const Json& id) {
         return;
       }
     }
-    const std::vector<std::string> problems = s.circuit().validate();
+    // The state at `mark` passed validate(): load checks the whole circuit,
+    // every committed batch passed this check, and undo lands only on
+    // committed states. So only what the batch touched can be invalid, and
+    // validate_since checks just that (the whole circuit after a removal).
+    const std::vector<std::string> problems = s.validate_since(mark);
     if (!problems.empty()) {
       s.undo_to(mark);
       fail = "batch leaves the circuit invalid: " + join_problems(problems);
       return;
     }
+    if (s.mark() > mark) entry->commits.push_back(mark);
     generation = s.generation();
     result.set("applied", Json(static_cast<long>(edits.size())));
     result.set("mark", Json(static_cast<long>(mark)));
@@ -911,24 +916,33 @@ Json TimingService::handle_undo(const Json& req, const Json& id) {
   std::string fail;
   std::uint64_t generation = 0;
   entry->session->with([&](sta::AnalysisSession& s) {
+    std::vector<size_t>& commits = entry->commits;
     const long current = static_cast<long>(s.mark());
+    size_t target = 0;
     if (req.get("to").is_number()) {
+      // Only states the service committed are validated (see edit_batch),
+      // so the target must be one of them: the current mark or a recorded
+      // one, never a point inside a batch.
       const long to = req.long_or("to", 0);
-      if (to < 0 || to > current) {
-        fail = "mark " + std::to_string(to) + " out of range [0, " + std::to_string(current) +
-               "]";
+      if (to != current && (to < 0 || !std::binary_search(commits.begin(), commits.end(),
+                                                          static_cast<size_t>(to)))) {
+        fail = "mark " + std::to_string(to) +
+               " is neither the current mark (" + std::to_string(current) +
+               ") nor one returned by an edit_batch or min apply";
         return;
       }
-      s.undo_to(static_cast<size_t>(to));
+      target = static_cast<size_t>(to);
     } else {
       const long steps = req.long_or("steps", 1);
-      if (steps < 1 || steps > current) {
-        fail = "cannot undo " + std::to_string(steps) + " steps (log has " +
-               std::to_string(current) + ")";
+      if (steps < 1 || steps > static_cast<long>(commits.size())) {
+        fail = "cannot undo " + std::to_string(steps) + " steps (" +
+               std::to_string(commits.size()) + " committed)";
         return;
       }
-      for (long i = 0; i < steps; ++i) s.undo();
+      target = commits[commits.size() - static_cast<size_t>(steps)];
     }
+    commits.erase(std::lower_bound(commits.begin(), commits.end(), target), commits.end());
+    s.undo_to(target);
     generation = s.generation();
     result.set("mark", Json(static_cast<long>(s.mark())));
     result.set("generation", Json(generation));
@@ -978,8 +992,11 @@ Json TimingService::handle_min(const Json& req, const Json& id) {
     result.set("lcs", Json(parser::write_schedule(mlp->schedule)));
     result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
     if (apply) {
+      const size_t mark = s.mark();
       s.set_schedule(mlp->schedule);
+      if (s.mark() > mark) entry->commits.push_back(mark);
       generation = s.generation();
+      result.set("mark", Json(static_cast<long>(mark)));
       result.set("generation", Json(generation));
     } else {
       cache_.put(cache_key, key, s.generation(), result.dump());

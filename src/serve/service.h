@@ -14,7 +14,12 @@
 //               (or a named builtin), with an optional .lcs schedule
 //               (default: the MLP optimum)
 //   edit_batch  apply a list of edits atomically (all-or-nothing: any
-//               invalid edit rolls the whole batch back via the undo log)
+//               invalid edit, or a result Circuit::validate() would reject,
+//               rolls the whole batch back via the undo log). Costs
+//               O(edits): only the elements and paths the batch touched are
+//               re-validated (the whole circuit after a remove_*), and the
+//               content fingerprint is updated per item. Returns the mark
+//               before the batch, a valid "to" for `undo`
 //   analyze     eq. 17 fixpoint + setup/hold checks; bit-identical to a
 //               direct sta::check_schedule of the same content (PR 5
 //               contract), optionally with per-element detail
@@ -25,7 +30,11 @@
 //               schedule in shape per step; "param": "clock_skew" broadcasts
 //               a uniform per-latch skew per step — the design's
 //               skew-tolerance curve over the wire
-//   undo        rewind the last edit batch (or to an explicit mark)
+//   undo        rewind whole committed state changes: "steps": N (default
+//               1) undoes the last N edit_batch / min-apply commits; "to"
+//               must be the current mark or a mark such a commit returned,
+//               never a point inside a batch, so undo lands only on states
+//               that passed validation
 //   min         MLP minimum cycle time + optimal schedule for the loaded
 //               circuit (what lets `timing_tool min --remote` work)
 //   stats       service introspection: per-session pool state, cache
@@ -211,6 +220,10 @@ class TimingService {
     size_t bytes = 0;
     // LRU stamp from clock_ (monotone); only read/written under map_mu_.
     std::uint64_t last_used = 0;
+    // The session's mark before each committed state change (edit_batch,
+    // min apply), ascending; `undo` rewinds to these. Only read/written
+    // inside session->with, under the session's lock.
+    std::vector<size_t> commits;
   };
 
   // -- Verb handlers. Each returns a complete response envelope

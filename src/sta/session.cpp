@@ -52,9 +52,9 @@ AnalysisSession::AnalysisSession(Circuit circuit, ClockSchedule schedule,
       pristine_paths_(circuit_.paths()) {}
 
 void AnalysisSession::touch() {
-  // Every state-changing applier funnels through here (label edits, which
-  // are timing-neutral and skip touch(), call note_mutation() directly).
-  note_mutation();
+  // Every state-changing applier funnels through here except label edits,
+  // which are timing-neutral and only bump the generation.
+  ++generation_;
   if (report_valid_) {
     report_valid_ = false;
     ++counters_.invalidations;
@@ -62,58 +62,148 @@ void AnalysisSession::touch() {
   }
 }
 
-void AnalysisSession::note_mutation() {
-  ++generation_;
-  fingerprint_generation_ = ~0ull;
+// -- Content fingerprint -----------------------------------------------------
+
+namespace {
+
+// splitmix64's finalizer. FNV-1a leaves its low output bits a function of
+// the low input bits alone; spreading each term over all 64 bits keeps the
+// additive combination in content_sum_ from inheriting that structure.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+std::uint64_t AnalysisSession::element_term(int i) const {
+  const Element& e = circuit_.element(i);
+  obs::Fnv1a h;
+  h.i32(0).i32(i);  // item kind and index: the sum alone is order-blind
+  h.str(e.name);
+  h.i32(static_cast<std::int32_t>(e.kind));
+  h.i32(e.phase);
+  h.num(e.setup).num(e.hold).num(e.dq).num(e.dq_min).num(e.skew);
+  return mix64(h.digest());
+}
+
+std::uint64_t AnalysisSession::path_term(int p) const {
+  const CombPath& path = circuit_.path(p);
+  obs::Fnv1a h;
+  h.i32(1).i32(p);
+  h.i32(path.from).i32(path.to);
+  h.num(path.delay).num(path.min_delay);
+  h.str(path.label);  // labels render in reports, so they are content
+  return mix64(h.digest());
+}
+
+template <typename Fn>
+void AnalysisSession::edit_element(int i, Fn&& mutate) {
+  if (content_sum_stale_) {
+    mutate();
+    return;
+  }
+  content_sum_ -= element_term(i);
+  mutate();
+  content_sum_ += element_term(i);
+}
+
+template <typename Fn>
+void AnalysisSession::edit_path(int p, Fn&& mutate) {
+  if (content_sum_stale_) {
+    mutate();
+    return;
+  }
+  content_sum_ -= path_term(p);
+  mutate();
+  content_sum_ += path_term(p);
 }
 
 std::uint64_t AnalysisSession::content_fingerprint() const {
-  if (fingerprint_generation_ == generation_) return fingerprint_;
+  if (content_sum_stale_) {
+    content_sum_ = 0;
+    for (int i = 0; i < circuit_.num_elements(); ++i) content_sum_ += element_term(i);
+    for (int p = 0; p < circuit_.num_paths(); ++p) content_sum_ += path_term(p);
+    content_sum_stale_ = false;
+  }
   obs::Fnv1a h;
   h.str(circuit_.name());
   h.i32(circuit_.num_phases());
   h.i32(circuit_.num_elements());
-  for (const Element& e : circuit_.elements()) {
-    h.str(e.name);
-    h.i32(static_cast<std::int32_t>(e.kind));
-    h.i32(e.phase);
-    h.num(e.setup).num(e.hold).num(e.dq).num(e.dq_min).num(e.skew);
-  }
   h.i32(circuit_.num_paths());
-  for (const CombPath& p : circuit_.paths()) {
-    h.i32(p.from).i32(p.to);
-    h.num(p.delay).num(p.min_delay);
-    h.str(p.label);  // labels render in reports, so they are content
-  }
   h.u64(has_schedule_ ? 1 : 0);
   if (has_schedule_) {
     h.num(schedule_.cycle);
     for (const double s : schedule_.start) h.num(s);
     for (const double t : schedule_.width) h.num(t);
   }
-  fingerprint_ = h.digest();
-  fingerprint_generation_ = generation_;
-  return fingerprint_;
+  h.u64(content_sum_);
+  return h.digest();
+}
+
+std::vector<std::string> AnalysisSession::validate_since(size_t mark) const {
+  assert(mark <= undo_.size() && "mark is ahead of the log");
+  std::vector<int> elements;
+  std::vector<int> paths;
+  for (size_t r = mark; r < undo_.size(); ++r) {
+    const UndoRecord& rec = undo_[r];
+    switch (rec.kind) {
+      case UndoRecord::Kind::kPathDelay:
+      case UndoRecord::Kind::kPathMinDelay:
+      case UndoRecord::Kind::kPathLabel:
+        paths.push_back(rec.index);
+        break;
+      case UndoRecord::Kind::kElementDq:
+      case UndoRecord::Kind::kElementDqMin:
+      case UndoRecord::Kind::kElementSetup:
+      case UndoRecord::Kind::kElementHold:
+      case UndoRecord::Kind::kElementSkew:
+        elements.push_back(rec.index);
+        break;
+      case UndoRecord::Kind::kSchedule:
+        break;  // validate() does not read the schedule
+      case UndoRecord::Kind::kPathRemoved:
+      case UndoRecord::Kind::kElementRemoved:
+        return circuit_.validate();  // earlier records' indices have shifted
+    }
+  }
+  // validate() reports elements, then paths, each in index order.
+  std::vector<std::string> problems;
+  for (std::vector<int>* items : {&elements, &paths}) {
+    std::sort(items->begin(), items->end());
+    items->erase(std::unique(items->begin(), items->end()), items->end());
+  }
+  for (const int i : elements) circuit_.validate_element(i, problems);
+  for (const int p : paths) circuit_.validate_path(p, problems);
+  return problems;
 }
 
 // -- Appliers (no undo logging) ---------------------------------------------
 
 void AnalysisSession::apply_path_delay(int p, double delay) {
-  circuit_.set_path_delay(p, delay);
+  edit_path(p, [&] { circuit_.set_path_delay(p, delay); });
   if (view_) view_->set_path_delay(p, delay);
   touch();
 }
 
 void AnalysisSession::apply_path_min_delay(int p, double min_delay) {
-  circuit_.set_path_min_delay(p, min_delay);
+  edit_path(p, [&] { circuit_.set_path_min_delay(p, min_delay); });
   if (view_) view_->set_path_min_delay(p, min_delay);
   early_valid_ = false;
   touch();
 }
 
+void AnalysisSession::apply_path_label(int p, std::string label) {
+  edit_path(p, [&] { circuit_.set_path_label(p, std::move(label)); });
+  ++generation_;  // timing-neutral, so no touch(); but labels are content
+}
+
 void AnalysisSession::apply_element_dq(int i, double dq) {
   Element& e = circuit_.element(i);
-  e.dq = dq;
+  edit_element(i, [&] { e.dq = dq; });
   if (view_) {
     view_->set_element_dq(i, dq);
     // A tracking dq_min (< 0) resolves to dq, so the short-path constants
@@ -126,26 +216,26 @@ void AnalysisSession::apply_element_dq(int i, double dq) {
 
 void AnalysisSession::apply_element_dq_min(int i, double dq_min) {
   Element& e = circuit_.element(i);
-  e.dq_min = dq_min;
+  edit_element(i, [&] { e.dq_min = dq_min; });
   if (view_) view_->set_element_min_dq(i, e.min_dq());
   early_valid_ = false;
   touch();
 }
 
 void AnalysisSession::apply_element_setup(int i, double setup) {
-  circuit_.element(i).setup = setup;
+  edit_element(i, [&] { circuit_.element(i).setup = setup; });
   if (view_) view_->set_element_setup(i, setup);
   touch();
 }
 
 void AnalysisSession::apply_element_hold(int i, double hold) {
-  circuit_.element(i).hold = hold;
+  edit_element(i, [&] { circuit_.element(i).hold = hold; });
   if (view_) view_->set_element_hold(i, hold);
   touch();
 }
 
 void AnalysisSession::apply_element_skew(int i, double skew) {
-  circuit_.element(i).skew = skew;
+  edit_element(i, [&] { circuit_.element(i).skew = skew; });
   if (view_) view_->set_element_skew(i, skew);
   touch();
 }
@@ -163,6 +253,14 @@ void AnalysisSession::apply_schedule(const ClockSchedule& schedule) {
     schedule_warm_ok_ = false;
   }
   early_valid_ = false;
+  touch();
+}
+
+void AnalysisSession::apply_structural() {
+  structural_dirty_ = true;
+  view_.reset();  // edge numbering is stale; analyze() rebuilds
+  early_valid_ = false;
+  content_sum_stale_ = true;  // items renumbered: every later term moved
   touch();
 }
 
@@ -209,8 +307,7 @@ void AnalysisSession::set_path_label(int p, std::string label) {
   rec.index = p;
   rec.label = circuit_.path(p).label;
   undo_.push_back(std::move(rec));
-  circuit_.set_path_label(p, std::move(label));  // timing-neutral: no touch()
-  note_mutation();  // ...but labels are rendered content: new fingerprint
+  apply_path_label(p, std::move(label));
 }
 
 void AnalysisSession::set_element_dq(int i, double dq) {
@@ -319,10 +416,7 @@ void AnalysisSession::remove_path(int p) {
   rec.index = p;
   rec.path = circuit_.remove_path(p);
   undo_.push_back(std::move(rec));
-  structural_dirty_ = true;
-  view_.reset();  // edge numbering is stale; analyze() rebuilds
-  early_valid_ = false;
-  touch();
+  apply_structural();
 }
 
 void AnalysisSession::remove_element(int i) {
@@ -337,10 +431,7 @@ void AnalysisSession::remove_element(int i) {
   rec.index = i;
   rec.element = circuit_.remove_element(i);
   undo_.push_back(std::move(rec));
-  structural_dirty_ = true;
-  view_.reset();
-  early_valid_ = false;
-  touch();
+  apply_structural();
 }
 
 // -- Undo --------------------------------------------------------------------
@@ -357,8 +448,7 @@ void AnalysisSession::undo() {
       apply_path_min_delay(rec.index, rec.value);
       break;
     case UndoRecord::Kind::kPathLabel:
-      circuit_.set_path_label(rec.index, std::move(rec.label));
-      note_mutation();
+      apply_path_label(rec.index, std::move(rec.label));
       break;
     case UndoRecord::Kind::kElementDq:
       apply_element_dq(rec.index, rec.value);
@@ -380,17 +470,11 @@ void AnalysisSession::undo() {
       break;
     case UndoRecord::Kind::kPathRemoved:
       circuit_.insert_path(rec.index, std::move(rec.path));
-      structural_dirty_ = true;
-      view_.reset();  // later undos may touch re-inserted indices
-      early_valid_ = false;
-      touch();
+      apply_structural();  // later undos may touch re-inserted indices
       break;
     case UndoRecord::Kind::kElementRemoved:
       circuit_.insert_element(rec.index, std::move(rec.element));
-      structural_dirty_ = true;
-      view_.reset();
-      early_valid_ = false;
-      touch();
+      apply_structural();
       break;
   }
 }

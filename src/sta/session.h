@@ -119,13 +119,28 @@ class AnalysisSession {
   /// it for generation-based cache invalidation.
   std::uint64_t generation() const { return generation_; }
 
-  /// FNV-1a 64 fingerprint of the session's CURRENT content: circuit name,
+  /// 64-bit fingerprint of the session's CURRENT content: circuit name,
   /// phase count, every element parameter and name, every path (endpoints,
   /// delays, label) and the schedule. Two sessions fingerprint equal iff
   /// their analyses (and rendered reports) are bit-identical, so the
-  /// fingerprint is a sound content-addressed cache key. Cached per
-  /// generation — repeated calls between edits are O(1).
+  /// fingerprint is a sound content-addressed cache key.
+  ///
+  /// Kept current in O(1) per edit: an FNV-1a header (name, phase count,
+  /// element and path counts, schedule) over a sum mod 2^64 of per-element
+  /// and per-path terms, each hashed together with its index. Every applier
+  /// subtracts the item's old term and adds its new one; a structural edit
+  /// renumbers items, so it marks the sum stale and the next call recomputes
+  /// it. After a parameter edit this call hashes the header and the schedule
+  /// only — no element or path is visited.
   std::uint64_t content_fingerprint() const;
+
+  /// Circuit::validate() of the current circuit, assuming the circuit at
+  /// `mark` was validate()-clean. Parameter edits change only the items
+  /// their undo records name and never an endpoint, so the problems are
+  /// exactly those validate_element/validate_path find on those items, in
+  /// index order; the cost is O(records since mark). A structural record
+  /// since `mark` renumbers items, so the whole-circuit check runs instead.
+  std::vector<std::string> validate_since(size_t mark) const;
 
   // -- Undo log -------------------------------------------------------------
   size_t mark() const { return undo_.size(); }
@@ -174,14 +189,24 @@ class AnalysisSession {
   // Non-logging appliers shared by the setters and undo().
   void apply_path_delay(int p, double delay);
   void apply_path_min_delay(int p, double min_delay);
+  void apply_path_label(int p, std::string label);
   void apply_element_dq(int i, double dq);
   void apply_element_dq_min(int i, double dq_min);
   void apply_element_setup(int i, double setup);
   void apply_element_hold(int i, double hold);
   void apply_element_skew(int i, double skew);
   void apply_schedule(const ClockSchedule& schedule);
-  void touch();  // invalidate the cached report (counted once per batch)
-  void note_mutation();  // bump generation(), dirty the content fingerprint
+  void apply_structural();  // after a remove/re-insert: rebuild view, cold solve
+  void touch();  // bump generation(), invalidate the cached report (counted once per batch)
+
+  // Content-sum terms (see content_fingerprint) and the edit wrappers that
+  // swap an item's old term for its new one around `mutate`.
+  std::uint64_t element_term(int i) const;
+  std::uint64_t path_term(int p) const;
+  template <typename Fn>
+  void edit_element(int i, Fn&& mutate);
+  template <typename Fn>
+  void edit_path(int p, Fn&& mutate);
 
   /// Allocation-free counterpart of sta::assemble_report for the warm path:
   /// rewrites report_ in place using the exact arithmetic and iteration
@@ -231,8 +256,11 @@ class AnalysisSession {
   Counters counters_;
 
   std::uint64_t generation_ = 0;
-  mutable std::uint64_t fingerprint_ = 0;
-  mutable std::uint64_t fingerprint_generation_ = ~0ull;  // != 0: recompute
+  // Sum mod 2^64 of every element_term and path_term. Stale from
+  // construction and after structural edits until content_fingerprint()
+  // recomputes it; while stale, parameter edits skip the term updates.
+  mutable std::uint64_t content_sum_ = 0;
+  mutable bool content_sum_stale_ = true;
 };
 
 }  // namespace mintc::sta

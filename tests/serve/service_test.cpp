@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parser/lct.h"
@@ -220,6 +222,341 @@ TEST(ServeService, UndoRewindsGenerationsAndContent) {
   // Undo is itself a mutation: the generation moves FORWARD (monotone), so
   // stale cache entries can never be revived by generation collision.
   EXPECT_GT(r.get("generation").as_long(0), 3);
+}
+
+Json edit_batch_req(const std::string& key, Json edits) {
+  return req({{"verb", Json("edit_batch")}, {"circuit", Json(key)}, {"edits", std::move(edits)}});
+}
+
+Json undo_req(const std::string& key) {
+  return req({{"verb", Json("undo")}, {"circuit", Json(key)}});
+}
+
+Json undo_to_req(const std::string& key, long mark) {
+  return req({{"verb", Json("undo")}, {"circuit", Json(key)}, {"to", Json(mark)}});
+}
+
+// example1's L1 has Δ_DC = Δ_DQ = 10. The first edit breaks Δ_DQ >= Δ_DC,
+// the second restores it: the batch is valid, the state between its two
+// edits is not.
+Json split_validity_batch() {
+  Json edits = Json::array();
+  edits.push(req({{"op", Json("set_element_setup")}, {"element", Json(0L)},
+                  {"value", Json(15.0)}}));
+  edits.push(req({{"op", Json("set_element_dq")}, {"element", Json(0L)},
+                  {"value", Json(20.0)}}));
+  return edits;
+}
+
+TEST(ServeService, UndoRewindsAWholeBatchToTheLoadedAnalysisSession) {
+  TimingService service;
+  const std::string fp0 =
+      load_example1(service, "e1").get("result").get("fingerprint").as_string();
+  expect_ok(service, edit_batch_req("e1", split_validity_batch()));
+  const Json r = expect_ok(service, undo_req("e1")).get("result");
+  EXPECT_EQ(r.get("mark").as_long(-1), 0);
+  EXPECT_EQ(r.get("fingerprint").as_string(), fp0);
+}
+
+TEST(ServeService, BatchAfterUndoSucceedsOnTheValidatedAnalysisSession) {
+  TimingService service;
+  load_example1(service, "e1");
+  expect_ok(service, edit_batch_req("e1", split_validity_batch()));
+  expect_ok(service, undo_req("e1"));
+  Json edits = Json::array();
+  edits.push(req({{"op", Json("set_path_delay")}, {"path", Json(0L)}, {"delay", Json(25.0)}}));
+  const Json r = expect_ok(service, edit_batch_req("e1", std::move(edits))).get("result");
+  EXPECT_EQ(r.get("mark").as_long(-1), 0);
+}
+
+TEST(ServeService, UndoIntoTheMiddleOfABatchIsRejectedAnalysisSessionUnchanged) {
+  TimingService service;
+  const std::string fp0 =
+      load_example1(service, "e1").get("result").get("fingerprint").as_string();
+  const std::string fp1 = expect_ok(service, edit_batch_req("e1", split_validity_batch()))
+                              .get("result")
+                              .get("fingerprint")
+                              .as_string();
+  expect_error(service, undo_to_req("e1", 1), "invalid_argument");
+  expect_error(service, undo_to_req("e1", 3), "invalid_argument");
+  expect_error(service, undo_to_req("e1", -1), "invalid_argument");
+  // The rejected rewinds moved nothing; the current mark is a valid no-op
+  // target and the batch's own mark rewinds it.
+  EXPECT_EQ(expect_ok(service, undo_to_req("e1", 2)).get("result").get("fingerprint").as_string(),
+            fp1);
+  EXPECT_EQ(expect_ok(service, undo_to_req("e1", 0)).get("result").get("fingerprint").as_string(),
+            fp0);
+  expect_error(service, undo_req("e1"), "invalid_argument");  // nothing left to rewind
+}
+
+TEST(ServeService, UndoAfterMinApplyRestoresTheAnalysisSessionSchedule) {
+  TimingService service;
+  const std::string fp0 =
+      load_example1(service, "e1").get("result").get("fingerprint").as_string();
+  // Lengthen block Lc and stretch the clock: two undo records, one batch.
+  Json edits = Json::array();
+  edits.push(req({{"op", Json("set_path_delay")}, {"path", Json(2L)}, {"delay", Json(70.0)}}));
+  edits.push(req({{"op", Json("scale_schedule")}, {"factor", Json(1.5)}}));
+  const std::string fp1 =
+      expect_ok(service, edit_batch_req("e1", std::move(edits))).get("result").get("fingerprint")
+          .as_string();
+  const Json min_apply =
+      req({{"verb", Json("min")}, {"circuit", Json("e1")}, {"apply", Json(true)}});
+  const Json applied = expect_ok(service, min_apply).get("result");
+  EXPECT_DOUBLE_EQ(applied.get("min_cycle").as_number(), 115.0);  // (150 + 80) / 2
+  EXPECT_EQ(applied.get("mark").as_long(-1), 2);
+  const Json analyze = req({{"verb", Json("analyze")}, {"circuit", Json("e1")}});
+  EXPECT_NE(expect_ok(service, analyze).get("result").get("fingerprint").as_string(), fp1);
+
+  // `steps` undoes the schedule swap alone...
+  const Json r = expect_ok(service, undo_req("e1")).get("result");
+  EXPECT_EQ(r.get("mark").as_long(-1), 2);
+  EXPECT_EQ(r.get("fingerprint").as_string(), fp1);
+  EXPECT_EQ(expect_ok(service, analyze).get("result").get("fingerprint").as_string(), fp1);
+  // ...and so does `to` the mark a min apply returned.
+  const long mark = expect_ok(service, min_apply).get("result").get("mark").as_long(-1);
+  EXPECT_EQ(expect_ok(service, undo_to_req("e1", mark)).get("result").get("fingerprint")
+                .as_string(),
+            fp1);
+  // One more step rewinds the two-record batch as a whole.
+  const Json back = expect_ok(service, undo_req("e1")).get("result");
+  EXPECT_EQ(back.get("mark").as_long(-1), 0);
+  EXPECT_EQ(back.get("fingerprint").as_string(), fp0);
+}
+
+ClockSchedule schedule_of(const Json& s) {
+  ClockSchedule schedule;
+  schedule.cycle = s.num_or("cycle", 0.0);
+  for (const Json& v : s.get("start").items()) schedule.start.push_back(v.as_number());
+  for (const Json& v : s.get("width").items()) schedule.width.push_back(v.as_number());
+  return schedule;
+}
+
+std::string problems_text(const std::vector<std::string>& problems) {
+  std::string msg;
+  for (const std::string& p : problems) msg += (msg.empty() ? "" : "; ") + p;
+  return msg;
+}
+
+// edit_batch re-validates only what a batch touched. Drive random batches
+// through the service and the same edits through a mirror AnalysisSession:
+// a batch must be accepted exactly when the mirror's whole-circuit
+// validate() is clean, and a rejection must list the same problems.
+TEST(ServeService, BatchValidationSessionEquivalence) {
+  struct Input {
+    const char* builtin;
+    Circuit circuit;
+  };
+  const Input inputs[] = {{"example1", circuits::example1()},
+                          {"gaas", circuits::gaas_datapath()}};
+  for (const Input& in : inputs) {
+    TimingService service;
+    const Json loaded = expect_ok(service, req({{"verb", Json("load")},
+                                                {"circuit", Json("c")},
+                                                {"builtin", Json(in.builtin)}}))
+                            .get("result");
+    sta::AnalysisSession mirror(in.circuit, schedule_of(loaded.get("schedule")));
+    ASSERT_EQ(obs::hash_hex(mirror.content_fingerprint()),
+              loaded.get("fingerprint").as_string());
+    std::vector<size_t> commits;
+    int accepted = 0, rejected = 0;
+
+    // `edits` were applied to the mirror from `mark` on; send them and
+    // compare the verdict with the mirror's whole-circuit validate().
+    const auto send = [&](Json edits, size_t mark, const std::string& what) {
+      const std::vector<std::string> problems = mirror.circuit().validate();
+      const Json response = service.handle(edit_batch_req("c", std::move(edits)));
+      if (problems.empty()) {
+        ++accepted;
+        EXPECT_TRUE(response.get("ok").as_bool(false)) << what << ": " << response.dump();
+        EXPECT_EQ(response.get("result").get("fingerprint").as_string(),
+                  obs::hash_hex(mirror.content_fingerprint()))
+            << what;
+        if (mirror.mark() > mark) commits.push_back(mark);
+      } else {
+        ++rejected;
+        EXPECT_FALSE(response.get("ok").as_bool(true)) << what;
+        EXPECT_EQ(response.get("error").get("message").as_string(),
+                  "batch leaves the circuit invalid: " + problems_text(problems))
+            << what;
+        mirror.undo_to(mark);
+      }
+    };
+    const auto element_op = [&](const char* op, int i, double value) {
+      return req({{"op", Json(op)}, {"element", Json(static_cast<long>(i))},
+                  {"value", Json(value)}});
+    };
+
+    // The named cases first.
+    const Circuit& c = mirror.circuit();
+    size_t mark = mirror.mark();
+    Json edits = Json::array();
+    const double dq0 = c.element(0).dq;
+    edits.push(element_op("set_element_setup", 0, dq0 + 5.0));
+    mirror.set_element_setup(0, dq0 + 5.0);
+    edits.push(element_op("set_element_dq", 0, dq0 + 10.0));
+    mirror.set_element_dq(0, dq0 + 10.0);
+    send(std::move(edits), mark, "break Δ_DQ >= Δ_DC, then restore it");
+
+    mark = mirror.mark();
+    edits = Json::array();
+    edits.push(element_op("set_element_dq", 0, c.element(0).setup * 0.5));
+    mirror.set_element_dq(0, c.element(0).setup * 0.5);
+    send(std::move(edits), mark, "leave Δ_DQ < Δ_DC");
+
+    mark = mirror.mark();
+    edits = Json::array();
+    edits.push(element_op("set_element_dq_min", 1, c.element(1).dq + 1.0));
+    mirror.set_element_dq_min(1, c.element(1).dq + 1.0);
+    send(std::move(edits), mark, "dq_min > dq");
+
+    for (int i = 0; i < c.num_elements(); ++i) {
+      if (c.element(i).is_latch()) continue;
+      mark = mirror.mark();
+      edits = Json::array();
+      edits.push(element_op("set_element_setup", i, c.element(i).dq + 1.0));
+      mirror.set_element_setup(i, c.element(i).dq + 1.0);
+      send(std::move(edits), mark, "flip-flop setup above its clk-to-q");
+      break;
+    }
+
+    mark = mirror.mark();
+    edits = Json::array();
+    edits.push(req({{"op", Json("derate")}, {"delay_scale", Json(1.1)},
+                    {"min_scale", Json(0.9)}}));
+    mirror.apply_derating(1.1, 0.9);
+    edits.push(element_op("set_element_dq", 1, c.element(1).setup * 0.9));
+    mirror.set_element_dq(1, c.element(1).setup * 0.9);
+    send(std::move(edits), mark, "derate, then break an element");
+
+    mark = mirror.mark();
+    edits = Json::array();
+    edits.push(element_op("set_element_dq", 1, c.element(1).setup * 0.5));
+    mirror.set_element_dq(1, c.element(1).setup * 0.5);
+    edits.push(req({{"op", Json("remove_element")}, {"element", Json(0L)}}));
+    mirror.remove_element(0);
+    send(std::move(edits), mark, "break an element, then remove another");
+
+    mark = mirror.mark();
+    edits = Json::array();
+    edits.push(req({{"op", Json("remove_path")}, {"path", Json(0L)}}));
+    mirror.remove_path(0);
+    send(std::move(edits), mark, "remove a path");
+
+    // Then random batches, with whole-batch undos in between.
+    std::mt19937_64 rng(11);
+    const auto uniform = [&](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const auto pick = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+    for (int batch = 0; batch < 300; ++batch) {
+      if (!commits.empty() && (pick(6) == 0 || c.num_paths() == 0)) {
+        const Json r = expect_ok(service, undo_req("c")).get("result");
+        mirror.undo_to(commits.back());
+        commits.pop_back();
+        EXPECT_EQ(r.get("fingerprint").as_string(), obs::hash_hex(mirror.content_fingerprint()));
+        continue;
+      }
+      mark = mirror.mark();
+      edits = Json::array();
+      const int n = 1 + pick(4);
+      for (int k = 0; k < n && c.num_paths() > 0; ++k) {
+        const int p = pick(c.num_paths());
+        const int i = pick(c.num_elements());
+        const CombPath& path = c.path(p);
+        const Element& e = c.element(i);
+        switch (pick(12)) {
+          case 0: {
+            const double d = path.min_delay + uniform(0.0, 2.0) * path.delay;
+            edits.push(req({{"op", Json("set_path_delay")}, {"path", Json(static_cast<long>(p))},
+                            {"delay", Json(d)}}));
+            mirror.set_path_delay(p, d);
+            break;
+          }
+          case 1: {
+            const double m = uniform(0.0, 1.0) * path.delay;
+            edits.push(req({{"op", Json("set_path_min_delay")},
+                            {"path", Json(static_cast<long>(p))}, {"min", Json(m)}}));
+            mirror.set_path_min_delay(p, m);
+            break;
+          }
+          case 2: {
+            const double d = uniform(0.5, 2.0) * path.delay;
+            const double m = uniform(0.0, 1.0) * d;
+            edits.push(req({{"op", Json("set_path_delays")}, {"path", Json(static_cast<long>(p))},
+                            {"delay", Json(d)}, {"min", Json(m)}}));
+            mirror.set_path_delays(p, d, m);
+            break;
+          }
+          case 3: {
+            const std::string label = "x" + std::to_string(pick(4));
+            edits.push(req({{"op", Json("set_path_label")}, {"path", Json(static_cast<long>(p))},
+                            {"label", Json(label)}}));
+            mirror.set_path_label(p, label);
+            break;
+          }
+          case 4: {
+            const double v = e.setup * uniform(0.7, 1.5);
+            edits.push(element_op("set_element_dq", i, v));
+            mirror.set_element_dq(i, v);
+            break;
+          }
+          case 5: {
+            const double v = e.dq * uniform(0.5, 1.3);
+            edits.push(element_op("set_element_setup", i, v));
+            mirror.set_element_setup(i, v);
+            break;
+          }
+          case 6: {  // negative values mean "track dq" on the wire
+            const double v = pick(3) == 0 ? -2.0 : e.dq * uniform(0.5, 1.2);
+            edits.push(element_op("set_element_dq_min", i, v));
+            mirror.set_element_dq_min(i, v < 0.0 ? -1.0 : v);
+            break;
+          }
+          case 7: {
+            const double v = uniform(0.0, 1.0);
+            edits.push(element_op("set_element_hold", i, v));
+            mirror.set_element_hold(i, v);
+            break;
+          }
+          case 8: {
+            const double v = uniform(0.0, 0.5);
+            edits.push(element_op("set_element_skew", i, v));
+            mirror.set_element_skew(i, v);
+            break;
+          }
+          case 9: {
+            const double f = uniform(0.9, 1.2);
+            edits.push(req({{"op", Json("scale_schedule")}, {"factor", Json(f)}}));
+            mirror.set_schedule(mirror.schedule().scaled(f));
+            break;
+          }
+          case 10:
+            if (mirror.derating_allowed()) {
+              const double ds = uniform(0.9, 1.2), ms = uniform(0.8, 1.0);
+              edits.push(req({{"op", Json("derate")}, {"delay_scale", Json(ds)},
+                              {"min_scale", Json(ms)}}));
+              mirror.apply_derating(ds, ms);
+            }
+            break;
+          default:
+            if (pick(4) != 0) break;
+            if (pick(2) == 0 && c.num_paths() > 2) {
+              edits.push(req({{"op", Json("remove_path")}, {"path", Json(static_cast<long>(p))}}));
+              mirror.remove_path(p);
+            } else if (c.num_elements() > 3) {
+              edits.push(req({{"op", Json("remove_element")},
+                              {"element", Json(static_cast<long>(i))}}));
+              mirror.remove_element(i);
+            }
+            break;
+        }
+      }
+      send(std::move(edits), mark, std::string(in.builtin) + " batch " + std::to_string(batch));
+    }
+    EXPECT_GT(accepted, 20) << in.builtin;
+    EXPECT_GT(rejected, 20) << in.builtin;
+  }
 }
 
 TEST(ServeService, SweepScalesFromBaseAndRestoresState) {

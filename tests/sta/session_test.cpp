@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cmath>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
@@ -204,6 +209,135 @@ TEST(AnalysisSession, SetterNoOpsDoNotInvalidate) {
   session.analyze();
   EXPECT_EQ(session.counters().invalidations, 0);
   EXPECT_EQ(session.counters().warm_hits, 1);  // pure cache hit
+}
+
+// Every field the content fingerprint covers, rendered bit-exactly (%a), so
+// two states compare equal here iff their content is identical.
+std::string content_text(const AnalysisSession& s) {
+  const Circuit& c = s.circuit();
+  std::string out = c.name() + "/" + std::to_string(c.num_phases());
+  char buf[256];
+  for (const Element& e : c.elements()) {
+    std::snprintf(buf, sizeof buf, "|E %d %d %a %a %a %a %a ", static_cast<int>(e.kind),
+                  e.phase, e.setup, e.hold, e.dq, e.dq_min, e.skew);
+    out += buf + e.name;
+  }
+  for (const CombPath& p : c.paths()) {
+    std::snprintf(buf, sizeof buf, "|P %d %d %a %a ", p.from, p.to, p.delay, p.min_delay);
+    out += buf + p.label;
+  }
+  const ClockSchedule& sch = s.schedule();
+  std::snprintf(buf, sizeof buf, "|S %a", sch.cycle);
+  out += buf;
+  for (const std::vector<double>* v : {&sch.start, &sch.width}) {
+    for (const double x : *v) {
+      std::snprintf(buf, sizeof buf, " %a", x);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+// content_fingerprint() is kept incrementally: every applier swaps the
+// edited item's term in a running sum, and structural edits recompute it.
+// After any mix of edits and undos it must equal the fingerprint a fresh
+// session computes from scratch, and it must move iff the content moved.
+TEST(AnalysisSession, FingerprintTracksRandomEditsAndUndos) {
+  circuits::SyntheticParams params;
+  params.num_phases = 3;
+  params.num_stages = 6;
+  params.latches_per_stage = 4;
+  const Circuit inputs[] = {circuits::gaas_datapath(),
+                            circuits::synthetic_circuit(params, 41)};
+  for (const Circuit& input : inputs) {
+    const Fixture f(input);
+    AnalysisSession session(f.circuit, f.schedule, f.options);
+    std::mt19937_64 rng(7);
+    const auto uniform = [&](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const auto pick = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+    std::vector<size_t> marks;
+    std::uint64_t fp = session.content_fingerprint();
+    std::string text = content_text(session);
+    for (int step = 0; step < 600; ++step) {
+      const Circuit& c = session.circuit();
+      const int kind = pick(14);
+      const int p = c.num_paths() > 0 ? pick(c.num_paths()) : -1;
+      const int i = pick(c.num_elements());
+      if (pick(4) == 0) marks.push_back(session.mark());
+      switch (kind) {
+        case 0:
+          if (p >= 0) session.set_path_delay(p, c.path(p).min_delay + uniform(0.0, 3.0));
+          break;
+        case 1:
+          if (p >= 0) session.set_path_min_delay(p, c.path(p).delay * uniform(0.0, 1.0));
+          break;
+        case 2:
+          if (p >= 0) {
+            const double d = uniform(0.5, 4.0);
+            session.set_path_delays(p, d, d * uniform(0.0, 1.0));
+          }
+          break;
+        case 3:
+          if (p >= 0) session.set_path_label(p, "L" + std::to_string(pick(5)));
+          break;
+        case 4:
+          session.set_element_dq(i, uniform(0.1, 2.0));
+          break;
+        case 5:  // includes switching back to tracking dq (-1)
+          session.set_element_dq_min(i, pick(3) == 0 ? -1.0 : uniform(0.0, 1.0));
+          break;
+        case 6:
+          session.set_element_setup(i, uniform(0.0, 1.0));
+          break;
+        case 7:
+          session.set_element_hold(i, uniform(0.0, 0.5));
+          break;
+        case 8:
+          session.set_element_skew(i, uniform(0.0, 0.3));
+          break;
+        case 9:
+          session.set_schedule(f.schedule.scaled(uniform(0.9, 1.3)));
+          break;
+        case 10:
+          if (session.derating_allowed()) {
+            session.apply_derating(uniform(0.9, 1.2), uniform(0.8, 1.0));
+          }
+          break;
+        case 11:
+          if (c.num_paths() > 4 && pick(3) == 0) session.remove_path(p);
+          break;
+        case 12:
+          if (c.num_elements() > 4 && pick(3) == 0) session.remove_element(i);
+          break;
+        default:
+          if (!marks.empty()) {
+            const size_t m = marks[static_cast<size_t>(pick(static_cast<int>(marks.size())))];
+            session.undo_to(m);
+            while (!marks.empty() && marks.back() > m) marks.pop_back();
+          } else if (session.mark() > 0) {
+            session.undo();
+          }
+          break;
+      }
+      const std::uint64_t now = session.content_fingerprint();
+      ASSERT_EQ(now, AnalysisSession(session.circuit(), session.schedule()).content_fingerprint())
+          << input.name() << " step " << step << " kind " << kind;
+      const std::string now_text = content_text(session);
+      if (now_text == text) {
+        EXPECT_EQ(now, fp) << input.name() << " step " << step << " kind " << kind;
+      } else {
+        EXPECT_NE(now, fp) << input.name() << " step " << step << " kind " << kind;
+      }
+      fp = now;
+      text = now_text;
+    }
+    // Back to the start: the construction-time fingerprint returns.
+    session.undo_to(0);
+    EXPECT_EQ(session.content_fingerprint(),
+              AnalysisSession(f.circuit, f.schedule).content_fingerprint());
+  }
 }
 
 // Warm re-analysis cases no other session test covers: the warm path must
