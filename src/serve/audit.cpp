@@ -9,7 +9,7 @@
 
 namespace mintc::serve {
 
-std::string audit_json_line(const AuditRecord& r) {
+std::string audit_json_line(const RequestRecord& r) {
   char num[64];
   std::string out = "{\"t\": ";
   std::snprintf(num, sizeof num, "%.3f", r.t_seconds);
@@ -74,7 +74,7 @@ void AuditLog::rotate_locked() {
   open_locked();
 }
 
-void AuditLog::append(const AuditRecord& record) {
+void AuditLog::append(const RequestRecord& record) {
   const std::string line = audit_json_line(record) + "\n";
   const std::lock_guard<std::mutex> lk(mu_);
   if (file_ != nullptr && bytes_ + line.size() > rotate_bytes_ && bytes_ > 0) {

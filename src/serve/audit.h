@@ -1,8 +1,8 @@
-// Size-rotated JSONL audit log of served requests — the durable side of
-// cost attribution. One line per request with the trace id, verb, circuit
-// key, cache hit/miss, outcome, wall latency and the request's CostAccount
-// totals, so "which request burned the CPU last night" is a grep, not a
-// reproduction.
+// RequestRecord, the one record TimingService completes per answered frame,
+// and its durable view: a size-rotated JSONL audit log of served requests.
+// One line per request with the trace id, verb, circuit key, cache
+// hit/miss, outcome, wall latency and the request's CostAccount totals, so
+// "which request burned the CPU last night" is a grep, not a reproduction.
 //
 // Rotation: when the current file would exceed `rotate_bytes`, it is
 // renamed to "<path>.1" (replacing any previous .1) and a fresh file is
@@ -19,10 +19,14 @@
 
 namespace mintc::serve {
 
-struct AuditRecord {
+/// What the service knows of one answered frame. The audit line, the status
+/// page's slow-request table, the --slow-ms warning, the serve.latency_us /
+/// serve.cpu_us / serve.relaxations histograms and the "cost" envelope
+/// block are all rendered from it.
+struct RequestRecord {
   double t_seconds = 0.0;        // seconds since service start
   std::string trace;             // 16-char hex id, "" when unsampled
-  std::string verb;
+  std::string verb;              // "" when the frame did not parse
   std::string circuit;           // "" when the verb carries no key
   bool ok = false;
   bool cached = false;
@@ -46,7 +50,7 @@ class AuditLog {
   /// Append one JSONL record (with trailing newline) and flush. Silently
   /// drops records when the file cannot be (re)opened — the service must
   /// keep serving through a full disk.
-  void append(const AuditRecord& record);
+  void append(const RequestRecord& record);
 
   /// Records written since construction (drops excluded).
   std::int64_t written() const;
@@ -67,8 +71,7 @@ class AuditLog {
   std::int64_t rotations_ = 0;
 };
 
-/// Render one record as its JSONL line (no trailing newline) — exposed for
-/// tests and for the status page's slow-request table tooling.
-std::string audit_json_line(const AuditRecord& record);
+/// Render one record as its JSONL line (no trailing newline).
+std::string audit_json_line(const RequestRecord& record);
 
 }  // namespace mintc::serve

@@ -17,7 +17,9 @@
 //     and lookup is linear — protocol objects have a handful of keys.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -61,9 +63,7 @@ class Json {
 
   bool as_bool(bool fallback = false) const { return is_bool() ? bool_ : fallback; }
   double as_number(double fallback = 0.0) const { return is_number() ? num_ : fallback; }
-  long as_long(long fallback = 0) const {
-    return is_number() ? static_cast<long>(num_) : fallback;
-  }
+  long as_long(long fallback = 0) const { return is_number() ? saturate_long(num_) : fallback; }
   const std::string& as_string() const {
     static const std::string empty;
     return is_string() ? str_ : empty;
@@ -102,10 +102,7 @@ class Json {
     const Json& v = get(key);
     return v.is_number() ? v.num_ : fallback;
   }
-  long long_or(std::string_view key, long fallback) const {
-    const Json& v = get(key);
-    return v.is_number() ? static_cast<long>(v.num_) : fallback;
-  }
+  long long_or(std::string_view key, long fallback) const { return get(key).as_long(fallback); }
   std::string str_or(std::string_view key, std::string fallback = "") const {
     const Json& v = get(key);
     return v.is_string() ? v.str_ : fallback;
@@ -118,6 +115,17 @@ class Json {
   bool operator!=(const Json& other) const { return !(*this == other); }
 
  private:
+  /// `v` truncated toward zero, clamped to long's range: casting a double
+  /// outside it is undefined, and request numbers like 1e300 are client input.
+  static long saturate_long(double v) {
+    // The bounds as doubles: -2^63 exactly, and LONG_MAX rounded up to 2^63.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<long>::min());
+    constexpr double kMax = static_cast<double>(std::numeric_limits<long>::max());
+    if (v >= kMax) return std::numeric_limits<long>::max();
+    if (v <= kMin) return std::numeric_limits<long>::min();
+    return std::isnan(v) ? 0 : static_cast<long>(v);
+  }
+
   void dump_to(std::string& out) const;
 
   Kind kind_ = Kind::kNull;

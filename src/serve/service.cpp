@@ -124,9 +124,8 @@ Json report_payload(const sta::TimingReport& report, const Circuit& circuit, boo
 
 /// Begin-event args for the request span: verb + circuit key (generation is
 /// tagged on the nested session span once the session is locked).
-std::string request_span_args(const std::string& verb, const Json& req) {
+std::string request_span_args(const std::string& verb, const std::string& circuit) {
   std::string args = "{\"verb\": \"" + obs::json_escape(verb) + "\"";
-  const std::string circuit = req.str_or("circuit");
   if (!circuit.empty()) args += ", \"circuit\": \"" + obs::json_escape(circuit) + "\"";
   args += "}";
   return args;
@@ -234,49 +233,27 @@ double TimingService::uptime_seconds() const {
 }
 
 std::string TimingService::handle_line(std::string_view line) {
+  const auto start = std::chrono::steady_clock::now();
   Expected<Json> request = parse_request(line, config_.max_frame_bytes);
   if (!request) {
-    if (config_.telemetry) {
-      errors_metric_.inc();
-      requests_metric_.inc();
-    }
-    return encode_frame(error_response(Json(), request.error()));
+    return encode_frame(finish(RequestRecord{}, error_response(Json(), request.error()), start));
   }
   return encode_frame(handle(*request));
-}
-
-Json TimingService::dispatch(const Json& request, const Json& id, const std::string& verb) {
-  if (verb == "load") return handle_load(request, id);
-  if (verb == "edit_batch") return handle_edit_batch(request, id);
-  if (verb == "analyze") return handle_analyze(request, id);
-  if (verb == "report") return handle_report(request, id);
-  if (verb == "sweep") return handle_sweep(request, id);
-  if (verb == "undo") return handle_undo(request, id);
-  if (verb == "min") return handle_min(request, id);
-  if (verb == "stats") return handle_stats(id);
-  if (verb == "metrics") return handle_metrics(id);
-  if (verb == "trace") return handle_trace(request, id);
-  if (verb == "status") return handle_status(request, id);
-  return error_response(id, "unknown_verb", "unknown verb \"" + verb + "\"");
 }
 
 Json TimingService::handle(const Json& request) {
   const auto start = std::chrono::steady_clock::now();
   const Json& id = request.get("id");
-  const std::string& verb = request.get("verb").as_string();
+  RequestRecord record;
+  record.verb = request.get("verb").as_string();
+  record.circuit = request.str_or("circuit");
 
   // A malformed trace field rejects the request: a client's sampling config
   // must not rot into silent untraced traffic.
   Expected<TraceField> trace = parse_trace_field(request);
-  if (!trace) {
-    if (config_.telemetry) {
-      requests_metric_.inc();
-      errors_metric_.inc();
-      latency_metric_.observe(elapsed_us(start));
-    }
-    return error_response(id, trace.error());
-  }
+  if (!trace) return finish(std::move(record), error_response(id, trace.error()), start);
   const bool traced = config_.telemetry && trace->context.active();
+  if (traced) record.trace = trace_id_hex(trace->context.trace_id);
 
   // Install the request's context for the handler's whole extent — the
   // session solve, and (by value-capture + TraceContextScope in
@@ -300,7 +277,7 @@ Json TimingService::handle(const Json& request) {
     inflight_metric_.set(
         static_cast<double>(inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
     if (traced) trace_mark = obs::Tracer::instance().num_events();
-    span.emplace("serve.request", "serve", request_span_args(verb, request));
+    span.emplace("serve.request", "serve", request_span_args(record.verb, record.circuit));
   }
 
   Json response;
@@ -309,7 +286,7 @@ Json TimingService::handle(const Json& request) {
     // any scalar solve); pool shards charge theirs in run_chain. The two
     // never overlap — ThreadPool::wait() blocks, it does not help-execute.
     const obs::ThreadCpuTimer cpu_timer(config_.telemetry ? &account : nullptr);
-    response = dispatch(request, id, verb);
+    response = dispatch(request, id, record.verb);
   }
 
   // The echo is protocol, not telemetry: a sampled id comes back even when
@@ -319,95 +296,153 @@ Json TimingService::handle(const Json& request) {
     response.set("trace", Json(trace_id_hex(trace->context.trace_id)));
   }
 
-  const std::int64_t cost_cpu_us = account.cpu_us.load(std::memory_order_relaxed);
-  const std::int64_t cost_relax = account.relaxations.load(std::memory_order_relaxed);
-  const std::int64_t cost_sweeps = account.sweeps.load(std::memory_order_relaxed);
-  const std::int64_t cost_solves = account.solves.load(std::memory_order_relaxed);
-  const bool ok = response.get("ok").as_bool(false);
-  const bool cached = response.get("cached").as_bool(false);
+  record.cpu_us = account.cpu_us.load(std::memory_order_relaxed);
+  record.relaxations = account.relaxations.load(std::memory_order_relaxed);
+  record.sweeps = account.sweeps.load(std::memory_order_relaxed);
+  record.solves = account.solves.load(std::memory_order_relaxed);
 
   // Opt-in cost echo, always at the ENVELOPE level — cached result payloads
   // stay byte-identical whether or not attribution is requested.
   if (request.bool_or("cost", false)) {
     Json cost = Json::object();
-    cost.set("cpu_us", Json(static_cast<long>(cost_cpu_us)));
-    cost.set("relaxations", Json(static_cast<long>(cost_relax)));
-    cost.set("sweeps", Json(static_cast<long>(cost_sweeps)));
-    cost.set("solves", Json(static_cast<long>(cost_solves)));
+    cost.set("cpu_us", Json(static_cast<long>(record.cpu_us)));
+    cost.set("relaxations", Json(static_cast<long>(record.relaxations)));
+    cost.set("sweeps", Json(static_cast<long>(record.sweeps)));
+    cost.set("solves", Json(static_cast<long>(record.solves)));
     response.set("cost", std::move(cost));
   }
 
   if (config_.telemetry) {
-    span.reset();  // end serve.request before slicing the tree below
-    requests_metric_.inc();
-    if (!ok) errors_metric_.inc();
-    const double us = elapsed_us(start);
-    latency_metric_.observe(us);
-    cpu_metric_.observe(static_cast<double>(cost_cpu_us));
-    relaxations_metric_.observe(static_cast<double>(cost_relax));
-    const std::string trace_hex =
-        traced ? trace_id_hex(trace->context.trace_id) : std::string();
-    if (audit_) {
-      AuditRecord record;
-      record.t_seconds = uptime_seconds();
-      record.trace = trace_hex;
-      record.verb = verb;
-      record.circuit = request.str_or("circuit");
-      record.ok = ok;
-      record.cached = cached;
-      record.wall_us = us;
-      record.cpu_us = cost_cpu_us;
-      record.relaxations = cost_relax;
-      record.sweeps = cost_sweeps;
-      record.solves = cost_solves;
-      audit_->append(record);
-    }
-    {
-      SlowEntry entry;
-      entry.t_seconds = uptime_seconds();
-      entry.us = us;
-      entry.cpu_us = cost_cpu_us;
-      entry.relaxations = cost_relax;
-      entry.cached = cached;
-      entry.ok = ok;
-      entry.verb = verb;
-      entry.circuit = request.str_or("circuit");
-      entry.trace = trace_hex;
-      record_slow(std::move(entry));
-    }
-    if (config_.slow_request_us > 0 && us >= static_cast<double>(config_.slow_request_us)) {
-      slow_requests_metric_.inc();
-      std::string tree;
-      if (traced) {
-        tree = span_tree_text(obs::Tracer::instance().snapshot(trace_mark),
-                              trace->context.trace_id);
-      }
-      log_warn() << "serve: slow request verb=" << verb
-                 << " circuit=" << request.str_or("circuit", "-") << " us=" << us
-                 << " cpu_us=" << cost_cpu_us << " relaxations=" << cost_relax
-                 << " trace=" << (traced ? trace_hex : "-") << tree;
-    }
+    span.reset();  // end serve.request before finish() slices the tree
     inflight_metric_.set(
         static_cast<double>(inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  }
+  return finish(std::move(record), std::move(response), start,
+                traced ? trace->context.trace_id : 0, trace_mark);
+}
+
+Json TimingService::finish(RequestRecord record, Json response,
+                           std::chrono::steady_clock::time_point start, std::uint64_t trace_id,
+                           size_t trace_mark) {
+  if (!config_.telemetry) return response;
+  record.t_seconds = uptime_seconds();
+  record.ok = response.get("ok").as_bool(false);
+  record.cached = response.get("cached").as_bool(false);
+  record.wall_us = elapsed_us(start);
+
+  requests_metric_.inc();
+  if (!record.ok) errors_metric_.inc();
+  latency_metric_.observe(record.wall_us);
+  cpu_metric_.observe(static_cast<double>(record.cpu_us));
+  relaxations_metric_.observe(static_cast<double>(record.relaxations));
+  if (audit_) audit_->append(record);
+  if (config_.slow_request_us > 0 &&
+      record.wall_us >= static_cast<double>(config_.slow_request_us)) {
+    slow_requests_metric_.inc();
+    std::string tree;
+    if (trace_id != 0) {
+      tree = span_tree_text(obs::Tracer::instance().snapshot(trace_mark), trace_id);
+    }
+    log_warn() << "serve: slow request verb=" << record.verb
+               << " circuit=" << (record.circuit.empty() ? "-" : record.circuit)
+               << " us=" << record.wall_us << " cpu_us=" << record.cpu_us
+               << " relaxations=" << record.relaxations
+               << " trace=" << (record.trace.empty() ? "-" : record.trace) << tree;
+  }
+
+  // Insertion sort into the top-K: the vector is tiny (<= kSlowTopK) and
+  // almost every request falls off the end immediately.
+  const std::lock_guard<std::mutex> lk(slow_mu_);
+  if (slow_.size() < kSlowTopK || record.wall_us > slow_.back().wall_us) {
+    const auto pos = std::upper_bound(
+        slow_.begin(), slow_.end(), record.wall_us,
+        [](double us, const RequestRecord& r) { return us > r.wall_us; });
+    slow_.insert(pos, std::move(record));
+    if (slow_.size() > kSlowTopK) slow_.pop_back();
   }
   return response;
 }
 
-void TimingService::record_slow(SlowEntry entry) {
-  const std::lock_guard<std::mutex> lk(slow_mu_);
-  // Insertion sort into the top-K: the vector is tiny (<= kSlowTopK) and
-  // almost every request falls off the end immediately.
-  if (slow_.size() >= kSlowTopK && entry.us <= slow_.back().us) return;
-  const auto pos = std::upper_bound(
-      slow_.begin(), slow_.end(), entry,
-      [](const SlowEntry& a, const SlowEntry& b) { return a.us > b.us; });
-  slow_.insert(pos, std::move(entry));
-  if (slow_.size() > kSlowTopK) slow_.pop_back();
-}
-
-std::vector<TimingService::SlowEntry> TimingService::slow_requests() const {
+std::vector<RequestRecord> TimingService::slow_requests() const {
   const std::lock_guard<std::mutex> lk(slow_mu_);
   return slow_;
+}
+
+Json TimingService::dispatch(const Json& request, const Json& id, const std::string& verb) {
+  // The verb table. A plain verb answers in full; a session verb's handler
+  // checks its parameters and hands its work to run_session_verb.
+  struct Row {
+    std::string_view verb;
+    Expected<Json> (TimingService::*plain)(const Json&);
+    Expected<SessionWork> (TimingService::*session)(const Json&);
+  };
+  static constexpr Row kVerbs[] = {
+      {"load", &TimingService::verb_load, nullptr},
+      {"edit_batch", nullptr, &TimingService::verb_edit_batch},
+      {"analyze", nullptr, &TimingService::verb_analyze},
+      {"report", nullptr, &TimingService::verb_report},
+      {"sweep", nullptr, &TimingService::verb_sweep},
+      {"undo", nullptr, &TimingService::verb_undo},
+      {"min", nullptr, &TimingService::verb_min},
+      {"stats", &TimingService::verb_stats, nullptr},
+      {"metrics", &TimingService::verb_metrics, nullptr},
+      {"trace", &TimingService::verb_trace, nullptr},
+      {"status", &TimingService::verb_status, nullptr},
+  };
+  for (const Row& row : kVerbs) {
+    if (row.verb != verb) continue;
+    if (row.session != nullptr) return run_session_verb(request, id, verb, row.session);
+    Expected<Json> result = (this->*row.plain)(request);
+    return result ? ok_response(id, std::move(*result), false)
+                  : error_response(id, result.error());
+  }
+  return error_response(id, "unknown_verb", "unknown verb \"" + verb + "\"");
+}
+
+Json TimingService::run_session_verb(const Json& request, const Json& id,
+                                     const std::string& verb,
+                                     Expected<SessionWork> (TimingService::*bind)(const Json&)) {
+  const std::string key = request.str_or("circuit");
+  const std::shared_ptr<Entry> entry = find_entry(key);
+  if (!entry) {
+    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
+  }
+  const Expected<SessionWork> work = (this->*bind)(request);
+  if (!work) return error_response(id, work.error());
+
+  bool cached = false;
+  Expected<Json> answer = entry->session->with([&](sta::AnalysisSession& s) -> Expected<Json> {
+    // A read's answer is tagged with the generation it was computed at (a
+    // sweep's edits and undo move the session past it).
+    const std::uint64_t generation = s.generation();
+    std::uint64_t cache_key = 0;
+    if (!work->write) {
+      cache_key =
+          obs::Fnv1a().u64(s.content_fingerprint()).str(verb).u64(work->params).digest();
+      if (std::optional<std::string> hit = cache_.get(cache_key)) {
+        // Rendered payloads round-trip exactly (json_double), so re-parsing
+        // a hit is bit-identical to the original render.
+        Expected<Json> parsed = parse_json(*hit);
+        if (parsed) {
+          cached = true;
+          return parsed;
+        }
+      }
+    }
+    Expected<Json> result = work->run(s, *entry);
+    if (!result) return result;
+    if (!result->has("fingerprint")) {
+      result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
+    }
+    if (work->write) {
+      cache_.invalidate(key, s.generation());
+    } else {
+      cache_.put(cache_key, key, generation, result->dump());
+    }
+    return result;
+  });
+  return answer ? ok_response(id, std::move(*answer), cached)
+                : error_response(id, answer.error());
 }
 
 void TimingService::set_worker_stats_provider(
@@ -443,49 +478,46 @@ void TimingService::record_history_sample() {
   history_.record(std::move(sample));
 }
 
-Json TimingService::handle_load(const Json& req, const Json& id) {
+Expected<Json> TimingService::verb_load(const Json& req) {
   const std::string key = req.str_or("circuit");
   if (key.empty()) {
-    return error_response(id, "invalid_argument", "load needs a non-empty \"circuit\" key");
+    return make_error(ErrorKind::kInvalidArgument, "load needs a non-empty \"circuit\" key");
   }
 
   std::optional<Circuit> circuit;
   if (req.get("text").is_string()) {
     Expected<Circuit> parsed = parser::parse_circuit(req.get("text").as_string());
-    if (!parsed) return error_response(id, parsed.error());
+    if (!parsed) return parsed.error();
     circuit.emplace(std::move(parsed.value()));
   } else if (req.get("builtin").is_string()) {
     std::string err;
     circuit = builtin_circuit(req.get("builtin").as_string(), req, err);
-    if (!circuit) return error_response(id, "invalid_argument", std::move(err));
+    if (!circuit) return make_error(ErrorKind::kInvalidArgument, std::move(err));
   } else {
-    return error_response(id, "invalid_argument",
-                          "load needs either \"text\" (.lct) or \"builtin\"");
+    return make_error(ErrorKind::kInvalidArgument,
+                      "load needs either \"text\" (.lct) or \"builtin\"");
   }
 
   const std::vector<std::string> problems = circuit->validate();
-  if (!problems.empty()) {
-    return error_response(id, "invalid_circuit", join_problems(problems));
-  }
+  if (!problems.empty()) return make_error(ErrorKind::kInvalidCircuit, join_problems(problems));
 
   ClockSchedule schedule;
   double min_cycle = 0.0;
   bool optimized = false;
   if (req.get("schedule").is_string()) {
     Expected<ClockSchedule> parsed = parser::parse_schedule(req.get("schedule").as_string());
-    if (!parsed) return error_response(id, parsed.error());
+    if (!parsed) return parsed.error();
     if (parsed->num_phases() != circuit->num_phases()) {
-      return error_response(id, "invalid_argument",
-                            "schedule has " + std::to_string(parsed->num_phases()) +
-                                " phases, circuit has " +
-                                std::to_string(circuit->num_phases()));
+      return make_error(ErrorKind::kInvalidArgument,
+                        "schedule has " + std::to_string(parsed->num_phases()) +
+                            " phases, circuit has " + std::to_string(circuit->num_phases()));
     }
     schedule = std::move(parsed.value());
   } else {
     opt::MlpOptions mlp;
     mlp.assume_valid = true;  // just validated above
     Expected<opt::MlpResult> result = opt::minimize_cycle_time(*circuit, mlp);
-    if (!result) return error_response(id, result.error());
+    if (!result) return result.error();
     schedule = result->schedule;
     min_cycle = result->min_cycle;
     optimized = true;
@@ -513,65 +545,49 @@ Json TimingService::handle_load(const Json& req, const Json& id) {
   // Reload = new content under the old key: drop every cached response for
   // it regardless of the (restarted) generation counter.
   cache_.invalidate(key, ~0ull);
-  return ok_response(id, std::move(result), false);
+  return result;
 }
 
-Json TimingService::handle_edit_batch(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
+Expected<TimingService::SessionWork> TimingService::verb_edit_batch(const Json& req) {
   const Json& edits = req.get("edits");
   if (!edits.is_array()) {
-    return error_response(id, "invalid_argument", "edit_batch needs an \"edits\" array");
+    return make_error(ErrorKind::kInvalidArgument, "edit_batch needs an \"edits\" array");
   }
-
-  Json result = Json::object();
-  std::string fail;
-  std::uint64_t generation = 0;
-
-  entry->session->with([&](sta::AnalysisSession& s) {
-    const size_t mark = s.mark();
-    // Every edit is validated against the EVOLVING state before it is
-    // applied — the Circuit setters assert on invalid values, and an assert
-    // must never be reachable from the wire. Any failure rolls the whole
-    // batch back: batches are atomic.
-    for (size_t i = 0; i < edits.size(); ++i) {
-      const Json& e = edits.at(i);
-      std::string err;
-      if (!e.is_object()) {
-        err = "edit is not an object";
-      } else {
-        err = apply_edit(s, e);
-      }
-      if (!err.empty()) {
-        s.undo_to(mark);
-        fail = "edit " + std::to_string(i) + ": " + err;
-        return;
-      }
-    }
-    // The state at `mark` passed validate(): load checks the whole circuit,
-    // every committed batch passed this check, and undo lands only on
-    // committed states. So only what the batch touched can be invalid, and
-    // validate_since checks just that (the whole circuit after a removal).
-    const std::vector<std::string> problems = s.validate_since(mark);
-    if (!problems.empty()) {
-      s.undo_to(mark);
-      fail = "batch leaves the circuit invalid: " + join_problems(problems);
-      return;
-    }
-    if (s.mark() > mark) entry->commits.push_back(mark);
-    generation = s.generation();
-    result.set("applied", Json(static_cast<long>(edits.size())));
-    result.set("mark", Json(static_cast<long>(mark)));
-    result.set("generation", Json(generation));
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-  });
-
-  if (!fail.empty()) return error_response(id, "invalid_argument", std::move(fail));
-  cache_.invalidate(key, generation);
-  return ok_response(id, std::move(result), false);
+  // `edits` lives in the request, which outlives the work.
+  return SessionWork{
+      .write = true, .run = [&edits](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+        const size_t mark = s.mark();
+        // Every edit is validated against the EVOLVING state before it is
+        // applied — the Circuit setters assert on invalid values, and an
+        // assert must never be reachable from the wire. Any failure rolls
+        // the whole batch back: batches are atomic.
+        for (size_t i = 0; i < edits.size(); ++i) {
+          const Json& e = edits.at(i);
+          const std::string err = e.is_object() ? apply_edit(s, e) : "edit is not an object";
+          if (!err.empty()) {
+            s.undo_to(mark);
+            return make_error(ErrorKind::kInvalidArgument,
+                              "edit " + std::to_string(i) + ": " + err);
+          }
+        }
+        // The state at `mark` passed validate(): load checks the whole
+        // circuit, every committed batch passed this check, and undo lands
+        // only on committed states. So only what the batch touched can be
+        // invalid, and validate_since checks just that (the whole circuit
+        // after a removal).
+        const std::vector<std::string> problems = s.validate_since(mark);
+        if (!problems.empty()) {
+          s.undo_to(mark);
+          return make_error(ErrorKind::kInvalidArgument,
+                            "batch leaves the circuit invalid: " + join_problems(problems));
+        }
+        if (s.mark() > mark) entry.commits.push_back(mark);
+        Json result = Json::object();
+        result.set("applied", Json(static_cast<long>(edits.size())));
+        result.set("mark", Json(static_cast<long>(mark)));
+        result.set("generation", Json(s.generation()));
+        return result;
+      }};
 }
 
 std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
@@ -693,124 +709,75 @@ std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
   return "";
 }
 
-Json TimingService::handle_analyze(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
+Expected<TimingService::SessionWork> TimingService::verb_analyze(const Json& req) {
   const bool detail = req.bool_or("detail", false);
-
-  Json result;
-  bool cached = false;
-  entry->session->with([&](sta::AnalysisSession& s) {
-    const std::uint64_t cache_key =
-        obs::Fnv1a().u64(s.content_fingerprint()).str("analyze").u64(detail ? 1 : 0).digest();
-    if (std::optional<std::string> hit = cache_.get(cache_key)) {
-      // Rendered payloads round-trip exactly (json_double), so re-parsing
-      // a hit is bit-identical to the original render.
-      Expected<Json> parsed = parse_json(*hit);
-      if (parsed) {
-        result = std::move(parsed.value());
-        cached = true;
-        return;
-      }
-    }
-    const sta::TimingReport& report = s.analyze();
-    result = report_payload(report, s.circuit(), detail);
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-    cache_.put(cache_key, key, s.generation(), result.dump());
-  });
-  return ok_response(id, std::move(result), cached);
+  return SessionWork{
+      .params = detail ? 1u : 0u,
+      .run = [detail](sta::AnalysisSession& s, Entry&) -> Expected<Json> {
+        return report_payload(s.analyze(), s.circuit(), detail);
+      }};
 }
 
-Json TimingService::handle_report(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
+Expected<TimingService::SessionWork> TimingService::verb_report(const Json& req) {
   const std::string format = req.str_or("format", "json");
   if (format != "json" && format != "table" && format != "html") {
-    return error_response(id, "invalid_argument",
-                          "format must be one of json, table, html (got \"" + format + "\")");
+    return make_error(ErrorKind::kInvalidArgument,
+                      "format must be one of json, table, html (got \"" + format + "\")");
   }
   const bool signoff = req.bool_or("signoff", false);
   const double spread = req.num_or("spread", 0.1);
   const long nworst = req.long_or("nworst", 10);
   if (!std::isfinite(spread) || spread < 0.0 || spread >= 1.0) {
-    return error_response(id, "invalid_argument", "spread must be in [0, 1)");
+    return make_error(ErrorKind::kInvalidArgument, "spread must be in [0, 1)");
   }
   if (nworst < 1 || nworst > 100000) {
-    return error_response(id, "invalid_argument", "nworst must be in [1, 100000]");
+    return make_error(ErrorKind::kInvalidArgument, "nworst must be in [1, 100000]");
   }
 
-  Json result;
-  bool cached = false;
-  entry->session->with([&](sta::AnalysisSession& s) {
-    const std::uint64_t cache_key = obs::Fnv1a()
-                                        .u64(s.content_fingerprint())
-                                        .str("report")
-                                        .str(format)
-                                        .u64(signoff ? 1 : 0)
-                                        .num(spread)
-                                        .i32(static_cast<std::int32_t>(nworst))
-                                        .digest();
-    if (std::optional<std::string> hit = cache_.get(cache_key)) {
-      Expected<Json> parsed = parse_json(*hit);
-      if (parsed) {
-        result = std::move(parsed.value());
-        cached = true;
-        return;
-      }
-    }
-    report::SlackDbOptions options;
-    options.nworst = static_cast<int>(nworst);
-    options.check_hold = true;
-    result = Json::object();
-    result.set("format", Json(format));
-    if (signoff) {
-      const report::SignoffDB db =
-          report::build_signoff(s.circuit(), s.schedule(), sta::standard_corners(spread), options);
-      result.set("all_pass", Json(db.all_pass));
-      if (format == "json") {
-        result.set("content", Json(report::signoff_json(db)));
-      } else if (format == "table") {
-        result.set("content", Json(report::signoff_table(db)));
-      } else {
-        result.set("content", Json(report::signoff_html(s.circuit(), db)));
-      }
-    } else {
-      const report::SlackDB db = report::build_slackdb(s.circuit(), s.schedule(), options);
-      result.set("feasible", Json(db.feasible));
-      if (format == "json") {
-        result.set("content", Json(report::report_json(db)));
-      } else if (format == "table") {
-        result.set("content", Json(report::report_table(db)));
-      } else {
-        result.set("content", Json(report::report_html(s.circuit(), db)));
-      }
-    }
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-    cache_.put(cache_key, key, s.generation(), result.dump());
-  });
-  return ok_response(id, std::move(result), cached);
+  report::SlackDbOptions options;
+  options.nworst = static_cast<int>(nworst);
+  options.check_hold = true;
+  return SessionWork{
+      .params = obs::Fnv1a().str(format).u64(signoff ? 1 : 0).num(spread).i32(options.nworst)
+                    .digest(),
+      .run = [format, signoff, spread, options](sta::AnalysisSession& s,
+                                               Entry&) -> Expected<Json> {
+        Json result = Json::object();
+        result.set("format", Json(format));
+        if (signoff) {
+          const report::SignoffDB db = report::build_signoff(
+              s.circuit(), s.schedule(), sta::standard_corners(spread), options);
+          result.set("all_pass", Json(db.all_pass));
+          if (format == "json") {
+            result.set("content", Json(report::signoff_json(db)));
+          } else if (format == "table") {
+            result.set("content", Json(report::signoff_table(db)));
+          } else {
+            result.set("content", Json(report::signoff_html(s.circuit(), db)));
+          }
+        } else {
+          const report::SlackDB db = report::build_slackdb(s.circuit(), s.schedule(), options);
+          result.set("feasible", Json(db.feasible));
+          if (format == "json") {
+            result.set("content", Json(report::report_json(db)));
+          } else if (format == "table") {
+            result.set("content", Json(report::report_table(db)));
+          } else {
+            result.set("content", Json(report::report_html(s.circuit(), db)));
+          }
+        }
+        return result;
+      }};
 }
 
-Json TimingService::handle_sweep(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
-
+Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) {
   // Two sweep parameters: "scale" (default) multiplies the schedule per
   // step, "clock_skew" broadcasts a uniform per-latch skew per step — the
   // serve route to a design's skew-tolerance curve.
   const std::string param = req.str_or("param", "scale");
   if (param != "scale" && param != "clock_skew") {
-    return error_response(id, "invalid_argument",
-                          "param must be one of scale, clock_skew (got \"" + param + "\")");
+    return make_error(ErrorKind::kInvalidArgument,
+                      "param must be one of scale, clock_skew (got \"" + param + "\")");
   }
   const bool skew_sweep = param == "clock_skew";
 
@@ -818,20 +785,17 @@ Json TimingService::handle_sweep(const Json& req, const Json& id) {
   std::vector<double> factors;
   if (req.get("factors").is_array()) {
     for (const Json& f : req.get("factors").items()) {
-      if (!f.is_number()) {
-        return error_response(id, "invalid_argument", "factors must be numbers");
-      }
+      if (!f.is_number()) return make_error(ErrorKind::kInvalidArgument, "factors must be numbers");
       factors.push_back(f.as_number());
     }
   } else {
     const double from = req.num_or("from", skew_sweep ? 0.0 : 0.9);
     const double to = req.num_or("to", skew_sweep ? 1.0 : 1.1);
     const long steps = req.long_or("steps", 5);
-    if (steps < 1) return error_response(id, "invalid_argument", "steps must be >= 1");
+    if (steps < 1) return make_error(ErrorKind::kInvalidArgument, "steps must be >= 1");
     if (steps > config_.max_sweep_steps) {
-      return error_response(id, "invalid_argument",
-                            "steps exceeds the cap of " +
-                                std::to_string(config_.max_sweep_steps));
+      return make_error(ErrorKind::kInvalidArgument,
+                        "steps exceeds the cap of " + std::to_string(config_.max_sweep_steps));
     }
     for (long i = 0; i < steps; ++i) {
       factors.push_back(steps == 1 ? from : from + (to - from) * static_cast<double>(i) /
@@ -839,175 +803,126 @@ Json TimingService::handle_sweep(const Json& req, const Json& id) {
     }
   }
   if (factors.size() > static_cast<size_t>(config_.max_sweep_steps)) {
-    return error_response(id, "invalid_argument",
-                          "factors exceeds the cap of " +
-                              std::to_string(config_.max_sweep_steps));
+    return make_error(ErrorKind::kInvalidArgument,
+                      "factors exceeds the cap of " + std::to_string(config_.max_sweep_steps));
   }
   for (const double f : factors) {
     // A skew of exactly zero is meaningful; a scale of zero is not.
     if (!std::isfinite(f) || (skew_sweep ? f < 0.0 : f <= 0.0)) {
-      return error_response(id, "invalid_argument",
-                            skew_sweep ? "skews must be finite and nonnegative"
-                                       : "factors must be finite and positive");
+      return make_error(ErrorKind::kInvalidArgument,
+                        skew_sweep ? "skews must be finite and nonnegative"
+                                   : "factors must be finite and positive");
     }
   }
 
-  Json result;
-  bool cached = false;
-  entry->session->with([&](sta::AnalysisSession& s) {
-    obs::Fnv1a h;
-    h.u64(s.content_fingerprint()).str("sweep").str(param);
-    for (const double f : factors) h.num(f);
-    const std::uint64_t cache_key = h.digest();
-    if (std::optional<std::string> hit = cache_.get(cache_key)) {
-      Expected<Json> parsed = parse_json(*hit);
-      if (parsed) {
-        result = std::move(parsed.value());
-        cached = true;
-        return;
-      }
-    }
-    const std::uint64_t generation = s.generation();
-    // Every step edits from the ORIGINAL state (not the previous step's) and
-    // the undo log restores the pre-sweep state exactly — content
-    // fingerprint included (checked below via the generation-independent
-    // fingerprint cache keys). A skew sweep broadcasts each value over every
-    // element, so consecutive steps simply overwrite each other.
-    const ClockSchedule base = s.schedule();
-    const size_t mark = s.mark();
-    result = Json::object();
-    result.set("param", Json(param));
-    result.set("base_cycle", Json(base.cycle));
-    Json rows = Json::array();
-    for (const double f : factors) {
-      if (skew_sweep) {
-        for (int i = 0; i < s.circuit().num_elements(); ++i) s.set_element_skew(i, f);
-      } else {
-        s.set_schedule(base.scaled(f));
-      }
-      const sta::TimingReport& report = s.analyze();
-      Json row = Json::object();
-      row.set(skew_sweep ? "skew" : "factor", Json(f));
-      row.set("cycle", Json(s.schedule().cycle));
-      row.set("feasible", Json(report.feasible));
-      row.set("converged", Json(report.converged));
-      row.set("worst_setup_slack", Json(report.worst_setup_slack));
-      if (std::isfinite(report.worst_hold_slack)) {
-        row.set("worst_hold_slack", Json(report.worst_hold_slack));
-      }
-      rows.push(std::move(row));
-    }
-    s.undo_to(mark);
-    result.set("results", std::move(rows));
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-    cache_.put(cache_key, key, generation, result.dump());
-  });
-  return ok_response(id, std::move(result), cached);
-}
-
-Json TimingService::handle_undo(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
-
-  Json result = Json::object();
-  std::string fail;
-  std::uint64_t generation = 0;
-  entry->session->with([&](sta::AnalysisSession& s) {
-    std::vector<size_t>& commits = entry->commits;
-    const long current = static_cast<long>(s.mark());
-    size_t target = 0;
-    if (req.get("to").is_number()) {
-      // Only states the service committed are validated (see edit_batch),
-      // so the target must be one of them: the current mark or a recorded
-      // one, never a point inside a batch.
-      const long to = req.long_or("to", 0);
-      if (to != current && (to < 0 || !std::binary_search(commits.begin(), commits.end(),
-                                                          static_cast<size_t>(to)))) {
-        fail = "mark " + std::to_string(to) +
-               " is neither the current mark (" + std::to_string(current) +
-               ") nor one returned by an edit_batch or min apply";
-        return;
-      }
-      target = static_cast<size_t>(to);
-    } else {
-      const long steps = req.long_or("steps", 1);
-      if (steps < 1 || steps > static_cast<long>(commits.size())) {
-        fail = "cannot undo " + std::to_string(steps) + " steps (" +
-               std::to_string(commits.size()) + " committed)";
-        return;
-      }
-      target = commits[commits.size() - static_cast<size_t>(steps)];
-    }
-    commits.erase(std::lower_bound(commits.begin(), commits.end(), target), commits.end());
-    s.undo_to(target);
-    generation = s.generation();
-    result.set("mark", Json(static_cast<long>(s.mark())));
-    result.set("generation", Json(generation));
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-  });
-  if (!fail.empty()) return error_response(id, "invalid_argument", std::move(fail));
-  cache_.invalidate(key, generation);
-  return ok_response(id, std::move(result), false);
-}
-
-Json TimingService::handle_min(const Json& req, const Json& id) {
-  const std::string key = req.str_or("circuit");
-  const std::shared_ptr<Entry> entry = find_entry(key);
-  if (!entry) {
-    return error_response(id, "not_loaded", "circuit \"" + key + "\" is not loaded");
-  }
-  const bool apply = req.bool_or("apply", false);
-
-  Json result;
-  bool cached = false;
-  std::string fail_kind, fail_msg;
-  std::uint64_t generation = 0;
-  entry->session->with([&](sta::AnalysisSession& s) {
-    const std::uint64_t cache_key =
-        obs::Fnv1a().u64(s.content_fingerprint()).str("min").digest();
-    if (!apply) {
-      if (std::optional<std::string> hit = cache_.get(cache_key)) {
-        Expected<Json> parsed = parse_json(*hit);
-        if (parsed) {
-          result = std::move(parsed.value());
-          cached = true;
-          return;
+  obs::Fnv1a params;
+  params.str(param);
+  for (const double f : factors) params.num(f);
+  return SessionWork{
+      .params = params.digest(),
+      .run = [param, skew_sweep, factors = std::move(factors)](sta::AnalysisSession& s,
+                                                               Entry&) -> Expected<Json> {
+        // Every step edits from the ORIGINAL state (not the previous step's)
+        // and the undo log restores the pre-sweep state exactly — content
+        // fingerprint included (checked below via the generation-independent
+        // fingerprint cache keys). A skew sweep broadcasts each value over
+        // every element, so consecutive steps simply overwrite each other.
+        const ClockSchedule base = s.schedule();
+        const size_t mark = s.mark();
+        Json result = Json::object();
+        result.set("param", Json(param));
+        result.set("base_cycle", Json(base.cycle));
+        Json rows = Json::array();
+        for (const double f : factors) {
+          if (skew_sweep) {
+            for (int i = 0; i < s.circuit().num_elements(); ++i) s.set_element_skew(i, f);
+          } else {
+            s.set_schedule(base.scaled(f));
+          }
+          const sta::TimingReport& report = s.analyze();
+          Json row = Json::object();
+          row.set(skew_sweep ? "skew" : "factor", Json(f));
+          row.set("cycle", Json(s.schedule().cycle));
+          row.set("feasible", Json(report.feasible));
+          row.set("converged", Json(report.converged));
+          row.set("worst_setup_slack", Json(report.worst_setup_slack));
+          if (std::isfinite(report.worst_hold_slack)) {
+            row.set("worst_hold_slack", Json(report.worst_hold_slack));
+          }
+          rows.push(std::move(row));
         }
-      }
-    }
-    opt::MlpOptions options;
-    options.assume_valid = true;  // edit batches keep the circuit validate()-clean
-    Expected<opt::MlpResult> mlp = opt::minimize_cycle_time(s.circuit(), options);
-    if (!mlp) {
-      fail_kind = to_string(mlp.error().kind);
-      fail_msg = mlp.error().message;
-      return;
-    }
-    result = Json::object();
-    result.set("min_cycle", Json(mlp->min_cycle));
-    result.set("schedule", schedule_json(mlp->schedule));
-    result.set("lcs", Json(parser::write_schedule(mlp->schedule)));
-    result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-    if (apply) {
-      const size_t mark = s.mark();
-      s.set_schedule(mlp->schedule);
-      if (s.mark() > mark) entry->commits.push_back(mark);
-      generation = s.generation();
-      result.set("mark", Json(static_cast<long>(mark)));
-      result.set("generation", Json(generation));
-    } else {
-      cache_.put(cache_key, key, s.generation(), result.dump());
-    }
-  });
-  if (!fail_msg.empty()) return error_response(id, fail_kind, std::move(fail_msg));
-  if (apply) cache_.invalidate(key, generation);
-  return ok_response(id, std::move(result), cached);
+        s.undo_to(mark);
+        result.set("results", std::move(rows));
+        return result;
+      }};
 }
 
-Json TimingService::handle_stats(const Json& id) {
+Expected<TimingService::SessionWork> TimingService::verb_undo(const Json& req) {
+  const bool has_to = req.get("to").is_number();
+  const long to = req.long_or("to", 0);
+  const long steps = req.long_or("steps", 1);
+  return SessionWork{
+      .write = true,
+      .run = [has_to, to, steps](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+        std::vector<size_t>& commits = entry.commits;
+        const long current = static_cast<long>(s.mark());
+        size_t target = 0;
+        if (has_to) {
+          // Only states the service committed are validated (see
+          // edit_batch), so the target must be one of them: the current
+          // mark or a recorded one, never a point inside a batch.
+          if (to != current && (to < 0 || !std::binary_search(commits.begin(), commits.end(),
+                                                              static_cast<size_t>(to)))) {
+            return make_error(ErrorKind::kInvalidArgument,
+                              "mark " + std::to_string(to) + " is neither the current mark (" +
+                                  std::to_string(current) +
+                                  ") nor one returned by an edit_batch or min apply");
+          }
+          target = static_cast<size_t>(to);
+        } else {
+          if (steps < 1 || steps > static_cast<long>(commits.size())) {
+            return make_error(ErrorKind::kInvalidArgument,
+                              "cannot undo " + std::to_string(steps) + " steps (" +
+                                  std::to_string(commits.size()) + " committed)");
+          }
+          target = commits[commits.size() - static_cast<size_t>(steps)];
+        }
+        commits.erase(std::lower_bound(commits.begin(), commits.end(), target), commits.end());
+        s.undo_to(target);
+        Json result = Json::object();
+        result.set("mark", Json(static_cast<long>(s.mark())));
+        result.set("generation", Json(s.generation()));
+        return result;
+      }};
+}
+
+Expected<TimingService::SessionWork> TimingService::verb_min(const Json& req) {
+  const bool apply = req.bool_or("apply", false);
+  return SessionWork{
+      .write = apply, .run = [apply](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+        opt::MlpOptions options;
+        options.assume_valid = true;  // edit batches keep the circuit validate()-clean
+        Expected<opt::MlpResult> mlp = opt::minimize_cycle_time(s.circuit(), options);
+        if (!mlp) return mlp.error();
+        Json result = Json::object();
+        result.set("min_cycle", Json(mlp->min_cycle));
+        result.set("schedule", schedule_json(mlp->schedule));
+        result.set("lcs", Json(parser::write_schedule(mlp->schedule)));
+        if (apply) {
+          // The answer names the content the schedule was solved for, so it
+          // is stamped before the commit.
+          result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
+          const size_t mark = s.mark();
+          s.set_schedule(mlp->schedule);
+          if (s.mark() > mark) entry.commits.push_back(mark);
+          result.set("mark", Json(static_cast<long>(mark)));
+          result.set("generation", Json(s.generation()));
+        }
+        return result;
+      }};
+}
+
+Expected<Json> TimingService::verb_stats(const Json& /*req*/) {
   Json sessions = Json::object();
   Json keys = Json::array();
   {
@@ -1088,18 +1003,18 @@ Json TimingService::handle_stats(const Json& id) {
   result.set("sessions", std::move(sessions));
   result.set("cache", std::move(cache));
   result.set("metrics", std::move(metrics));
-  return ok_response(id, std::move(result), false);
+  return result;
 }
 
-Json TimingService::handle_metrics(const Json& id) {
+Expected<Json> TimingService::verb_metrics(const Json& /*req*/) {
   sample_runtime_gauges();
   Json result = Json::object();
   result.set("format", Json("prometheus"));
   result.set("content", Json(obs::prometheus_text(registry().snapshot())));
-  return ok_response(id, std::move(result), false);
+  return result;
 }
 
-Json TimingService::handle_trace(const Json& req, const Json& id) {
+Expected<Json> TimingService::verb_trace(const Json& req) {
   const bool clear = req.bool_or("clear", true);
   obs::Tracer& tracer = obs::Tracer::instance();
   const std::vector<obs::TraceEvent> events = tracer.snapshot();
@@ -1109,7 +1024,7 @@ Json TimingService::handle_trace(const Json& req, const Json& id) {
   result.set("dropped", Json(static_cast<long>(tracer.dropped())));
   result.set("content", Json(obs::chrome_trace_json(events)));
   if (clear) tracer.clear();
-  return ok_response(id, std::move(result), false);
+  return result;
 }
 
 void TimingService::set_runtime_sampler(std::function<void()> sampler) {

@@ -51,14 +51,27 @@
 //               tables, top-K slow requests with trace ids, and the
 //               sampling profiler's flame view ("top": N sizes the tables)
 //
+// One request path: every verb is a row of one verb table. The six session
+// verbs (edit_batch, analyze, report, sweep, undo, min) share one path that
+// answers not_loaded, takes the session lock, serves and stores reads in
+// the result cache, stamps "fingerprint", and invalidates older cache
+// generations after a write; each verb's handler holds only its own
+// parameter checks and work.
+//
+// One record per request: every answered frame — including a frame that
+// does not parse and a request with a malformed "trace" — completes exactly
+// one RequestRecord (audit.h). The audit line, the top-K slow table, the
+// --slow-ms warning and the serve.latency_us / serve.cpu_us /
+// serve.relaxations histograms are rendered from it, and so is the opt-in
+// "cost" envelope block of a dispatched request.
+//
 // Cost attribution: when telemetry is on, every request carries an
 // obs::CostAccount through the thread-local TraceContext — the handler
 // thread and every fixpoint shard charge their CPU slices, and the engines
-// charge relaxations/sweeps at solve completion. The totals feed the
-// serve.cpu_us / serve.relaxations histograms, the audit log and the slow
-// log; a request with "cost": true gets them echoed as a response-envelope
-// "cost" block (never inside result — cached payloads stay byte-identical
-// whether or not attribution is requested).
+// charge relaxations/sweeps at solve completion. The totals land in the
+// request's record; a request with "cost": true gets them echoed as a
+// response-envelope "cost" block (never inside result — cached payloads
+// stay byte-identical whether or not attribution is requested).
 //
 // Telemetry: every request may carry an optional "trace" field (see
 // protocol.h) — a sampled trace id turns recording ON for exactly this
@@ -69,11 +82,12 @@
 // slow_request_us triggers a structured warning log carrying the request's
 // span tree when a request exceeds the threshold.
 //
-// Caching: responses for the read-only verbs (analyze/report/sweep/min) are
-// cached under a content key — AnalysisSession::content_fingerprint (which
-// covers derated delays, so two corners of one circuit never collide) mixed
-// with the verb and its parameters — and tagged with (circuit key,
-// generation) for invalidation on edits; see cache.h.
+// Caching: responses for the read-only verbs (analyze/report/sweep/min
+// without apply) are cached under a content key —
+// AnalysisSession::content_fingerprint (which covers derated delays, so two
+// corners of one circuit never collide) mixed with the verb and its
+// parameters — and tagged with (circuit key, generation) for invalidation
+// on edits; see cache.h.
 //
 // Session-pool eviction: the pool carries a byte budget; loading a new
 // circuit evicts least-recently-used idle sessions (session.evictions
@@ -183,21 +197,9 @@ class TimingService {
   void record_history_sample();
   const obs::HistoryRing& history() const { return history_; }
 
-  /// One slow-log row: the top-K slowest requests since start, kept for the
-  /// status page (independent of the slow-request warning log).
-  struct SlowEntry {
-    double t_seconds = 0.0;  // seconds since service start
-    double us = 0.0;         // wall latency
-    std::int64_t cpu_us = 0;
-    std::int64_t relaxations = 0;
-    bool cached = false;
-    bool ok = false;
-    std::string verb;
-    std::string circuit;
-    std::string trace;  // 16-char hex id, "" when unsampled
-  };
-  /// Slowest requests so far, most expensive first (at most kSlowTopK).
-  std::vector<SlowEntry> slow_requests() const;
+  /// The records of the slowest requests since start, slowest first (at
+  /// most kSlowTopK) — the status page's slow-request table.
+  std::vector<RequestRecord> slow_requests() const;
 
   /// The live ops dashboard as a single self-contained HTML document —
   /// the body of the `status` verb and of `timing_serve --status-html`.
@@ -226,26 +228,50 @@ class TimingService {
     std::vector<size_t> commits;
   };
 
-  // -- Verb handlers. Each returns a complete response envelope
-  // (ok_response / error_response) so cache hits and failures short-circuit
-  // uniformly.
-  Json handle_load(const Json& req, const Json& id);
-  Json handle_edit_batch(const Json& req, const Json& id);
-  Json handle_analyze(const Json& req, const Json& id);
-  Json handle_report(const Json& req, const Json& id);
-  Json handle_sweep(const Json& req, const Json& id);
-  Json handle_undo(const Json& req, const Json& id);
-  Json handle_min(const Json& req, const Json& id);
-  Json handle_stats(const Json& id);
-  Json handle_metrics(const Json& id);
-  Json handle_trace(const Json& req, const Json& id);
-  Json handle_status(const Json& req, const Json& id);  // status.cpp
+  /// A session verb's request after its parameter checks: what the shared
+  /// session path runs under the session lock.
+  struct SessionWork {
+    /// A write changes the session: it bypasses the result cache and, when
+    /// it succeeds, invalidates the circuit's older cache generations. A
+    /// read is served from and stored in the cache under the content
+    /// fingerprint, the verb and `params`.
+    bool write = false;
+    std::uint64_t params = 0;
+    /// The verb's own work. Its answer is stamped with the fingerprint of
+    /// the content it names: the session's after the work, unless the work
+    /// stamped the one it solved for (min apply:true).
+    std::function<Expected<Json>(sta::AnalysisSession&, Entry&)> run;
+  };
 
-  /// Record one finished request in the top-K slow log.
-  void record_slow(SlowEntry entry);
+  // -- The verb table's handlers. A plain verb answers in full; a session
+  // verb checks its parameters and returns its work (service.cpp, except
+  // status in status.cpp).
+  Expected<Json> verb_load(const Json& req);
+  Expected<Json> verb_stats(const Json& req);
+  Expected<Json> verb_metrics(const Json& req);
+  Expected<Json> verb_trace(const Json& req);
+  Expected<Json> verb_status(const Json& req);
+  Expected<SessionWork> verb_edit_batch(const Json& req);
+  Expected<SessionWork> verb_analyze(const Json& req);
+  Expected<SessionWork> verb_report(const Json& req);
+  Expected<SessionWork> verb_sweep(const Json& req);
+  Expected<SessionWork> verb_undo(const Json& req);
+  Expected<SessionWork> verb_min(const Json& req);
 
-  /// Dispatch to the verb handler (the body of handle() minus telemetry).
+  /// Look `verb` up in the verb table and answer the request (the body of
+  /// handle() minus telemetry).
   Json dispatch(const Json& request, const Json& id, const std::string& verb);
+
+  /// The shared path of the session verbs; `bind` is the verb's handler.
+  Json run_session_verb(const Json& request, const Json& id, const std::string& verb,
+                        Expected<SessionWork> (TimingService::*bind)(const Json&));
+
+  /// Complete `record` for the answered `response` and feed every view of
+  /// it: counters, histograms, audit line, slow table and --slow-ms warning
+  /// (with the span tree of `trace_id` since `trace_mark` when sampled).
+  /// Records nothing when telemetry is off. Returns `response`.
+  Json finish(RequestRecord record, Json response, std::chrono::steady_clock::time_point start,
+              std::uint64_t trace_id = 0, size_t trace_mark = 0);
 
   /// Validate one edit op against the session's EVOLVING state and apply
   /// it; returns "" on success, a human-readable problem otherwise (the
@@ -298,7 +324,7 @@ class TimingService {
   long last_history_requests_ = 0;
 
   mutable std::mutex slow_mu_;
-  std::vector<SlowEntry> slow_;  // kept sorted, slowest first, <= kSlowTopK
+  std::vector<RequestRecord> slow_;  // kept sorted, slowest first, <= kSlowTopK
 };
 
 }  // namespace mintc::serve

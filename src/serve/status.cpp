@@ -20,7 +20,6 @@
 #include "obs/export.h"
 #include "obs/profiler.h"
 #include "report/html.h"
-#include "serve/protocol.h"
 #include "serve/service.h"
 
 namespace mintc::serve {
@@ -214,12 +213,12 @@ std::string flame_svg(const obs::Profiler::Profile& profile) {
 
 }  // namespace
 
-Json TimingService::handle_status(const Json& req, const Json& id) {
+Expected<Json> TimingService::verb_status(const Json& req) {
   const long top = std::clamp(req.long_or("top", 16), 1L, 100L);
   Json result = Json::object();
   result.set("format", Json("html"));
   result.set("content", Json(status_html(static_cast<int>(top))));
-  return ok_response(id, std::move(result), false);
+  return result;
 }
 
 std::string TimingService::status_html(int top_n) {
@@ -327,7 +326,7 @@ std::string TimingService::status_html(int top_n) {
 
   // -- Top-K slow requests with their attribution — each row's trace id is
   // the join key into the audit log and the trace buffer.
-  const std::vector<SlowEntry> slow = slow_requests();
+  const std::vector<RequestRecord> slow = slow_requests();
   out << "  <section>\n  <h2>slowest requests</h2>\n";
   if (slow.empty()) {
     out << "  <div class=\"note\">none yet</div>\n";
@@ -335,10 +334,10 @@ std::string TimingService::status_html(int top_n) {
     out << "  <table>\n  <tr><th>at</th><th>verb</th><th>circuit</th><th>wall</th>"
            "<th>cpu</th><th>relaxations</th><th>cache</th><th>ok</th><th>trace</th></tr>\n";
     int rows = 0;
-    for (const SlowEntry& e : slow) {
+    for (const RequestRecord& e : slow) {
       if (rows++ >= top_n) break;
       out << "  <tr><td>" << fmt(e.t_seconds, 1) << "s</td><td>" << html_escape(e.verb)
-          << "</td><td>" << html_escape(e.circuit) << "</td><td>" << fmt_us(e.us)
+          << "</td><td>" << html_escape(e.circuit) << "</td><td>" << fmt_us(e.wall_us)
           << "</td><td>" << fmt_us(static_cast<double>(e.cpu_us)) << "</td><td>"
           << fmt_compact(static_cast<double>(e.relaxations)) << "</td><td>"
           << (e.cached ? "hit" : "miss") << "</td>"

@@ -74,6 +74,71 @@ FixpointResult compute_early_departures(const TimingView& view, const ShiftTable
   return res;
 }
 
+void fill_setup_slacks(const Circuit& circuit, const ClockSchedule& schedule,
+                       const TimingView& view, const ShiftTable& shifts, double eps,
+                       TimingReport& rep) {
+  const int l = circuit.num_elements();
+  rep.setup_ok = true;
+  rep.worst_setup_slack = kInf;
+  rep.worst_setup_element = -1;
+  for (int i = 0; i < l; ++i) {
+    const Element& e = circuit.element(i);
+    ElementTiming& t = rep.elements[static_cast<size_t>(i)];
+    t.departure = rep.fixpoint.departure[static_cast<size_t>(i)];
+    t.arrival = arrival_update(view, shifts, rep.fixpoint.departure, i);
+    if (e.is_latch()) {
+      // The capture margin is setup + local clock skew (the view's fused
+      // setup_margin): the trailing edge may arrive up to σ_i early, so the
+      // data must settle that much sooner.
+      t.setup_slack = schedule.T(e.phase) - view.setup_margin(i) - t.departure;
+    } else {
+      // Flip-flop: arrival must precede the leading edge by setup + skew.
+      t.setup_slack = (t.arrival == kNegInf) ? kInf : (-view.setup_margin(i) - t.arrival);
+    }
+    if (t.setup_slack < rep.worst_setup_slack) {
+      rep.worst_setup_slack = t.setup_slack;
+      rep.worst_setup_element = i;
+    }
+    if (definitely_lt(t.setup_slack, 0.0, eps)) rep.setup_ok = false;
+  }
+  if (l == 0) rep.worst_setup_slack = 0.0;
+}
+
+void fill_hold_slacks(const Circuit& circuit, const ClockSchedule& schedule,
+                      const TimingView& view, const ShiftTable& shifts,
+                      const std::vector<double>* early, double eps, TimingReport& rep) {
+  rep.hold_ok = true;
+  rep.worst_hold_slack = kInf;
+  rep.worst_hold_element = -1;
+  for (auto& t : rep.elements) t.hold_slack = kInf;
+  if (early == nullptr) return;
+  for (int i = 0; i < circuit.num_elements(); ++i) {
+    const Element& e = circuit.element(i);
+    ElementTiming& t = rep.elements[static_cast<size_t>(i)];
+    double earliest_next = kInf;
+    const EdgeIndex fi_end = view.fanin_end(i);
+    for (EdgeIndex fe = view.fanin_begin(i); fe < fi_end; ++fe) {
+      const double a = (*early)[static_cast<size_t>(view.edge_src(fe))] +
+                       view.edge_min_const(fe) + shifts.at(view.edge_shift(fe));
+      earliest_next = std::min(earliest_next, schedule.cycle + a);
+    }
+    if (earliest_next == kInf) continue;  // no fanin: nothing to corrupt
+    if (e.is_latch()) {
+      // The next token must arrive at least hold + skew after the trailing
+      // edge (the edge may arrive up to σ_i late).
+      t.hold_slack = earliest_next - (schedule.T(e.phase) + view.hold_margin(i));
+    } else {
+      // ... or after the leading edge for a flip-flop.
+      t.hold_slack = earliest_next - view.hold_margin(i);
+    }
+    if (t.hold_slack < rep.worst_hold_slack) {
+      rep.worst_hold_slack = t.hold_slack;
+      rep.worst_hold_element = i;
+    }
+    if (definitely_lt(t.hold_slack, 0.0, eps)) rep.hold_ok = false;
+  }
+}
+
 TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedule,
                             const AnalysisOptions& options) {
   const StageTimer wall_timer;
@@ -117,74 +182,23 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   rep.stats.add_stage("departure-fixpoint", rep.fixpoint.stats.solve_seconds);
 
   const StageTimer setup_timer;
-  const std::vector<double> arrival = compute_arrivals(view, shifts, rep.fixpoint.departure);
-
-  // Setup slacks.
-  rep.setup_ok = true;
-  rep.worst_setup_slack = kInf;
-  for (int i = 0; i < l; ++i) {
-    const Element& e = circuit.element(i);
-    ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-    t.departure = rep.fixpoint.departure[static_cast<size_t>(i)];
-    t.arrival = arrival[static_cast<size_t>(i)];
-    if (e.is_latch()) {
-      // The capture margin is setup + local clock skew (the view's fused
-      // setup_margin): the trailing edge may arrive up to σ_i early, so the
-      // data must settle that much sooner.
-      t.setup_slack = schedule.T(e.phase) - view.setup_margin(i) - t.departure;
-    } else {
-      // Flip-flop: arrival must precede the leading edge by setup + skew.
-      t.setup_slack = (t.arrival == kNegInf) ? kInf : (-view.setup_margin(i) - t.arrival);
-    }
-    if (t.setup_slack < rep.worst_setup_slack) {
-      rep.worst_setup_slack = t.setup_slack;
-      rep.worst_setup_element = i;
-    }
-    if (definitely_lt(t.setup_slack, 0.0, options.eps)) rep.setup_ok = false;
-  }
-  if (l == 0) rep.worst_setup_slack = 0.0;
+  fill_setup_slacks(circuit, schedule, view, shifts, options.eps, rep);
   rep.stats.add_stage("setup-slack", setup_timer.seconds());
 
   // Hold slacks (exact short-path check).
-  rep.hold_ok = true;
-  rep.worst_hold_slack = kInf;
-  for (auto& t : rep.elements) t.hold_slack = kInf;
+  FixpointResult early_local;
   if (options.check_hold) {
-    FixpointResult early_local;
     if (early == nullptr) {
       early_local = compute_early_departures(view, shifts, options.fixpoint);
       early = &early_local;
     }
     rep.stats.edge_relaxations += early->stats.edge_relaxations;
     rep.stats.add_stage("early-fixpoint", early->stats.solve_seconds);
-    const StageTimer hold_timer;
-    for (int i = 0; i < l; ++i) {
-      const Element& e = circuit.element(i);
-      ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-      double earliest_next = kInf;
-      const EdgeIndex fi_end = view.fanin_end(i);
-      for (EdgeIndex fe = view.fanin_begin(i); fe < fi_end; ++fe) {
-        const double a = early->departure[static_cast<size_t>(view.edge_src(fe))] +
-                         view.edge_min_const(fe) + shifts.at(view.edge_shift(fe));
-        earliest_next = std::min(earliest_next, schedule.cycle + a);
-      }
-      if (earliest_next == kInf) continue;  // no fanin: nothing to corrupt
-      if (e.is_latch()) {
-        // The next token must arrive at least hold + skew after the trailing
-        // edge (the edge may arrive up to σ_i late).
-        t.hold_slack = earliest_next - (schedule.T(e.phase) + view.hold_margin(i));
-      } else {
-        // ... or after the leading edge for a flip-flop.
-        t.hold_slack = earliest_next - view.hold_margin(i);
-      }
-      if (t.hold_slack < rep.worst_hold_slack) {
-        rep.worst_hold_slack = t.hold_slack;
-        rep.worst_hold_element = i;
-      }
-      if (definitely_lt(t.hold_slack, 0.0, options.eps)) rep.hold_ok = false;
-    }
-    rep.stats.add_stage("hold-slack", hold_timer.seconds());
   }
+  const StageTimer hold_timer;
+  fill_hold_slacks(circuit, schedule, view, shifts,
+                   options.check_hold ? &early->departure : nullptr, options.eps, rep);
+  if (options.check_hold) rep.stats.add_stage("hold-slack", hold_timer.seconds());
 
   // Constraint provenance (which term produced each D_i, what is tight).
   if (options.provenance && rep.converged) {

@@ -90,6 +90,21 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
                              const AnalysisOptions& options, FixpointResult fixpoint,
                              const FixpointResult* early = nullptr);
 
+/// The setup-slack pass of assemble_report over `rep.fixpoint.departure`:
+/// each element's departure, arrival and setup slack, worst_setup_* and
+/// setup_ok. The session's warm refresh runs the same pass, so warm and cold
+/// reports share one slack arithmetic.
+void fill_setup_slacks(const Circuit& circuit, const ClockSchedule& schedule,
+                       const TimingView& view, const ShiftTable& shifts, double eps,
+                       TimingReport& rep);
+
+/// The hold-slack pass of assemble_report: each element's hold slack from the
+/// early departures `early`, worst_hold_* and hold_ok. A null `early` (hold
+/// not checked) leaves every hold slack +inf and hold_ok true.
+void fill_hold_slacks(const Circuit& circuit, const ClockSchedule& schedule,
+                      const TimingView& view, const ShiftTable& shifts,
+                      const std::vector<double>* early, double eps, TimingReport& rep);
+
 /// Earliest departure times (min-fixpoint over min delays); used by the
 /// exact hold check and exposed for tests.
 FixpointResult compute_early_departures(const Circuit& circuit, const ClockSchedule& schedule,

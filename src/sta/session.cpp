@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <limits>
 
-#include "base/approx.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 
@@ -610,19 +608,13 @@ const TimingReport& AnalysisSession::analyze() {
 }
 
 void AnalysisSession::refresh_report_warm(FixpointResult fp) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   const StageTimer wall_timer;
   TimingReport& rep = report_;
-  const TimingView& view = *view_;
-  const ShiftTable& shifts = *shifts_;
-  const int l = circuit_.num_elements();
 
   // Unchanged since the last full assembly: clock_violations / schedule_ok
-  // (schedule untouched) and provenance (off on this path). Everything below
-  // mirrors sta::assemble_report line for line — same update functions, same
-  // iteration order, same tie-breaking — so the rewritten report is
-  // bit-identical to a cold one.
+  // (schedule untouched) and provenance (off on this path). The slack passes
+  // are assemble_report's own, so the rewritten report is bit-identical to a
+  // cold one.
   rep.fixpoint = std::move(fp);
   rep.converged = rep.fixpoint.converged;
   rep.stats = EngineStats{};
@@ -630,59 +622,11 @@ void AnalysisSession::refresh_report_warm(FixpointResult fp) {
   rep.stats.edge_relaxations = rep.fixpoint.stats.edge_relaxations;
   rep.stats.solve_seconds = rep.fixpoint.stats.solve_seconds;
 
-  // Setup slacks (arrivals recomputed in place; arrival_update is the same
-  // kernel compute_arrivals wraps).
-  rep.setup_ok = true;
-  rep.worst_setup_slack = kInf;
-  rep.worst_setup_element = -1;
-  for (int i = 0; i < l; ++i) {
-    const Element& e = circuit_.element(i);
-    ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-    t.departure = rep.fixpoint.departure[static_cast<size_t>(i)];
-    t.arrival = arrival_update(view, shifts, rep.fixpoint.departure, i);
-    if (e.is_latch()) {
-      t.setup_slack = schedule_.T(e.phase) - view.setup_margin(i) - t.departure;
-    } else {
-      t.setup_slack = (t.arrival == kNegInf) ? kInf : (-view.setup_margin(i) - t.arrival);
-    }
-    if (t.setup_slack < rep.worst_setup_slack) {
-      rep.worst_setup_slack = t.setup_slack;
-      rep.worst_setup_element = i;
-    }
-    if (definitely_lt(t.setup_slack, 0.0, options_.eps)) rep.setup_ok = false;
-  }
-  if (l == 0) rep.worst_setup_slack = 0.0;
-
+  fill_setup_slacks(circuit_, schedule_, *view_, *shifts_, options_.eps, rep);
   // Hold slacks from the cached early min-fixpoint (valid by the caller's
   // guard; min constants and shifts have not moved since it was solved).
-  rep.hold_ok = true;
-  rep.worst_hold_slack = kInf;
-  rep.worst_hold_element = -1;
-  for (auto& t : rep.elements) t.hold_slack = kInf;
-  if (options_.check_hold) {
-    for (int i = 0; i < l; ++i) {
-      const Element& e = circuit_.element(i);
-      ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-      double earliest_next = kInf;
-      const EdgeIndex fi_end = view.fanin_end(i);
-      for (EdgeIndex fe = view.fanin_begin(i); fe < fi_end; ++fe) {
-        const double a = early_.departure[static_cast<size_t>(view.edge_src(fe))] +
-                         view.edge_min_const(fe) + shifts.at(view.edge_shift(fe));
-        earliest_next = std::min(earliest_next, schedule_.cycle + a);
-      }
-      if (earliest_next == kInf) continue;  // no fanin: nothing to corrupt
-      if (e.is_latch()) {
-        t.hold_slack = earliest_next - (schedule_.T(e.phase) + view.hold_margin(i));
-      } else {
-        t.hold_slack = earliest_next - view.hold_margin(i);
-      }
-      if (t.hold_slack < rep.worst_hold_slack) {
-        rep.worst_hold_slack = t.hold_slack;
-        rep.worst_hold_element = i;
-      }
-      if (definitely_lt(t.hold_slack, 0.0, options_.eps)) rep.hold_ok = false;
-    }
-  }
+  fill_hold_slacks(circuit_, schedule_, *view_, *shifts_,
+                   options_.check_hold ? &early_.departure : nullptr, options_.eps, rep);
 
   rep.feasible = rep.schedule_ok && rep.converged && rep.setup_ok && rep.hold_ok;
   rep.stats.wall_seconds = wall_timer.seconds();

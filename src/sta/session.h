@@ -209,8 +209,10 @@ class AnalysisSession {
   void edit_path(int p, Fn&& mutate);
 
   /// Allocation-free counterpart of sta::assemble_report for the warm path:
-  /// rewrites report_ in place using the exact arithmetic and iteration
-  /// order of the cold assembly, so the result stays bit-identical. Only
+  /// rewrites report_ in place through the cold assembly's own slack passes
+  /// (fill_setup_slacks, fill_hold_slacks), so the result stays
+  /// bit-identical. It skips the clock check, the early re-solve and the
+  /// reallocation. Only
   /// valid when the schedule and structure are unchanged, provenance is off,
   /// and (when hold is checked) the cached early vector is still valid.
   void refresh_report_warm(FixpointResult fp);

@@ -97,7 +97,7 @@ TEST(CostAccount, ThreadCpuTimerWithNullAccountIsANoOp) {
 TEST(CostAccount, ThreadCpuNowIsMonotonicOnThisThread) {
   const std::int64_t a = thread_cpu_now_us();
   volatile long sink = 0;
-  for (int i = 0; i < 1000000; ++i) sink += i;
+  for (int i = 0; i < 1000000; ++i) sink = sink + i;
   const std::int64_t b = thread_cpu_now_us();
   EXPECT_GE(b, a);
 }

@@ -70,7 +70,7 @@ TEST(SimplexWarmStart, DefectiveHintsFallBackCold) {
 
   // Wrong size, out-of-range, and duplicated columns must all be rejected
   // and produce the cold answer anyway.
-  for (const std::vector<int> bad :
+  for (const std::vector<int>& bad :
        {std::vector<int>{0}, std::vector<int>{-1, 0, 1}, std::vector<int>(cold.basis.size(), 0),
         [&] {
           std::vector<int> b = cold.basis;

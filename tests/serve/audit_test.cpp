@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/json.h"
 #include "serve/service.h"
 
@@ -39,7 +41,7 @@ bool file_exists(const std::string& path) {
 }
 
 TEST(ServeAudit, JsonLineGolden) {
-  AuditRecord r;
+  RequestRecord r;
   r.t_seconds = 1.5;
   r.trace = "00000000deadbeef";
   r.verb = "analyze";
@@ -58,7 +60,7 @@ TEST(ServeAudit, JsonLineGolden) {
 }
 
 TEST(ServeAudit, LinesParseAsJsonAndEscapeContent) {
-  AuditRecord r;
+  RequestRecord r;
   r.verb = "load";
   r.circuit = "we\"ird\\key";
   const std::string line = audit_json_line(r);
@@ -72,7 +74,7 @@ TEST(ServeAudit, LinesParseAsJsonAndEscapeContent) {
 TEST(ServeAudit, AppendWritesOneFlushedLinePerRecord) {
   const std::string path = temp_path("audit_append.jsonl");
   AuditLog log(path, 1u << 20);
-  AuditRecord r;
+  RequestRecord r;
   r.verb = "analyze";
   for (int i = 0; i < 5; ++i) {
     r.t_seconds = i;
@@ -92,7 +94,7 @@ TEST(ServeAudit, RotatesAtTheSizeCapKeepingOnePredecessor) {
   // 4096 is the clamp floor; each record is ~150 bytes, so ~100 records
   // force several rotations.
   AuditLog log(path, 1);  // clamped up to 4096
-  AuditRecord r;
+  RequestRecord r;
   r.verb = "analyze";
   r.circuit = "rotating";
   for (int i = 0; i < 100; ++i) {
@@ -117,7 +119,7 @@ TEST(ServeAudit, RotatesAtTheSizeCapKeepingOnePredecessor) {
 
 TEST(ServeAudit, ResumesSizeAccountingAcrossReopen) {
   const std::string path = temp_path("audit_resume.jsonl");
-  AuditRecord r;
+  RequestRecord r;
   r.verb = "analyze";
   {
     AuditLog log(path, 4096);
@@ -167,6 +169,57 @@ TEST(ServeAudit, ServiceWritesOneRecordPerHandledRequest) {
   const Expected<Json> err = parse_json(lines[3]);
   ASSERT_TRUE(err);
   EXPECT_FALSE(err->get("ok").as_bool(true));
+}
+
+// The early rejections — a frame that is not JSON, a request with a
+// malformed trace — complete a record like any dispatched request: counted,
+// timed, audited and ranked.
+TEST(ServeAudit, EveryAnsweredFrameIsAuditedAndTimed) {
+  const std::string path = temp_path("audit_every_frame.jsonl");
+  ServiceConfig config;
+  config.audit_path = path;
+  TimingService service(config);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const obs::Counter& requests = registry.counter("serve.requests");
+  const obs::Histogram& latency =
+      registry.histogram("serve.latency_us", {}, obs::latency_buckets_us());
+  const long requests_before = requests.value();
+  const long latency_before = latency.count();
+
+  const std::vector<std::string> frames = {
+      "not json",
+      R"({"verb": "analyze", "circuit": "e1", "trace": "xyz"})",
+      R"({"verb": "load", "circuit": "e1", "builtin": "example1"})",
+      R"({"verb": "analyze", "circuit": "e1"})",
+      R"({"verb": "analyze", "circuit": "e1"})",
+      R"({"verb": "report", "circuit": "e1"})",
+      R"({"verb": "min", "circuit": "e1"})",
+      R"({"verb": "stats"})",
+      R"({"verb": "nope"})",
+      R"({"verb": "analyze", "circuit": "ghost"})",
+  };
+  for (const std::string& frame : frames) service.handle_line(frame);
+
+  const long answered = static_cast<long>(frames.size());
+  EXPECT_EQ(requests.value() - requests_before, answered);
+  EXPECT_EQ(latency.count() - latency_before, answered);
+  EXPECT_EQ(service.audit()->written(), answered);
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), frames.size());
+
+  // Every frame is in the slow table, once each.
+  ASSERT_LT(frames.size(), TimingService::kSlowTopK);
+  std::vector<std::string> ranked;
+  for (const RequestRecord& r : service.slow_requests()) {
+    ranked.push_back(r.verb + (r.ok ? ":ok" : ":error"));
+  }
+  std::vector<std::string> expected = {":error",      "analyze:error", "load:ok",
+                                       "analyze:ok",  "analyze:ok",    "report:ok",
+                                       "min:ok",      "stats:ok",      "nope:error",
+                                       "analyze:error"};
+  std::sort(ranked.begin(), ranked.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(ranked, expected);
 }
 
 }  // namespace

@@ -98,6 +98,26 @@ TEST(ServeJson, DepthCapStopsRecursion) {
   EXPECT_TRUE(parse_json(deep, loose));
 }
 
+TEST(ServeJson, IntegerAccessorsSaturateOutOfRange) {
+  // Numbers past long's range are client input; the accessors clamp instead
+  // of casting (undefined behavior beyond the range).
+  constexpr long kMax = std::numeric_limits<long>::max();
+  constexpr long kMin = std::numeric_limits<long>::min();
+  EXPECT_EQ(Json(1e300).as_long(), kMax);
+  EXPECT_EQ(Json(-1e300).as_long(), kMin);
+  EXPECT_EQ(Json(1e19).as_long(), kMax);
+  EXPECT_EQ(Json(-1e19).as_long(), kMin);
+  // In range: truncation toward zero, as before.
+  EXPECT_EQ(Json(-3.7).as_long(), -3);
+  EXPECT_EQ(Json(9007199254740992.0).as_long(), 9007199254740992L);
+
+  const Json parsed = parse_ok(R"({"a": 1e300, "b": -1e300, "c": 1e19})");
+  EXPECT_EQ(parsed.long_or("a", 0), kMax);
+  EXPECT_EQ(parsed.long_or("b", 0), kMin);
+  EXPECT_EQ(parsed.long_or("c", 0), kMax);
+  EXPECT_EQ(parsed.get("a").as_long(), kMax);
+}
+
 TEST(ServeJson, StringEscapesSurviveDump) {
   Json v = Json::object();
   v.set("s", Json(std::string("line1\nline2\ttab\x01" "end")));

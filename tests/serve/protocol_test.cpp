@@ -140,7 +140,9 @@ TEST(ServeProtocol, TraceFieldRejectsMalformedIds) {
     request.set("trace", std::move(trace_value));
     const Expected<TraceField> trace = parse_trace_field(request);
     EXPECT_FALSE(trace.has_value());
-    if (!trace) EXPECT_EQ(trace.error().kind, ErrorKind::kInvalidArgument);
+    if (!trace) {
+      EXPECT_EQ(trace.error().kind, ErrorKind::kInvalidArgument);
+    }
   };
   expect_rejected(Json("xyz"));                 // not hex
   expect_rejected(Json(""));                    // empty

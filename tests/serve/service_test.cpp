@@ -967,6 +967,43 @@ TEST(ServeService, SlowRequestThresholdCountsRequests) {
             before + 2);
 }
 
+// Integer fields past long's range saturate (serve/json.h) instead of
+// reading LONG_MIN, so each request below meets its upper bound.
+TEST(ServeService, HugeStatusTopClampsToTheWholeSlowTable) {
+  TimingService service;
+  for (int i = 0; i < 6; ++i) expect_ok(service, req({{"verb", Json("stats")}}));
+  const std::string html = expect_ok(service, req({{"verb", Json("status")}, {"top", Json(1e300)}}))
+                               .get("result")
+                               .get("content")
+                               .as_string();
+  size_t rows = 0;
+  for (size_t pos = html.find("<td>stats</td>"); pos != std::string::npos;
+       pos = html.find("<td>stats</td>", pos + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 6u) << html;
+}
+
+TEST(ServeService, HugeSweepStepsHitTheStepCap) {
+  TimingService service;
+  load_example1(service, "e1");
+  const Json response = expect_error(
+      service, req({{"verb", Json("sweep")}, {"circuit", Json("e1")}, {"steps", Json(1e300)}}),
+      "invalid_argument");
+  EXPECT_EQ(response.get("error").get("message").as_string(), "steps exceeds the cap of 4096");
+}
+
+TEST(ServeService, HugeUndoMarkIsNamedSaturated) {
+  TimingService service;
+  load_example1(service, "e1");
+  const Json response = expect_error(
+      service, req({{"verb", Json("undo")}, {"circuit", Json("e1")}, {"to", Json(1e300)}}),
+      "invalid_argument");
+  EXPECT_EQ(response.get("error").get("message").as_string().rfind("mark 9223372036854775807 ", 0),
+            0u)
+      << response.dump();
+}
+
 TEST(ServeService, TelemetryOffServesIdenticallyWithoutRecording) {
   obs::Tracer::instance().clear();
   ServiceConfig config;
