@@ -19,16 +19,14 @@ BUILD="${1:-build}"
 HERE="$(dirname "$0")"
 
 cmake --build "$BUILD" -j --target \
-  bench_serve bench_view_fixpoint bench_incremental bench_parallel_fixpoint \
-  bench_compare
+  bench_serve bench_view_fixpoint bench_incremental bench_compare
 
 "$BUILD/bench/bench_serve" --small --check --out "$HERE/BENCH_serve.json"
 "$BUILD/bench/bench_serve" --overhead-check --small --out "$HERE/BENCH_overhead.json"
 "$BUILD/bench/bench_view_fixpoint" --small --out "$HERE/BENCH_view.json"
 "$BUILD/bench/bench_incremental" --small --check --out "$HERE/BENCH_incremental.json"
-"$BUILD/bench/bench_parallel_fixpoint" --small --out "$HERE/BENCH_parallel.json"
 
 echo "baselines refreshed under $HERE — review the diff before committing:"
-for f in BENCH_serve BENCH_overhead BENCH_view BENCH_incremental BENCH_parallel; do
+for f in BENCH_serve BENCH_overhead BENCH_view BENCH_incremental; do
   echo "  $f.json"
 done

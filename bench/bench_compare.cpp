@@ -4,7 +4,7 @@
 //       [--tolerance 0.15] [--time-tolerance 0.25] [--out verdict.json]
 //
 // Both inputs are bench emissions (BENCH_view / BENCH_incremental /
-// BENCH_parallel / BENCH_serve, or any JSON with numeric leaves). Every
+// BENCH_serve / BENCH_overhead, or any JSON with numeric leaves). Every
 // numeric leaf is flattened to a dotted path; array elements carrying
 // identity fields (circuit/verb/name/case/scheme) are keyed by those fields
 // instead of their index, so reordered cases still line up:
@@ -77,7 +77,7 @@ Direction classify(const std::string& path) {
 std::string element_key(const Json& v, size_t index) {
   if (v.is_object()) {
     std::string key;
-    for (const char* field : {"circuit", "verb", "name", "case", "scheme", "threads"}) {
+    for (const char* field : {"circuit", "verb", "name", "case", "scheme"}) {
       if (!v.has(field)) continue;
       const Json& id = v.get(field);
       std::string part;

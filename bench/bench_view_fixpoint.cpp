@@ -1,15 +1,26 @@
-// Sweep-throughput benchmark of the eq. (17) engine on the TimingView
-// kernel layer, on synthetic pipelined datapaths up to 10k latches. The
-// datapaths are rings (the last stage feeds the first), so the whole
-// circuit is one strongly connected component and eps = -1 forces exactly
-// max_sweeps full Gauss-Seidel sweeps: every run does the same amount of
-// eq. (17) work and the rate is edge relaxations per second. Each case also
-// checks a converged solve against the Jacobi oracle (check/oracle.h).
+// Throughput benchmark of the eq. (17) engine (sta::FixpointEngine) on the
+// TimingView kernel layer. Two kinds of case:
+//
+//   * datapath-*: synthetic pipelined datapaths up to 10k latches, closed
+//     into rings (the last stage feeds the first), so the whole circuit is
+//     one strongly connected component and eps = -1 forces exactly
+//     max_sweeps full Gauss-Seidel sweeps: every run does the same amount
+//     of eq. (17) work. A converged solve is checked against the Jacobi
+//     oracle (check/oracle.h).
+//   * the generator ladder (src/netlist/generators.h): deep pipelines,
+//     2-D meshes and SCC soups solved to convergence from zero. --small
+//     runs the 5k-latch pipeline and soup, full mode the 10^5-latch
+//     pipeline, mesh and soup, and --huge adds the 10^6-latch pipeline. A
+//     case passes when its solve converges and equals a one-shot
+//     compute_departures bit for bit.
+//
+// Every case builds the view and the SCC plan once (plan_seconds) and
+// reports view_relax_per_sec: edge relaxations per second of the fastest
+// solve over its reps.
 //
 // --overhead-check times the engine (tracing disabled) against the same
 // per-component routine with its telemetry hooks stripped, and fails above
-// 5%. Writes BENCH_view.json (override with --out <path>); --small shrinks
-// the circuit set for CI smoke runs.
+// 5%. Writes BENCH_view.json (override with --out <path>).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -30,21 +41,19 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sta/fixpoint.h"
-#include "sta/parallel_fixpoint.h"
-#include "sta/relax_kernel.h"
 
 using namespace mintc;
 
 namespace {
 
 // ---- The engine's per-component routine, minus the telemetry hooks -------
-// The inline solve of sta::ParallelFixpoint with no trace span, no tracing
-// instantiation, no metrics, no cost charge and no timer, so the
-// --overhead-check gate measures only what the hooks cost with tracing off.
+// sta::FixpointEngine::solve with no trace span, no tracing instantiation,
+// no metrics, no cost charge and no timer, so the --overhead-check gate
+// measures only what the hooks cost with tracing off.
 
 void bare_solve(const TimingView& view, const ShiftTable& shifts, const sta::SccPlan& plan,
-                sta::RelaxRunFn relax, std::vector<double>& d, double eps, int max_sweeps,
-                std::int64_t& updates, long& relaxations) {
+                std::vector<double>& d, double eps, int max_sweeps, std::int64_t& updates,
+                long& relaxations) {
   const double bound = sta::divergence_bound(view, shifts);
   for (int c = 0; c < plan.num_components; ++c) {
     const int* first = plan.members.data() + plan.member_offset[static_cast<size_t>(c)];
@@ -58,7 +67,7 @@ void bare_solve(const TimingView& view, const ShiftTable& shifts, const sta::Scc
         const int i = *m;
         ++updates;
         relaxations += static_cast<long>(view.fanin_count(i));
-        const double v = sta::relax_element(relax, view, shifts, d, i);
+        const double v = mintc::departure_update(view, shifts, d, i);
         if (std::fabs(v - d[static_cast<size_t>(i)]) > eps) changed = true;
         d[static_cast<size_t>(i)] = v;
         if (v > bound) {
@@ -78,11 +87,11 @@ struct CaseResult {
   int latches = 0;
   int edges = 0;
   int sweeps = 0;
-  double view_seconds = 0.0;        // forced-sweep solve, min over reps
+  double view_seconds = 0.0;        // solve, min over reps
   double view_build_seconds = 0.0;
-  double plan_seconds = 0.0;        // SCC plan build
+  double plan_seconds = 0.0;        // SCC plan build, once per case
   double view_rate = 0.0;           // edge relaxations / second
-  bool agrees = false;  // a converged solve matches the Jacobi oracle to 1e-9
+  bool agrees = false;  // the case's correctness check (see the file comment)
 };
 
 Circuit make_datapath(int bits, int stages) {
@@ -98,44 +107,56 @@ Circuit make_datapath(int bits, int stages) {
   return *circuit;
 }
 
-CaseResult run_case(const std::string& name, int bits, int stages, int sweeps, int reps) {
-  const Circuit circuit = make_datapath(bits, stages);
-  // Any schedule with enough slack works — the sweep count is forced, the
-  // values just have to stay bounded. CPM (edge-triggered) Tc is feasible
-  // for the latch circuit too, with margin to spare.
+// Any schedule with enough slack works for a forced-sweep datapath — the
+// sweep count is forced, the values just have to stay bounded. CPM
+// (edge-triggered) Tc is feasible for the latch circuit too, with margin to
+// spare.
+ClockSchedule datapath_schedule(const Circuit& circuit) {
   const double tc = 1.2 * std::max(1.0, baselines::edge_triggered_cpm(circuit).cycle);
-  const ClockSchedule schedule =
-      baselines::ClockShape::symmetric(circuit.num_phases()).at_cycle(tc);
+  return baselines::ClockShape::symmetric(circuit.num_phases()).at_cycle(tc);
+}
 
+// Builds the view and the engine once, then solves `reps` times from zero.
+// `last` receives the final solve.
+CaseResult time_engine(const std::string& name, const Circuit& circuit,
+                       const ClockSchedule& schedule, const sta::FixpointOptions& options,
+                       int reps, sta::FixpointResult& last) {
   CaseResult res;
   res.name = name;
   res.latches = circuit.num_elements();
   res.edges = circuit.num_paths();
-
-  sta::ParallelFixpointOptions opt;
-  opt.fixpoint.eps = -1.0;  // every update "changes": forces exactly max_sweeps sweeps
-  opt.fixpoint.max_sweeps = sweeps;
 
   const TimingView view(circuit);
   const ShiftTable shifts(schedule);
   res.view_build_seconds = view.build_seconds();
   const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
   const StageTimer plan_timer;
-  sta::ParallelFixpoint engine(view, opt);
+  const sta::FixpointEngine engine(view, options);
   res.plan_seconds = plan_timer.seconds();
 
-  long relaxations = 0;
   for (int r = 0; r < reps; ++r) {
-    const sta::FixpointResult fix = engine.solve(shifts, zero);
-    relaxations = fix.stats.edge_relaxations;
-    res.sweeps = fix.sweeps;
-    if (r == 0 || fix.stats.solve_seconds < res.view_seconds) {
-      res.view_seconds = fix.stats.solve_seconds;
+    last = engine.solve(shifts, zero);
+    res.sweeps = last.sweeps;
+    if (r == 0 || last.stats.solve_seconds < res.view_seconds) {
+      res.view_seconds = last.stats.solve_seconds;
     }
   }
-  res.view_rate = static_cast<double>(relaxations) / res.view_seconds;
+  res.view_rate = static_cast<double>(last.stats.edge_relaxations) / res.view_seconds;
+  return res;
+}
 
-  const std::vector<double> engine_final = sta::compute_departures(view, shifts, zero).departure;
+CaseResult run_datapath(const std::string& name, int bits, int stages, int sweeps, int reps) {
+  const Circuit circuit = make_datapath(bits, stages);
+  const ClockSchedule schedule = datapath_schedule(circuit);
+  sta::FixpointOptions forced;
+  forced.eps = -1.0;  // every update "changes": forces exactly max_sweeps sweeps
+  forced.max_sweeps = sweeps;
+  sta::FixpointResult last;
+  CaseResult res = time_engine(name, circuit, schedule, forced, reps, last);
+
+  const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
+  const std::vector<double> engine_final =
+      sta::compute_departures(circuit, schedule, zero).departure;
   const std::vector<double> oracle_final =
       check::jacobi_departures(circuit, schedule, zero).departure;
   res.agrees = engine_final.size() == oracle_final.size();
@@ -146,27 +167,33 @@ CaseResult run_case(const std::string& name, int bits, int stages, int sweeps, i
   return res;
 }
 
+CaseResult run_ladder(const std::string& name, const Circuit& circuit,
+                      const ClockSchedule& schedule, int reps) {
+  sta::FixpointResult last;
+  CaseResult res = time_engine(name, circuit, schedule, {}, reps, last);
+  const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
+  res.agrees = last.converged &&
+               last.departure == sta::compute_departures(circuit, schedule, zero).departure;
+  return res;
+}
+
 struct OverheadResult {
   double baseline_seconds = 0.0;      // bare per-component routine, min of reps
-  double instrumented_seconds = 0.0;  // ParallelFixpoint::solve, tracing disabled
+  double instrumented_seconds = 0.0;  // FixpointEngine::solve, tracing disabled
   double overhead = 0.0;              // instrumented / baseline - 1
 };
 
 OverheadResult run_overhead_check(int bits, int stages, int sweeps, int reps) {
   const Circuit circuit = make_datapath(bits, stages);
-  const double tc = 1.2 * std::max(1.0, baselines::edge_triggered_cpm(circuit).cycle);
-  const ClockSchedule schedule =
-      baselines::ClockShape::symmetric(circuit.num_phases()).at_cycle(tc);
   const TimingView view(circuit);
-  const ShiftTable shifts(schedule);
+  const ShiftTable shifts(datapath_schedule(circuit));
   const std::vector<double> zero(static_cast<size_t>(circuit.num_elements()), 0.0);
 
-  sta::ParallelFixpointOptions opt;
-  opt.fixpoint.eps = -1.0;
-  opt.fixpoint.max_sweeps = sweeps;
-  sta::ParallelFixpoint engine(view, opt);
+  sta::FixpointOptions forced;
+  forced.eps = -1.0;
+  forced.max_sweeps = sweeps;
+  const sta::FixpointEngine engine(view, forced);
   const sta::SccPlan plan(view);
-  const sta::RelaxRunFn relax = sta::relax_run_fn(opt.kernel);
 
   OverheadResult res;
   // Paired measurement: each rep times both sides back to back, so slow
@@ -179,7 +206,7 @@ OverheadResult run_overhead_check(int bits, int stages, int sweeps, int reps) {
     std::int64_t updates = 0;
     long relaxations = 0;
     const StageTimer timer;
-    bare_solve(view, shifts, plan, relax, d, -1.0, sweeps, updates, relaxations);
+    bare_solve(view, shifts, plan, d, -1.0, sweeps, updates, relaxations);
     return timer.seconds();
   };
   const auto run_instr = [&]() {
@@ -209,7 +236,7 @@ OverheadResult run_overhead_check(int bits, int stages, int sweeps, int reps) {
   return res;
 }
 
-void write_json(const std::vector<CaseResult>& cases, const std::string& path, bool small,
+void write_json(const std::vector<CaseResult>& cases, const std::string& path, const char* mode,
                 const OverheadResult* overhead) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -217,7 +244,7 @@ void write_json(const std::vector<CaseResult>& cases, const std::string& path, b
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"view_fixpoint\",\n  \"mode\": \"%s\",\n  \"cases\": [\n",
-               small ? "small" : "full");
+               mode);
   for (size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     std::fprintf(f,
@@ -249,12 +276,15 @@ void write_json(const std::vector<CaseResult>& cases, const std::string& path, b
 
 int main(int argc, char** argv) {
   bool small = false;
+  bool huge = false;
   bool overhead_check = false;
   std::string out = "BENCH_view.json";
   std::string trace_out, metrics_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
+    } else if (std::strcmp(argv[i], "--huge") == 0) {
+      huge = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
@@ -265,7 +295,7 @@ int main(int argc, char** argv) {
       overhead_check = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--small] [--out <path>] [--trace-out <path>]\n"
+                   "usage: %s [--small] [--huge] [--out <path>] [--trace-out <path>]\n"
                    "          [--metrics-out <path>] [--overhead-check]\n",
                    argv[0]);
       return 2;
@@ -274,33 +304,81 @@ int main(int argc, char** argv) {
 
   if (!trace_out.empty()) obs::Tracer::instance().set_enabled(true);
 
-  struct Spec {
+  // A solve is tens of microseconds to a few milliseconds; the minimum over
+  // this many reps keeps the recorded rate within a few percent run to run.
+  // The small cases, which CI gates, repeat for about 0.2 s each: on a
+  // shared host a busy stretch of tens of milliseconds then cannot cover
+  // every rep.
+  struct DatapathSpec {
     const char* name;
     int bits, stages, sweeps, reps;
   };
-  std::vector<Spec> specs;
-  // A solve is tens of microseconds to a few milliseconds; the minimum over
-  // this many reps keeps the recorded rate within a few percent run to run.
+  std::vector<DatapathSpec> datapaths;
   if (small) {
-    specs = {{"datapath-8x32", 8, 32, 10, 100}};
+    datapaths = {{"datapath-8x32", 8, 32, 10, 10000}};
   } else {
-    specs = {{"datapath-8x32", 8, 32, 20, 100},
-             {"datapath-16x64", 16, 64, 20, 50},
-             {"datapath-16x625", 16, 625, 20, 10}};  // 10k latches
+    datapaths = {{"datapath-8x32", 8, 32, 20, 100},
+                 {"datapath-16x64", 16, 64, 20, 50},
+                 {"datapath-16x625", 16, 625, 20, 10}};  // 10k latches
   }
 
-  std::printf("== eq. (17) engine sweep throughput on the TimingView ==\n");
-  TextTable table({"circuit", "latches", "edges", "sweeps", "solve s", "relax/s", "agrees"});
+  struct LadderSpec {
+    std::string name;
+    Circuit circuit;
+    ClockSchedule schedule;
+    int reps;
+  };
+  std::vector<LadderSpec> ladder;
+  const auto add = [&](std::string name, Circuit c, int k, double dq, double delay, int reps) {
+    const ClockSchedule sch = netlist::generator_schedule(k, dq, delay);
+    ladder.push_back({std::move(name), std::move(c), sch, reps});
+  };
+  if (small) {
+    netlist::DeepPipelineConfig pipe;
+    pipe.depth = 200;
+    pipe.width = 25;  // 5k latches
+    add("pipeline-5k", netlist::make_deep_pipeline(pipe), pipe.num_phases, pipe.dq,
+        pipe.delay, 5000);
+    netlist::SccSoupConfig soup;
+    soup.num_sccs = 500;
+    soup.scc_size = 10;
+    soup.cross_edges = 1000;
+    add("soup-5k", netlist::make_scc_soup(soup), soup.num_phases, soup.dq, soup.delay, 8000);
+  } else {
+    netlist::DeepPipelineConfig pipe;
+    pipe.depth = 2500;
+    pipe.width = 40;  // 10^5 latches
+    add("pipeline-100k", netlist::make_deep_pipeline(pipe), pipe.num_phases, pipe.dq,
+        pipe.delay, 10);
+    netlist::MeshConfig mesh;  // 316 x 316 ~= 10^5 latches
+    add("mesh-100k", netlist::make_mesh(mesh), mesh.num_phases, mesh.dq, mesh.delay, 10);
+    netlist::SccSoupConfig soup;  // 1000 rings x 100 latches
+    add("soup-100k", netlist::make_scc_soup(soup), soup.num_phases, soup.dq, soup.delay, 10);
+  }
+  if (huge) {
+    netlist::DeepPipelineConfig big;
+    big.depth = 10000;
+    big.width = 100;  // 10^6 latches
+    add("pipeline-1M", netlist::make_deep_pipeline(big), big.num_phases, big.dq, big.delay, 3);
+  }
+
+  std::printf("== eq. (17) engine throughput on the TimingView (one thread) ==\n");
+  TextTable table(
+      {"circuit", "latches", "edges", "sweeps", "plan s", "solve s", "relax/s", "agrees"});
   std::vector<CaseResult> results;
-  for (const Spec& s : specs) {
-    const CaseResult r = run_case(s.name, s.bits, s.stages, s.sweeps, s.reps);
-    char vbuf[32], rbuf[32];
+  const auto report = [&](const CaseResult& r) {
+    char pbuf[32], vbuf[32], rbuf[32];
+    std::snprintf(pbuf, sizeof pbuf, "%.6f", r.plan_seconds);
     std::snprintf(vbuf, sizeof vbuf, "%.6f", r.view_seconds);
     std::snprintf(rbuf, sizeof rbuf, "%.3g", r.view_rate);
     table.add_row({r.name, std::to_string(r.latches), std::to_string(r.edges),
-                   std::to_string(r.sweeps), vbuf, rbuf, r.agrees ? "yes" : "NO"});
+                   std::to_string(r.sweeps), pbuf, vbuf, rbuf, r.agrees ? "yes" : "NO"});
     results.push_back(r);
+  };
+  for (const DatapathSpec& s : datapaths) {
+    report(run_datapath(s.name, s.bits, s.stages, s.sweeps, s.reps));
   }
+  for (const LadderSpec& s : ladder) report(run_ladder(s.name, s.circuit, s.schedule, s.reps));
   std::printf("%s\n", table.to_string().c_str());
 
   if (!trace_out.empty()) {
@@ -314,19 +392,20 @@ int main(int argc, char** argv) {
   // and scheduler jitter cannot fake a violation.
   OverheadResult oh;
   if (overhead_check) {
-    oh = run_overhead_check(32, 64, small ? 900 : 1800, small ? 7 : 9);
+    oh = run_overhead_check(32, 64, small ? 900 : 1800, small ? 21 : 9);
     std::printf("overhead check: baseline %.4fs, instrumented %.4fs, overhead %+.2f%%\n",
                 oh.baseline_seconds, oh.instrumented_seconds, 100.0 * oh.overhead);
   }
 
-  write_json(results, out, small, overhead_check ? &oh : nullptr);
+  write_json(results, out, huge ? "huge" : (small ? "small" : "full"),
+             overhead_check ? &oh : nullptr);
   if (!metrics_out.empty() && obs::write_metrics_json(metrics_out)) {
     std::printf("wrote %s\n", metrics_out.c_str());
   }
 
   for (const CaseResult& r : results) {
     if (!r.agrees) {
-      std::fprintf(stderr, "FAIL: %s departures differ from the Jacobi oracle\n",
+      std::fprintf(stderr, "FAIL: %s departures failed the case's reference check\n",
                    r.name.c_str());
       return 1;
     }

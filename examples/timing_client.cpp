@@ -398,7 +398,7 @@ int run_load_generator(const LoadGenConfig& config) {
 
   if (!config.trace_out.empty()) {
     // Drain the server's span ring buffer into a Chrome trace file: one
-    // sampled request's spans (protocol -> service -> session -> shards)
+    // sampled request's spans (protocol -> service -> session -> solve)
     // load as a single tree in chrome://tracing.
     serve::Client drain;
     const Expected<bool> connected = drain.connect(config.address);

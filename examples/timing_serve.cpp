@@ -12,6 +12,8 @@
 // wrapper scripts can wait for it), then serves until SIGINT/SIGTERM.
 // --stop-after <sec> exits on its own (CI smoke jobs); --metrics-out
 // dumps the obs metrics registry on shutdown.
+// Numeric flag values must be whole decimal integers in range (--port
+// 0-65535, --threads 1-256); anything else exits 2 with the usage text.
 //
 // Telemetry flags:
 //   --prom-out <file> [--prom-interval <sec>]   periodic Prometheus text
@@ -33,13 +35,16 @@
 //
 // Talk to it with timing_client, timing_tool --remote, or plain nc:
 //   echo '{"verb":"load","circuit":"e1","builtin":"example1"}' | nc -U s.sock
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "obs/export.h"
 #include "obs/profiler.h"
@@ -54,11 +59,20 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
 
+// Ranges of the numeric flags.
+constexpr long kMaxPort = 65535;
+constexpr long kMaxWorkers = 256;
+// The MB sizes stop where the shift to bytes would overflow size_t.
+constexpr long kMaxMegabytes = static_cast<long>(std::numeric_limits<size_t>::max() >> 20);
+// Times (seconds, or milliseconds for --slow-ms) are scaled by 1000.
+constexpr long kMaxTime = std::numeric_limits<long>::max() / 1000;
+constexpr long kMaxCount = std::numeric_limits<long>::max();
+
 int usage() {
   std::printf(
       "usage: timing_serve [--unix <path>] [--port <p>] [--threads <N>]\n"
       "                    [--cache-mb <M>] [--session-mb <M>]\n"
-      "                    [--analyze-threads <N>] [--max-frame-mb <M>]\n"
+      "                    [--max-frame-mb <M>]\n"
       "                    [--stop-after <sec>] [--metrics-out <file>]\n"
       "                    [--prom-out <file>] [--prom-interval <sec>]\n"
       "                    [--trace-out <file>] [--trace-buffer <N>]\n"
@@ -67,7 +81,7 @@ int usage() {
       "                    [--status-html <file>] [--status-interval <sec>]\n"
       "                    [--profile] [--profile-us <T>] [--profile-out <file>]\n"
       "  --port 0 picks an ephemeral port (printed). With no listener flags,\n"
-      "  defaults to --port 0.\n");
+      "  defaults to --port 0. --threads takes 1-256 workers.\n");
   return 2;
 }
 
@@ -87,62 +101,73 @@ int main(int argc, char** argv) {
   long stop_after_sec = 0;
   long profile_interval_us = 0;
 
+  // Every numeric flag parses through here: the whole value must be a
+  // decimal integer in [lo, hi]. A bad one marks the run for the usage exit
+  // and yields `lo`, so nothing downstream sees it.
+  bool bad_number = false;
+  const auto number = [&](const char* text, long lo, long hi) {
+    long value = 0;
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && value >= lo && value <= hi) return value;
+    bad_number = true;
+    return lo;
+  };
+  const auto megabytes = [&](const char* text) {
+    return static_cast<size_t>(number(text, 0, kMaxMegabytes)) << 20;
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--unix" && has_value) {
       server_config.unix_path = argv[++i];
     } else if (arg == "--port" && has_value) {
-      server_config.tcp_port = std::atoi(argv[++i]);
+      server_config.tcp_port = static_cast<int>(number(argv[++i], 0, kMaxPort));
     } else if (arg == "--threads" && has_value) {
-      server_config.num_threads = std::atoi(argv[++i]);
+      server_config.num_threads = static_cast<int>(number(argv[++i], 1, kMaxWorkers));
     } else if (arg == "--cache-mb" && has_value) {
-      service_config.cache_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
+      service_config.cache_bytes = megabytes(argv[++i]);
     } else if (arg == "--session-mb" && has_value) {
-      service_config.session_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
-    } else if (arg == "--analyze-threads" && has_value) {
-      service_config.analyze_threads = std::atoi(argv[++i]);
+      service_config.session_bytes = megabytes(argv[++i]);
     } else if (arg == "--max-frame-mb" && has_value) {
-      service_config.max_frame_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
+      service_config.max_frame_bytes = megabytes(argv[++i]);
       server_config.max_frame_bytes = service_config.max_frame_bytes;
     } else if (arg == "--stop-after" && has_value) {
-      stop_after_sec = std::atol(argv[++i]);
+      stop_after_sec = number(argv[++i], 0, kMaxTime);
     } else if (arg == "--metrics-out" && has_value) {
       metrics_out = argv[++i];
     } else if (arg == "--prom-out" && has_value) {
       prom_out = argv[++i];
     } else if (arg == "--prom-interval" && has_value) {
-      prom_interval_sec = std::atol(argv[++i]);
-      if (prom_interval_sec < 1) prom_interval_sec = 1;
+      prom_interval_sec = std::max(1L, number(argv[++i], 0, kMaxTime));
     } else if (arg == "--trace-out" && has_value) {
       trace_out = argv[++i];
     } else if (arg == "--trace-buffer" && has_value) {
-      trace_buffer = std::atol(argv[++i]);
-      if (trace_buffer < 0) trace_buffer = 0;
+      trace_buffer = number(argv[++i], 0, kMaxCount);
     } else if (arg == "--slow-ms" && has_value) {
-      service_config.slow_request_us = 1000 * std::atol(argv[++i]);
+      service_config.slow_request_us = 1000 * number(argv[++i], 0, kMaxTime);
     } else if (arg == "--no-telemetry") {
       service_config.telemetry = false;
     } else if (arg == "--audit-out" && has_value) {
       service_config.audit_path = argv[++i];
     } else if (arg == "--audit-rotate-mb" && has_value) {
-      service_config.audit_rotate_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
+      service_config.audit_rotate_bytes = megabytes(argv[++i]);
     } else if (arg == "--status-html" && has_value) {
       status_html_out = argv[++i];
     } else if (arg == "--status-interval" && has_value) {
-      status_interval_sec = std::atol(argv[++i]);
-      if (status_interval_sec < 1) status_interval_sec = 1;
+      status_interval_sec = std::max(1L, number(argv[++i], 0, kMaxTime));
     } else if (arg == "--profile") {
       if (profile_interval_us <= 0) profile_interval_us = 2000;
     } else if (arg == "--profile-us" && has_value) {
-      profile_interval_us = std::atol(argv[++i]);
-      if (profile_interval_us < 200) profile_interval_us = 200;
+      profile_interval_us = std::max(200L, number(argv[++i], 0, kMaxCount));
     } else if (arg == "--profile-out" && has_value) {
       profile_out = argv[++i];
       if (profile_interval_us <= 0) profile_interval_us = 2000;
     } else {
       return usage();
     }
+    if (bad_number) return usage();
   }
   if (server_config.unix_path.empty() && server_config.tcp_port < 0) {
     server_config.tcp_port = 0;  // ephemeral loopback by default

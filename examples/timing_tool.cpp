@@ -77,10 +77,6 @@ int cmd_min(const Circuit& c) {
   return 0;
 }
 
-// --threads N (global flag): worker threads of the departure fixpoint
-// engine; 0 or 1 solves inline. The answer is the same at any N.
-int g_threads = 0;
-
 // --remote <addr> (global flag): address of a timing_serve daemon; empty
 // means compute locally.
 std::string g_remote;
@@ -88,7 +84,6 @@ std::string g_remote;
 int cmd_check(const Circuit& c, const ClockSchedule& s) {
   sta::AnalysisOptions opt;
   opt.check_hold = true;
-  opt.num_threads = g_threads;
   const sta::TimingReport rep = sta::check_schedule(c, s, opt);
   std::printf("%s", rep.to_string(c).c_str());
   return rep.feasible ? 0 : 1;
@@ -331,7 +326,6 @@ int usage() {
       "                  [--html <file>] [--nworst <K>] [--corners]\n"
       "       <circuit> is a .lct file or a built-in: example1, example2, gaas\n"
       "       global flags: --metrics-out <file>, --trace-out <file>,\n"
-      "                     --threads <N> (fixpoint engine threads for check),\n"
       "                     --remote <unix:/path | host:port> (timing_serve daemon;\n"
       "                       min, check, corners and report run server-side)\n");
   return 2;
@@ -594,8 +588,6 @@ int main(int argc, char** argv) {
       metrics_out = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      g_threads = std::atoi(argv[++i]);
     } else if (arg == "--remote" && i + 1 < argc) {
       g_remote = argv[++i];
     } else {

@@ -1,17 +1,16 @@
-// Small work-stealing thread pool for the parallel fixpoint engine.
+// Small work-stealing thread pool: the socket server's request workers
+// (serve/server.h). Solves never run on it; every eq. (17) solve is
+// single-threaded on the thread that asks for it.
 //
 // Design goals, in order:
-//   1. Determinism support: the pool runs opaque tasks and never reorders a
-//      task's side effects — all determinism arguments live in the scheduler
-//      built on top (sta/parallel_fixpoint.cpp), which only submits a task
-//      once its data dependencies are fully resolved.
-//   2. Nested submission: a running task may submit follow-up tasks (the
-//      SCC scheduler releases successors as predecessor counts hit zero).
+//   1. Opaque tasks: the pool runs tasks and never reorders a task's side
+//      effects; ordering between tasks is the submitter's business.
+//   2. Nested submission: a running task may submit follow-up tasks.
 //      wait() accounts for those transitively via a single pending counter.
 //   3. Small and auditable over fast: per-worker mutex-protected deques with
-//      LIFO pop / FIFO steal. At the granularity this repo schedules
-//      (one task per SCC shard, microseconds to milliseconds each) the
-//      mutex cost is noise; lock-free deques would buy nothing but risk.
+//      LIFO pop / FIFO steal. At the granularity this repo schedules (one
+//      task per client request) the mutex cost is noise; lock-free deques
+//      would buy nothing but risk.
 //
 // Workers pop from the back of their own deque (cache-warm, depth-first on
 // nested submits) and steal from the front of a victim's deque (oldest task,

@@ -11,7 +11,6 @@
 #include "sim/token_sim.h"
 #include "sta/analysis.h"
 #include "sta/fixpoint.h"
-#include "sta/parallel_fixpoint.h"
 #include "sta/session.h"
 
 namespace mintc::check {
@@ -23,7 +22,6 @@ const char* to_string(CheckKind kind) {
     case CheckKind::kSchemeAgreement: return "scheme-agreement";
     case CheckKind::kSimAgreement: return "sim-agreement";
     case CheckKind::kSessionAgreement: return "session-agreement";
-    case CheckKind::kParallelAgreement: return "parallel-agreement";
     case CheckKind::kSkewAgreement: return "skew-agreement";
   }
   return "?";
@@ -220,26 +218,6 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     fail(CheckKind::kSchemeAgreement, "engine " + flag_string(from_zero) + " at the LP optimum");
   }
   check_against_oracle("MLP slide", lp->departure, lp->lp_departure);
-
-  // Engine 3b, thread counts: the engine at one and at four threads must
-  // agree bitwise in status and departures — at the LP optimum and at the
-  // relaxed schedule the perturbation checks use.
-  for (const ClockSchedule& sch : {lp->schedule, lp->schedule.scaled(options.slack_factor)}) {
-    const ShiftTable shifts(sch);
-    const sta::FixpointResult one = sta::compute_departures(view, shifts, zeros(circuit));
-    sta::ParallelFixpoint four_threads(view, {.num_threads = 4, .fixpoint = {}});
-    const sta::FixpointResult four = four_threads.solve(shifts, zeros(circuit));
-    const std::string where = "Tc=" + fmt_time(sch.cycle, 9) + ": ";
-    if (one.status != four.status) {
-      fail(CheckKind::kParallelAgreement,
-           where + "4 threads " + flag_string(four) + " but 1 thread " + flag_string(one));
-    } else if (one.departure != four.departure) {
-      const VecDiff d = max_abs_diff(one.departure, four.departure);
-      fail(CheckKind::kParallelAgreement,
-           where + "4-thread departures not bitwise equal: off by " + fmt_time(d.amount, 12) +
-               " at element '" + circuit.element(d.element).name + "'");
-    }
-  }
 
   // The token simulator re-derives the same steady state dynamically.
   // Simulate slightly above the optimum (as the sim tests do) so zero-slack

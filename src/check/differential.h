@@ -16,7 +16,6 @@
 //     check/oracle.h oracle) from zero and on MLP's slide from the LP point:
 //     bit for bit where the engine's fixpoint is exact, within
 //     departure_tol where it stopped at the eps deadband,
-//   * the engine gives bitwise the same answer at one and at four threads,
 //   * an sta::AnalysisSession driven through a random delay perturbation
 //     (and its undo) reproduces fresh check_schedule reports BIT-identically,
 //   * the token simulator's steady state matches the analytic fixpoint, and
@@ -43,7 +42,6 @@ enum class CheckKind {
   kSchemeAgreement,       // the fixpoint engine disagrees with the Jacobi oracle
   kSimAgreement,          // token-sim steady state != analytic fixpoint
   kSessionAgreement,      // AnalysisSession warm/undo != fresh check_schedule
-  kParallelAgreement,     // the engine at 4 threads != at 1 thread, bitwise
   kSkewAgreement,         // engines disagree under random per-latch skews
 };
 

@@ -3,10 +3,10 @@
 // Algorithm MLP's steps 3-5 iterate eq. (17) Jacobi-style: every D_i of a
 // sweep is computed from the previous sweep's vector. This oracle does
 // exactly that, straight from the Circuit (no TimingView, no SCC plan), so
-// the fuzzer can check the production engine (sta/parallel_fixpoint.h)
-// against code it shares nothing with beyond the model. Each edge term is
-// added in the view's order, (D_j + (Δ_DQj + Δ_ji)) + S_{pj,pi}, so where
-// both reach an exact fixpoint they agree bit for bit.
+// the fuzzer can check the production engine (sta::FixpointEngine,
+// sta/fixpoint.h) against code it shares nothing with beyond the model.
+// Each edge term is added in the view's order, (D_j + (Δ_DQj + Δ_ji)) +
+// S_{pj,pi}, so where both reach an exact fixpoint they agree bit for bit.
 #pragma once
 
 #include <vector>

@@ -2,8 +2,9 @@
 //
 // LEADOUT (Szymanski, Section II of the paper) partitions the circuit into
 // its strongly connected components before constraint generation; we use SCCs
-// to find feedback loops of latches for structural validation and to restrict
-// cycle-ratio computation to nontrivial components.
+// to find feedback loops of latches for structural validation, to restrict
+// cycle-ratio computation to nontrivial components, and to order the eq. (17)
+// fixpoint engine's solve one component at a time.
 #pragma once
 
 #include <algorithm>
@@ -20,8 +21,8 @@ namespace mintc::graph {
 /// `component` with each node's component index in Tarjan's emission order
 /// — reverse topological, sinks first — and returns the number of
 /// components. The Digraph overload below and the fixpoint engine's SCC plan
-/// (sta/parallel_fixpoint.h, which walks the TimingView's fan-out CSR) both
-/// run it.
+/// (sta::SccPlan in sta/fixpoint.h, which walks the TimingView's fan-out
+/// CSR) both run it.
 template <class Edges, class Successor>
 int tarjan_components(int n, Edges&& edges, Successor&& successor,
                       std::vector<int>& component) {

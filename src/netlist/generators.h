@@ -34,7 +34,7 @@ Netlist make_pipelined_datapath(const DatapathConfig& config);
 // netlist plus extraction would dwarf the timing analysis being measured,
 // and the paper's model lumps combinational clouds into single CombPath
 // delays anyway. Deterministic: same config -> same circuit, element and
-// path insertion order included (the parallel determinism suite depends on
+// path insertion order included (the fixpoint engine suite depends on
 // insertion order being reproducible, since it fixes the SCC member order).
 // Every generator has a matching reference_schedule() that is provably
 // convergent for eq. (17): with `slack` > 1 every feedback loop has strictly
@@ -45,7 +45,7 @@ Netlist make_pipelined_datapath(const DatapathConfig& config);
 /// by every lane of stage s-1 within a small `fanin` window. With `ring`
 /// set, the last stage feeds stage 0 again (one big nontrivial SCC);
 /// otherwise the circuit is acyclic and the SCC partition is all-trivial —
-/// the two extremes of the parallel engine's scheduling spectrum.
+/// the two extremes of the fixpoint engine's SCC plan.
 struct DeepPipelineConfig {
   long depth = 1000;   // stages
   int width = 100;     // latches per stage (depth * width total)
@@ -61,9 +61,8 @@ Circuit make_deep_pipeline(const DeepPipelineConfig& config);
 
 /// A rows x cols 2-D mesh: latch (r, c) feeds (r+1, c) and (r, c+1), phases
 /// striped by anti-diagonal. Acyclic, but with a wavefront-shaped dependency
-/// DAG — the SCC scheduler's parallelism grows and shrinks as the wavefront
-/// crosses the mesh, which is the interesting scheduling shape a plain
-/// pipeline lacks.
+/// DAG: every latch has two upstream components, the shape a plain pipeline
+/// lacks.
 struct MeshConfig {
   int rows = 316;
   int cols = 316;
@@ -77,10 +76,8 @@ Circuit make_mesh(const MeshConfig& config);
 
 /// `num_sccs` independent feedback rings of `scc_size` latches each, plus
 /// `cross_edges` random forward edges between rings (respecting a random
-/// topological order, so the rings stay the only cycles). The SCC soup is
-/// the parallel engine's best case — thousands of mutually independent
-/// nontrivial components — and the topology the determinism suite uses to
-/// maximize scheduling nondeterminism.
+/// topological order, so the rings stay the only cycles): thousands of
+/// small nontrivial components, the other extreme from one giant ring.
 struct SccSoupConfig {
   int num_sccs = 1000;
   int scc_size = 100;      // latches per ring

@@ -1,20 +1,17 @@
 // Per-request cost attribution: a CostAccount accumulates the CPU time and
-// engine work (edge relaxations, sweeps, solves) a single request caused,
-// across every thread that did work on its behalf.
+// engine work (edge relaxations, sweeps, solves) a single request caused.
 //
 // Wiring: the serve handler owns a CostAccount for the request and installs
-// a pointer to it in the thread-local TraceContext (trace.h). The context is
-// already copied BY VALUE into every thread-pool task the request forks
-// (ParallelFixpoint shards, session solves), so the pointer rides along for
-// free — each worker charges the same account through relaxed atomics.
+// a pointer to it in the thread-local TraceContext (trace.h). Every solve
+// runs on the handler's thread, so the engines find the account there and
+// charge it through relaxed atomics.
 //
 // Charging discipline:
-//   * CPU time: each thread that works for the request measures its OWN
+//   * CPU time: a thread that works for the request measures its OWN
 //     thread CPU clock (CLOCK_THREAD_CPUTIME_ID) around the work and adds
-//     the delta. The handler thread covers scalar solves and rendering; the
-//     ParallelFixpoint shards add their slices from inside run_chain. The
-//     total is real CPU burned, not wall time — a request that waited in a
-//     queue is not charged for the wait.
+//     the delta. The handler thread covers parsing, solves and rendering.
+//     The total is real CPU burned, not wall time — a request that waited
+//     in a queue is not charged for the wait.
 //   * Engine work: the fixpoint engines charge relaxations/sweeps ONCE at
 //     solve completion from their own EngineStats, so the account matches
 //     what `stats` reports bit-for-bit and nothing is double counted.
@@ -37,7 +34,7 @@ namespace mintc::obs {
 struct CostAccount {
   std::atomic<std::int64_t> cpu_us{0};         // thread CPU time, microseconds
   std::atomic<std::int64_t> relaxations{0};    // eq.17 edge relaxations
-  std::atomic<std::int64_t> sweeps{0};         // fixpoint sweeps (max shard depth)
+  std::atomic<std::int64_t> sweeps{0};         // fixpoint sweeps per solve, summed
   std::atomic<std::int64_t> solves{0};         // engine solve completions
 
   void add_cpu_us(std::int64_t us) {

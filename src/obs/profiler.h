@@ -54,7 +54,7 @@ class Profiler {
  public:
   /// Frames beyond this depth are counted (so pop stays balanced) but not
   /// recorded; sampled paths are clamped. Deep enough for every span nest
-  /// in the tree (serve.request > session > solve > shard is depth 4).
+  /// in the tree (serve.request > session > solve is depth 3).
   static constexpr int kMaxDepth = 24;
 
   static Profiler& instance();

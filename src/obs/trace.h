@@ -61,9 +61,9 @@ struct CostAccount;  // cost.h — charged through the context's cost pointer
 ///
 /// `cost` rides along independently of sampling: the serve layer attributes
 /// CPU/work to every telemetry-on request, not just the traced ones. The
-/// account is owned by the request handler and outlives every task the
-/// request forks (the engines join their pools before returning), so the
-/// raw pointer is safe to copy across threads with the rest of the context.
+/// account is owned by the request handler and outlives every scope that
+/// installs it, so the raw pointer is safe to copy with the rest of the
+/// context.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   bool sampled = false;

@@ -133,8 +133,8 @@ std::string request_span_args(const std::string& verb, const std::string& circui
 
 /// Render the events belonging to `trace_id` (0 = all) as an indented tree
 /// with per-span durations — the slow-request log body. B/E matching is
-/// per-tid: fixpoint shards record on worker threads and interleave in
-/// buffer order.
+/// per-tid: concurrent requests record on their own threads and interleave
+/// in buffer order.
 std::string span_tree_text(const std::vector<obs::TraceEvent>& events,
                            std::uint64_t trace_id) {
   struct Node {
@@ -255,17 +255,16 @@ Json TimingService::handle(const Json& request) {
   const bool traced = config_.telemetry && trace->context.active();
   if (traced) record.trace = trace_id_hex(trace->context.trace_id);
 
-  // Install the request's context for the handler's whole extent — the
-  // session solve, and (by value-capture + TraceContextScope in
-  // parallel_fixpoint) every fixpoint shard it forks. Inactive context when
-  // untraced: installing is two thread-local writes.
+  // Install the request's context for the handler's whole extent, the
+  // session solve included: the engines run on this thread. Inactive
+  // context when untraced: installing is two thread-local writes.
   //
   // Cost attribution rides the same context but independently of sampling:
   // when telemetry is on, EVERY request carries an account, so the
   // serve.cpu_us / serve.relaxations histograms and the audit log see full
   // traffic, not just the sampled slice. The account lives on this stack
-  // frame; forked fixpoint shards are joined before dispatch returns, so the
-  // pointer never outlives it.
+  // frame and the scope ends before it does, so the pointer never outlives
+  // it.
   obs::CostAccount account;
   obs::TraceContext context = traced ? trace->context : obs::TraceContext{};
   if (config_.telemetry) context.cost = &account;
@@ -282,9 +281,8 @@ Json TimingService::handle(const Json& request) {
 
   Json response;
   {
-    // The handler thread charges its own CPU slice (parse/render/cache and
-    // any scalar solve); pool shards charge theirs in run_chain. The two
-    // never overlap — ThreadPool::wait() blocks, it does not help-execute.
+    // The handler thread charges its own CPU time: parse, render, cache
+    // and every solve.
     const obs::ThreadCpuTimer cpu_timer(config_.telemetry ? &account : nullptr);
     response = dispatch(request, id, record.verb);
   }
@@ -525,7 +523,6 @@ Expected<Json> TimingService::verb_load(const Json& req) {
 
   sta::AnalysisOptions options;
   options.check_hold = true;
-  options.num_threads = config_.analyze_threads;
   const size_t bytes = estimate_session_bytes(*circuit);
   auto session = std::make_unique<sta::SharedSession>(std::move(*circuit), schedule, options);
 

@@ -67,7 +67,7 @@
 //
 // Cost attribution: when telemetry is on, every request carries an
 // obs::CostAccount through the thread-local TraceContext — the handler
-// thread and every fixpoint shard charge their CPU slices, and the engines
+// thread charges its CPU time, and the engines (which run on that thread)
 // charge relaxations/sweeps at solve completion. The totals land in the
 // request's record; a request with "cost": true gets them echoed as a
 // response-envelope "cost" block (never inside result — cached payloads
@@ -75,8 +75,8 @@
 //
 // Telemetry: every request may carry an optional "trace" field (see
 // protocol.h) — a sampled trace id turns recording ON for exactly this
-// request's thread (and the fixpoint shards it forks, which propagate the
-// context), tags every span with the id, and echoes the id in the response.
+// request's thread, tags every span with the id, and echoes the id in the
+// response.
 // ServiceConfig.telemetry kills the whole request-path telemetry
 // (spans/metrics/trace activation) for overhead measurement;
 // slow_request_us triggers a structured warning log carrying the request's
@@ -123,7 +123,9 @@ struct ServiceConfig {
   size_t cache_bytes = 64u << 20;
   /// Session-pool byte budget (estimated bytes of warm sessions kept).
   size_t session_bytes = 256u << 20;
-  /// AnalysisOptions::num_threads for solves (0 or 1 = inline, no pool).
+  /// Ignored: every solve runs single-threaded on the handler's thread.
+  /// Still declared because svcbench sets it; goes with the next svcbench
+  /// change.
   int analyze_threads = 0;
   /// Per-frame size cap enforced on handle_line input.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;

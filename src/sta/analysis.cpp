@@ -10,7 +10,6 @@
 #include "base/table.h"
 #include "obs/cost.h"
 #include "obs/trace.h"
-#include "sta/parallel_fixpoint.h"
 
 namespace mintc::sta {
 
@@ -150,9 +149,8 @@ TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedul
   const int l = circuit.num_elements();
 
   // Departure fixpoint from below (analysis direction).
-  FixpointResult fixpoint =
-      ParallelFixpoint(view, {.num_threads = options.num_threads, .fixpoint = options.fixpoint})
-          .solve(shifts, std::vector<double>(static_cast<size_t>(l), 0.0));
+  FixpointResult fixpoint = compute_departures(
+      view, shifts, std::vector<double>(static_cast<size_t>(l), 0.0), options.fixpoint);
 
   TimingReport rep =
       assemble_report(circuit, schedule, view, shifts, options, std::move(fixpoint));

@@ -30,13 +30,6 @@ struct AnalysisOptions {
   /// Attach a constraint-provenance report (arg-max edges, tight
   /// constraints, named critical chain) to the TimingReport.
   bool provenance = false;
-  /// Worker threads of the departure fixpoint engine (parallel_fixpoint.h).
-  /// 0 and 1 run every SCC inline on the calling thread; >= 2 hands the
-  /// same per-component solves to a thread pool. The thread count decides
-  /// who runs a component, never what it computes, so every result is bit
-  /// for bit the same at any setting — check_schedule, AnalysisSession cold
-  /// solves and the timing_tool --threads flag all honor it.
-  int num_threads = 0;
   double eps = 1e-7;
 };
 

@@ -3,13 +3,97 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
+#include "graph/scc.h"
 #include "obs/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sta/parallel_fixpoint.h"
 
 namespace mintc::sta {
+
+namespace {
+
+// What a solve's components did, summed over the components.
+struct Tally {
+  std::int64_t updates = 0;
+  long relaxations = 0;
+  int max_sweeps = 0;
+  bool diverged = false;
+  bool sweep_limited = false;
+};
+
+// The per-component routine — the one place eq. (17) is iterated cold.
+// Sweeps component `c`'s members Gauss-Seidel, in ascending index, until no
+// member moves by more than eps; a component without a cycle gets one pass.
+// Stops at the first value past the divergence bound. Instantiated with
+// tracing on and off, so the disabled-tracing loop tracks no residual.
+template <bool kTracing>
+void solve_component(const TimingView& view, const ShiftTable& shifts, const SccPlan& plan,
+                     int c, std::vector<double>& d, double eps, double bound, int max_sweeps,
+                     Tally& tally) {
+  const int* first = plan.members.data() + plan.member_offset[static_cast<size_t>(c)];
+  const int* last = plan.members.data() + plan.member_offset[static_cast<size_t>(c) + 1];
+  const bool cyclic = plan.cyclic[static_cast<size_t>(c)] != 0;
+  // Locals, not tally fields: the departure stores in the loop would
+  // otherwise force the counters back to memory on every member.
+  std::int64_t updates = 0;
+  long relaxations = 0;
+  int sweeps = 0;
+  bool settled = false;
+  bool diverged = false;
+  while (!settled && !diverged && sweeps < max_sweeps) {
+    bool changed = false;
+    [[maybe_unused]] double residual = 0.0;  // max |ΔD| this sweep
+    for (const int* m = first; m != last; ++m) {
+      const int i = *m;
+      ++updates;
+      relaxations += static_cast<long>(view.fanin_count(i));
+      const double v = mintc::departure_update(view, shifts, d, i);
+      const double delta = std::fabs(v - d[static_cast<size_t>(i)]);
+      if (delta > eps) changed = true;
+      if constexpr (kTracing) residual = std::max(residual, delta);
+      d[static_cast<size_t>(i)] = v;
+      if (v > bound) {
+        diverged = true;
+        break;
+      }
+    }
+    ++sweeps;
+    if constexpr (kTracing) {
+      if (cyclic) obs::Tracer::instance().counter("fixpoint.residual", residual, "sta");
+    }
+    settled = !changed || !cyclic;
+  }
+  tally.updates += updates;
+  tally.relaxations += relaxations;
+  tally.max_sweeps = std::max(tally.max_sweeps, sweeps);
+  tally.diverged = tally.diverged || diverged;
+  tally.sweep_limited = tally.sweep_limited || (!settled && !diverged);
+}
+
+// The cold solve's registry handles, resolved once: each lookup builds a
+// labeled key under a mutex, and session cold solves run per request.
+struct SolveMetrics {
+  obs::Counter& solves;
+  obs::Counter& sweeps;
+  obs::Counter& relaxations;
+  obs::Histogram& sweeps_per_solve;
+};
+
+SolveMetrics& solve_metrics() {
+  static SolveMetrics m = [] {
+    auto& reg = obs::MetricsRegistry::instance();
+    const obs::Labels labels = {{"scheme", "scc-ordered"}};
+    return SolveMetrics{reg.counter("fixpoint.solves", labels),
+                        reg.counter("fixpoint.sweeps", labels),
+                        reg.counter("fixpoint.edge_relaxations", labels),
+                        reg.histogram("fixpoint.sweeps_per_solve", labels)};
+  }();
+  return m;
+}
+
+}  // namespace
 
 const char* to_string(FixpointStatus status) {
   switch (status) {
@@ -45,6 +129,94 @@ double departure_update(const Circuit& circuit, const ClockSchedule& schedule,
   return mintc::departure_update(view, shifts, departure, i);
 }
 
+SccPlan::SccPlan(const TimingView& view) {
+  const int l = view.num_elements();
+  const auto at = [](int i) { return static_cast<size_t>(i); };
+
+  // Tarjan over the fan-out CSR numbers the components sinks first.
+  std::vector<int> component;
+  num_components = graph::tarjan_components(
+      l, [&](int v) { return std::pair(view.fanout_begin(v), view.fanout_end(v)); },
+      [&](int, EdgeIndex f) { return view.edge_dst(view.fanout_edge(f)); }, component);
+
+  // Renumber sources first, then bucket the members: walking elements in
+  // index order leaves every component's member list ascending.
+  const auto nc = static_cast<size_t>(num_components);
+  for (int& c : component) c = num_components - 1 - c;
+  member_offset.assign(nc + 1, 0);
+  for (const int c : component) ++member_offset[at(c) + 1];
+  for (size_t c = 0; c < nc; ++c) member_offset[c + 1] += member_offset[c];
+  members.resize(at(l));
+  std::vector<int> cursor(member_offset.begin(), member_offset.end() - 1);
+  for (int i = 0; i < l; ++i) members[at(cursor[at(component[at(i)])]++)] = i;
+
+  cyclic.assign(nc, 0);
+  for (size_t c = 0; c < nc; ++c) cyclic[c] = member_offset[c + 1] - member_offset[c] > 1;
+  for (EdgeIndex e = 0; e < view.num_edges(); ++e) {
+    if (view.edge_src(e) == view.edge_dst(e)) cyclic[at(component[at(view.edge_src(e))])] = 1;
+  }
+}
+
+FixpointEngine::FixpointEngine(const TimingView& view, const FixpointOptions& options)
+    : view_(view), options_(options), plan_(view) {}
+
+FixpointResult FixpointEngine::solve(const ShiftTable& shifts,
+                                     std::vector<double> initial) const {
+  const int l = view_.num_elements();
+  assert(static_cast<int>(initial.size()) == l);
+  assert(shifts.num_phases() >= view_.num_phases());
+  const StageTimer timer;
+  const obs::TraceSpan span("fixpoint.solve", "sta");
+  const bool tracing = obs::Tracer::instance().enabled();
+  FixpointResult res;
+  res.departure = std::move(initial);
+  const double eps = options_.eps;
+  const double bound = divergence_bound(view_, shifts);
+  const int max_sweeps = options_.effective_max_sweeps(l);
+
+  // Topological order: every component reads only finished upstream ones.
+  Tally total;
+  for (int c = 0; c < plan_.num_components; ++c) {
+    if (tracing) {
+      solve_component<true>(view_, shifts, plan_, c, res.departure, eps, bound, max_sweeps,
+                            total);
+    } else {
+      solve_component<false>(view_, shifts, plan_, c, res.departure, eps, bound, max_sweeps,
+                             total);
+    }
+  }
+
+  res.updates = total.updates;
+  res.sweeps = total.max_sweeps;
+  res.stats.edge_relaxations = total.relaxations;
+  // Divergence trumps the sweep budget, which trumps convergence.
+  if (total.diverged) {
+    res.diverged = true;
+    res.status = FixpointStatus::kDiverged;
+  } else if (total.sweep_limited) {
+    // Attach the outstanding residual (one extra read-only pass) so the
+    // caller can tell "nearly there" from "nowhere close".
+    res.status = FixpointStatus::kSweepLimit;
+    res.residual = fixpoint_residual(view_, shifts, res.departure);
+  } else {
+    res.converged = true;
+    res.status = FixpointStatus::kConverged;
+  }
+  res.stats.sweeps = res.sweeps;
+  res.stats.solve_seconds = timer.seconds();
+  res.stats.wall_seconds = res.stats.solve_seconds;
+
+  SolveMetrics& metrics = solve_metrics();
+  metrics.solves.inc();
+  metrics.sweeps.inc(res.sweeps);
+  metrics.relaxations.inc(res.stats.edge_relaxations);
+  metrics.sweeps_per_solve.observe(static_cast<double>(res.sweeps));
+  // Attribute the solve's work to the requesting context (serve layer);
+  // one pointer test when no account is installed.
+  obs::charge_solve(res.stats.edge_relaxations, res.sweeps);
+  if (tracing && res.diverged) obs::Tracer::instance().instant("fixpoint.diverged", "sta");
+  return res;
+}
 
 FixpointResult compute_departures(const Circuit& circuit, const ClockSchedule& schedule,
                                   std::vector<double> initial, const FixpointOptions& options) {
@@ -59,7 +231,7 @@ FixpointResult compute_departures(const Circuit& circuit, const ClockSchedule& s
 
 FixpointResult compute_departures(const TimingView& view, const ShiftTable& shifts,
                                   std::vector<double> initial, const FixpointOptions& options) {
-  return ParallelFixpoint(view, {.fixpoint = options}).solve(shifts, std::move(initial));
+  return FixpointEngine(view, options).solve(shifts, std::move(initial));
 }
 
 FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,

@@ -14,13 +14,21 @@
 // feedback loop), the upward iteration diverges; this is detected and
 // reported instead of looping forever.
 //
-// Every cold solve runs ONE routine: the SCC-ordered engine of
-// sta/parallel_fixpoint.h (the LEADOUT partition the paper cites in
-// Section II), at whatever thread count the caller asks for. The
-// compute_departures overloads below are that engine at one thread. The
-// Jacobi iteration the paper prints lives in check/oracle.h as the
-// independent oracle the fuzzer compares against; warm_departures is the
-// single warm path.
+// Every cold solve runs ONE routine, single-threaded: FixpointEngine below
+// (DESIGN §5.5). eq. (17) only couples latches inside a strongly connected
+// component of the latch graph (LEADOUT's partition, paper Section II), so
+// the engine visits the components in topological order and solves each
+// before anything downstream reads it: a component's members are swept
+// Gauss-Seidel in ascending element index until no member moves by more
+// than FixpointOptions::eps, and a component without a cycle gets one pass.
+// A component stops at its first value past the divergence bound; the
+// others still run. Member order matters only where a solve stops at the
+// eps deadband with a nonzero residual (a zero-gain loop at an MLP-optimal
+// schedule); ascending index is the order the plan fixes. The
+// compute_departures overloads below build an engine per call. The Jacobi
+// iteration the paper prints lives in check/oracle.h as the independent
+// oracle the fuzzer compares against; warm_departures is the single warm
+// path.
 //
 // The engine runs on the flattened TimingView/ShiftTable kernel layer
 // (model/timing_view.h). The Circuit-based overloads are thin wrappers that
@@ -97,9 +105,43 @@ struct FixpointResult {
 double departure_update(const Circuit& circuit, const ClockSchedule& schedule,
                         const std::vector<double>& departure, int i);
 
+/// The SCC plan of a TimingView's latch graph: the components in
+/// topological order (sources first), each component's members sorted by
+/// element index. Built from the view's fan-out CSR by an iterative Tarjan;
+/// it depends only on the view's structure, so delay, skew and schedule
+/// edits keep it valid.
+struct SccPlan {
+  int num_components = 0;
+  std::vector<int> member_offset;  // num_components + 1
+  std::vector<int> members;        // ascending within each component
+  std::vector<char> cyclic;        // component holds a cycle (size > 1 or a self-loop)
+
+  explicit SccPlan(const TimingView& view);
+};
+
+/// The engine bound to one TimingView's STRUCTURE: the SCC plan is built
+/// once in the constructor and amortized across solves (delay/Tc edits
+/// change edge constants, not edges). The view must outlive the engine; a
+/// structural edit needs a new FixpointEngine.
+class FixpointEngine {
+ public:
+  FixpointEngine(const TimingView& view, const FixpointOptions& options = {});
+
+  /// One full solve from `initial` (zeros for analysis, LP departures for
+  /// MLP sliding). Same result contract as compute_departures, bit for bit.
+  FixpointResult solve(const ShiftTable& shifts, std::vector<double> initial) const;
+
+  int num_components() const { return plan_.num_components; }
+
+ private:
+  const TimingView& view_;
+  FixpointOptions options_;
+  SccPlan plan_;
+};
+
 /// Iterate eq. (17) from `initial` until convergence, divergence or the
-/// sweep limit: the SCC-ordered engine at one thread, run inline. `initial`
-/// must have one entry per element; pass all-zeros for analysis, or the LP
+/// sweep limit: a FixpointEngine built for this call. `initial` must have
+/// one entry per element; pass all-zeros for analysis, or the LP
 /// departures for Algorithm MLP.
 FixpointResult compute_departures(const Circuit& circuit, const ClockSchedule& schedule,
                                   std::vector<double> initial,
@@ -107,7 +149,7 @@ FixpointResult compute_departures(const Circuit& circuit, const ClockSchedule& s
 
 /// Same contract on a caller-owned view and shift table. Builds the SCC plan
 /// per call; callers solving repeatedly against one view should own a
-/// ParallelFixpoint instead (sta/parallel_fixpoint.h).
+/// FixpointEngine instead.
 FixpointResult compute_departures(const TimingView& view, const ShiftTable& shifts,
                                   std::vector<double> initial,
                                   const FixpointOptions& options = {});

@@ -507,8 +507,7 @@ const TimingReport& AnalysisSession::analyze() {
     engine_.reset();
     view_.emplace(circuit_);
     shifts_.emplace(schedule_);
-    engine_.emplace(*view_, ParallelFixpointOptions{.num_threads = options_.num_threads,
-                                                    .fixpoint = options_.fixpoint});
+    engine_.emplace(*view_, options_.fixpoint);
     rebuilt = true;
   };
   if (!view_ || structural_dirty_) rebuild();

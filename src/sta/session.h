@@ -48,7 +48,6 @@
 #include "model/timing_view.h"
 #include "obs/metrics.h"
 #include "sta/analysis.h"
-#include "sta/parallel_fixpoint.h"
 
 namespace mintc::sta {
 
@@ -232,7 +231,7 @@ class AnalysisSession {
   // with it (structural edits); every cold solve runs through it. After a
   // structural edit resets view_ the engine is stale but unused until
   // analyze() rebuilds both.
-  std::optional<ParallelFixpoint> engine_;
+  std::optional<FixpointEngine> engine_;
 
   TimingReport report_;
   bool report_valid_ = false;  // report_ matches the current state

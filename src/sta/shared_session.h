@@ -25,7 +25,7 @@ namespace mintc::sta {
 class SharedSession {
  public:
   /// Constructs the owned AnalysisSession in place (the session is
-  /// non-movable once its parallel engine is built).
+  /// non-movable once its fixpoint engine is built).
   template <typename... Args>
   explicit SharedSession(Args&&... args) : session_(std::forward<Args>(args)...) {}
 

@@ -84,7 +84,7 @@ TEST(Generators, MultiPhaseVariant) {
 // ---------------------------------------------------------------------------
 // Large-scale timing-graph generators (deep pipelines, meshes, SCC soups).
 // Scaled-down configs here; the 10^5..10^6 shapes run in
-// bench_parallel_fixpoint.
+// bench_view_fixpoint.
 // ---------------------------------------------------------------------------
 
 graph::SccResult sccs_of(const Circuit& c) {

@@ -1,8 +1,8 @@
 // CostAccount / ThreadCpuTimer / charge_solve: the per-request attribution
 // primitives. The serve-layer round trip (account totals == EngineStats on
 // the wire) lives in tests/serve/cost_attribution_test.cpp; here we pin the
-// obs-level contracts: context carriage, charging discipline, and the
-// cross-thread aggregation the fixpoint shards rely on.
+// obs-level contracts: context carriage, charging discipline, and
+// cross-thread aggregation into one account.
 #include "obs/cost.h"
 
 #include <gtest/gtest.h>
@@ -103,9 +103,8 @@ TEST(CostAccount, ThreadCpuNowIsMonotonicOnThisThread) {
 }
 
 TEST(CostAccount, AggregatesAcrossThreads) {
-  // The fixpoint-shard pattern: the context (with its account pointer) is
-  // copied by value into worker tasks; every worker charges the one shared
-  // account concurrently.
+  // The context (with its account pointer) copied by value into worker
+  // tasks: every worker charges the one shared account concurrently.
   CostAccount account;
   TraceContext context;
   context.cost = &account;

@@ -1,15 +1,12 @@
 // Per-request cost attribution, end to end through TimingService::handle():
 // the envelope "cost" block must reconcile with the engine's own EngineStats
-// for the same content, stay OUT of the (cacheable) result payload, and
-// aggregate shard work when the parallel engine runs.
+// for the same content and stay OUT of the (cacheable) result payload.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 
 #include "circuits/example1.h"
-#include "circuits/synthetic.h"
-#include "parser/lct.h"
 #include "serve/service.h"
 #include "sta/analysis.h"
 #include "sta/session.h"
@@ -75,7 +72,6 @@ TEST(ServeCost, ScalarAnalyzeCostMatchesEngineStats) {
   // charged to the account.
   sta::AnalysisOptions options;
   options.check_hold = true;
-  options.num_threads = 0;
   sta::AnalysisSession mirror(circuits::example1(), schedule_from(loaded.get("schedule")),
                               options);
   const sta::TimingReport& report = mirror.analyze();
@@ -139,34 +135,6 @@ TEST(ServeCost, TelemetryOffStillEchoesAZeroCostBlock) {
   EXPECT_EQ(cost.long_or("cpu_us", -1), 0);
   EXPECT_EQ(cost.long_or("relaxations", -1), 0);
   EXPECT_EQ(cost.long_or("solves", -1), 0);
-}
-
-TEST(ServeCost, ParallelEngineAggregatesShardWork) {
-  // With the SCC-parallel engine the relaxations are charged from the pool
-  // shards (run_chain), not the handler thread — the account must still see
-  // them all. Use a circuit big enough that the parallel path does real work.
-  ServiceConfig config;
-  config.cache_bytes = 0;
-  config.analyze_threads = 2;
-  TimingService service(config);
-
-  circuits::SyntheticParams params;
-  params.num_phases = 3;
-  params.num_stages = 6;
-  params.latches_per_stage = 3;
-  params.fanin = 2;
-  const Circuit circuit = circuits::synthetic_circuit(params, 42);
-  expect_ok(service, req({{"verb", Json("load")}, {"circuit", Json("syn")},
-                          {"text", Json(parser::write_circuit(circuit))}}));
-
-  const Json response = expect_ok(service, req({{"verb", Json("analyze")},
-                                                {"circuit", Json("syn")},
-                                                {"cost", Json(true)}}));
-  const Json& cost = response.get("cost");
-  ASSERT_TRUE(cost.is_object()) << response.dump();
-  EXPECT_GT(cost.long_or("relaxations", 0), 0);
-  EXPECT_GE(cost.long_or("solves", 0), 1);
-  EXPECT_GE(cost.long_or("cpu_us", -1), 0);
 }
 
 }  // namespace

@@ -63,21 +63,17 @@ TEST(ServeService, LoadBuiltinReportsShapeAndOptimum) {
 }
 
 TEST(ServeService, AnalyzeIsBitIdenticalToDirectCheckSchedule) {
-  // example1 on the inline engine, and the paper's GaAs datapath at its MLP
-  // optimum (a zero-gain critical loop, where the solve stops at the eps
-  // deadband) on two solver threads: both must reproduce check_schedule at
-  // 0 threads to the last bit.
+  // example1, and the paper's GaAs datapath at its MLP optimum (a zero-gain
+  // critical loop, where the solve stops at the eps deadband): both must
+  // reproduce check_schedule to the last bit.
   struct Input {
     const char* builtin;
     Circuit circuit;
-    int analyze_threads;
   };
-  const Input inputs[] = {{"example1", circuits::example1(), 0},
-                          {"gaas", circuits::gaas_datapath(), 2}};
+  const Input inputs[] = {{"example1", circuits::example1()},
+                          {"gaas", circuits::gaas_datapath()}};
   for (const Input& in : inputs) {
-    ServiceConfig config;
-    config.analyze_threads = in.analyze_threads;
-    TimingService service(config);
+    TimingService service;
     const Json loaded = expect_ok(service, req({{"verb", Json("load")},
                                                 {"circuit", Json("c")},
                                                 {"builtin", Json(in.builtin)}}))
@@ -866,7 +862,7 @@ TEST(ServeService, MetricsVerbEmitsPrometheusText) {
 // tree, sliced out of the shared ring by trace id via the `trace` verb.
 TEST(ServeService, TraceVerbReturnsTheSampledRequestTree) {
   obs::Tracer::instance().clear();
-  TimingService service;  // analyze_threads=0: whole solve on this thread
+  TimingService service;  // the whole solve runs on this thread
   load_example1(service, "e1");
 
   const Json response = service.handle(req({{"verb", Json("analyze")},

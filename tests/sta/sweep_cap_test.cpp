@@ -111,7 +111,7 @@ TEST(SweepCap, DeepPipelineConvergesUnderTheAutoBudget) {
   // would silently "finish" at 100000 Jacobi sweeps. The auto budget must
   // cover it. (Depth here is reduced from 10^6 to keep tier-1 fast; the
   // budget math is exercised identically and the full scale runs in
-  // bench_parallel_fixpoint.)
+  // bench_view_fixpoint --huge.)
   netlist::DeepPipelineConfig cfg;
   cfg.depth = 2000;
   cfg.width = 1;
