@@ -1,7 +1,7 @@
 // timing_tool — the library's functionality behind one command-line front
 // end, in the spirit of the authors' later checkTc/minTc utilities.
 //
-//   timing_tool min <circuit.lct>                 minimum cycle time + schedule
+//   timing_tool min <circuit.lct>                 minimum cycle time, critical cycle, schedule
 //   timing_tool check <circuit.lct> <sched.lcs>   verify a schedule (checkTc)
 //   timing_tool loops <circuit.lct>               feedback-loop inventory
 //   timing_tool critical <circuit.lct>            critical segments at the optimum
@@ -44,6 +44,7 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "opt/critical.h"
+#include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "opt/sensitivity.h"
 #include "parser/lcs.h"
@@ -65,15 +66,18 @@ using namespace mintc;
 
 namespace {
 
+// Tc* as the constraint graph's maximum cycle ratio, the cycle that sets
+// it, and one optimal schedule (the certified potentials, not MLP's vertex).
 int cmd_min(const Circuit& c) {
-  const auto r = opt::minimize_cycle_time(c);
+  const auto r = opt::minimize_cycle_time_exact(c);
   if (!r) {
     std::printf("error: %s\n", r.error().to_string().c_str());
     return 1;
   }
-  std::printf("Tc* = %s\n%s\n", fmt_time(r->min_cycle, 6).c_str(),
+  std::printf("Tc* = %s\n%s\ncritical cycle:", fmt_time(r->min_cycle, 6).c_str(),
               parser::write_schedule(r->schedule).c_str());
-  std::printf("%s", viz::ascii_timing_diagram(c, r->schedule, r->departure).c_str());
+  for (const opt::CycleRow& row : r->critical_cycle) std::printf(" %s", row.name.c_str());
+  std::printf("\n%s", viz::ascii_timing_diagram(c, r->schedule, r->departure).c_str());
   return 0;
 }
 
@@ -417,7 +421,7 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
   if (!loaded) return 1;
   std::printf("loaded \"%s\" on %s: %ld elements, %ld paths%s\n", circuit_arg.c_str(),
               g_remote.c_str(), loaded->long_or("elements", 0), loaded->long_or("paths", 0),
-              loaded->has("min_cycle") ? " (schedule: server-side MLP optimum)" : "");
+              loaded->has("min_cycle") ? " (schedule: server-side exact optimum)" : "");
 
   const auto make_req = [&](const char* verb) {
     Json req = Json::object();
@@ -429,8 +433,14 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
   if (cmd == "min") {
     const std::optional<Json> result = remote_call(client, make_req("min"));
     if (!result) return 1;
-    std::printf("Tc* = %s\n%s", fmt_time(result->num_or("min_cycle", 0.0), 6).c_str(),
+    std::printf("Tc* = %s\n%scritical cycle:",
+                fmt_time(result->num_or("min_cycle", 0.0), 6).c_str(),
                 result->str_or("lcs").c_str());
+    const Json& cycle = result->get("critical_cycle");
+    for (size_t i = 0; i < cycle.size(); ++i) {
+      std::printf(" %s", cycle.at(i).str_or("row").c_str());
+    }
+    std::printf("\n");
     return 0;
   }
 

@@ -45,6 +45,9 @@ std::string DifferentialReport::to_string() const {
 
 namespace {
 
+// The exact solver's Tc* must match the simplex's this closely, relative.
+constexpr double kExactRelTol = 1e-9;
+
 std::vector<double> zeros(const Circuit& circuit) {
   return std::vector<double>(static_cast<size_t>(circuit.num_elements()), 0.0);
 }
@@ -135,21 +138,29 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   opt::GraphSolveOptions bf_opts;
   bf_opts.generator = options.generator;
   const auto bf = opt::minimize_cycle_time_graph(graph_input, bf_opts);
+  const auto ex = opt::minimize_cycle_time_exact(graph_input, bf_opts);
 
-  if (!lp || !bf) {
-    if (lp.has_value() != bf.has_value()) {
+  // The graph solvers against the simplex: both feasible, or both failing
+  // with the same error kind.
+  const auto outcomes_agree = [&](const char* solver, const auto& other) {
+    if (lp.has_value() != other.has_value()) {
       std::ostringstream out;
       out << "simplex " << (lp ? "found Tc*=" + fmt_time(lp->min_cycle, 6) : lp.error().to_string())
-          << " but graph solver "
-          << (bf ? "found Tc*=" + fmt_time(bf->min_cycle, 6) : bf.error().to_string());
+          << " but " << solver << " "
+          << (other ? "found Tc*=" + fmt_time(other->min_cycle, 6) : other.error().to_string());
       fail(CheckKind::kSolverAgreement, out.str());
-    } else if (lp.error().kind != bf.error().kind) {
+      return false;
+    }
+    if (!lp && lp.error().kind != other.error().kind) {
       fail(CheckKind::kSolverAgreement,
            std::string("error kinds differ: simplex ") + mintc::to_string(lp.error().kind) +
-               " vs graph " + mintc::to_string(bf.error().kind));
+               " vs " + solver + " " + mintc::to_string(other.error().kind));
     }
-    return rep;  // no schedule to run the remaining checks against
-  }
+    return lp.has_value();
+  };
+  const bool bf_ok = outcomes_agree("graph solver", bf);
+  const bool ex_ok = outcomes_agree("exact solver", ex);
+  if (!bf_ok || !ex_ok) return rep;  // no schedule to run the remaining checks against
 
   rep.feasible = true;
   rep.min_cycle = lp->min_cycle;
@@ -159,6 +170,12 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
          "simplex Tc*=" + fmt_time(lp->min_cycle, 8) + " vs graph Tc*=" +
              fmt_time(bf->min_cycle, 8) + " (tol " + fmt_time(options.tc_tol * tc_scale, 8) + ")");
   }
+  // The exact solver agrees to rounding, relative to Tc* itself.
+  if (std::fabs(lp->min_cycle - ex->min_cycle) > kExactRelTol * std::fabs(lp->min_cycle)) {
+    fail(CheckKind::kSolverAgreement,
+         "simplex Tc*=" + fmt_time(lp->min_cycle, 15) + " vs exact Tc*=" +
+             fmt_time(ex->min_cycle, 15) + " (relative tol " + fmt_time(kExactRelTol, 12) + ")");
+  }
 
   // Each engine's solution must satisfy the nonlinear problem P1 exactly —
   // not just the relaxed LP rows.
@@ -167,6 +184,9 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   }
   if (!opt::satisfies_p1(graph_input, bf->schedule, bf->departure, options.p1_eps)) {
     fail(CheckKind::kP1Satisfaction, "graph-solver (schedule, departures) violates P1");
+  }
+  if (!opt::satisfies_p1(graph_input, ex->schedule, ex->departure, options.p1_eps)) {
+    fail(CheckKind::kP1Satisfaction, "exact-solver (schedule, departures) violates P1");
   }
 
   // One flattened view serves every fixpoint below (the engine legs, the sim

@@ -1,15 +1,17 @@
 // Differential cross-checking of the library's independent Tc engines.
 //
-// The repo computes the optimal cycle time by three routes that share no
+// The repo computes the optimal cycle time by routes that share no
 // machinery beyond the circuit model: Algorithm MLP over the simplex
-// (opt/mlp.h), the difference-constraint/Bellman-Ford solver anticipated by
-// the paper's Section VI (opt/graph_solver.h), and the eq. (17) departure
-// fixpoint validated dynamically by the token simulator (sta/fixpoint.h,
+// (opt/mlp.h), the two difference-constraint solvers anticipated by the
+// paper's Section VI (opt/graph_solver.h: the Bellman-Ford binary search
+// and the exact maximum cycle ratio), and the eq. (17) departure fixpoint
+// validated dynamically by the token simulator (sta/fixpoint.h,
 // sim/token_sim.h). check_circuit() asserts the full agreement matrix on
 // one circuit:
 //
-//   * the simplex and graph-solver optima agree on Tc* (or both report the
-//     same infeasibility),
+//   * the simplex and both graph-solver optima agree on Tc* — the binary
+//     search within tc_tol, the exact solver within 1e-9 relative — or all
+//     report the same error kind,
 //   * each engine's (schedule, departures) satisfies the nonlinear problem
 //     P1 exactly,
 //   * the eq. (17) engine matches the paper's Jacobi iteration (the
@@ -37,7 +39,7 @@
 namespace mintc::check {
 
 enum class CheckKind {
-  kSolverAgreement,       // simplex Tc* vs graph-solver Tc* (or error kinds)
+  kSolverAgreement,       // simplex Tc* vs graph-solver / exact-solver Tc* (or error kinds)
   kP1Satisfaction,        // an engine's (schedule, departures) violates P1
   kSchemeAgreement,       // the fixpoint engine disagrees with the Jacobi oracle
   kSimAgreement,          // token-sim steady state != analytic fixpoint
@@ -77,7 +79,7 @@ struct DifferentialOptions {
   /// Per-latch skews are drawn uniformly from [0, skew_magnitude * Tc*].
   double skew_magnitude = 0.05;
   /// Fault injection for demos and shrinker tests: bump path 0's delay by
-  /// this relative amount in the copy handed to the graph solver only, so
+  /// this relative amount in the copy handed to the graph solvers only, so
   /// the engines see different circuits and must disagree. 0 = off.
   double inject_solver_skew = 0.0;
 };

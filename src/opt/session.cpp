@@ -46,20 +46,7 @@ Expected<MlpResult> CycleTimeSession::minimize() {
     if (res->lp_stats.warm_started) ++counters_.warm_lp_starts;
     if (res->lp_stats.warm_rejected) ++counters_.lp_fallbacks;
     basis_ = res->basis;
-    last_tc_ = res->min_cycle;
   }
-  return res;
-}
-
-Expected<GraphSolveResult> CycleTimeSession::minimize_graph() {
-  GraphSolveOptions opts;
-  opts.generator = options_.generator;
-  opts.tc_hint = last_tc_;
-  opts.assume_valid = ensure_valid();
-  ++counters_.graph_solves;
-  if (opts.tc_hint > 0.0) ++counters_.warm_brackets;
-  Expected<GraphSolveResult> res = minimize_cycle_time_graph(circuit_, opts);
-  if (res) last_tc_ = res->min_cycle;
   return res;
 }
 
@@ -80,7 +67,6 @@ Expected<SensitivityReport> CycleTimeSession::sensitivities() {
                       "P2 did not solve to optimality for sensitivities");
   }
   basis_ = sol.basis;
-  last_tc_ = sol.objective;
   SensitivityReport report;
   report.min_cycle = sol.objective;
   report.dtc_ddelay.assign(static_cast<size_t>(circuit_.num_paths()), 0.0);

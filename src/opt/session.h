@@ -2,24 +2,19 @@
 //
 // Section VI of the paper proposes parametric programming to "study the
 // effects on the optimal cycle time of varying the circuit delays" — which
-// in practice means re-solving the same LP (or difference-constraint
-// system) many times under small delay perturbations. A CycleTimeSession
-// owns one mutable Circuit and carries the solver state that survives such
-// perturbations:
+// in practice means re-solving the same LP many times under small delay
+// perturbations. A CycleTimeSession owns one mutable Circuit and carries the
+// solver state that survives such perturbations:
 //
 //   * the optimal simplex basis of the last P2 solve, fed back as a
 //     basis_hint so the next solve skips phase 1 and re-optimizes in a
 //     handful of pivots (zero when the basis is still optimal);
-//   * the last optimal Tc*, fed to the graph solver as tc_hint so its
-//     binary search starts from a ~10%-wide bracket instead of
-//     [0, CPM-doubling];
 //   * the one-time Circuit::validate() result, skipped on re-solves since
 //     every session mutator preserves the validated invariants.
 //
-// All warm state is advisory: a defective basis or stale Tc hint falls
-// back to the cold path inside the engines, so session results equal
-// one-shot minimize_cycle_time / minimize_cycle_time_graph results on the
-// mutated circuit.
+// All warm state is advisory: a defective basis falls back to the cold
+// path inside the simplex, so session results equal one-shot
+// minimize_cycle_time results on the mutated circuit.
 //
 // This is the optimizer-side sibling of sta::AnalysisSession (which warms
 // the eq. 17 departure fixpoint); sensitivity.cpp and parametric.cpp are
@@ -30,7 +25,6 @@
 
 #include "base/error.h"
 #include "model/circuit.h"
-#include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "opt/sensitivity.h"
 
@@ -62,12 +56,6 @@ class CycleTimeSession {
   /// simplex basis when one exists.
   Expected<MlpResult> minimize();
 
-  /// The difference-constraint solver on the current circuit, its binary
-  /// search bracketed around the cached Tc* when one exists. Tc agrees with
-  /// minimize() to the solver's tolerance (not bit-exactly — the binary
-  /// search is tolerance-bound by construction).
-  Expected<GraphSolveResult> minimize_graph();
-
   /// dTc*/dΔ_ij for every path from the duals of one (warm) P2 solve.
   Expected<SensitivityReport> sensitivities();
 
@@ -75,8 +63,6 @@ class CycleTimeSession {
     long lp_solves = 0;       // simplex-backed solves (minimize + sensitivities)
     long warm_lp_starts = 0;  // ... of which installed the cached basis
     long lp_fallbacks = 0;    // ... of which rejected it and ran two-phase
-    long graph_solves = 0;
-    long warm_brackets = 0;   // graph solves bracketed from the cached Tc*
   };
   const Counters& counters() const { return counters_; }
 
@@ -87,7 +73,6 @@ class CycleTimeSession {
   MlpOptions options_;
   bool validated_ = false;
   std::vector<int> basis_;  // last optimal simplex basis (empty = none)
-  double last_tc_ = -1.0;   // last optimal Tc* (< 0 = none)
   Counters counters_;
 };
 

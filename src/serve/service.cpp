@@ -16,7 +16,7 @@
 #include "obs/cost.h"
 #include "obs/export.h"
 #include "obs/trace.h"
-#include "opt/mlp.h"
+#include "opt/graph_solver.h"
 #include "parser/lcs.h"
 #include "parser/lct.h"
 #include "report/export.h"
@@ -86,6 +86,20 @@ Json schedule_json(const ClockSchedule& schedule) {
   s.set("start", std::move(start));
   s.set("width", std::move(width));
   return s;
+}
+
+/// The rows of a critical cycle, in cycle order: name, constant a and Tc
+/// coefficient k of x_u − x_v ≤ a + k·Tc. Tc* = −Σa / Σk.
+Json cycle_json(const std::vector<opt::CycleRow>& rows) {
+  Json out = Json::array();
+  for (const opt::CycleRow& r : rows) {
+    Json row = Json::object();
+    row.set("row", Json(r.name));
+    row.set("a", Json(r.a));
+    row.set("k", Json(static_cast<long>(r.k)));
+    out.push(std::move(row));
+  }
+  return out;
 }
 
 /// Summarize a TimingReport as a result payload. `detail` adds per-element
@@ -512,9 +526,9 @@ Expected<Json> TimingService::verb_load(const Json& req) {
     }
     schedule = std::move(parsed.value());
   } else {
-    opt::MlpOptions mlp;
-    mlp.assume_valid = true;  // just validated above
-    Expected<opt::MlpResult> result = opt::minimize_cycle_time(*circuit, mlp);
+    opt::GraphSolveOptions exact;
+    exact.assume_valid = true;  // just validated above
+    Expected<opt::ExactSolveResult> result = opt::minimize_cycle_time_exact(*circuit, exact);
     if (!result) return result.error();
     schedule = result->schedule;
     min_cycle = result->min_cycle;
@@ -897,20 +911,22 @@ Expected<TimingService::SessionWork> TimingService::verb_min(const Json& req) {
   const bool apply = req.bool_or("apply", false);
   return SessionWork{
       .write = apply, .run = [apply](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
-        opt::MlpOptions options;
+        opt::GraphSolveOptions options;
         options.assume_valid = true;  // edit batches keep the circuit validate()-clean
-        Expected<opt::MlpResult> mlp = opt::minimize_cycle_time(s.circuit(), options);
-        if (!mlp) return mlp.error();
+        Expected<opt::ExactSolveResult> exact =
+            opt::minimize_cycle_time_exact(s.circuit(), options);
+        if (!exact) return exact.error();
         Json result = Json::object();
-        result.set("min_cycle", Json(mlp->min_cycle));
-        result.set("schedule", schedule_json(mlp->schedule));
-        result.set("lcs", Json(parser::write_schedule(mlp->schedule)));
+        result.set("min_cycle", Json(exact->min_cycle));
+        result.set("schedule", schedule_json(exact->schedule));
+        result.set("lcs", Json(parser::write_schedule(exact->schedule)));
+        result.set("critical_cycle", cycle_json(exact->critical_cycle));
         if (apply) {
           // The answer names the content the schedule was solved for, so it
           // is stamped before the commit.
           result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
           const size_t mark = s.mark();
-          s.set_schedule(mlp->schedule);
+          s.set_schedule(exact->schedule);
           if (s.mark() > mark) entry.commits.push_back(mark);
           result.set("mark", Json(static_cast<long>(mark)));
           result.set("generation", Json(s.generation()));

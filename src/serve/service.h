@@ -12,7 +12,8 @@
 // Verbs:
 //   load        create/replace the session for a circuit key from .lct text
 //               (or a named builtin), with an optional .lcs schedule
-//               (default: the MLP optimum)
+//               (default: the optimum `min` would return, with its
+//               "min_cycle")
 //   edit_batch  apply a list of edits atomically (all-or-nothing: any
 //               invalid edit, or a result Circuit::validate() would reject,
 //               rolls the whole batch back via the undo log). Costs
@@ -35,8 +36,17 @@
 //               must be the current mark or a mark such a commit returned,
 //               never a point inside a batch, so undo lands only on states
 //               that passed validation
-//   min         MLP minimum cycle time + optimal schedule for the loaded
-//               circuit (what lets `timing_tool min --remote` work)
+//   min         the minimum cycle time of the loaded circuit, solved
+//               exactly as the maximum cycle ratio of its constraint graph
+//               (opt::minimize_cycle_time_exact): "min_cycle" = Tc*;
+//               "schedule"/"lcs" = the certified Bellman-Ford potentials at
+//               Tc*, an optimal schedule but in general not the vertex
+//               MLP's simplex picks; "critical_cycle" = the rows whose
+//               ratio is Tc*, in cycle order, each {"row", "a", "k"} for
+//               x_u - x_v <= a + k*Tc (so Tc* = -sum a / sum k), named as
+//               generate_lp names its rows, with "C4:"/"L3:" names for the
+//               variable bounds. "apply": true installs the schedule (what
+//               lets `timing_tool min --remote` work)
 //   stats       service introspection: per-session pool state, cache
 //               hit/byte/eviction counters, latency/queue metrics
 //   metrics     the full metrics registry rendered in the Prometheus text

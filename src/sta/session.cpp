@@ -267,22 +267,14 @@ void AnalysisSession::apply_structural() {
 void AnalysisSession::set_path_delay(int p, double delay) {
   const double old = circuit_.path(p).delay;
   if (delay == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathDelay;
-  rec.index = p;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kPathDelay, p, old});
   apply_path_delay(p, delay);
 }
 
 void AnalysisSession::set_path_min_delay(int p, double min_delay) {
   const double old = circuit_.path(p).min_delay;
   if (min_delay == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathMinDelay;
-  rec.index = p;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kPathMinDelay, p, old});
   apply_path_min_delay(p, min_delay);
 }
 
@@ -300,66 +292,43 @@ void AnalysisSession::set_path_delays(int p, double delay, double min_delay) {
 
 void AnalysisSession::set_path_label(int p, std::string label) {
   if (circuit_.path(p).label == label) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathLabel;
-  rec.index = p;
-  rec.label = circuit_.path(p).label;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kPathLabel, p, 0.0});
+  undo_labels_.push_back(circuit_.path(p).label);
   apply_path_label(p, std::move(label));
 }
 
 void AnalysisSession::set_element_dq(int i, double dq) {
   const double old = circuit_.element(i).dq;
   if (dq == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementDq;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementDq, i, old});
   apply_element_dq(i, dq);
 }
 
 void AnalysisSession::set_element_dq_min(int i, double dq_min) {
   const double old = circuit_.element(i).dq_min;
   if (dq_min == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementDqMin;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementDqMin, i, old});
   apply_element_dq_min(i, dq_min);
 }
 
 void AnalysisSession::set_element_setup(int i, double setup) {
   const double old = circuit_.element(i).setup;
   if (setup == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementSetup;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementSetup, i, old});
   apply_element_setup(i, setup);
 }
 
 void AnalysisSession::set_element_hold(int i, double hold) {
   const double old = circuit_.element(i).hold;
   if (hold == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementHold;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementHold, i, old});
   apply_element_hold(i, hold);
 }
 
 void AnalysisSession::set_element_skew(int i, double skew) {
   const double old = circuit_.element(i).skew;
   if (skew == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementSkew;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementSkew, i, old});
   apply_element_skew(i, skew);
 }
 
@@ -368,10 +337,10 @@ void AnalysisSession::set_schedule(const ClockSchedule& schedule) {
       schedule.width == schedule_.width && has_schedule_) {
     return;
   }
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kSchedule;
-  rec.schedule = schedule_;
-  undo_.push_back(std::move(rec));
+  assert(schedule_.start.size() == schedule_.width.size());
+  undo_.push_back({UndoRecord::Kind::kSchedule, schedule_.num_phases(), schedule_.cycle});
+  undo_schedules_.insert(undo_schedules_.end(), schedule_.start.begin(), schedule_.start.end());
+  undo_schedules_.insert(undo_schedules_.end(), schedule_.width.begin(), schedule_.width.end());
   apply_schedule(schedule);
 }
 
@@ -409,11 +378,8 @@ void AnalysisSession::apply_derating(double delay_scale, double min_scale) {
 // -- Structural edits --------------------------------------------------------
 
 void AnalysisSession::remove_path(int p) {
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathRemoved;
-  rec.index = p;
-  rec.path = circuit_.remove_path(p);
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kPathRemoved, p, 0.0});
+  undo_paths_.push_back(circuit_.remove_path(p));
   apply_structural();
 }
 
@@ -424,11 +390,8 @@ void AnalysisSession::remove_element(int i) {
   }
   std::sort(incident.begin(), incident.end(), std::greater<int>());
   for (const int p : incident) remove_path(p);
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementRemoved;
-  rec.index = i;
-  rec.element = circuit_.remove_element(i);
-  undo_.push_back(std::move(rec));
+  undo_.push_back({UndoRecord::Kind::kElementRemoved, i, 0.0});
+  undo_elements_.push_back(circuit_.remove_element(i));
   apply_structural();
 }
 
@@ -436,7 +399,7 @@ void AnalysisSession::remove_element(int i) {
 
 void AnalysisSession::undo() {
   assert(!undo_.empty() && "undo with an empty log");
-  UndoRecord rec = std::move(undo_.back());
+  const UndoRecord rec = undo_.back();
   undo_.pop_back();
   switch (rec.kind) {
     case UndoRecord::Kind::kPathDelay:
@@ -446,7 +409,8 @@ void AnalysisSession::undo() {
       apply_path_min_delay(rec.index, rec.value);
       break;
     case UndoRecord::Kind::kPathLabel:
-      apply_path_label(rec.index, std::move(rec.label));
+      apply_path_label(rec.index, std::move(undo_labels_.back()));
+      undo_labels_.pop_back();
       break;
     case UndoRecord::Kind::kElementDq:
       apply_element_dq(rec.index, rec.value);
@@ -463,15 +427,23 @@ void AnalysisSession::undo() {
     case UndoRecord::Kind::kElementSkew:
       apply_element_skew(rec.index, rec.value);
       break;
-    case UndoRecord::Kind::kSchedule:
-      apply_schedule(rec.schedule);
+    case UndoRecord::Kind::kSchedule: {
+      const auto k = static_cast<std::ptrdiff_t>(rec.index);
+      const auto widths = undo_schedules_.end() - k;
+      const auto starts = widths - k;
+      apply_schedule(ClockSchedule(rec.value, std::vector<double>(starts, widths),
+                                   std::vector<double>(widths, undo_schedules_.end())));
+      undo_schedules_.erase(starts, undo_schedules_.end());
       break;
+    }
     case UndoRecord::Kind::kPathRemoved:
-      circuit_.insert_path(rec.index, std::move(rec.path));
+      circuit_.insert_path(rec.index, std::move(undo_paths_.back()));
+      undo_paths_.pop_back();
       apply_structural();  // later undos may touch re-inserted indices
       break;
     case UndoRecord::Kind::kElementRemoved:
-      circuit_.insert_element(rec.index, std::move(rec.element));
+      circuit_.insert_element(rec.index, std::move(undo_elements_.back()));
+      undo_elements_.pop_back();
       apply_structural();
       break;
   }

@@ -162,28 +162,28 @@ class AnalysisSession {
   const Counters& counters() const { return counters_; }
 
  private:
+  // One logged mutation, 16 bytes. Payloads that do not fit a scalar live on
+  // per-kind LIFO side stacks that undo() pops with their record.
   struct UndoRecord {
-    enum class Kind {
+    enum class Kind : std::uint8_t {
       kPathDelay,
       kPathMinDelay,
-      kPathLabel,
+      kPathLabel,       // previous label on undo_labels_
       kElementDq,
       kElementDqMin,
       kElementSetup,
       kElementHold,
       kElementSkew,
-      kSchedule,
-      kPathRemoved,
-      kElementRemoved,
+      kSchedule,        // index = previous phase count, value = previous Tc;
+                        // its starts then widths on undo_schedules_
+      kPathRemoved,     // the path on undo_paths_
+      kElementRemoved,  // the element on undo_elements_
     };
     Kind kind;
-    int index = 0;           // path/element id (also the re-insert position)
-    double value = 0.0;      // previous scalar value
-    std::string label;       // previous path label
-    CombPath path;           // removed path
-    Element element;         // removed element
-    ClockSchedule schedule;  // previous schedule
+    int index = 0;       // path/element id (also the re-insert position)
+    double value = 0.0;  // previous scalar value
   };
+  static_assert(sizeof(UndoRecord) == 16, "undo records must stay compact");
 
   // Non-logging appliers shared by the setters and undo().
   void apply_path_delay(int p, double delay);
@@ -254,6 +254,10 @@ class AnalysisSession {
   bool fixpoint_exact_ = false;
 
   std::vector<UndoRecord> undo_;
+  std::vector<std::string> undo_labels_;
+  std::vector<double> undo_schedules_;
+  std::vector<CombPath> undo_paths_;
+  std::vector<Element> undo_elements_;
   Counters counters_;
 
   std::uint64_t generation_ = 0;

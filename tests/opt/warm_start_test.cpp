@@ -1,8 +1,6 @@
-// Warm-start layer tests: simplex basis reuse, the graph solver's Tc-hint
-// bracket, and the CycleTimeSession loops that sensitivity/parametric
-// sweeps ride on. Warm results must agree with cold ones — exactly where
-// the engine is exact (simplex optimum), within tolerance where it is
-// tolerance-bound by construction (binary search).
+// Warm-start layer tests: simplex basis reuse and the CycleTimeSession
+// loops that sensitivity/parametric sweeps ride on. Warm results must agree
+// with cold ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +10,6 @@
 #include "circuits/gaas.h"
 #include "lp/simplex.h"
 #include "opt/constraints.h"
-#include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "opt/parametric.h"
 #include "opt/sensitivity.h"
@@ -85,32 +82,6 @@ TEST(SimplexWarmStart, DefectiveHintsFallBackCold) {
   }
 }
 
-TEST(GraphWarmStart, TcHintShrinksBracketAndAgrees) {
-  const Circuit circuit = circuits::gaas_datapath();
-  const auto cold = minimize_cycle_time_graph(circuit);
-  ASSERT_TRUE(cold);
-
-  GraphSolveOptions warm_opts;
-  warm_opts.tc_hint = cold->min_cycle;
-  const auto warm = minimize_cycle_time_graph(circuit, warm_opts);
-  ASSERT_TRUE(warm);
-  EXPECT_NEAR(warm->min_cycle, cold->min_cycle, 2.0 * warm_opts.tol);
-  EXPECT_LE(warm->search_steps, cold->search_steps);
-}
-
-TEST(GraphWarmStart, StaleHintStillFindsTheOptimum) {
-  const Circuit circuit = circuits::gaas_datapath();
-  const auto cold = minimize_cycle_time_graph(circuit);
-  ASSERT_TRUE(cold);
-  for (const double factor : {0.2, 5.0}) {  // hint far below / far above Tc*
-    GraphSolveOptions opts;
-    opts.tc_hint = cold->min_cycle * factor;
-    const auto warm = minimize_cycle_time_graph(circuit, opts);
-    ASSERT_TRUE(warm) << "factor " << factor;
-    EXPECT_NEAR(warm->min_cycle, cold->min_cycle, 2.0 * opts.tol) << "factor " << factor;
-  }
-}
-
 TEST(CycleTimeSession, WarmMinimizeMatchesFreshAcrossPerturbations) {
   const Circuit circuit = circuits::gaas_datapath();
   CycleTimeSession session(circuit);
@@ -133,23 +104,6 @@ TEST(CycleTimeSession, WarmMinimizeMatchesFreshAcrossPerturbations) {
   EXPECT_EQ(session.counters().lp_solves, 5);
   // Same-shaped LPs: the cached basis installs every time after the first.
   EXPECT_GE(session.counters().warm_lp_starts, 3);
-}
-
-TEST(CycleTimeSession, WarmGraphSolveTracksPerturbations) {
-  const Circuit circuit = circuits::gaas_datapath();
-  CycleTimeSession session(circuit);
-  ASSERT_TRUE(session.minimize_graph());
-  EXPECT_EQ(session.counters().warm_brackets, 0);  // nothing cached yet
-
-  session.set_path_delay(0, circuit.path(0).delay * 1.05);
-  Circuit scratch = circuit;
-  scratch.set_path_delay(0, circuit.path(0).delay * 1.05);
-  const auto warm = session.minimize_graph();
-  const auto fresh = minimize_cycle_time_graph(scratch);
-  ASSERT_TRUE(warm);
-  ASSERT_TRUE(fresh);
-  EXPECT_NEAR(warm->min_cycle, fresh->min_cycle, 2e-7);
-  EXPECT_EQ(session.counters().warm_brackets, 1);
 }
 
 TEST(CycleTimeSession, SessionSensitivitiesMatchOneShot) {

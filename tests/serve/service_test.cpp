@@ -8,15 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "circuits/example1.h"
+#include "circuits/example2.h"
 #include "circuits/gaas.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/constraints.h"
 #include "parser/lct.h"
 #include "parser/lcs.h"
 #include "sta/analysis.h"
@@ -594,10 +597,14 @@ TEST(ServeService, SkewEditInvalidatesCacheAndChangesFingerprint) {
   const Json analyze = req({{"verb", Json("analyze")}, {"circuit", Json("e1")}});
   const Json before = service.handle(analyze);
   EXPECT_TRUE(service.handle(analyze).get("cached").as_bool(false));
+  // At the exact optimum some element's setup check binds; skew that one.
+  const long critical = before.get("result").get("worst_setup_element").as_long(-1);
+  ASSERT_GE(critical, 0);
+  EXPECT_NEAR(before.get("result").get("worst_setup_slack").as_number(), 0.0, 1e-9);
 
   Json edits = Json::array();
   edits.push(req({{"op", Json("set_element_skew")},
-                  {"element", Json(0L)},
+                  {"element", Json(critical)},
                   {"value", Json(5.0)}}));
   const Json r = expect_ok(service, req({{"verb", Json("edit_batch")},
                                          {"circuit", Json("e1")},
@@ -699,6 +706,50 @@ TEST(ServeService, MinVerbMatchesLoadOptimum) {
   const Expected<ClockSchedule> parsed = parser::parse_schedule(r.get("lcs").as_string());
   ASSERT_TRUE(parsed);
   EXPECT_DOUBLE_EQ(parsed->cycle, 110.0);
+}
+
+// `min` answers with the exact maximum cycle ratio, the rows of the cycle
+// that sets it, and a schedule that passes check_schedule. The paper pins
+// come back with MLP's bits.
+TEST(ServeService, MinNamesItsCriticalCycle) {
+  struct Pin {
+    const char* builtin;
+    Circuit circuit;
+    double tc;
+  };
+  for (const Pin& pin : {Pin{"example1", circuits::example1(80.0), 110.0},
+                         Pin{"example2", circuits::example2(), 70.0},
+                         Pin{"gaas", circuits::gaas_datapath(), 4.3999999999999995}}) {
+    TimingService service;
+    const Json loaded = expect_ok(service, req({{"verb", Json("load")},
+                                                {"circuit", Json("c")},
+                                                {"builtin", Json(pin.builtin)}}))
+                            .get("result");
+    EXPECT_EQ(loaded.get("min_cycle").as_number(), pin.tc) << pin.builtin;
+    const Json r = expect_ok(service, req({{"verb", Json("min")}, {"circuit", Json("c")}}))
+                       .get("result");
+    EXPECT_EQ(r.get("min_cycle").as_number(), pin.tc) << pin.builtin;
+    EXPECT_TRUE(sta::check_schedule(pin.circuit, schedule_of(r.get("schedule"))).feasible)
+        << pin.builtin;
+
+    const opt::GeneratedLp lp = opt::generate_lp(pin.circuit);
+    std::set<std::string> lp_rows;
+    for (const lp::Row& row : lp.model.rows()) lp_rows.insert(row.name);
+    const Json& cycle = r.get("critical_cycle");
+    ASSERT_GT(cycle.size(), 0u) << pin.builtin;
+    double sum_a = 0.0;
+    long sum_k = 0;
+    for (size_t i = 0; i < cycle.size(); ++i) {
+      const std::string name = cycle.at(i).get("row").as_string();
+      sum_a += cycle.at(i).get("a").as_number();
+      sum_k += cycle.at(i).get("k").as_long(-1);
+      if (name.rfind("C4:", 0) != 0 && name.rfind("L3:", 0) != 0) {
+        EXPECT_TRUE(lp_rows.count(name)) << pin.builtin << ": " << name;
+      }
+    }
+    ASSERT_GT(sum_k, 0) << pin.builtin;
+    EXPECT_EQ((0.0 - sum_a) / static_cast<double>(sum_k), pin.tc) << pin.builtin;
+  }
 }
 
 TEST(ServeService, ReportVerbRendersInMemory) {

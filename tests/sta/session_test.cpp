@@ -340,6 +340,93 @@ TEST(AnalysisSession, FingerprintTracksRandomEditsAndUndos) {
   }
 }
 
+// The undo log holds 16-byte records and parks labels, schedules, removed
+// paths and removed elements on per-kind side stacks. A random mix of every
+// record kind, rewound to random marks on the way and then to each
+// remaining mark in turn, must give back the circuit, the schedule and the
+// fingerprint bit for bit at every mark.
+TEST(AnalysisSession, UndoToEveryMarkRestoresContentBitwise) {
+  const Fixture f(circuits::gaas_datapath());
+  AnalysisSession session(f.circuit, f.schedule, f.options);
+  std::mt19937_64 rng(11);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto pick = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  struct Snapshot {
+    size_t mark;
+    std::string text;
+    std::uint64_t fingerprint;
+  };
+  std::vector<Snapshot> snapshots;
+  const auto expect_at = [&](const Snapshot& snap, int step) {
+    ASSERT_EQ(session.mark(), snap.mark) << "step " << step;
+    EXPECT_EQ(content_text(session), snap.text) << "step " << step;
+    EXPECT_EQ(session.content_fingerprint(), snap.fingerprint) << "step " << step;
+  };
+  int removals = 0;
+  int rewinds = 0;
+  for (int step = 0; step < 500; ++step) {
+    if (snapshots.empty() || pick(3) == 0) {
+      snapshots.push_back({session.mark(), content_text(session), session.content_fingerprint()});
+    }
+    const Circuit& c = session.circuit();
+    const int p = pick(c.num_paths());
+    const int i = pick(c.num_elements());
+    switch (pick(10)) {
+      case 0:
+        session.set_path_delay(p, c.path(p).min_delay + uniform(0.0, 3.0));
+        break;
+      case 1:
+        session.set_path_min_delay(p, c.path(p).delay * uniform(0.0, 1.0));
+        break;
+      case 2: {
+        const auto letter = static_cast<char>('a' + pick(26));
+        session.set_path_label(p, std::string(static_cast<size_t>(pick(40)), letter));
+        break;
+      }
+      case 3:
+        session.set_element_dq_min(i, pick(3) == 0 ? -1.0 : uniform(0.0, 1.0));
+        break;
+      case 4:
+        session.set_element_skew(i, uniform(0.0, 0.3));
+        break;
+      case 5:
+        session.set_schedule(f.schedule.scaled(uniform(0.9, 1.3)));
+        break;
+      case 6:
+        if (c.num_paths() > 8) {
+          session.remove_path(p);
+          ++removals;
+        }
+        break;
+      case 7:
+        if (c.num_elements() > 8) {
+          session.remove_element(i);
+          ++removals;
+        }
+        break;
+      default: {
+        const size_t at = static_cast<size_t>(pick(static_cast<int>(snapshots.size())));
+        session.undo_to(snapshots[at].mark);
+        expect_at(snapshots[at], step);
+        snapshots.resize(at + 1);
+        ++rewinds;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(removals, 10);
+  EXPECT_GT(rewinds, 10);
+  while (!snapshots.empty()) {
+    session.undo_to(snapshots.back().mark);
+    expect_at(snapshots.back(), -1);
+    snapshots.pop_back();
+  }
+  ASSERT_EQ(session.mark(), 0u);
+  expect_reports_identical(session.analyze(), f.fresh(f.circuit, f.schedule));
+}
+
 // Warm re-analysis cases no other session test covers: the warm path must
 // stay local, and must still report a runaway loop.
 
