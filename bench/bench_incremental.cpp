@@ -205,6 +205,11 @@ int main(int argc, char** argv) {
 
   std::vector<CaseResult> results;
 
+  // Small mode's warm windows last a few hundred microseconds, so one of
+  // them is easily hit by a busy host. The speedup is taken from the
+  // minimum over a few hundred windows per side (about a second per run),
+  // which keeps the gated cold/warm ratio steady from run to run.
+
   // The paper's GaAs datapath at a schedule with 25% slack over Tc*.
   {
     const Circuit gaas = circuits::gaas_datapath();
@@ -214,7 +219,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     results.push_back(run_case("gaas", gaas, mlp->schedule.scaled(1.25), small ? 400 : 2000,
-                               small ? 3 : 5, 10));
+                               small ? 200 : 5, 10));
   }
 
   // Synthetic pipelined datapaths (netlist-extracted), CPM-slack schedule.
@@ -224,7 +229,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Spec> specs;
   if (small) {
-    specs = {{"datapath-8x32", 8, 32, 60, 2}};
+    specs = {{"datapath-8x32", 8, 32, 60, 300}};
   } else {
     specs = {{"datapath-8x32", 8, 32, 200, 3}, {"datapath-16x64", 16, 64, 100, 3}};
   }

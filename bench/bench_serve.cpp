@@ -33,7 +33,6 @@
 #include "base/table.h"
 #include "circuits/synthetic.h"
 #include "obs/export.h"
-#include "obs/profiler.h"
 #include "parser/lct.h"
 #include "serve/json.h"
 #include "serve/service.h"
@@ -250,11 +249,12 @@ void build_cases(std::vector<BenchCase>& cases,
 ///   off   — ServiceConfig::telemetry = false: the bare protocol;
 ///   on    — default telemetry, no trace field, cost not requested: what
 ///           production pays for unsampled traffic — metric increments, the
-///           latency/cpu/relaxations observes, the CostAccount charges and
-///           the in-flight gauge; spans stay dormant;
-///   full  — telemetry on, the sampling profiler running at 2ms AND every
-///           request opting into the "cost" echo: the everything-on
-///           diagnostic posture.
+///           latency/cpu/relaxations observes, the stage clock reads, the
+///           CostAccount charges and the in-flight gauge; spans stay
+///           dormant;
+///   full  — telemetry on AND every request opting into the "cost" echo:
+///           attribution plus the echo, the everything-on diagnostic
+///           posture.
 /// Reps alternate lanes so clock drift and thermal state hit all sides
 /// equally, and each side keeps its MINIMUM per-rep p50 (the least-noisy
 /// estimate of intrinsic cost). Gates: the request-mix p50 sum of "on" AND
@@ -300,7 +300,6 @@ int run_overhead_check(bool small, const std::string& out) {
   };
   std::vector<CaseRow> rows;
   double off_total = 0.0, on_total = 0.0, full_total = 0.0;
-  obs::Profiler::instance().start(2000);  // the "full" posture: sampler live
   for (const BenchCase& spec : cases) {
     CaseRow row;
     row.spec = &spec;
@@ -327,8 +326,6 @@ int run_overhead_check(bool small, const std::string& out) {
     table.add_row({spec.circuit + "/" + spec.verb, offs, ons, fulls, ov_on, ov_full});
     rows.push_back(row);
   }
-  obs::Profiler::instance().stop();
-  obs::Profiler::instance().clear();
   std::printf("%s\n", table.to_string().c_str());
 
   const double on_overhead = off_total > 0 ? on_total / off_total - 1.0 : 0.0;
@@ -369,7 +366,7 @@ int run_overhead_check(bool small, const std::string& out) {
   }
   if (full_overhead > 0.05) {
     std::fprintf(stderr,
-                 "FAIL: attribution+profiler overhead %.2f%% exceeds the 5%% gate\n",
+                 "FAIL: attribution+cost-echo overhead %.2f%% exceeds the 5%% gate\n",
                  100.0 * full_overhead);
     rc = 1;
   }

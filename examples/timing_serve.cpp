@@ -26,12 +26,10 @@
 //
 // Observability flags (the cost-attribution / ops-dashboard layer):
 //   --audit-out <file> [--audit-rotate-mb <M>]   per-request JSONL audit log
-//       with trace id, verb, cache hit/miss and CostAccount totals
+//       with trace id, verb, cache hit/miss, stage times and CostAccount
+//       totals
 //   --status-html <file> [--status-interval <sec>]   periodically (and on
 //       shutdown) write the live ops dashboard as a single HTML file
-//   --profile [--profile-us <T>] [--profile-out <file>]   run the sampling
-//       span profiler at interval T (default 2000us); --profile-out writes
-//       the collapsed flamegraph text on shutdown
 //
 // Talk to it with timing_client, timing_tool --remote, or plain nc:
 //   echo '{"verb":"load","circuit":"e1","builtin":"example1"}' | nc -U s.sock
@@ -47,7 +45,6 @@
 #include <system_error>
 
 #include "obs/export.h"
-#include "obs/profiler.h"
 #include "serve/server.h"
 #include "serve/service.h"
 
@@ -79,7 +76,6 @@ int usage() {
       "                    [--slow-ms <T>] [--no-telemetry]\n"
       "                    [--audit-out <file>] [--audit-rotate-mb <M>]\n"
       "                    [--status-html <file>] [--status-interval <sec>]\n"
-      "                    [--profile] [--profile-us <T>] [--profile-out <file>]\n"
       "  --port 0 picks an ephemeral port (printed). With no listener flags,\n"
       "  defaults to --port 0. --threads takes 1-256 workers.\n");
   return 2;
@@ -94,12 +90,10 @@ int main(int argc, char** argv) {
   std::string prom_out;
   std::string trace_out;
   std::string status_html_out;
-  std::string profile_out;
   long prom_interval_sec = 10;
   long status_interval_sec = 10;
   long trace_buffer = 65536;
   long stop_after_sec = 0;
-  long profile_interval_us = 0;
 
   // Every numeric flag parses through here: the whole value must be a
   // decimal integer in [lo, hi]. A bad one marks the run for the usage exit
@@ -157,13 +151,6 @@ int main(int argc, char** argv) {
       status_html_out = argv[++i];
     } else if (arg == "--status-interval" && has_value) {
       status_interval_sec = std::max(1L, number(argv[++i], 0, kMaxTime));
-    } else if (arg == "--profile") {
-      if (profile_interval_us <= 0) profile_interval_us = 2000;
-    } else if (arg == "--profile-us" && has_value) {
-      profile_interval_us = std::max(200L, number(argv[++i], 0, kMaxCount));
-    } else if (arg == "--profile-out" && has_value) {
-      profile_out = argv[++i];
-      if (profile_interval_us <= 0) profile_interval_us = 2000;
     } else {
       return usage();
     }
@@ -176,9 +163,6 @@ int main(int argc, char** argv) {
   // A daemon's span buffer must be bounded: the ring drops the oldest
   // events (counted + marked) instead of growing without limit.
   obs::Tracer::instance().set_capacity(static_cast<size_t>(trace_buffer));
-  if (profile_interval_us > 0) {
-    obs::Profiler::instance().start(profile_interval_us);
-  }
 
   serve::TimingService service(service_config);
   serve::SocketServer server(service, server_config);
@@ -243,13 +227,6 @@ int main(int argc, char** argv) {
   if (!status_html_out.empty() &&
       write_text_file(status_html_out, service.status_html())) {
     std::printf("wrote %s\n", status_html_out.c_str());
-  }
-  if (profile_interval_us > 0) {
-    obs::Profiler::instance().stop();
-    if (!profile_out.empty() &&
-        write_text_file(profile_out, obs::Profiler::instance().collapsed())) {
-      std::printf("wrote %s\n", profile_out.c_str());
-    }
   }
 
   const serve::ResultCache::Stats cs = service.cache().stats();

@@ -233,9 +233,9 @@ bool install_basis(Standard& s, const std::vector<int>& hint) {
 
 }  // namespace
 
-Solution SimplexSolver::solve(const Model& model, const std::vector<int>* basis_hint) const {
+Solution SimplexSolver::solve(const Model& model, const std::vector<int>* warm_basis) const {
   const obs::TraceSpan span("simplex.solve", "lp");
-  Solution sol = solve_impl(model, basis_hint);
+  Solution sol = solve_impl(model, warm_basis);
   auto& reg = obs::MetricsRegistry::instance();
   const long pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots;
   reg.counter("simplex.solves", {{"status", to_string(sol.status)}}).inc();
@@ -248,7 +248,7 @@ Solution SimplexSolver::solve(const Model& model, const std::vector<int>* basis_
   return sol;
 }
 
-Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* basis_hint) const {
+Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* warm_basis) const {
   const double eps = options_.eps;
   Solution sol;
   sol.x.assign(static_cast<size_t>(model.num_variables()), 0.0);
@@ -426,9 +426,9 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* b
 
   // ---- 4a. Warm start: try to re-install the hinted basis and skip phase 1.
   bool warm = false;
-  if (basis_hint != nullptr && !basis_hint->empty()) {
+  if (warm_basis != nullptr && !warm_basis->empty()) {
     const Standard backup = s;
-    if (install_basis(s, *basis_hint)) {
+    if (install_basis(s, *warm_basis)) {
       warm = true;
       sol.stats.warm_started = true;
       // The hinted basis is artificial-free; keep artificials locked out.
@@ -532,7 +532,7 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* b
     sol.activity[static_cast<size_t>(r)] = model.row_activity(r, sol.x);
   }
 
-  sol.basis = s.basis;  // reusable as basis_hint on a same-shaped model
+  sol.basis = s.basis;  // reusable as warm_basis on a same-shaped model
   sol.status = SolveStatus::kOptimal;
   return sol;
 }

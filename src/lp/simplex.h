@@ -49,7 +49,7 @@ struct Solution {
   std::vector<double> activity;
   SolveStats stats;
   /// The optimal basis: one standard-form column per tableau row. Opaque to
-  /// callers except as a `basis_hint` for a later solve of a *same-shaped*
+  /// callers except as a `warm_basis` for a later solve of a *same-shaped*
   /// model (same variables, bounds and rows, possibly different
   /// coefficients/RHS) — the parametric-RHS situation of Section VI, where
   /// the optimal basis usually survives small perturbations.
@@ -77,19 +77,19 @@ class SimplexSolver {
   /// Solve the model. Never throws on infeasible/unbounded input; those are
   /// reported in Solution::status.
   ///
-  /// `basis_hint` (optional) warm-starts the solve from a previous
+  /// `warm_basis` (optional) warm-starts the solve from a previous
   /// Solution::basis: the hinted columns are re-installed by Gaussian
   /// elimination and, when they still form a primal-feasible basis, phase 1
   /// is skipped entirely and phase 2 re-optimizes from there. Any defect in
   /// the hint (wrong size, artificial/duplicate columns, singular or
   /// infeasible basis) falls back to the ordinary two-phase solve, so a
   /// stale hint can cost time but never correctness.
-  Solution solve(const Model& model, const std::vector<int>* basis_hint = nullptr) const;
+  Solution solve(const Model& model, const std::vector<int>* warm_basis = nullptr) const;
 
   const Options& options() const { return options_; }
 
  private:
-  Solution solve_impl(const Model& model, const std::vector<int>* basis_hint) const;
+  Solution solve_impl(const Model& model, const std::vector<int>* warm_basis) const;
 
   Options options_;
 };

@@ -2,16 +2,17 @@
 // engine work (edge relaxations, sweeps, solves) a single request caused.
 //
 // Wiring: the serve handler owns a CostAccount for the request and installs
-// a pointer to it in the thread-local TraceContext (trace.h). Every solve
-// runs on the handler's thread, so the engines find the account there and
-// charge it through relaxed atomics.
+// a pointer to it in the thread-local TraceContext (trace.h). The whole
+// request, every solve included, runs on the handler's thread, so the
+// engines find the account there and charge it with plain adds.
 //
 // Charging discipline:
-//   * CPU time: a thread that works for the request measures its OWN
-//     thread CPU clock (CLOCK_THREAD_CPUTIME_ID) around the work and adds
-//     the delta. The handler thread covers parsing, solves and rendering.
-//     The total is real CPU burned, not wall time — a request that waited
-//     in a queue is not charged for the wait.
+//   * CPU time: the handler thread measures its own thread CPU clock
+//     (CLOCK_THREAD_CPUTIME_ID) around the whole request and adds the
+//     delta: parsing the frame, the verb's solves and cache lookups,
+//     rendering and encoding the response. The total is real CPU burned,
+//     not wall time — a request that waited in a queue is not charged for
+//     the wait.
 //   * Engine work: the fixpoint engines charge relaxations/sweeps ONCE at
 //     solve completion from their own EngineStats, so the account matches
 //     what `stats` reports bit-for-bit and nothing is double counted.
@@ -24,26 +25,25 @@
 // paths stay within the telemetry overhead budget.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace mintc::obs {
 
-/// Work attributed to one request. Charged concurrently from every thread
-/// the request touched; read once by the handler when building the response.
+/// Work attributed to one request. Charged and read on the request's
+/// handler thread only.
 struct CostAccount {
-  std::atomic<std::int64_t> cpu_us{0};         // thread CPU time, microseconds
-  std::atomic<std::int64_t> relaxations{0};    // eq.17 edge relaxations
-  std::atomic<std::int64_t> sweeps{0};         // fixpoint sweeps per solve, summed
-  std::atomic<std::int64_t> solves{0};         // engine solve completions
+  std::int64_t cpu_us = 0;        // thread CPU time, microseconds
+  std::int64_t relaxations = 0;   // eq.17 edge relaxations
+  std::int64_t sweeps = 0;        // fixpoint sweeps per solve, summed
+  std::int64_t solves = 0;        // engine solve completions
 
   void add_cpu_us(std::int64_t us) {
-    if (us > 0) cpu_us.fetch_add(us, std::memory_order_relaxed);
+    if (us > 0) cpu_us += us;
   }
   void add_solve(std::int64_t relaxed_edges, std::int64_t sweep_count) {
-    relaxations.fetch_add(relaxed_edges, std::memory_order_relaxed);
-    sweeps.fetch_add(sweep_count, std::memory_order_relaxed);
-    solves.fetch_add(1, std::memory_order_relaxed);
+    relaxations += relaxed_edges;
+    sweeps += sweep_count;
+    ++solves;
   }
 };
 
@@ -66,7 +66,11 @@ class ThreadCpuTimer {
   explicit ThreadCpuTimer(CostAccount* account)
       : account_(account), start_us_(account ? thread_cpu_now_us() : 0) {}
   ~ThreadCpuTimer() {
-    if (account_ != nullptr) account_->add_cpu_us(thread_cpu_now_us() - start_us_);
+    if (account_ != nullptr) account_->add_cpu_us(elapsed_us());
+  }
+  /// This thread's CPU time since construction (0 without an account).
+  std::int64_t elapsed_us() const {
+    return account_ != nullptr ? thread_cpu_now_us() - start_us_ : 0;
   }
   ThreadCpuTimer(const ThreadCpuTimer&) = delete;
   ThreadCpuTimer& operator=(const ThreadCpuTimer&) = delete;
@@ -77,8 +81,8 @@ class ThreadCpuTimer {
 };
 
 /// Charge a completed engine solve to the current thread's account, if any.
-/// Called once per solve by the fixpoint engines (scalar and parallel) with
-/// the EngineStats totals, keeping account == stats by construction.
+/// Called once per solve by the fixpoint engine with the EngineStats
+/// totals, keeping account == stats by construction.
 void charge_solve(std::int64_t relaxations, std::int64_t sweeps);
 
 }  // namespace mintc::obs

@@ -48,8 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.h"
-
 namespace mintc::obs {
 
 struct CostAccount;  // cost.h — charged through the context's cost pointer
@@ -61,9 +59,9 @@ struct CostAccount;  // cost.h — charged through the context's cost pointer
 ///
 /// `cost` rides along independently of sampling: the serve layer attributes
 /// CPU/work to every telemetry-on request, not just the traced ones. The
-/// account is owned by the request handler and outlives every scope that
-/// installs it, so the raw pointer is safe to copy with the rest of the
-/// context.
+/// account is owned by the request handler, outlives the scope that
+/// installs it, and is charged only on the handler's thread: its fields are
+/// plain integers, so a context carrying one stays on that thread.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   bool sampled = false;
@@ -186,29 +184,19 @@ class Tracer {
 
 /// RAII span: begin at construction (if tracing is enabled), end at
 /// destruction. Nest freely; chrome://tracing stacks nested spans.
-///
-/// Spans are also the profiler's unit of attribution: when the sampling
-/// profiler is running (profiler.h), construction pushes `name` onto the
-/// thread's current span path and destruction pops it — one relaxed load
-/// when the profiler is off, matching the tracer's disabled budget. The
-/// name must therefore be a string literal (the const char* parameter
-/// already enforces the idiom).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "mintc")
       : name_(name), category_(category) {
     active_ = Tracer::instance().begin_span(name_, category_);
-    profiled_ = Profiler::try_push(name_);
   }
   /// Span with begin-event args (a pre-rendered JSON object, e.g.
   /// R"({"verb":"analyze"})") — how the serve layer tags request spans.
   TraceSpan(const char* name, const char* category, std::string args)
       : name_(name), category_(category) {
     active_ = Tracer::instance().begin_span(name_, category_, std::move(args));
-    profiled_ = Profiler::try_push(name_);
   }
   ~TraceSpan() {
-    if (profiled_) Profiler::pop();
     if (active_) Tracer::instance().end_span(name_, category_);
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -218,7 +206,6 @@ class TraceSpan {
   const char* name_;
   const char* category_;
   bool active_ = false;
-  bool profiled_ = false;
 };
 
 }  // namespace mintc::obs

@@ -77,8 +77,7 @@ Expected<MlpResult> solve_and_slide(const Circuit& circuit, GeneratedLp gen,
   lp::Solution sol;
   {
     const obs::TraceSpan lp_span("mlp.lp-solve", "opt");
-    sol = solver.solve(gen.model,
-                       options.basis_hint.empty() ? nullptr : &options.basis_hint);
+    sol = solver.solve(gen.model);
   }
   const double lp_seconds = lp_timer.seconds();
   switch (sol.status) {
@@ -96,7 +95,6 @@ Expected<MlpResult> solve_and_slide(const Circuit& circuit, GeneratedLp gen,
 
   MlpResult res;
   res.lp_stats = sol.stats;
-  res.basis = sol.basis;
   res.counts = gen.counts;
   res.min_cycle = snap_zero(sol.objective);
   res.schedule = schedule_from_solution(gen.vars, sol.x);

@@ -30,10 +30,6 @@ struct MlpOptions {
   sta::FixpointOptions fixpoint;
   /// Slack/dual threshold below which a row is reported as critical.
   double critical_eps = 1e-6;
-  /// Warm start: a basis from a previous MlpResult on a same-shaped circuit
-  /// (same elements/paths, perturbed delays). Defective hints fall back to
-  /// the ordinary two-phase solve; see lp::SimplexSolver::solve.
-  std::vector<int> basis_hint;
   /// Skip Circuit::validate() — for session loops that mutate an
   /// already-validated circuit only through invariant-preserving setters.
   bool assume_valid = false;
@@ -58,9 +54,6 @@ struct MlpResult {
   lp::SolveStats lp_stats;
   ConstraintCounts counts;
   std::vector<TightConstraint> critical;
-  /// Optimal simplex basis — feed back via MlpOptions::basis_hint to warm
-  /// the next solve after a delay perturbation.
-  std::vector<int> basis;
   /// Per-stage accounting: the slide fixpoint's stats plus an "lp-solve"
   /// stage for the simplex step.
   EngineStats stats;

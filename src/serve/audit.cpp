@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 #include "base/log.h"
@@ -21,6 +22,15 @@ std::string audit_json_line(const RequestRecord& r) {
   out += std::string(", \"cached\": ") + (r.cached ? "true" : "false");
   std::snprintf(num, sizeof num, ", \"us\": %.1f", r.wall_us);
   out += num;
+  // Stages round down to 0.1us, so the rendered stages still sum to at most
+  // the rendered "us".
+  const char* sep = ", \"stages\": {";
+  for (const auto& [name, us] : r.stages.named()) {
+    std::snprintf(num, sizeof num, "%s\"%s\": %.1f", sep, name, std::floor(us * 10.0) / 10.0);
+    out += num;
+    sep = ", ";
+  }
+  out += "}";
   std::snprintf(num, sizeof num, ", \"cpu_us\": %" PRId64, r.cpu_us);
   out += num;
   std::snprintf(num, sizeof num, ", \"relaxations\": %" PRId64, r.relaxations);

@@ -1,8 +1,9 @@
 // RequestRecord, the one record TimingService completes per answered frame,
 // and its durable view: a size-rotated JSONL audit log of served requests.
 // One line per request with the trace id, verb, circuit key, cache
-// hit/miss, outcome, wall latency and the request's CostAccount totals, so
-// "which request burned the CPU last night" is a grep, not a reproduction.
+// hit/miss, outcome, wall latency, the stage times and the request's
+// CostAccount totals, so "which request burned the CPU last night, and in
+// which stage" is a grep, not a reproduction.
 //
 // Rotation: when the current file would exceed `rotate_bytes`, it is
 // renamed to "<path>.1" (replacing any previous .1) and a fresh file is
@@ -12,12 +13,39 @@
 // on the log (tested at the bench's overhead gate).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <utility>
 
 namespace mintc::serve {
+
+/// Where a request's wall time went, in microseconds, from one steady_clock
+/// read per stage boundary. A stage the request never reached stays 0, so
+/// the stages sum to at most the record's wall_us; the remainder is the
+/// routing between parse and work (verb table, session-pool lookup, the
+/// verb's parameter checks).
+struct StageTimes {
+  double parse_request = 0.0;  // frame bytes to the request Json and its
+                               // id, verb, circuit and trace fields
+  double lock_wait = 0.0;      // waiting for the circuit's session lock
+  double lookup = 0.0;         // result-cache get, plus the decode on a hit
+  double work = 0.0;           // the verb handler, or SessionWork::run
+  double render = 0.0;         // dump() of a computed read for the cache put
+  double encode_frame = 0.0;   // the answer's envelope, echoes and frame bytes
+
+  /// The stages in request order, under the names every view prints.
+  std::array<std::pair<const char*, double>, 6> named() const {
+    return {{{"parse_request", parse_request},
+             {"lock_wait", lock_wait},
+             {"lookup", lookup},
+             {"work", work},
+             {"render", render},
+             {"encode_frame", encode_frame}}};
+  }
+};
 
 /// What the service knows of one answered frame. The audit line, the status
 /// page's slow-request table, the --slow-ms warning, the serve.latency_us /
@@ -30,7 +58,8 @@ struct RequestRecord {
   std::string circuit;           // "" when the verb carries no key
   bool ok = false;
   bool cached = false;
-  double wall_us = 0.0;
+  double wall_us = 0.0;          // request bytes in to response bytes out
+  StageTimes stages;
   std::int64_t cpu_us = 0;       // CostAccount totals (0 when attribution off)
   std::int64_t relaxations = 0;
   std::int64_t sweeps = 0;

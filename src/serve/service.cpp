@@ -30,11 +30,6 @@ namespace {
 
 obs::MetricsRegistry& registry() { return obs::MetricsRegistry::instance(); }
 
-double elapsed_us(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// Wide powers-of-4 bounds for per-request engine-work counts
 /// (serve.relaxations): 1 .. 64M covers a cache hit (0) through the largest
 /// sweep request without wasting buckets on microsecond-style resolution.
@@ -246,28 +241,83 @@ double TimingService::uptime_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
 }
 
-std::string TimingService::handle_line(std::string_view line) {
-  const auto start = std::chrono::steady_clock::now();
-  Expected<Json> request = parse_request(line, config_.max_frame_bytes);
-  if (!request) {
-    return encode_frame(finish(RequestRecord{}, error_response(Json(), request.error()), start));
+/// A request in flight: its record and cost account, and the clock that
+/// times its stages. The clock reads steady_clock once per stage boundary,
+/// and not at all when telemetry is off. Telemetry's own bookkeeping (the
+/// in-flight gauge and the thread-CPU clock, here and in finish()) sits
+/// outside the window the stages split, which opens after it here and
+/// closes at the last boundary.
+struct TimingService::Pending {
+  using Clock = std::chrono::steady_clock;
+
+  explicit Pending(TimingService& service) : timed(service.config_.telemetry) {
+    if (!timed) return;
+    service.inflight_metric_.set(static_cast<double>(
+        service.inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
+    cpu.emplace(&account);
+    start = boundary = Clock::now();
   }
-  return encode_frame(handle(*request));
+
+  /// End the stage that began at the last boundary and add its time to
+  /// `stage`.
+  void lap(double& stage) {
+    if (!timed) return;
+    const Clock::time_point now = Clock::now();
+    stage += std::chrono::duration<double, std::micro>(now - boundary).count();
+    boundary = now;
+  }
+  /// Start a stage, or close the window of a request that has no frame:
+  /// move the boundary without charging the time since the last one.
+  void mark() {
+    if (timed) boundary = Clock::now();
+  }
+
+  const bool timed;
+  obs::CostAccount account;
+  std::optional<obs::ThreadCpuTimer> cpu;  // charges `account` when reset
+  Clock::time_point start, boundary;
+  RequestRecord record;
+  std::uint64_t trace_id = 0;  // nonzero only when the request is sampled
+  size_t trace_mark = 0;       // tracer event count before its first span
+};
+
+std::string TimingService::handle_line(std::string_view line) {
+  Pending p(*this);
+  const Expected<Json> request = parse_request(line, config_.max_frame_bytes);
+  p.lap(p.record.stages.parse_request);
+  const Json response = request ? answer(*request, p) : error_response(Json(), request.error());
+  std::string frame = encode_frame(response);
+  // Everything since the last stage boundary: the envelope around the
+  // verb's answer, its echoes, and the bytes.
+  p.lap(p.record.stages.encode_frame);
+  finish(p, response);
+  return frame;
 }
 
 Json TimingService::handle(const Json& request) {
-  const auto start = std::chrono::steady_clock::now();
+  Pending p(*this);
+  Json response = answer(request, p);
+  p.mark();
+  finish(p, response);
+  return response;
+}
+
+Json TimingService::answer(const Json& request, Pending& p) {
   const Json& id = request.get("id");
-  RequestRecord record;
+  RequestRecord& record = p.record;
   record.verb = request.get("verb").as_string();
   record.circuit = request.str_or("circuit");
 
   // A malformed trace field rejects the request: a client's sampling config
   // must not rot into silent untraced traffic.
   Expected<TraceField> trace = parse_trace_field(request);
-  if (!trace) return finish(std::move(record), error_response(id, trace.error()), start);
+  p.lap(record.stages.parse_request);  // the envelope fields are part of the parse
+  if (!trace) return error_response(id, trace.error());
   const bool traced = config_.telemetry && trace->context.active();
-  if (traced) record.trace = trace_id_hex(trace->context.trace_id);
+  if (traced) {
+    record.trace = trace_id_hex(trace->context.trace_id);
+    p.trace_id = trace->context.trace_id;
+  }
 
   // Install the request's context for the handler's whole extent, the
   // session solve included: the engines run on this thread. Inactive
@@ -276,30 +326,18 @@ Json TimingService::handle(const Json& request) {
   // Cost attribution rides the same context but independently of sampling:
   // when telemetry is on, EVERY request carries an account, so the
   // serve.cpu_us / serve.relaxations histograms and the audit log see full
-  // traffic, not just the sampled slice. The account lives on this stack
-  // frame and the scope ends before it does, so the pointer never outlives
-  // it.
-  obs::CostAccount account;
+  // traffic, not just the sampled slice. The account outlives the scope.
   obs::TraceContext context = traced ? trace->context : obs::TraceContext{};
-  if (config_.telemetry) context.cost = &account;
+  if (config_.telemetry) context.cost = &p.account;
   obs::TraceContextScope context_scope(context);
 
-  size_t trace_mark = 0;
   std::optional<obs::TraceSpan> span;
-  if (config_.telemetry) {
-    inflight_metric_.set(
-        static_cast<double>(inflight_.fetch_add(1, std::memory_order_relaxed) + 1));
-    if (traced) trace_mark = obs::Tracer::instance().num_events();
+  if (config_.telemetry && obs::Tracer::instance().enabled()) {
+    if (traced) p.trace_mark = obs::Tracer::instance().num_events();
     span.emplace("serve.request", "serve", request_span_args(record.verb, record.circuit));
   }
 
-  Json response;
-  {
-    // The handler thread charges its own CPU time: parse, render, cache
-    // and every solve.
-    const obs::ThreadCpuTimer cpu_timer(config_.telemetry ? &account : nullptr);
-    response = dispatch(request, id, record.verb);
-  }
+  Json response = dispatch(request, id, record.verb, p);
 
   // The echo is protocol, not telemetry: a sampled id comes back even when
   // config_.telemetry is off (the client's accounting must not depend on a
@@ -308,39 +346,34 @@ Json TimingService::handle(const Json& request) {
     response.set("trace", Json(trace_id_hex(trace->context.trace_id)));
   }
 
-  record.cpu_us = account.cpu_us.load(std::memory_order_relaxed);
-  record.relaxations = account.relaxations.load(std::memory_order_relaxed);
-  record.sweeps = account.sweeps.load(std::memory_order_relaxed);
-  record.solves = account.solves.load(std::memory_order_relaxed);
-
   // Opt-in cost echo, always at the ENVELOPE level — cached result payloads
-  // stay byte-identical whether or not attribution is requested.
+  // stay byte-identical whether or not attribution is requested. Its CPU
+  // time is the handler thread's so far.
   if (request.bool_or("cost", false)) {
     Json cost = Json::object();
-    cost.set("cpu_us", Json(static_cast<long>(record.cpu_us)));
-    cost.set("relaxations", Json(static_cast<long>(record.relaxations)));
-    cost.set("sweeps", Json(static_cast<long>(record.sweeps)));
-    cost.set("solves", Json(static_cast<long>(record.solves)));
+    cost.set("cpu_us", Json(static_cast<long>(p.cpu ? p.cpu->elapsed_us() : 0)));
+    cost.set("relaxations", Json(static_cast<long>(p.account.relaxations)));
+    cost.set("sweeps", Json(static_cast<long>(p.account.sweeps)));
+    cost.set("solves", Json(static_cast<long>(p.account.solves)));
     response.set("cost", std::move(cost));
   }
-
-  if (config_.telemetry) {
-    span.reset();  // end serve.request before finish() slices the tree
-    inflight_metric_.set(
-        static_cast<double>(inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-  }
-  return finish(std::move(record), std::move(response), start,
-                traced ? trace->context.trace_id : 0, trace_mark);
+  return response;  // serve.request ends here, before finish() slices the tree
 }
 
-Json TimingService::finish(RequestRecord record, Json response,
-                           std::chrono::steady_clock::time_point start, std::uint64_t trace_id,
-                           size_t trace_mark) {
-  if (!config_.telemetry) return response;
-  record.t_seconds = uptime_seconds();
+void TimingService::finish(Pending& p, const Json& response) {
+  if (!config_.telemetry) return;
+  p.cpu.reset();  // charges the handler thread's CPU time to the account
+  inflight_metric_.set(
+      static_cast<double>(inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  RequestRecord& record = p.record;
+  record.t_seconds = std::chrono::duration<double>(p.boundary - start_).count();
+  record.wall_us = std::chrono::duration<double, std::micro>(p.boundary - p.start).count();
   record.ok = response.get("ok").as_bool(false);
   record.cached = response.get("cached").as_bool(false);
-  record.wall_us = elapsed_us(start);
+  record.cpu_us = p.account.cpu_us;
+  record.relaxations = p.account.relaxations;
+  record.sweeps = p.account.sweeps;
+  record.solves = p.account.solves;
 
   requests_metric_.inc();
   if (!record.ok) errors_metric_.inc();
@@ -351,13 +384,19 @@ Json TimingService::finish(RequestRecord record, Json response,
   if (config_.slow_request_us > 0 &&
       record.wall_us >= static_cast<double>(config_.slow_request_us)) {
     slow_requests_metric_.inc();
+    std::string stages;
+    char buf[64];
+    for (const auto& [name, us] : record.stages.named()) {
+      std::snprintf(buf, sizeof buf, " %s=%.1f", name, us);
+      stages += buf;
+    }
     std::string tree;
-    if (trace_id != 0) {
-      tree = span_tree_text(obs::Tracer::instance().snapshot(trace_mark), trace_id);
+    if (p.trace_id != 0) {
+      tree = span_tree_text(obs::Tracer::instance().snapshot(p.trace_mark), p.trace_id);
     }
     log_warn() << "serve: slow request verb=" << record.verb
                << " circuit=" << (record.circuit.empty() ? "-" : record.circuit)
-               << " us=" << record.wall_us << " cpu_us=" << record.cpu_us
+               << " us=" << record.wall_us << stages << " cpu_us=" << record.cpu_us
                << " relaxations=" << record.relaxations
                << " trace=" << (record.trace.empty() ? "-" : record.trace) << tree;
   }
@@ -372,7 +411,6 @@ Json TimingService::finish(RequestRecord record, Json response,
     slow_.insert(pos, std::move(record));
     if (slow_.size() > kSlowTopK) slow_.pop_back();
   }
-  return response;
 }
 
 std::vector<RequestRecord> TimingService::slow_requests() const {
@@ -380,7 +418,8 @@ std::vector<RequestRecord> TimingService::slow_requests() const {
   return slow_;
 }
 
-Json TimingService::dispatch(const Json& request, const Json& id, const std::string& verb) {
+Json TimingService::dispatch(const Json& request, const Json& id, const std::string& verb,
+                             Pending& p) {
   // The verb table. A plain verb answers in full; a session verb's handler
   // checks its parameters and hands its work to run_session_verb.
   struct Row {
@@ -403,8 +442,10 @@ Json TimingService::dispatch(const Json& request, const Json& id, const std::str
   };
   for (const Row& row : kVerbs) {
     if (row.verb != verb) continue;
-    if (row.session != nullptr) return run_session_verb(request, id, verb, row.session);
+    if (row.session != nullptr) return run_session_verb(request, id, verb, row.session, p);
+    p.mark();
     Expected<Json> result = (this->*row.plain)(request);
+    p.lap(p.record.stages.work);
     return result ? ok_response(id, std::move(*result), false)
                   : error_response(id, result.error());
   }
@@ -413,7 +454,8 @@ Json TimingService::dispatch(const Json& request, const Json& id, const std::str
 
 Json TimingService::run_session_verb(const Json& request, const Json& id,
                                      const std::string& verb,
-                                     Expected<SessionWork> (TimingService::*bind)(const Json&)) {
+                                     Expected<SessionWork> (TimingService::*bind)(const Json&),
+                                     Pending& p) {
   const std::string key = request.str_or("circuit");
   const std::shared_ptr<Entry> entry = find_entry(key);
   if (!entry) {
@@ -422,8 +464,11 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
   const Expected<SessionWork> work = (this->*bind)(request);
   if (!work) return error_response(id, work.error());
 
+  StageTimes& stages = p.record.stages;
+  p.mark();
   bool cached = false;
   Expected<Json> answer = entry->session->with([&](sta::AnalysisSession& s) -> Expected<Json> {
+    p.lap(stages.lock_wait);
     // A read's answer is tagged with the generation it was computed at (a
     // sweep's edits and undo move the session past it).
     const std::uint64_t generation = s.generation();
@@ -436,21 +481,24 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
         // a hit is bit-identical to the original render.
         Expected<Json> parsed = parse_json(*hit);
         if (parsed) {
+          p.lap(stages.lookup);
           cached = true;
           return parsed;
         }
       }
+      p.lap(stages.lookup);
     }
     Expected<Json> result = work->run(s, *entry);
-    if (!result) return result;
-    if (!result->has("fingerprint")) {
-      result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
+    if (result) {
+      if (!result->has("fingerprint")) {
+        result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
+      }
+      if (work->write) cache_.invalidate(key, s.generation());
     }
-    if (work->write) {
-      cache_.invalidate(key, s.generation());
-    } else {
-      cache_.put(cache_key, key, generation, result->dump());
-    }
+    p.lap(stages.work);
+    if (!result || work->write) return result;
+    cache_.put(cache_key, key, generation, result->dump());
+    p.lap(stages.render);
     return result;
   });
   return answer ? ok_response(id, std::move(*answer), cached)

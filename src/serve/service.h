@@ -58,8 +58,8 @@
 //   status      the live ops dashboard as a single self-contained HTML
 //               document (result.content): uptime/build tiles, latency and
 //               CPU histograms, HistoryRing sparklines, session/cache
-//               tables, top-K slow requests with trace ids, and the
-//               sampling profiler's flame view ("top": N sizes the tables)
+//               tables, and the top-K slow requests with their stage times
+//               and trace ids ("top": N sizes the slow table)
 //
 // One request path: every verb is a row of one verb table. The six session
 // verbs (edit_batch, analyze, report, sweep, undo, min) share one path that
@@ -73,7 +73,10 @@
 // one RequestRecord (audit.h). The audit line, the top-K slow table, the
 // --slow-ms warning and the serve.latency_us / serve.cpu_us /
 // serve.relaxations histograms are rendered from it, and so is the opt-in
-// "cost" envelope block of a dispatched request.
+// "cost" envelope block of a dispatched request. handle_line completes the
+// record after encode_frame, so its wall time runs from request bytes in to
+// response bytes out, and its stage times (parse_request, lock_wait,
+// lookup, work, render, encode_frame) say where that time went.
 //
 // Cost attribution: when telemetry is on, every request carries an
 // obs::CostAccount through the thread-local TraceContext — the handler
@@ -142,9 +145,10 @@ struct ServiceConfig {
   /// Hard cap on `sweep` steps per request.
   long max_sweep_steps = 4096;
   /// Request-path telemetry master switch: request spans, trace-context
-  /// activation, serve.* metric updates and the slow-request log. Off is the
-  /// baseline lane of `bench_serve --overhead-check`. Protocol behavior is
-  /// unchanged (a "trace" field is still validated and echoed).
+  /// activation, stage times, serve.* metric updates and the slow-request
+  /// log. Off is the baseline lane of `bench_serve --overhead-check`.
+  /// Protocol behavior is unchanged (a "trace" field is still validated and
+  /// echoed).
   bool telemetry = true;
   /// Log a structured warning (with the request's span tree when sampled)
   /// for requests slower than this many microseconds. 0 disables.
@@ -169,7 +173,8 @@ class TimingService {
   /// returns a frame — errors become {"ok":false,...} responses.
   std::string handle_line(std::string_view line);
 
-  /// Structured variant used by handle_line (and directly by tests).
+  /// The same request path for an already-parsed request (tests, in-process
+  /// setup), without the frame's parse and encode.
   Json handle(const Json& request);
 
   struct PoolStats {
@@ -215,7 +220,7 @@ class TimingService {
 
   /// The live ops dashboard as a single self-contained HTML document —
   /// the body of the `status` verb and of `timing_serve --status-html`.
-  /// `top_n` sizes the slow-request and profiler tables.
+  /// `top_n` sizes the slow-request table.
   std::string status_html(int top_n = 16);
 
   /// Seconds since construction.
@@ -270,20 +275,28 @@ class TimingService {
   Expected<SessionWork> verb_undo(const Json& req);
   Expected<SessionWork> verb_min(const Json& req);
 
+  /// One request in flight: its record, cost account and stage clock, and
+  /// where a sampled request's spans start in the tracer (service.cpp).
+  struct Pending;
+
+  /// Answer a parsed request: trace context, cost account, request span,
+  /// then dispatch. Fills `p`'s record except what finish() adds.
+  Json answer(const Json& request, Pending& p);
+
   /// Look `verb` up in the verb table and answer the request (the body of
-  /// handle() minus telemetry).
-  Json dispatch(const Json& request, const Json& id, const std::string& verb);
+  /// answer() minus the trace context, request span and echoes).
+  Json dispatch(const Json& request, const Json& id, const std::string& verb, Pending& p);
 
   /// The shared path of the session verbs; `bind` is the verb's handler.
   Json run_session_verb(const Json& request, const Json& id, const std::string& verb,
-                        Expected<SessionWork> (TimingService::*bind)(const Json&));
+                        Expected<SessionWork> (TimingService::*bind)(const Json&),
+                        Pending& p);
 
-  /// Complete `record` for the answered `response` and feed every view of
-  /// it: counters, histograms, audit line, slow table and --slow-ms warning
-  /// (with the span tree of `trace_id` since `trace_mark` when sampled).
-  /// Records nothing when telemetry is off. Returns `response`.
-  Json finish(RequestRecord record, Json response, std::chrono::steady_clock::time_point start,
-              std::uint64_t trace_id = 0, size_t trace_mark = 0);
+  /// Complete `p`'s record for the answered `response` and feed every view
+  /// of it: counters, histograms, audit line, slow table and --slow-ms
+  /// warning (with the request's span tree when sampled). Records nothing
+  /// when telemetry is off.
+  void finish(Pending& p, const Json& response);
 
   /// Validate one edit op against the session's EVOLVING state and apply
   /// it; returns "" on success, a human-readable problem otherwise (the

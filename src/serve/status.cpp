@@ -7,18 +7,16 @@
 //   * HistoryRing sparklines: request rate, latency/CPU quantiles, cache
 //   * the latency / attributed-CPU / engine-work histograms as bar charts
 //   * session-pool, cache and transport-worker tables
-//   * the top-K slowest requests with their trace ids and CostAccount totals
-//   * the sampling profiler's flame view + self-time table, when running
+//   * the top-K slowest requests with their stage times, trace ids and
+//     CostAccount totals
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/export.h"
-#include "obs/profiler.h"
 #include "report/html.h"
 #include "serve/service.h"
 
@@ -114,101 +112,6 @@ void histogram_block(std::ostringstream& out, const std::string& title,
       << (as_time ? fmt_us(h.quantile(0.99)) : fmt_compact(h.quantile(0.99)))
       << " &middot; max " << (as_time ? fmt_us(h.max()) : fmt_compact(h.max()))
       << "</div>\n  </section>\n";
-}
-
-// ---- Flame view -----------------------------------------------------------
-//
-// The profiler's sampled paths form a trie; each node's width is its share
-// of total busy ticks, children stack left-to-right under their parent.
-// Rendered root-at-top with one 18px row per depth — a plain flamegraph,
-// tooltips carrying exact tick counts.
-
-struct FlameNode {
-  long self = 0;   // ticks sampled with this frame as the leaf
-  long total = 0;  // self + all descendants
-  std::map<std::string, FlameNode> kids;
-};
-
-void flame_insert(FlameNode& root, const std::string& path, long count) {
-  FlameNode* node = &root;
-  node->total += count;
-  size_t begin = 0;
-  while (begin <= path.size()) {
-    const size_t end = path.find(';', begin);
-    const std::string frame =
-        path.substr(begin, end == std::string::npos ? std::string::npos : end - begin);
-    node = &node->kids[frame];
-    node->total += count;
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  node->self += count;
-}
-
-int flame_depth(const FlameNode& node) {
-  int deepest = 0;
-  for (const auto& [name, kid] : node.kids) {
-    deepest = std::max(deepest, 1 + flame_depth(kid));
-  }
-  return deepest;
-}
-
-/// Deterministic per-frame hue so a frame keeps its color across reloads.
-int flame_hue(const std::string& name) {
-  unsigned h = 2166136261u;
-  for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
-  // Warm flamegraph band: 0..55 degrees (red..yellow).
-  return static_cast<int>(h % 56u);
-}
-
-void flame_emit(std::ostringstream& out, const FlameNode& node, const std::string& name,
-                double x, double width, int depth, long root_total, long interval_us) {
-  constexpr double kRow = 18.0;
-  if (width < 0.5) return;  // sub-pixel: descendants are invisible too
-  if (depth >= 0) {
-    const double y = depth * (kRow + 1.0);
-    const double pct = 100.0 * static_cast<double>(node.total) / static_cast<double>(root_total);
-    out << "  <rect x=\"" << fmt(x, 1) << "\" y=\"" << fmt(y, 1) << "\" width=\""
-        << fmt(width, 1) << "\" height=\"" << fmt(kRow, 0) << "\" rx=\"2\" fill=\"hsl("
-        << flame_hue(name) << ", 72%, 58%)\"><title>" << html_escape(name) << ": "
-        << node.total << " ticks (" << fmt(pct, 1) << "%, ~"
-        << fmt(static_cast<double>(node.total) * static_cast<double>(interval_us) / 1000.0, 1)
-        << "ms)</title></rect>\n";
-    if (width > 40.0) {
-      out << "  <text x=\"" << fmt(x + 4.0, 1) << "\" y=\"" << fmt(y + 13.0, 1)
-          << "\" font-size=\"11\" fill=\"#1a1a19\">" << html_escape(name) << "</text>\n";
-    }
-  }
-  // Children left-to-right, widest first, proportional to their tick share.
-  std::vector<std::pair<std::string, const FlameNode*>> kids;
-  kids.reserve(node.kids.size());
-  for (const auto& [kid_name, kid] : node.kids) kids.emplace_back(kid_name, &kid);
-  std::sort(kids.begin(), kids.end(), [](const auto& a, const auto& b) {
-    return a.second->total != b.second->total ? a.second->total > b.second->total
-                                              : a.first < b.first;
-  });
-  double cx = x;
-  for (const auto& [kid_name, kid] : kids) {
-    const double kw =
-        width * static_cast<double>(kid->total) / static_cast<double>(node.total);
-    flame_emit(out, *kid, kid_name, cx, kw, depth + 1, root_total, interval_us);
-    cx += kw;
-  }
-}
-
-std::string flame_svg(const obs::Profiler::Profile& profile) {
-  FlameNode root;
-  for (const auto& [path, count] : profile.stacks) flame_insert(root, path, count);
-  if (root.total <= 0) return "";
-  const int depth = flame_depth(root);
-  const double w = 1040.0;
-  const double h = depth * 19.0 + 2.0;
-  std::ostringstream out;
-  out << "<svg viewBox=\"0 0 " << fmt(w, 0) << " " << fmt(h, 0) << "\" width=\"" << fmt(w, 0)
-      << "\" role=\"img\">\n";
-  flame_emit(out, root, "", 0.0, w, -1, root.total, profile.interval_us);
-  out << "</svg>\n";
-  return out.str();
 }
 
 }  // namespace
@@ -331,38 +234,23 @@ std::string TimingService::status_html(int top_n) {
   if (slow.empty()) {
     out << "  <div class=\"note\">none yet</div>\n";
   } else {
-    out << "  <table>\n  <tr><th>at</th><th>verb</th><th>circuit</th><th>wall</th>"
-           "<th>cpu</th><th>relaxations</th><th>cache</th><th>ok</th><th>trace</th></tr>\n";
+    out << "  <table>\n  <tr><th>at</th><th>verb</th><th>circuit</th><th>wall</th>";
+    for (const auto& [name, us] : StageTimes{}.named()) out << "<th>" << name << "</th>";
+    out << "<th>cpu</th><th>relaxations</th><th>cache</th><th>ok</th><th>trace</th></tr>\n";
     int rows = 0;
     for (const RequestRecord& e : slow) {
       if (rows++ >= top_n) break;
       out << "  <tr><td>" << fmt(e.t_seconds, 1) << "s</td><td>" << html_escape(e.verb)
           << "</td><td>" << html_escape(e.circuit) << "</td><td>" << fmt_us(e.wall_us)
-          << "</td><td>" << fmt_us(static_cast<double>(e.cpu_us)) << "</td><td>"
+          << "</td>";
+      for (const auto& [name, us] : e.stages.named()) out << "<td>" << fmt_us(us) << "</td>";
+      out << "<td>" << fmt_us(static_cast<double>(e.cpu_us)) << "</td><td>"
           << fmt_compact(static_cast<double>(e.relaxations)) << "</td><td>"
           << (e.cached ? "hit" : "miss") << "</td>"
           << (e.ok ? "<td>ok</td>" : "<td class=\"bad\">error</td>") << "<td>"
           << (e.trace.empty() ? "&mdash;" : html_escape(e.trace)) << "</td></tr>\n";
     }
     out << "  </table>\n";
-  }
-  out << "  </section>\n";
-
-  // -- Profiler flame view.
-  out << "  <section>\n  <h2>span profiler</h2>\n";
-  const obs::Profiler::Profile profile = obs::Profiler::instance().profile();
-  if (profile.total_samples == 0) {
-    out << "  <div class=\"note\">no samples &mdash; start the daemon with --profile (or "
-           "call Profiler::start) to populate the flame view</div>\n";
-  } else {
-    const long busy = profile.total_samples - profile.idle_samples;
-    out << "  <div class=\"note\">" << profile.total_samples << " thread-ticks at "
-        << profile.interval_us << "us &middot; " << busy << " in spans &middot; "
-        << profile.idle_samples << " idle</div>\n";
-    const std::string flame = flame_svg(profile);
-    if (!flame.empty()) out << "  <div class=\"figure\">" << flame << "</div>\n";
-    out << "  <pre style=\"font-size:12px; overflow-x:auto\">"
-        << html_escape(obs::Profiler::instance().top_table(top_n)) << "</pre>\n";
   }
   out << "  </section>\n";
 

@@ -17,7 +17,6 @@
 #include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "opt/parametric.h"
-#include "opt/session.h"
 
 namespace mintc {
 namespace {
@@ -171,24 +170,6 @@ TEST(OptSkew, SweepClockSkewMatchesPointSolves) {
   }
   // Tc*(σ) is piecewise-linear and nondecreasing.
   for (const lp::ParametricSegment& s : sweep.segments) EXPECT_GE(s.slope, -1e-9);
-}
-
-TEST(OptSkew, CycleTimeSessionSkewEditMatchesOneShot) {
-  opt::CycleTimeSession session(circuits::example1(80.0));
-  const auto before = session.minimize();
-  ASSERT_TRUE(before.has_value());
-  EXPECT_NEAR(before->min_cycle, 110.0, 1e-6);
-  for (int i = 0; i < session.circuit().num_elements(); ++i) {
-    session.set_element_skew(i, 3.0);
-  }
-  const auto warm = session.minimize();
-  ASSERT_TRUE(warm.has_value());
-  const auto cold = opt::minimize_cycle_time(with_uniform_skew(circuits::example1(80.0), 3.0));
-  ASSERT_TRUE(cold.has_value());
-  EXPECT_NEAR(warm->min_cycle, cold->min_cycle, 1e-9);
-  // An invalid skew must be caught by the re-validation the setter forces.
-  session.set_element_skew(0, -1.0);
-  EXPECT_FALSE(session.minimize().has_value());
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Warm-start layer tests: simplex basis reuse and the CycleTimeSession
-// loops that sensitivity/parametric sweeps ride on. Warm results must agree
-// with cold ones.
+// Warm-start layer tests: simplex basis reuse and the basis-chained
+// parametric sweep. Warm results must agree with cold ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,10 +9,7 @@
 #include "circuits/gaas.h"
 #include "lp/simplex.h"
 #include "opt/constraints.h"
-#include "opt/mlp.h"
 #include "opt/parametric.h"
-#include "opt/sensitivity.h"
-#include "opt/session.h"
 
 namespace mintc::opt {
 namespace {
@@ -79,51 +75,6 @@ TEST(SimplexWarmStart, DefectiveHintsFallBackCold) {
     EXPECT_TRUE(sol.stats.warm_rejected);
     EXPECT_FALSE(sol.stats.warm_started);
     EXPECT_NEAR(sol.objective, cold.objective, 1e-9);
-  }
-}
-
-TEST(CycleTimeSession, WarmMinimizeMatchesFreshAcrossPerturbations) {
-  const Circuit circuit = circuits::gaas_datapath();
-  CycleTimeSession session(circuit);
-  const auto first = session.minimize();
-  ASSERT_TRUE(first);
-
-  Circuit scratch = circuit;
-  for (int step = 1; step <= 4; ++step) {
-    const int p = step % circuit.num_paths();
-    const double delay = circuit.path(p).delay * (1.0 + 0.05 * step);
-    session.set_path_delay(p, delay);
-    scratch.set_path_delay(p, delay);
-    const auto warm = session.minimize();
-    const auto fresh = minimize_cycle_time(scratch);
-    ASSERT_TRUE(warm) << "step " << step;
-    ASSERT_TRUE(fresh) << "step " << step;
-    EXPECT_NEAR(warm->min_cycle, fresh->min_cycle, 1e-7) << "step " << step;
-    EXPECT_TRUE(satisfies_p1(scratch, warm->schedule, warm->departure)) << "step " << step;
-  }
-  EXPECT_EQ(session.counters().lp_solves, 5);
-  // Same-shaped LPs: the cached basis installs every time after the first.
-  EXPECT_GE(session.counters().warm_lp_starts, 3);
-}
-
-TEST(CycleTimeSession, SessionSensitivitiesMatchOneShot) {
-  const Circuit circuit = circuits::gaas_datapath();
-  CycleTimeSession session(circuit);
-  ASSERT_TRUE(session.minimize());  // prime the basis
-
-  session.set_path_delay(2, circuit.path(2).delay + 0.4);
-  Circuit scratch = circuit;
-  scratch.set_path_delay(2, circuit.path(2).delay + 0.4);
-  const auto warm = session.sensitivities();
-  const auto fresh = delay_sensitivities(scratch);
-  ASSERT_TRUE(warm);
-  ASSERT_TRUE(fresh);
-  EXPECT_NEAR(warm->min_cycle, fresh->min_cycle, 1e-7);
-  ASSERT_EQ(warm->dtc_ddelay.size(), fresh->dtc_ddelay.size());
-  // Degenerate optima can pick different subgradients from different bases;
-  // on the GaAs circuit the optimum is unique enough that the duals agree.
-  for (size_t p = 0; p < fresh->dtc_ddelay.size(); ++p) {
-    EXPECT_NEAR(warm->dtc_ddelay[p], fresh->dtc_ddelay[p], 1e-6) << "path " << p;
   }
 }
 

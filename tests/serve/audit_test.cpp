@@ -1,6 +1,6 @@
 // AuditLog: JSONL rendering, append/flush accounting, size rotation to
 // "<path>.1", and the service integration (every handled request becomes
-// exactly one line).
+// exactly one line, with stage times that follow the request's shape).
 #include "serve/audit.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -49,14 +50,32 @@ TEST(ServeAudit, JsonLineGolden) {
   r.ok = true;
   r.cached = false;
   r.wall_us = 321.2;
+  r.stages = {2.25, 0.0, 1.0, 290.0, 17.5, 9.99};
   r.cpu_us = 300;
   r.relaxations = 4096;
   r.sweeps = 12;
   r.solves = 2;
+  // Stages round down to 0.1us (2.25 -> 2.2, 9.99 -> 9.9).
   EXPECT_EQ(audit_json_line(r),
             "{\"t\": 1.500, \"trace\": \"00000000deadbeef\", \"verb\": \"analyze\", "
             "\"circuit\": \"e1\", \"ok\": true, \"cached\": false, \"us\": 321.2, "
+            "\"stages\": {\"parse_request\": 2.2, \"lock_wait\": 0.0, \"lookup\": 1.0, "
+            "\"work\": 290.0, \"render\": 17.5, \"encode_frame\": 9.9}, "
             "\"cpu_us\": 300, \"relaxations\": 4096, \"sweeps\": 12, \"solves\": 2}");
+}
+
+TEST(ServeAudit, JsonLineRoundTripsTheStages) {
+  RequestRecord r;
+  r.verb = "analyze";
+  r.wall_us = 400.0;
+  r.stages = {1.5, 0.5, 3.0, 250.5, 40.0, 7.5};  // exact in binary and in tenths
+  const Expected<Json> parsed = parse_json(audit_json_line(r));
+  ASSERT_TRUE(parsed);
+  const Json& stages = parsed->get("stages");
+  ASSERT_EQ(stages.size(), r.stages.named().size());
+  for (const auto& [name, us] : r.stages.named()) {
+    EXPECT_EQ(stages.get(name).as_number(-1.0), us) << name;
+  }
 }
 
 TEST(ServeAudit, LinesParseAsJsonAndEscapeContent) {
@@ -220,6 +239,83 @@ TEST(ServeAudit, EveryAnsweredFrameIsAuditedAndTimed) {
   std::sort(ranked.begin(), ranked.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(ranked, expected);
+}
+
+// Each request shape leaves its own pattern of stage times: a miss works
+// and renders, a hit only looks up, a write never renders, and a frame that
+// does not parse only parses and encodes. The audit line carries the same
+// stages.
+TEST(ServeAudit, StageTimesFollowTheRequestShape) {
+  const std::string path = temp_path("audit_stages.jsonl");
+  ServiceConfig config;
+  config.audit_path = path;
+  TimingService service(config);
+  const std::vector<std::string> frames = {
+      R"({"verb": "load", "circuit": "e1", "builtin": "example1"})",
+      R"({"verb": "analyze", "circuit": "e1"})",
+      R"({"verb": "analyze", "circuit": "e1"})",
+      R"({"verb": "edit_batch", "circuit": "e1", "edits": [)"
+      R"({"op": "set_path_delay", "path": 0, "delay": 55.0}]})",
+      "not json",
+  };
+  for (const std::string& frame : frames) service.handle_line(frame);
+
+  // Every record's stages are non-negative and sum to at most its wall time
+  // (up to the rounding of adding the stage doubles: a parse failure's two
+  // stages tile its whole window).
+  std::map<std::string, RequestRecord> by_shape;
+  for (const RequestRecord& r : service.slow_requests()) {
+    double sum = 0.0;
+    for (const auto& [name, us] : r.stages.named()) {
+      EXPECT_GE(us, 0.0) << r.verb << " " << name;
+      sum += us;
+    }
+    EXPECT_LE(sum, r.wall_us + 1e-9) << r.verb;
+    by_shape[r.verb + (r.cached ? ":hit" : "")] = r;
+  }
+  ASSERT_EQ(by_shape.size(), frames.size());
+
+  const StageTimes& miss = by_shape.at("analyze").stages;
+  EXPECT_GT(miss.parse_request, 0.0);
+  EXPECT_GT(miss.work, 0.0);
+  EXPECT_GT(miss.render, 0.0);
+  EXPECT_GT(miss.encode_frame, 0.0);
+
+  const StageTimes& hit = by_shape.at("analyze:hit").stages;
+  EXPECT_GT(hit.lookup, 0.0);
+  EXPECT_EQ(hit.work, 0.0);
+  EXPECT_EQ(hit.render, 0.0);
+
+  const StageTimes& edit = by_shape.at("edit_batch").stages;
+  EXPECT_TRUE(by_shape.at("edit_batch").ok);
+  EXPECT_GT(edit.work, 0.0);
+  EXPECT_EQ(edit.lookup, 0.0);
+  EXPECT_EQ(edit.render, 0.0);
+
+  const StageTimes& bad = by_shape.at("").stages;
+  EXPECT_GT(bad.parse_request, 0.0);
+  EXPECT_EQ(bad.lock_wait, 0.0);
+  EXPECT_EQ(bad.lookup, 0.0);
+  EXPECT_EQ(bad.work, 0.0);
+  EXPECT_EQ(bad.render, 0.0);
+  EXPECT_GT(bad.encode_frame, 0.0);
+
+  // The audit lines: a "stages" object with all six stages, each
+  // non-negative, summing to at most the line's "us".
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), frames.size());
+  for (const std::string& line : lines) {
+    const Expected<Json> parsed = parse_json(line);
+    ASSERT_TRUE(parsed) << line;
+    const Json& stages = parsed->get("stages");
+    ASSERT_EQ(stages.size(), 6u) << line;
+    double sum = 0.0;
+    for (const auto& [name, value] : stages.fields()) {
+      EXPECT_GE(value.as_number(-1.0), 0.0) << line;
+      sum += value.as_number();
+    }
+    EXPECT_LE(sum, parsed->get("us").as_number() + 1e-9) << line;
+  }
 }
 
 }  // namespace
