@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -64,35 +65,42 @@ bool write_string(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void json_escape_to(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the pending run that needs no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape_to(out, s);
   return out;
 }
 
 // JSON has no Inf/NaN literals; clamp them to null-safe numbers.
 std::string json_number(double v) {
   if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-  std::ostringstream out;
-  out.precision(15);
-  out << v;
-  return out.str();
+  // %.15g, as a stream with precision 15 renders it, without the stream.
+  char buf[32];  // "-2.22507385850720e-308" is 22
+  return std::string(buf,
+                     std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15).ptr);
 }
 
 RunMetadata& run_metadata() {

@@ -31,10 +31,13 @@ struct StageTimes {
   double parse_request = 0.0;  // frame bytes to the request Json and its
                                // id, verb, circuit and trace fields
   double lock_wait = 0.0;      // waiting for the circuit's session lock
-  double lookup = 0.0;         // result-cache get, plus the decode on a hit
+  double lookup = 0.0;         // result-cache get; a hit's stored bytes are
+                               // its answer, with no decode
   double work = 0.0;           // the verb handler, or SessionWork::run
-  double render = 0.0;         // dump() of a computed read for the cache put
-  double encode_frame = 0.0;   // the answer's envelope, echoes and frame bytes
+  double render = 0.0;         // the one dump() of a computed read, whose
+                               // bytes go to the cache and onto the wire
+  double encode_frame = 0.0;   // the answer's envelope, echoes and frame
+                               // bytes (a read's rendered bytes copied in)
 
   /// The stages in request order, under the names every view prints.
   std::array<std::pair<const char*, double>, 6> named() const {

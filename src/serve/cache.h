@@ -1,5 +1,9 @@
 // ResultCache — the serve layer's rendered-response cache.
 //
+// A value is a read's result exactly as it went on the wire: the service
+// renders a miss once, stores those bytes, and answers a hit by splicing
+// them into the frame unparsed (see service.h).
+//
 // Analyses are pure functions of circuit+schedule content, so responses are
 // cached under a CONTENT key: the FNV-1a fingerprint chain the tree already
 // uses for RunMetadata (AnalysisSession::content_fingerprint covers circuit

@@ -1,10 +1,11 @@
 #include "serve/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "obs/export.h"
 
@@ -13,6 +14,29 @@ namespace mintc::serve {
 namespace {
 
 const Json kNullJson;
+
+/// Longest %.17g rendering of a double ("-2.2250738585072014e-308" is 24).
+constexpr size_t kDoubleChars = 32;
+
+/// Write json_double(v) into `buf` and return its end.
+char* format_double(char* buf, double v) {
+  if (!std::isfinite(v)) {
+    const std::string_view clamped = v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+    return std::copy(clamped.begin(), clamped.end(), buf);
+  }
+  // Shortest form that round-trips: probe increasing precision. %.17g
+  // always round-trips IEEE-754 binary64; the lower probes just keep the
+  // common cases ("4.4", "0.25") human-sized. to_chars formats as printf's
+  // %.*g does, and from_chars reads back the correctly rounded value.
+  char* end = buf;
+  for (const int prec : {15, 16, 17}) {
+    end = std::to_chars(buf, buf + kDoubleChars, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
+  }
+  return end;
+}
 
 }  // namespace
 
@@ -52,7 +76,8 @@ bool Json::operator==(const Json& other) const {
       // Bit comparison, not ==: the protocol's identity notion is
       // bit-identity (and NaN never parses, so no NaN != NaN surprises).
       return std::memcmp(&num_, &other.num_, sizeof num_) == 0;
-    case Kind::kString: return str_ == other.str_;
+    case Kind::kString:
+    case Kind::kRaw: return str_ == other.str_;
     case Kind::kArray: return items_ == other.items_;
     case Kind::kObject: return fields_ == other.fields_;
   }
@@ -60,16 +85,8 @@ bool Json::operator==(const Json& other) const {
 }
 
 std::string json_double(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-  char buf[40];
-  // Shortest form that round-trips: probe increasing precision. %.17g
-  // always round-trips IEEE-754 binary64; the lower probes just keep the
-  // common cases ("4.4", "0.25") human-sized.
-  for (const int prec : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  char buf[kDoubleChars];
+  return std::string(buf, format_double(buf, v));
 }
 
 void Json::dump_to(std::string& out) const {
@@ -80,13 +97,22 @@ void Json::dump_to(std::string& out) const {
     case Kind::kBool:
       out += bool_ ? "true" : "false";
       return;
-    case Kind::kNumber:
-      out += json_double(num_);
+    case Kind::kNumber: {
+      char buf[kDoubleChars];
+      out.append(buf, format_double(buf, num_));
       return;
+    }
     case Kind::kString:
       out += '"';
-      out += obs::json_escape(str_);
+      obs::json_escape_to(out, str_);
       out += '"';
+      return;
+    case Kind::kRaw:
+      // Room for what an envelope appends after its result (closing
+      // braces, the trace and cost echoes, the frame's newline), so a large
+      // fragment is copied into the frame once, not again as it grows.
+      out.reserve(out.size() + str_.size() + 256);
+      out += str_;
       return;
     case Kind::kArray:
       out += '[';
@@ -101,7 +127,7 @@ void Json::dump_to(std::string& out) const {
       for (size_t i = 0; i < fields_.size(); ++i) {
         if (i) out += ',';
         out += '"';
-        out += obs::json_escape(fields_[i].first);
+        obs::json_escape_to(out, fields_[i].first);
         out += "\":";
         fields_[i].second.dump_to(out);
       }
@@ -323,41 +349,77 @@ class Parser {
 
   Error* parse_number(Json& out) {
     const size_t start = pos_;
-    if (eat('-')) {
-    }
+    const bool negative = eat('-');
     if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       pos_ = start;
       return fail("expected a JSON value");
     }
     // JSON int grammar: a single 0, or 1-9 followed by digits — "01" is
-    // malformed (strtod would accept it, so reject it here).
+    // malformed (from_chars would accept it, so reject it here).
     const size_t int_start = pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (text_[int_start] == '0' && pos_ - int_start > 1) {
+    skip_digits();
+    const size_t int_digits = pos_ - int_start;
+    if (text_[int_start] == '0' && int_digits > 1) {
       pos_ = int_start;
       return fail("leading zeros are not allowed");
     }
+    size_t frac_start = pos_;
     if (eat('.')) {
+      frac_start = pos_;
       if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         return fail("digit required after decimal point");
       }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      skip_digits();
     }
+    size_t exp_start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
+      exp_start = pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
       if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         return fail("digit required in exponent");
       }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      skip_digits();
     }
-    // The slice is a valid JSON number by construction; strtod can only
-    // overflow to +-inf, which we reject to keep the no-non-finite invariant.
-    const std::string slice(text_.substr(start, pos_ - start));
-    const double v = std::strtod(slice.c_str(), nullptr);
-    if (!std::isfinite(v)) return fail("number out of double range");
+    // The slice is a valid JSON number by construction, so from_chars can
+    // only fail with result_out_of_range, and it says so for an underflow
+    // as well as an overflow. An underflow reads as a signed zero, as the C
+    // library's conversion reads it; an overflow is rejected to keep the
+    // no-non-finite invariant.
+    double v = 0.0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, v).ec != std::errc()) {
+      if (decimal_exponent(int_start, int_digits, frac_start, exp_start) > 0) {
+        return fail("number out of double range");
+      }
+      v = negative ? -0.0 : 0.0;
+    }
     out = Json(v);
     return nullptr;
+  }
+
+  void skip_digits() {
+    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+  }
+
+  /// The power of ten of the first nonzero digit of a number scanned by
+  /// parse_number, which ends at pos_ (its exponent starts at `exp_start`,
+  /// or equals pos_ when absent). Only its sign matters: a number out of
+  /// double range has it at least 308 (overflow) or at most -324
+  /// (underflow). The exponent saturates, so any digit string is safe.
+  long decimal_exponent(size_t int_start, size_t int_digits, size_t frac_start,
+                        size_t exp_start) const {
+    long lead = static_cast<long>(int_digits) - 1;
+    if (text_[int_start] == '0') {  // 0.000ddd: count the zeros after the point
+      size_t p = frac_start;
+      while (p < text_.size() && text_[p] == '0') ++p;
+      lead = -static_cast<long>(p - frac_start) - 1;
+    }
+    long exponent = 0;
+    size_t p = exp_start;
+    const bool negative_exponent = p < pos_ && text_[p] == '-';
+    if (p < pos_ && (text_[p] == '-' || text_[p] == '+')) ++p;
+    for (; p < pos_; ++p) exponent = std::min(exponent * 10 + (text_[p] - '0'), 1000000L);
+    return lead + (negative_exponent ? -exponent : exponent);
   }
 
   std::string_view text_;

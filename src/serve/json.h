@@ -10,11 +10,16 @@
 //     adversarial frames are user input — every failure is an Error value
 //     with an offset, never an assert);
 //   * exact number round-trip: dump() renders doubles with the shortest
-//     decimal form that re-parses to the same bit pattern (%.15g..%.17g
-//     probe), which is what lets the soak test compare served departures
-//     BIT-identically against direct check_schedule results;
+//     decimal form that re-parses to the same bit pattern (a %.15g..%.17g
+//     probe, through std::to_chars/std::from_chars), which is what lets the
+//     soak test compare served departures BIT-identically against direct
+//     check_schedule results;
 //   * objects preserve insertion order (stable rendering for golden tests)
-//     and lookup is linear — protocol objects have a handful of keys.
+//     and lookup is linear — protocol objects have a handful of keys;
+//   * a raw fragment (Json::raw) holds text that is already rendered JSON,
+//     and dump() splices it in verbatim: the service answers a cache hit by
+//     wrapping the stored bytes of the first answer in the envelope, with
+//     no re-parse and no re-render.
 #pragma once
 
 #include <cmath>
@@ -31,7 +36,7 @@ namespace mintc::serve {
 
 class Json {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject, kRaw };
 
   Json() = default;  // null
   Json(bool b) : kind_(Kind::kBool), bool_(b) {}                    // NOLINT
@@ -50,6 +55,16 @@ class Json {
   static Json object() {
     Json j;
     j.kind_ = Kind::kObject;
+    return j;
+  }
+  /// A write-only fragment: dump() appends `text` as it is. The caller
+  /// vouches that `text` is one well-formed JSON value (the service only
+  /// wraps its own dump() output). It reads as no JSON type: every accessor
+  /// sees it as absent, so only the writer looks inside.
+  static Json raw(std::string text) {
+    Json j;
+    j.kind_ = Kind::kRaw;
+    j.str_ = std::move(text);
     return j;
   }
 
@@ -131,7 +146,7 @@ class Json {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
-  std::string str_;
+  std::string str_;                                    // kString, kRaw
   std::vector<Json> items_;                            // kArray
   std::vector<std::pair<std::string, Json>> fields_;   // kObject
 };
@@ -143,10 +158,12 @@ struct JsonParseOptions {
 /// Parse exactly one JSON value spanning the whole input (leading/trailing
 /// whitespace allowed, anything else after the value is an error). Errors
 /// are kInvalidArgument and carry a byte offset plus what was expected.
+/// Numbers are read as strtod reads them: one that underflows parses as a
+/// signed zero, one that overflows is an error.
 Expected<Json> parse_json(std::string_view text, const JsonParseOptions& options = {});
 
-/// Render a double with the shortest decimal form that re-parses to the
-/// same IEEE-754 bit pattern (non-finite values are clamped like
+/// Render a double as the first of %.15g, %.16g and %.17g that re-parses
+/// to the same IEEE-754 bit pattern (non-finite values are clamped like
 /// obs::json_number — JSON has no Inf/NaN).
 std::string json_double(double v);
 

@@ -73,10 +73,11 @@
 // one RequestRecord (audit.h). The audit line, the top-K slow table, the
 // --slow-ms warning and the serve.latency_us / serve.cpu_us /
 // serve.relaxations histograms are rendered from it, and so is the opt-in
-// "cost" envelope block of a dispatched request. handle_line completes the
-// record after encode_frame, so its wall time runs from request bytes in to
-// response bytes out, and its stage times (parse_request, lock_wait,
-// lookup, work, render, encode_frame) say where that time went.
+// "cost" envelope block of a dispatched request. handle_line, the one
+// entry point (handle() goes through it), completes the record after
+// encode_frame, so its wall time runs from request bytes in to response
+// bytes out, and its stage times (parse_request, lock_wait, lookup, work,
+// render, encode_frame) say where that time went.
 //
 // Cost attribution: when telemetry is on, every request carries an
 // obs::CostAccount through the thread-local TraceContext — the handler
@@ -100,7 +101,11 @@
 // AnalysisSession::content_fingerprint (which covers derated delays, so two
 // corners of one circuit never collide) mixed with the verb and its
 // parameters — and tagged with (circuit key, generation) for invalidation
-// on edits; see cache.h.
+// on edits; see cache.h. A read is rendered once: a miss dump()s its result
+// and the same bytes go into the cache and into the frame (a Json::raw
+// fragment inside the envelope). A hit splices the stored bytes into its
+// frame as they are, with no parse and no render, so its frame is the
+// miss's frame with "cached" set.
 //
 // Session-pool eviction: the pool carries a byte budget; loading a new
 // circuit evicts least-recently-used idle sessions (session.evictions
@@ -173,8 +178,9 @@ class TimingService {
   /// returns a frame — errors become {"ok":false,...} responses.
   std::string handle_line(std::string_view line);
 
-  /// The same request path for an already-parsed request (tests, in-process
-  /// setup), without the frame's parse and encode.
+  /// handle_line for a request built in-process (tests, bench setup): the
+  /// request is rendered as a line and the answered frame parsed back, so
+  /// the caller sees exactly the bytes a client would.
   Json handle(const Json& request);
 
   struct PoolStats {

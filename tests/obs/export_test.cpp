@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -306,6 +314,94 @@ TEST_F(ExportTest, PrometheusSanitizesMetricNames) {
   const std::string text = prometheus_text(reg.snapshot());
   // Dots and dashes are not legal in Prometheus metric names.
   EXPECT_NE(text.find("mintc_pool_worker_utilization 0.5"), std::string::npos) << text;
+}
+
+// The number and escape writers against the stream and per-character
+// implementations they replaced, which stay here as references.
+std::string reference_number(double v) {
+  if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+  std::ostringstream out;
+  out.precision(15);
+  out << v;
+  return out.str();
+}
+
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST_F(ExportTest, JsonNumberMatchesTheStreamReference) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                0.1,
+                                4.3999999999999995,
+                                1e21,
+                                1e15,
+                                1e16,
+                                123456789012345.67,
+                                -2.5e-7,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                DBL_MIN,
+                                std::numeric_limits<double>::denorm_min(),
+                                2.2250738585072009e-308,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::nan("")};
+  std::mt19937_64 rng(20261018);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+    values.push_back(std::ldexp(static_cast<double>(bits >> 11), -20));  // ordinary magnitudes
+  }
+  for (const double v : values) {
+    ASSERT_EQ(json_number(v), reference_number(v)) << std::hexfloat << v;
+  }
+}
+
+TEST_F(ExportTest, JsonEscapeMatchesThePerCharacterReference) {
+  std::vector<std::string> inputs = {"", "plain", "\"quoted\"", "back\\slash", "tab\tnew\nline",
+                                     std::string("nul\0mid", 7), "\x01\x1f\x7f\x80\xff",
+                                     "trailing\\"};
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  inputs.push_back(every_byte);
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng() % 40, ' ');
+    for (char& c : s) {
+      // Mostly text, with escapes in runs and alone.
+      const std::uint64_t r = rng() % 16;
+      c = r < 10 ? static_cast<char>('a' + r) : "\"\\\n\t\x02\x1f"[r - 10];
+    }
+    inputs.push_back(s);
+  }
+  for (const std::string& s : inputs) {
+    EXPECT_EQ(json_escape(s), reference_escape(s)) << s;
+    std::string appended = "prefix:";
+    json_escape_to(appended, s);
+    EXPECT_EQ(appended, "prefix:" + reference_escape(s)) << s;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace mintc::serve {
 namespace {
@@ -125,6 +131,115 @@ TEST(ServeJson, StringEscapesSurviveDump) {
   EXPECT_EQ(text.find('\n'), std::string::npos);  // one-line frames
   EXPECT_EQ(parse_ok(text).get("s").as_string(),
             std::string("line1\nline2\ttab\x01" "end"));
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Numbers past double's range: an underflow reads as a signed zero, an
+// overflow is an error. Everything the C library reads as finite parses to
+// its bits.
+TEST(ServeJson, ParsesNumbersAsTheCLibraryReadsThem) {
+  EXPECT_TRUE(same_bits(parse_ok("1e-400").as_number(-1.0), 0.0));
+  EXPECT_TRUE(same_bits(parse_ok("-1e-400").as_number(-1.0), -0.0));
+  EXPECT_TRUE(same_bits(parse_ok("2e-324").as_number(-1.0), 0.0));
+  EXPECT_TRUE(same_bits(parse_ok("5e-324").as_number(),
+                        std::numeric_limits<double>::denorm_min()));
+  EXPECT_TRUE(same_bits(parse_ok("-0").as_number(1.0), -0.0));
+  EXPECT_TRUE(same_bits(parse_ok("2.2250738585072011e-308").as_number(),
+                        std::strtod("2.2250738585072011e-308", nullptr)));
+  for (const char* huge : {"1e400", "-1e400"}) {
+    const Expected<Json> v = parse_json(huge);
+    ASSERT_FALSE(v) << huge;
+    EXPECT_NE(v.error().message.find("number out of double range"), std::string::npos)
+        << v.error().to_string();
+  }
+
+  // Where the digits put the magnitude, not just the exponent's sign.
+  const std::string zeros(400, '0');
+  const std::vector<std::string> cases = {
+      "1000e-330",  "0.0000001e-320", "0." + zeros + "1", "-0." + zeros + "1",
+      "1" + zeros,  "-1" + zeros,     "1" + zeros + "e-300", "0." + zeros + "1e+300",
+      "1e-0000000000000000000000400", "1e+0000000000000000000000400",
+      "1e99999999999999999999999", "1e-99999999999999999999999", "0e99999", "0.000e-400",
+      "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623157e308",
+      "1.7976931348623159e308"};
+  for (const std::string& text : cases) {
+    const double want = std::strtod(text.c_str(), nullptr);
+    const Expected<Json> v = parse_json(text);
+    if (std::isfinite(want)) {
+      ASSERT_TRUE(v) << text << ": " << v.error().to_string();
+      EXPECT_TRUE(same_bits(v->as_number(), want)) << text;
+    } else {
+      EXPECT_FALSE(v) << text;
+    }
+  }
+}
+
+// The reference rendering: the same %.15g/%.16g/%.17g probe through
+// snprintf and strtod.
+std::string reference_double(double v) {
+  if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+  char buf[40];
+  for (const int prec : {15, 16, 17}) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(ServeJson, JsonDoubleMatchesThePrintfReference) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.1,
+                                1.0 / 3.0,
+                                4.3999999999999995,
+                                4.4,
+                                110.0,
+                                1e21,
+                                1e-5,
+                                123456789012345678.0,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                DBL_MIN,
+                                std::nextafter(DBL_MIN, 0.0),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                2.2250738585072009e-308,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::nan("")};
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  for (const double v : values) {
+    const std::string text = json_double(v);
+    ASSERT_EQ(text, reference_double(v)) << std::hexfloat << v;
+    if (!std::isfinite(v)) continue;
+    const Expected<Json> back = parse_json(text);
+    ASSERT_TRUE(back) << text;
+    ASSERT_TRUE(same_bits(back->as_number(), v)) << text;
+  }
+}
+
+TEST(ServeJson, RawFragmentDumpsVerbatimAndReadsAsNothing) {
+  const Json raw = Json::raw(R"({"a":[1,2.5],"s":"x\ny"})");
+  EXPECT_EQ(raw.kind(), Json::Kind::kRaw);
+  EXPECT_FALSE(raw.is_object() || raw.is_string() || raw.is_null());
+  EXPECT_EQ(raw.size(), 0u);
+  EXPECT_TRUE(raw.get("a").is_null());
+  EXPECT_EQ(raw.as_string(), "");
+  EXPECT_EQ(raw, Json::raw(R"({"a":[1,2.5],"s":"x\ny"})"));
+  EXPECT_NE(raw, Json(std::string(R"({"a":[1,2.5],"s":"x\ny"})")));
+
+  Json envelope = Json::object();
+  envelope.set("ok", Json(true));
+  envelope.set("result", raw);
+  EXPECT_EQ(envelope.dump(), R"({"ok":true,"result":{"a":[1,2.5],"s":"x\ny"}})");
+  EXPECT_EQ(parse_ok(envelope.dump()).get("result"), parse_ok(raw.dump()));
 }
 
 }  // namespace
