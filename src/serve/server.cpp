@@ -65,13 +65,21 @@ SocketServer::SocketServer(TimingService& service, ServerConfig config)
     : service_(service),
       config_(std::move(config)),
       pool_(config_.num_threads),
-      queue_depth_metric_(registry().gauge("serve.queue_depth")),
       connections_metric_(registry().counter("serve.connections")) {}
 
 SocketServer::~SocketServer() { stop(); }
 
 Expected<bool> SocketServer::start() {
   if (started_) return make_error(ErrorKind::kInvalidArgument, "server already started");
+
+  // A failed start leaves nothing behind: no open listener, and no socket
+  // file from a Unix bind that succeeded before a later step failed.
+  const auto fail = [this](const std::string& message) {
+    close_fd(unix_fd_);
+    close_fd(tcp_fd_);
+    if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
+    return make_error(ErrorKind::kIo, message);
+  };
 
   if (!config_.unix_path.empty()) {
     struct sockaddr_un addr;
@@ -88,8 +96,7 @@ Expected<bool> SocketServer::start() {
         ::bind(unix_fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 ||
         ::listen(unix_fd_, 128) != 0 || !set_nonblocking(unix_fd_)) {
       const std::string why = std::strerror(errno);
-      close_fd(unix_fd_);
-      return make_error(ErrorKind::kIo, "cannot listen on " + config_.unix_path + ": " + why);
+      return fail("cannot listen on " + config_.unix_path + ": " + why);
     }
   }
 
@@ -108,10 +115,8 @@ Expected<bool> SocketServer::start() {
         ::bind(tcp_fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 ||
         ::listen(tcp_fd_, 128) != 0 || !set_nonblocking(tcp_fd_)) {
       const std::string why = std::strerror(errno);
-      close_fd(tcp_fd_);
-      close_fd(unix_fd_);
-      return make_error(ErrorKind::kIo, "cannot listen on loopback TCP port " +
-                                            std::to_string(config_.tcp_port) + ": " + why);
+      return fail("cannot listen on loopback TCP port " + std::to_string(config_.tcp_port) +
+                  ": " + why);
     }
     struct sockaddr_in bound;
     socklen_t len = sizeof(bound);
@@ -124,11 +129,7 @@ Expected<bool> SocketServer::start() {
     return make_error(ErrorKind::kInvalidArgument,
                       "no listener configured (set unix_path and/or tcp_port)");
   }
-  if (::pipe(wake_pipe_) != 0) {
-    close_fd(unix_fd_);
-    close_fd(tcp_fd_);
-    return make_error(ErrorKind::kIo, "cannot create wake pipe");
-  }
+  if (::pipe(wake_pipe_) != 0) return fail("cannot create wake pipe");
   set_nonblocking(wake_pipe_[0]);
   set_nonblocking(wake_pipe_[1]);
 
@@ -136,36 +137,31 @@ Expected<bool> SocketServer::start() {
   started_ = true;
   io_thread_ = std::thread([this] { io_loop(); });
 
-  // Gauges only this layer can answer, refreshed when the service renders a
-  // `metrics` scrape: pool shape/throughput and the dispatch queue depth.
-  service_.set_runtime_sampler([this] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-    const int threads = pool_.num_threads();
-    reg.gauge("pool.threads").set(static_cast<double>(threads));
-    reg.gauge("pool.busy").set(static_cast<double>(pool_.busy_count()));
-    reg.gauge("pool.utilization")
-        .set(threads > 0 ? static_cast<double>(pool_.busy_count()) / threads : 0.0);
-    reg.gauge("pool.executed").set(static_cast<double>(pool_.executed_count()));
-    reg.gauge("pool.steals").set(static_cast<double>(pool_.steal_count()));
-    reg.gauge("serve.queue_depth")
-        .set(static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
-  });
-  // The status page's worker table: per-worker execution/CPU/queue state
-  // straight from the dispatch pool.
-  service_.set_worker_stats_provider([this] { return pool_.worker_stats(); });
+  service_.set_runtime_sampler([this] { publish_pool_gauges(); });
   return true;
+}
+
+void SocketServer::publish_pool_gauges() {
+  obs::MetricsRegistry& reg = registry();
+  const int threads = pool_.num_threads();
+  const int busy = pool_.busy_count();
+  reg.gauge("pool.threads").set(static_cast<double>(threads));
+  reg.gauge("pool.busy").set(static_cast<double>(busy));
+  reg.gauge("pool.utilization").set(static_cast<double>(busy) / threads);
+  reg.gauge("pool.executed").set(static_cast<double>(pool_.executed_count()));
+  reg.gauge("serve.queue_depth").set(static_cast<double>(pool_.pending()));
 }
 
 void SocketServer::stop() {
   if (!started_) return;
-  service_.set_runtime_sampler(nullptr);  // both hooks capture `this`
-  service_.set_worker_stats_provider(nullptr);
   running_.store(false, std::memory_order_release);
   wake_io();
   if (io_thread_.joinable()) io_thread_.join();
-  // Drain OUR in-flight requests (group-scoped: a shared pool would keep
-  // running other traffic and ThreadPool::wait() would never return).
-  inflight_.wait();
+  // The IO thread was the only submitter, so this drains exactly the
+  // requests it read.
+  pool_.wait();
+  publish_pool_gauges();
+  service_.set_runtime_sampler(nullptr);  // it captures `this`
   conns_.clear();  // closes every remaining connection fd
   close_fd(unix_fd_);
   close_fd(tcp_fd_);
@@ -280,13 +276,8 @@ bool SocketServer::drain_readable(const std::shared_ptr<Conn>& conn) {
 }
 
 void SocketServer::dispatch_line(std::shared_ptr<Conn> conn, std::string line) {
-  queue_depth_metric_.set(
-      static_cast<double>(queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1));
-  pool_.submit(inflight_, [this, conn = std::move(conn), line = std::move(line)] {
-    const std::string frame = service_.handle_line(line);
-    conn->write_frame(frame);
-    queue_depth_metric_.set(
-        static_cast<double>(queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  pool_.submit([this, conn = std::move(conn), line = std::move(line)] {
+    conn->write_frame(service_.handle_line(line));
   });
 }
 

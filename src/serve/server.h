@@ -9,7 +9,9 @@
 //
 // Consequences worth knowing (all covered by the server/robustness tests):
 //   * Requests from ONE connection may be answered out of order — each line
-//     is an independent task. Clients match on the echoed id (client.h does).
+//     is an independent task. The pool starts tasks in arrival order, but
+//     several workers finish them in any order. Clients match on the echoed
+//     id (client.h does).
 //   * Connection lifetime is shared_ptr-managed: the IO thread drops its
 //     reference when the peer disconnects, in-flight workers finish against
 //     the dead socket (writes fail silently, MSG_NOSIGNAL), and the fd
@@ -18,13 +20,16 @@
 //   * A frame overflow (partial line beyond the cap) gets one final
 //     frame_too_large error written inline, then the connection is shut
 //     down; malformed-but-complete lines only cost an error response.
-//   * stop() closes the listeners, drains in-flight requests through a
-//     base::TaskGroup (the pool may be shared in principle — the group
-//     waits for OUR tasks only), then closes the remaining sockets.
+//   * stop() joins the IO thread, the pool's only submitter, so the pool's
+//     wait() then drains exactly the requests already read; every one of
+//     them is answered before the remaining sockets close.
+//   * Pool and queue gauges (pool.*, serve.queue_depth) are read from the
+//     pool when the service samples its runtime gauges, and once more by
+//     stop() after the drain, so a final snapshot describes the idle pool.
 //
-// Listeners: a Unix-domain socket (path unlinked before bind and after
-// stop) and/or loopback TCP (port 0 = ephemeral; tcp_port() reports the
-// bound port).
+// Listeners: a Unix-domain socket (path unlinked before bind, after stop
+// and after a failed start) and/or loopback TCP (port 0 = ephemeral;
+// tcp_port() reports the bound port).
 #pragma once
 
 #include <atomic>
@@ -102,6 +107,9 @@ class SocketServer {
   bool drain_readable(const std::shared_ptr<Conn>& conn);
   void dispatch_line(std::shared_ptr<Conn> conn, std::string line);
   void wake_io();
+  /// Set the pool.* and serve.queue_depth gauges from the pool: the
+  /// service's runtime sampler, and stop()'s last word after the drain.
+  void publish_pool_gauges();
 
   TimingService& service_;
   ServerConfig config_;
@@ -116,14 +124,11 @@ class SocketServer {
   bool started_ = false;
 
   base::ThreadPool pool_;
-  base::TaskGroup inflight_;
 
   // Owned by the IO thread while running; cleared in stop().
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 
   std::atomic<long> connections_accepted_{0};
-  std::atomic<long> queue_depth_{0};
-  obs::Gauge& queue_depth_metric_;
   obs::Counter& connections_metric_;
 };
 

@@ -503,12 +503,6 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
                 : error_response(id, answer.error());
 }
 
-void TimingService::set_worker_stats_provider(
-    std::function<std::vector<base::ThreadPool::WorkerStats>()> provider) {
-  const std::lock_guard<std::mutex> lk(sampler_mu_);
-  worker_stats_provider_ = std::move(provider);
-}
-
 void TimingService::record_history_sample() {
   const double t = uptime_seconds();
   const long requests = requests_metric_.value();

@@ -58,8 +58,9 @@
 //   status      the live ops dashboard as a single self-contained HTML
 //               document (result.content): uptime/build tiles, latency and
 //               CPU histograms, HistoryRing sparklines, session/cache
-//               tables, and the top-K slow requests with their stage times
-//               and trace ids ("top": N sizes the slow table)
+//               tables, a transport row while a socket server is attached,
+//               and the top-K slow requests with their stage times and
+//               trace ids ("top": N sizes the slow table)
 //
 // One request path: every verb is a row of one verb table. The six session
 // verbs (edit_batch, analyze, report, sweep, undo, min) share one path that
@@ -125,7 +126,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "obs/history.h"
 #include "obs/metrics.h"
 #include "serve/audit.h"
@@ -196,23 +196,18 @@ class TimingService {
   /// Drop every session and cached result (bench_serve's cold lane).
   void reset();
 
-  /// Hook run at the top of the `metrics` verb (and write_prometheus_text
-  /// snapshots) to refresh gauges only the transport layer can sample —
-  /// thread-pool queue depth, worker utilization, steal rate. The socket
-  /// server installs it in start() and clears it in stop(); pass nullptr to
-  /// clear. Thread-safe.
+  /// Hook run at the top of the `metrics` verb, the status page and the
+  /// daemon's --prom-out snapshots to refresh gauges only the transport can
+  /// sample: its pool's threads, busy workers, executed tasks and queue
+  /// depth. The socket server installs it in start() and clears it in
+  /// stop(); pass nullptr to clear. While it is installed the status page
+  /// shows a transport row. Thread-safe.
   void set_runtime_sampler(std::function<void()> sampler);
 
   /// Refresh service-owned runtime gauges (cache/pool/in-flight/uptime) and
   /// invoke the transport sampler. Called by the `metrics` verb; the daemon
   /// calls it before periodic --prom-out snapshots.
   void sample_runtime_gauges();
-
-  /// Hook returning per-worker stats of the transport's thread pool for the
-  /// status page's worker table; installed by the socket server alongside
-  /// the runtime sampler. Thread-safe; pass nullptr to clear.
-  void set_worker_stats_provider(
-      std::function<std::vector<base::ThreadPool::WorkerStats>()> provider);
 
   /// Append one sample (request rate, latency/CPU quantiles, cache and pool
   /// state) to the status dashboard's HistoryRing. The daemon calls this on
@@ -344,7 +339,6 @@ class TimingService {
   std::atomic<long> inflight_{0};
   std::mutex sampler_mu_;
   std::function<void()> runtime_sampler_;
-  std::function<std::vector<base::ThreadPool::WorkerStats>()> worker_stats_provider_;
 
   const std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
   std::unique_ptr<AuditLog> audit_;

@@ -6,7 +6,9 @@
 //   * identity tiles (version/git/compiler/uptime) and live counters
 //   * HistoryRing sparklines: request rate, latency/CPU quantiles, cache
 //   * the latency / attributed-CPU / engine-work histograms as bar charts
-//   * session-pool, cache and transport-worker tables
+//   * session-pool and cache tables, and a transport row (pool threads,
+//     busy, executed, queue depth) while a transport has installed its
+//     runtime sampler
 //   * the top-K slowest requests with their stage times, trace ids and
 //     CostAccount totals
 #include <algorithm>
@@ -207,24 +209,21 @@ std::string TimingService::status_html(int top_n) {
   out << "  </div>\n  <div class=\"note\">budget "
       << fmt_bytes(static_cast<double>(cs.budget)) << "</div>\n  </section>\n";
 
-  // -- Transport workers (only when the socket server installed a provider).
-  std::function<std::vector<base::ThreadPool::WorkerStats>()> provider;
+  // -- Transport: the gauges its sampler published at the top of this
+  // render, shown only while a transport has installed one.
+  bool transport = false;
   {
     const std::lock_guard<std::mutex> lk(sampler_mu_);
-    provider = worker_stats_provider_;
+    transport = static_cast<bool>(runtime_sampler_);
   }
-  if (provider) {
-    const std::vector<base::ThreadPool::WorkerStats> workers = provider();
-    out << "  <section>\n  <h2>transport workers</h2>\n  <table>\n"
-        << "  <tr><th>worker</th><th>executed</th><th>queued</th><th>cpu</th>"
-           "<th>state</th></tr>\n";
-    for (size_t i = 0; i < workers.size(); ++i) {
-      const base::ThreadPool::WorkerStats& ws = workers[i];
-      out << "  <tr><td>" << i << "</td><td>" << ws.executed << "</td><td>" << ws.queued
-          << "</td><td>" << fmt(ws.cpu_seconds, 2) << "s</td><td>"
-          << (ws.busy ? "busy" : "idle") << "</td></tr>\n";
-    }
-    out << "  </table>\n  </section>\n";
+  if (transport) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    out << "  <section>\n  <h2>transport</h2>\n  <div class=\"tiles\">\n";
+    tile(out, fmt_compact(reg.gauge("pool.threads").value()), "threads");
+    tile(out, fmt_compact(reg.gauge("pool.busy").value()), "busy");
+    tile(out, fmt_compact(reg.gauge("pool.executed").value()), "executed");
+    tile(out, fmt_compact(reg.gauge("serve.queue_depth").value()), "queue depth");
+    out << "  </div>\n  </section>\n";
   }
 
   // -- Top-K slow requests with their attribution — each row's trace id is

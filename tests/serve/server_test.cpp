@@ -1,6 +1,7 @@
 // Socket-level tests: SocketServer + Client over real TCP and Unix-domain
 // sockets, including the robustness cases (malformed frames, oversized
-// frames, mid-request disconnects, concurrent same-key edits).
+// frames, mid-request disconnects, concurrent same-key edits, a failed
+// start), the drain in stop() and the pool gauges it publishes.
 #include "serve/server.h"
 
 #include <arpa/inet.h>
@@ -11,12 +12,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/service.h"
 
@@ -80,6 +83,38 @@ TEST(ServeServer, UnixSocketRoundTrip) {
   fx.server.stop();
   // stop() unlinks the socket path.
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+TEST(ServeServer, FailedStartRemovesTheUnixSocketFile) {
+  // Hold a loopback port, then ask for a Unix socket and that port: the Unix
+  // bind succeeds, the TCP bind fails, and the socket file must not stay.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int port = ntohs(addr.sin_port);
+
+  const std::string path = testing::TempDir() + "serve_failed_start.sock";
+  std::remove(path.c_str());
+  TimingService service;
+  ServerConfig config;
+  config.unix_path = path;
+  config.tcp_port = port;
+  SocketServer server(service, config);
+  const Expected<bool> started = server.start();
+  ::close(holder);
+  ASSERT_FALSE(started);
+  EXPECT_EQ(started.error().kind, ErrorKind::kIo);
+  EXPECT_NE(started.error().message.find("loopback TCP port " + std::to_string(port)),
+            std::string::npos)
+      << started.error().to_string();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << path << " was left behind";
 }
 
 TEST(ServeServer, PipelinedResponsesMatchById) {
@@ -269,11 +304,63 @@ TEST(ServeServer, StopDrainsInFlightRequests) {
   ASSERT_TRUE(client.connect(fx.address()));
   ASSERT_TRUE(client.call(req({{"verb", Json("load")}, {"circuit", Json("e1")},
                                {"builtin", Json("example1")}})));
+  const obs::Counter& requests = obs::MetricsRegistry::instance().counter("serve.requests");
+  const long before = requests.value();
+  std::vector<long> ids;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(client.send(req({{"verb", Json("analyze")}, {"circuit", Json("e1")}})));
+    const Expected<long> id =
+        client.send(req({{"verb", Json("analyze")}, {"circuit", Json("e1")}}));
+    ASSERT_TRUE(id);
+    ids.push_back(*id);
   }
-  fx.server.stop();  // must not hang or crash with requests in flight
-  SUCCEED();
+  // Stop once the server has started on the burst, so some are in flight.
+  for (int spin = 0; spin < 5000 && requests.value() == before; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fx.server.stop();
+  const long answered = requests.value() - before;
+  EXPECT_GE(answered, 1);
+
+  // Every request the service answered reached the client before the socket
+  // closed. The server reads lines in order, so the answered ones are the
+  // first `answered` ids; the rest were never read and get no frame.
+  long received = 0;
+  for (const long id : ids) {
+    const Expected<Json> r = client.recv(id);
+    if (!r) break;  // the connection closed
+    EXPECT_EQ(r->get("id").as_long(-1), id);
+    EXPECT_TRUE(r->get("ok").as_bool(false)) << r->dump();
+    ++received;
+  }
+  EXPECT_EQ(received, answered);
+}
+
+TEST(ServeServer, PoolGaugesDescribeTheDrainedPool) {
+  ServerConfig config = TcpServerFixture::make_config();
+  config.num_threads = 3;
+  TcpServerFixture fx(config);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  const long before = reg.counter("serve.requests").value();
+  Client client;
+  ASSERT_TRUE(client.connect(fx.address()));
+  ASSERT_TRUE(client.call(req({{"verb", Json("load")}, {"circuit", Json("e1")},
+                               {"builtin", Json("example1")}})));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.call(req({{"verb", Json("analyze")}, {"circuit", Json("e1")}})));
+  }
+  const Expected<Json> metrics = client.call(req({{"verb", Json("metrics")}}));
+  ASSERT_TRUE(metrics);
+  const std::string text = metrics->get("result").get("content").as_string();
+  EXPECT_NE(text.find("\nmintc_pool_threads 3\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("mintc_pool_steals"), std::string::npos) << text;
+
+  // stop() publishes the drained pool: nothing queued, and one executed
+  // task per answered request (the metrics scrape above ran inside one).
+  fx.server.stop();
+  EXPECT_EQ(reg.gauge("serve.queue_depth").value(), 0.0);
+  EXPECT_EQ(reg.gauge("pool.busy").value(), 0.0);
+  EXPECT_EQ(reg.gauge("pool.executed").value(),
+            static_cast<double>(reg.counter("serve.requests").value() - before));
 }
 
 }  // namespace

@@ -2,15 +2,14 @@
 // the live ops dashboard. These tests pin the envelope shape, the
 // single-document invariants (no scripts, exactly one DOCTYPE) and that the
 // sections reflect real service state — traffic in the slow table, history
-// samples in the sparkline section, worker rows when the transport installs
-// its provider.
+// samples in the sparkline section, the transport row while a transport's
+// runtime sampler is installed.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/service.h"
@@ -118,24 +117,29 @@ TEST_F(ServeStatusTest, HistorySamplesFeedTheSparklines) {
   EXPECT_NE(html.find("<polyline"), std::string::npos);
 }
 
-TEST_F(ServeStatusTest, WorkerTableAppearsOnlyWithAProvider) {
+TEST_F(ServeStatusTest, TransportRowAppearsOnlyWithASampler) {
   TimingService service;
-  EXPECT_EQ(service.status_html().find("transport workers"), std::string::npos);
+  EXPECT_EQ(service.status_html().find("<h2>transport</h2>"), std::string::npos);
 
-  service.set_worker_stats_provider([] {
-    std::vector<base::ThreadPool::WorkerStats> workers(2);
-    workers[0].executed = 7;
-    workers[0].busy = true;
-    workers[1].executed = 3;
-    return workers;
+  // The row shows what the sampler published during the render.
+  service.set_runtime_sampler([] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    reg.gauge("pool.threads").set(3);
+    reg.gauge("pool.busy").set(2);
+    reg.gauge("pool.executed").set(41);
+    reg.gauge("serve.queue_depth").set(5);
   });
   const std::string html = service.status_html();
-  EXPECT_NE(html.find("transport workers"), std::string::npos);
-  EXPECT_NE(html.find("<td>7</td>"), std::string::npos) << html;
-  EXPECT_NE(html.find("busy"), std::string::npos);
+  EXPECT_NE(html.find("<h2>transport</h2>"), std::string::npos) << html;
+  for (const auto& [value, key] : std::vector<std::pair<std::string, std::string>>{
+           {"3", "threads"}, {"2", "busy"}, {"41", "executed"}, {"5", "queue depth"}}) {
+    EXPECT_NE(html.find("<div class=\"v\">" + value + "</div><div class=\"k\">" + key + "</div>"),
+              std::string::npos)
+        << key;
+  }
 
-  service.set_worker_stats_provider(nullptr);
-  EXPECT_EQ(service.status_html().find("transport workers"), std::string::npos);
+  service.set_runtime_sampler(nullptr);
+  EXPECT_EQ(service.status_html().find("<h2>transport</h2>"), std::string::npos);
 }
 
 TEST_F(ServeStatusTest, TopParameterClampsAndSizesTheSlowTable) {
