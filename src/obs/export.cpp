@@ -95,12 +95,20 @@ std::string json_escape(std::string_view s) {
 }
 
 // JSON has no Inf/NaN literals; clamp them to null-safe numbers.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+void json_number_to(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+    return;
+  }
   // %.15g, as a stream with precision 15 renders it, without the stream.
   char buf[32];  // "-2.22507385850720e-308" is 22
-  return std::string(buf,
-                     std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15).ptr);
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15).ptr);
+}
+
+std::string json_number(double v) {
+  std::string out;
+  json_number_to(out, v);
+  return out;
 }
 
 RunMetadata& run_metadata() {
@@ -142,13 +150,20 @@ std::string fnv1a_hex(std::string_view bytes) { return hash_hex(fnv1a64(bytes));
 
 std::string run_metadata_json(const RunMetadata& meta) {
   const double wall = meta.wall_seconds > 0.0 ? meta.wall_seconds : process_wall_seconds();
-  std::ostringstream out;
-  out << "{\"tool\": \"" << json_escape(meta.tool) << "\", \"circuit\": \""
-      << json_escape(meta.circuit) << "\", \"schedule_hash\": \""
-      << json_escape(meta.schedule_hash) << "\"";
-  if (!meta.corner.empty()) out << ", \"corner\": \"" << json_escape(meta.corner) << "\"";
-  out << ", \"wall_seconds\": " << json_number(wall) << "}";
-  return out.str();
+  std::string out = "{\"tool\": \"";
+  json_escape_to(out, meta.tool);
+  out += "\", \"circuit\": \"";
+  json_escape_to(out, meta.circuit);
+  out += "\", \"schedule_hash\": \"";
+  json_escape_to(out, meta.schedule_hash);
+  if (!meta.corner.empty()) {
+    out += "\", \"corner\": \"";
+    json_escape_to(out, meta.corner);
+  }
+  out += "\", \"wall_seconds\": ";
+  json_number_to(out, wall);
+  out += '}';
+  return out;
 }
 
 std::string run_metadata_json() { return run_metadata_json(run_metadata()); }

@@ -55,10 +55,11 @@ const BuildInfo& build_info();
 /// JSON string-escape (\" \\ control chars) and number rendering (%.15g;
 /// non-finite values clamped to +-1e308/0 — JSON has no Inf/NaN literals).
 /// Shared by every JSON writer in the tree (metrics, trace, report, serve).
-/// json_escape_to appends the escaped text to `out`, each run that needs no
-/// escape in one piece; json_escape returns it as a new string.
+/// The *_to forms append to `out` (json_escape_to each run that needs no
+/// escape in one piece); json_escape and json_number return a new string.
 void json_escape_to(std::string& out, std::string_view s);
 std::string json_escape(std::string_view s);
+void json_number_to(std::string& out, double v);
 std::string json_number(double v);
 
 /// FNV-1a 64-bit digest; used to fingerprint schedules in the header and as

@@ -19,8 +19,32 @@ double eff_skew(const Element& e, const GeneratorOptions& options) {
 
 }  // namespace
 
+ConstraintCounts count_constraints(const Circuit& circuit, const GeneratorOptions& options) {
+  ConstraintCounts n;
+  const int k = circuit.num_phases();
+  n.bounds = 1 + 2 * k + circuit.num_elements();  // Tc, s_i, T_i, D_i
+  n.c1 = 2 * k;
+  n.c2 = std::max(0, k - 1);
+  if (options.enforce_nonoverlap) n.c3 = circuit.k_matrix().num_pairs();
+  if (options.min_phase_width > 0.0) n.ext += k;
+  if (options.tc_upper_bound >= 0.0) n.ext += 1;
+  for (int i = 0; i < circuit.num_elements(); ++i) {
+    const int fanin = static_cast<int>(circuit.fanin(i).size());
+    if (circuit.element(i).is_latch()) {
+      n.l1 += options.arrival_based_setup ? fanin : 1;
+      n.l2r += fanin;
+    } else {
+      n.ff_pin += 1;
+      n.ff_setup += fanin;
+    }
+    if (options.hold_constraints) n.hold += fanin;
+  }
+  return n;
+}
+
 GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options) {
   GeneratedLp out;
+  out.counts = count_constraints(circuit, options);
   lp::Model& m = out.model;
   VariableMap& v = out.vars;
   const int k = circuit.num_phases();
@@ -29,19 +53,9 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
   // ---- Variables. Nonnegativity (C4, L3) is carried by the lower bounds.
   v.tc = m.add_variable("Tc");
   m.set_objective(v.tc, 1.0);
-  out.counts.bounds += 1;
-  for (int p = 1; p <= k; ++p) {
-    v.s.push_back(m.add_variable("s" + std::to_string(p)));
-    out.counts.bounds += 1;
-  }
-  for (int p = 1; p <= k; ++p) {
-    v.T.push_back(m.add_variable("T" + std::to_string(p)));
-    out.counts.bounds += 1;
-  }
-  for (int i = 0; i < l; ++i) {
-    v.D.push_back(m.add_variable("D(" + circuit.element(i).name + ")"));
-    out.counts.bounds += 1;
-  }
+  for (int p = 1; p <= k; ++p) v.s.push_back(m.add_variable("s" + std::to_string(p)));
+  for (int p = 1; p <= k; ++p) v.T.push_back(m.add_variable("T" + std::to_string(p)));
+  for (int i = 0; i < l; ++i) v.D.push_back(m.add_variable("D(" + circuit.element(i).name + ")"));
   const auto s_var = [&](int p) { return v.s[static_cast<size_t>(p - 1)]; };
   const auto t_var = [&](int p) { return v.T[static_cast<size_t>(p - 1)]; };
   const auto d_var = [&](int i) { return v.D[static_cast<size_t>(i)]; };
@@ -52,14 +66,12 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
               lp::Sense::kLe, 0.0);
     m.add_row("C1:s" + std::to_string(p) + "<=Tc", {{s_var(p), 1.0}, {v.tc, -1.0}},
               lp::Sense::kLe, 0.0);
-    out.counts.c1 += 2;
   }
 
   // ---- C2 phase ordering: s_i <= s_{i+1}.
   for (int p = 1; p < k; ++p) {
     m.add_row("C2:s" + std::to_string(p) + "<=s" + std::to_string(p + 1),
               {{s_var(p), 1.0}, {s_var(p + 1), -1.0}}, lp::Sense::kLe, 0.0);
-    out.counts.c2 += 1;
   }
 
   // ---- C3 phase nonoverlap (eq. 6): s_i >= s_j + T_j - C_ji*Tc for K_ij=1,
@@ -82,7 +94,6 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
                    {t_var(j), -1.0},
                    {v.tc, static_cast<double>(c_flag(j, i))}},
                   lp::Sense::kGe, margin);
-        out.counts.c3 += 1;
       }
     }
   }
@@ -92,14 +103,12 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
     for (int p = 1; p <= k; ++p) {
       m.add_row("EXT:minwidth:T" + std::to_string(p), {{t_var(p), 1.0}}, lp::Sense::kGe,
                 options.min_phase_width);
-      out.counts.ext += 1;
     }
   }
 
   // ---- Warm-start style upper bound on Tc.
   if (options.tc_upper_bound >= 0.0) {
     m.add_row("EXT:Tc<=bound", {{v.tc, 1.0}}, lp::Sense::kLe, options.tc_upper_bound);
-    out.counts.ext += 1;
   }
 
   out.delay_row_of_path.assign(static_cast<size_t>(circuit.num_paths()), -1);
@@ -113,7 +122,6 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
         // L1 (eq. 16): D_i + Δ_DCi (+ σ_i) <= T_pi.
         m.add_row("L1:setup(" + e.name + ")", {{d_var(i), 1.0}, {t_var(p), -1.0}},
                   lp::Sense::kLe, -(e.setup + eff_skew(e, options)));
-        out.counts.l1 += 1;
       } else {
         // Eq. (10): A_i + Δ_DCi <= T_pi, one row per fanin path.
         for (const int pi : circuit.fanin(i)) {
@@ -129,13 +137,11 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
                      {t_var(p), -1.0}},
                     lp::Sense::kLe,
                     -(src.dq + path.delay + e.setup + eff_skew(e, options)));
-          out.counts.l1 += 1;
         }
       }
     } else {
       // Flip-flop: departure pinned to the leading edge of its phase.
       m.add_row("FF:pin(" + e.name + ")", {{d_var(i), 1.0}}, lp::Sense::kEq, 0.0);
-      out.counts.ff_pin += 1;
       // Setup against the leading edge: A_i <= -Δ_DCi, one row per fanin.
       for (const int pi : circuit.fanin(i)) {
         const CombPath& path = circuit.path(pi);
@@ -150,7 +156,6 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
              {v.tc, -static_cast<double>(c_flag(pj, p))}},
             lp::Sense::kLe, -(src.dq + path.delay + e.setup + eff_skew(e, options)));
         out.delay_row_of_path[static_cast<size_t>(pi)] = row;
-        out.counts.ff_setup += 1;
       }
     }
   }
@@ -173,7 +178,6 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
                                {v.tc, static_cast<double>(c_flag(pj, p))}},
                               lp::Sense::kGe, src.dq + path.delay);
     out.delay_row_of_path[static_cast<size_t>(pi)] = row;
-    out.counts.l2r += 1;
   }
 
   // ---- Conservative hold rows (short-path extension). Earliest departure
@@ -206,7 +210,6 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
                     {{v.tc, 1.0 - c}, {s_var(pj), 1.0}, {s_var(p), -1.0}}, lp::Sense::kGe,
                     e.hold + eff_skew(e, options) - src.min_dq() - path.min_delay);
         }
-        out.counts.hold += 1;
       }
     }
   }

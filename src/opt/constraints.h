@@ -90,6 +90,11 @@ struct GeneratedLp {
   std::vector<int> delay_row_of_path;
 };
 
+/// The rows generate_lp emits for this circuit and options, per class,
+/// counted from the circuit alone: no LP is built. generate_lp takes its
+/// `counts` from here.
+ConstraintCounts count_constraints(const Circuit& circuit, const GeneratorOptions& options = {});
+
 /// Build P2 for the circuit. The circuit must pass Circuit::validate().
 GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options = {});
 

@@ -1,10 +1,12 @@
 #include "report/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "base/log.h"
 #include "base/strings.h"
@@ -18,9 +20,6 @@ namespace mintc::report {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-using obs::json_escape;
-using obs::json_number;
 
 obs::RunMetadata meta_for(const SlackDB& db) {
   obs::RunMetadata meta = obs::run_metadata();
@@ -46,132 +45,143 @@ std::string fmt_or_dash(double v, int decimals = 3) {
 
 // ---------------------------------------------------------------- JSON --
 
-std::string hist_json(const HistogramSummary& h) {
-  std::ostringstream out;
-  out << "{\"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
-      << ", \"min\": " << json_number(h.min) << ", \"max\": " << json_number(h.max)
-      << ", \"p50\": " << json_number(h.p50) << ", \"p95\": " << json_number(h.p95)
-      << ", \"p99\": " << json_number(h.p99) << ", \"bounds\": [";
-  for (size_t i = 0; i < h.bounds.size(); ++i) {
-    if (i) out << ", ";
-    out << json_number(h.bounds[i]);
-  }
-  out << "], \"buckets\": [";
-  for (size_t i = 0; i < h.buckets.size(); ++i) {
-    if (i) out << ", ";
-    out << h.buckets[i];
-  }
-  out << "]}";
-  return out.str();
+/// The JSON writers append to one string, with no stream and no string per
+/// record: text as it is, integers in decimal, doubles as
+/// obs::json_number_to renders them (%.15g, clamped), and quoted() text
+/// escaped by obs::json_escape_to.
+struct JsonOut {
+  std::string& s;
+};
+
+struct Quoted {
+  std::string_view text;
+};
+Quoted quoted(std::string_view text) { return {text}; }
+
+JsonOut& operator<<(JsonOut& out, std::string_view text) {
+  out.s += text;
+  return out;
 }
 
-std::string endpoint_json(const EndpointRecord& r) {
-  std::ostringstream out;
-  out << "{\"element\": " << r.element << ", \"name\": \"" << json_escape(r.name)
-      << "\", \"kind\": \"" << to_string(r.kind) << "\", \"phase\": " << r.phase
-      << ", \"departure\": " << json_number(r.departure)
-      << ", \"arrival\": " << json_number(r.arrival)
-      << ", \"skew\": " << json_number(r.skew)
-      << ", \"setup_slack\": " << json_number(r.setup_slack)
-      << ", \"hold_slack\": " << json_number(r.hold_slack)
-      << ", \"borrow\": " << json_number(r.borrow) << ", \"origin_path\": " << r.origin_path
-      << ", \"origin_from\": " << r.origin_from << ", \"tight\": [";
-  for (size_t i = 0; i < r.tight.size(); ++i) {
-    if (i) out << ", ";
-    out << "\"" << json_escape(r.tight[i]) << "\"";
-  }
-  out << "]}";
-  return out.str();
+JsonOut& operator<<(JsonOut& out, long v) {
+  char buf[24];
+  out.s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  return out;
 }
 
-std::string path_json(const PathRecord& r) {
-  std::ostringstream out;
-  out << "{\"path\": " << r.path << ", \"from\": \"" << json_escape(r.from)
-      << "\", \"to\": \"" << json_escape(r.to) << "\", \"label\": \"" << json_escape(r.label)
-      << "\", \"delay\": " << json_number(r.delay) << ", \"slack\": " << json_number(r.slack)
-      << ", \"tight\": " << (r.tight ? "true" : "false") << "}";
-  return out.str();
+JsonOut& operator<<(JsonOut& out, int v) { return out << static_cast<long>(v); }
+
+JsonOut& operator<<(JsonOut& out, double v) {
+  obs::json_number_to(out.s, v);
+  return out;
 }
 
-std::string chain_json(const BorrowChain& c) {
-  std::ostringstream out;
-  out << "{\"elements\": [";
-  for (size_t i = 0; i < c.elements.size(); ++i) {
-    if (i) out << ", ";
-    out << c.elements[i];
-  }
-  out << "], \"paths\": [";
-  for (size_t i = 0; i < c.paths.size(); ++i) {
-    if (i) out << ", ";
-    out << c.paths[i];
-  }
-  out << "], \"total_borrow\": " << json_number(c.total_borrow)
-      << ", \"is_loop\": " << (c.is_loop ? "true" : "false") << "}";
-  return out.str();
+JsonOut& operator<<(JsonOut& out, Quoted q) {
+  out.s += '"';
+  obs::json_escape_to(out.s, q.text);
+  out.s += '"';
+  return out;
 }
 
-std::string int_list_json(const std::vector<int>& v) {
-  std::ostringstream out;
+/// `[a, b, ...]`: each item written by `put`, after `first` or, from the
+/// second on, `rest`.
+template <class T, class Put>
+void list_json(JsonOut& out, const std::vector<T>& items, Put put, std::string_view first = "",
+               std::string_view rest = ", ") {
   out << "[";
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i) out << ", ";
-    out << v[i];
+  for (size_t i = 0; i < items.size(); ++i) {
+    out << (i ? rest : first);
+    put(out, items[i]);
   }
   out << "]";
-  return out.str();
 }
 
-std::string summary_json(const SlackDB& db) {
-  std::ostringstream out;
-  out << "{\"circuit\": \"" << json_escape(db.circuit) << "\", \"corner\": \""
-      << json_escape(db.corner) << "\", \"feasible\": " << (db.feasible ? "true" : "false")
-      << ", \"tc\": " << json_number(db.tc)
+constexpr auto as_is = [](JsonOut& out, const auto& v) { out << v; };
+
+void hist_json(JsonOut& out, const HistogramSummary& h) {
+  out << "{\"count\": " << h.count << ", \"sum\": " << h.sum << ", \"min\": " << h.min
+      << ", \"max\": " << h.max << ", \"p50\": " << h.p50 << ", \"p95\": " << h.p95
+      << ", \"p99\": " << h.p99 << ", \"bounds\": ";
+  list_json(out, h.bounds, as_is);
+  out << ", \"buckets\": ";
+  list_json(out, h.buckets, as_is);
+  out << "}";
+}
+
+void endpoint_json(JsonOut& out, const EndpointRecord& r) {
+  out << "{\"element\": " << r.element << ", \"name\": " << quoted(r.name)
+      << ", \"kind\": " << quoted(to_string(r.kind)) << ", \"phase\": " << r.phase
+      << ", \"departure\": " << r.departure << ", \"arrival\": " << r.arrival
+      << ", \"skew\": " << r.skew << ", \"setup_slack\": " << r.setup_slack
+      << ", \"hold_slack\": " << r.hold_slack << ", \"borrow\": " << r.borrow
+      << ", \"origin_path\": " << r.origin_path << ", \"origin_from\": " << r.origin_from
+      << ", \"tight\": ";
+  list_json(out, r.tight, [](JsonOut& o, const std::string& t) { o << quoted(t); });
+  out << "}";
+}
+
+void path_json(JsonOut& out, const PathRecord& r) {
+  out << "{\"path\": " << r.path << ", \"from\": " << quoted(r.from) << ", \"to\": "
+      << quoted(r.to) << ", \"label\": " << quoted(r.label) << ", \"delay\": " << r.delay
+      << ", \"slack\": " << r.slack << ", \"tight\": " << (r.tight ? "true" : "false") << "}";
+}
+
+void chain_json(JsonOut& out, const BorrowChain& c) {
+  out << "{\"elements\": ";
+  list_json(out, c.elements, as_is);
+  out << ", \"paths\": ";
+  list_json(out, c.paths, as_is);
+  out << ", \"total_borrow\": " << c.total_borrow
+      << ", \"is_loop\": " << (c.is_loop ? "true" : "false") << "}";
+}
+
+void summary_json(JsonOut& out, const SlackDB& db) {
+  out << "{\"circuit\": " << quoted(db.circuit) << ", \"corner\": " << quoted(db.corner)
+      << ", \"feasible\": " << (db.feasible ? "true" : "false") << ", \"tc\": " << db.tc
       << ", \"num_constraints\": " << db.num_constraints
-      << ", \"worst_setup_slack\": " << json_number(db.worst_setup_slack())
-      << ", \"worst_hold_slack\": " << json_number(db.worst_hold_slack())
-      << ", \"total_borrow\": " << json_number(db.total_borrow)
-      << ", \"max_skew\": " << json_number(db.max_skew)
-      << ", \"skew_tolerance\": " << json_number(db.skew_tolerance)
-      << ", \"overlapping_phases\": [";
-  for (size_t i = 0; i < db.overlapping_phases.size(); ++i) {
-    if (i) out << ", ";
-    out << "[" << db.overlapping_phases[i].first << ", " << db.overlapping_phases[i].second
-        << "]";
-  }
-  out << "], \"schedule\": {\"cycle\": " << json_number(db.schedule.cycle) << ", \"start\": [";
-  for (size_t i = 0; i < db.schedule.start.size(); ++i) {
-    if (i) out << ", ";
-    out << json_number(db.schedule.start[i]);
-  }
-  out << "], \"width\": [";
-  for (size_t i = 0; i < db.schedule.width.size(); ++i) {
-    if (i) out << ", ";
-    out << json_number(db.schedule.width[i]);
-  }
-  out << "]}}";
-  return out.str();
+      << ", \"worst_setup_slack\": " << db.worst_setup_slack()
+      << ", \"worst_hold_slack\": " << db.worst_hold_slack()
+      << ", \"total_borrow\": " << db.total_borrow << ", \"max_skew\": " << db.max_skew
+      << ", \"skew_tolerance\": " << db.skew_tolerance << ", \"overlapping_phases\": ";
+  list_json(out, db.overlapping_phases, [](JsonOut& o, const std::pair<int, int>& ij) {
+    o << "[" << ij.first << ", " << ij.second << "]";
+  });
+  out << ", \"schedule\": {\"cycle\": " << db.schedule.cycle << ", \"start\": ";
+  list_json(out, db.schedule.start, as_is);
+  out << ", \"width\": ";
+  list_json(out, db.schedule.width, as_is);
+  out << "}}";
 }
 
-std::string report_body_json(const SlackDB& db) {
-  std::ostringstream out;
-  out << "{\"meta\": " << obs::run_metadata_json(meta_for(db))
-      << ",\n \"summary\": " << summary_json(db) << ",\n \"endpoints\": [";
-  for (size_t i = 0; i < db.endpoints.size(); ++i) {
-    out << (i ? ",\n   " : "\n   ") << endpoint_json(db.endpoints[i]);
-  }
-  out << "],\n \"paths\": [";
-  for (size_t i = 0; i < db.paths.size(); ++i) {
-    out << (i ? ",\n   " : "\n   ") << path_json(db.paths[i]);
-  }
-  out << "],\n \"worst_endpoints\": " << int_list_json(db.worst_endpoints)
-      << ",\n \"worst_paths\": " << int_list_json(db.worst_paths)
-      << ",\n \"borrow_chains\": [";
-  for (size_t i = 0; i < db.borrow_chains.size(); ++i) {
-    out << (i ? ",\n   " : "\n   ") << chain_json(db.borrow_chains[i]);
-  }
-  out << "],\n \"histograms\": {\"setup_slack\": " << hist_json(db.setup_hist)
-      << ", \"borrow\": " << hist_json(db.borrow_hist) << "}}";
-  return out.str();
+/// A little more than a database renders to, so its string is allocated
+/// once: past the names, an endpoint takes 228-253 bytes and a path
+/// 111-117 on svcbench's synthetic designs.
+size_t report_bytes(const SlackDB& db) {
+  size_t bytes = 2048;
+  for (const EndpointRecord& r : db.endpoints) bytes += 272 + r.name.size();
+  for (const PathRecord& r : db.paths) bytes += 128 + r.from.size() + r.to.size() + r.label.size();
+  for (const BorrowChain& c : db.borrow_chains) bytes += 64 + 8 * c.elements.size();
+  return bytes;
+}
+
+void report_body_json(JsonOut& out, const SlackDB& db) {
+  out << "{\"meta\": " << obs::run_metadata_json(meta_for(db)) << ",\n \"summary\": ";
+  summary_json(out, db);
+  out << ",\n \"endpoints\": ";
+  list_json(out, db.endpoints, endpoint_json, "\n   ", ",\n   ");
+  out << ",\n \"paths\": ";
+  list_json(out, db.paths, path_json, "\n   ", ",\n   ");
+  out << ",\n \"worst_endpoints\": ";
+  list_json(out, db.worst_endpoints, as_is);
+  out << ",\n \"worst_paths\": ";
+  list_json(out, db.worst_paths, as_is);
+  out << ",\n \"borrow_chains\": ";
+  list_json(out, db.borrow_chains, chain_json, "\n   ", ",\n   ");
+  out << ",\n \"histograms\": {\"setup_slack\": ";
+  hist_json(out, db.setup_hist);
+  out << ", \"borrow\": ";
+  hist_json(out, db.borrow_hist);
+  out << "}}";
 }
 
 // --------------------------------------------------------------- table --
@@ -341,7 +351,14 @@ void endpoint_table_html(std::ostringstream& out, const SlackDB& db,
 
 }  // namespace
 
-std::string report_json(const SlackDB& db) { return report_body_json(db) + "\n"; }
+std::string report_json(const SlackDB& db) {
+  std::string s;
+  s.reserve(report_bytes(db));
+  JsonOut out{s};
+  report_body_json(out, db);
+  out << "\n";
+  return s;
+}
 
 std::string report_table(const SlackDB& db) {
   std::ostringstream out;
@@ -495,28 +512,28 @@ std::string report_html(const Circuit& circuit, const SlackDB& db) {
 }
 
 std::string signoff_json(const SignoffDB& db) {
-  std::ostringstream out;
+  std::string s;
+  size_t bytes = 1024 + 48 * db.merged_setup_slack.size();
+  for (const SlackDB& c : db.corners) bytes += report_bytes(c);
+  s.reserve(bytes);
+  JsonOut out{s};
   out << "{\"meta\": "
       << obs::run_metadata_json(db.corners.empty() ? obs::run_metadata()
                                                    : meta_for(db.corners.front()))
-      << ",\n \"all_pass\": " << (db.all_pass ? "true" : "false") << ",\n \"corners\": [";
-  for (size_t i = 0; i < db.corners.size(); ++i) {
-    out << (i ? ",\n  " : "\n  ") << report_body_json(db.corners[i]);
-  }
-  out << "],\n \"merged\": {\"setup_slack\": [";
-  for (size_t i = 0; i < db.merged_setup_slack.size(); ++i) {
-    if (i) out << ", ";
-    out << json_number(db.merged_setup_slack[i]);
-  }
-  out << "], \"setup_corner\": " << int_list_json(db.merged_setup_corner)
-      << ", \"hold_slack\": [";
-  for (size_t i = 0; i < db.merged_hold_slack.size(); ++i) {
-    if (i) out << ", ";
-    out << json_number(db.merged_hold_slack[i]);
-  }
-  out << "], \"hold_corner\": " << int_list_json(db.merged_hold_corner)
-      << ", \"worst_endpoints\": " << int_list_json(db.merged_worst_endpoints) << "}}\n";
-  return out.str();
+      << ",\n \"all_pass\": " << (db.all_pass ? "true" : "false") << ",\n \"corners\": ";
+  list_json(out, db.corners, report_body_json, "\n  ", ",\n  ");
+  out << ",\n \"merged\": {\"setup_slack\": ";
+  list_json(out, db.merged_setup_slack, as_is);
+  out << ", \"setup_corner\": ";
+  list_json(out, db.merged_setup_corner, as_is);
+  out << ", \"hold_slack\": ";
+  list_json(out, db.merged_hold_slack, as_is);
+  out << ", \"hold_corner\": ";
+  list_json(out, db.merged_hold_corner, as_is);
+  out << ", \"worst_endpoints\": ";
+  list_json(out, db.merged_worst_endpoints, as_is);
+  out << "}}\n";
+  return s;
 }
 
 std::string signoff_table(const SignoffDB& db) {

@@ -121,6 +121,9 @@ void build_borrow_chains(SlackDB& db, double tight_eps) {
                    });
 }
 
+/// Gauges only: each build overwrites them, so the registry describes the
+/// latest build. A histogram would keep its first build's data-fitted
+/// bounds and pool every later build's endpoints into them.
 void mirror_into_registry(const SlackDB& db) {
   auto& reg = obs::MetricsRegistry::instance();
   obs::Labels labels{{"circuit", db.circuit}};
@@ -129,12 +132,6 @@ void mirror_into_registry(const SlackDB& db) {
   reg.gauge("report.total_borrow", labels).set(db.total_borrow);
   reg.gauge("report.num_constraints", labels)
       .set(static_cast<double>(db.num_constraints));
-  if (!db.setup_hist.bounds.empty()) {
-    obs::Histogram& h = reg.histogram("report.setup_slack", labels, db.setup_hist.bounds);
-    for (const EndpointRecord& e : db.endpoints) {
-      if (std::isfinite(e.setup_slack)) h.observe(e.setup_slack);
-    }
-  }
 }
 
 }  // namespace
@@ -161,7 +158,7 @@ SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
   db.analysis = sta::check_schedule(circuit, schedule, aopt);
   db.feasible = db.analysis.feasible;
 
-  db.num_constraints = opt::generate_lp(circuit).counts.rows();
+  db.num_constraints = opt::count_constraints(circuit).rows();
   db.overlapping_phases = overlapping_phase_pairs(schedule, options.eps);
 
   const int l = circuit.num_elements();

@@ -126,8 +126,9 @@ struct SlackDB {
 
 /// Build the database for one design point. Runs analysis (+hold, +
 /// provenance), the critical-segment scan and the constraint census once;
-/// also mirrors the headline numbers into the process-wide metrics registry
-/// (gauges report.* and histogram report.setup_slack, labeled by circuit).
+/// also sets the headline gauges report.* in the process-wide metrics
+/// registry, labeled by circuit (and corner), so they describe the latest
+/// build. The slack distribution is the database's own setup_hist.
 SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
                       const SlackDbOptions& options = {});
 

@@ -18,24 +18,72 @@ const Json kNullJson;
 /// Longest %.17g rendering of a double ("-2.2250738585072014e-308" is 24).
 constexpr size_t kDoubleChars = 32;
 
-/// Write json_double(v) into `buf` and return its end.
+/// Write json_double(v) into `buf` and return its end: the first of %.15g,
+/// %.16g and %.17g that reads back as v.
+///
+/// One to_chars decides it for a normal double that is not a power of two.
+/// Take the shortest round-trip form S (to_chars' n digits: of the forms
+/// with n digits, the one nearest v) and P = max(n, 15). No form shorter
+/// than n digits reads back, so the probe stops at %.Pg at the earliest, and
+/// %.Pg prints R_P, v correctly rounded to P digits. S is itself a P-digit
+/// decimal, so R_P is no farther from v than S. Away from a power of two
+/// the interval of values that round to v is symmetric about v, so R_P lies
+/// in it as S does, and reads back. And R_P is S: for P = 15 because
+/// 15-digit decimals are more than 4.5 ulp apart (2^52 / 10^15 > 4.5) and
+/// the interval is one ulp wide, for P = n because the shortest form is the
+/// nearest candidate (an exact tie goes to even in both). So the text is
+/// S's digits written as %.Pg writes them.
+///
+/// Below a power of two the interval is half as wide, and %.16g can round
+/// down out of it while S lies above v (2^-1017 is one such). Powers of two,
+/// zero and subnormals (too few significant bits for the spacing argument)
+/// go through the probe: %.15g, %.16g and %.17g in turn, keeping the first
+/// that from_chars reads back as v.
 char* format_double(char* buf, double v) {
   if (!std::isfinite(v)) {
     const std::string_view clamped = v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
     return std::copy(clamped.begin(), clamped.end(), buf);
   }
-  // Shortest form that round-trips: probe increasing precision. %.17g
-  // always round-trips IEEE-754 binary64; the lower probes just keep the
-  // common cases ("4.4", "0.25") human-sized. to_chars formats as printf's
-  // %.*g does, and from_chars reads back the correctly rounded value.
-  char* end = buf;
-  for (const int prec : {15, 16, 17}) {
-    end = std::to_chars(buf, buf + kDoubleChars, v, std::chars_format::general, prec).ptr;
-    double back = 0.0;
-    std::from_chars(buf, end, back);
-    if (back == v) break;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof v);
+  const bool power_of_two = (bits & ((std::uint64_t{1} << 52) - 1)) == 0;
+  if (!std::isnormal(v) || power_of_two) {
+    char* end = buf;
+    for (const int prec : {15, 16, 17}) {
+      end = std::to_chars(buf, buf + kDoubleChars, v, std::chars_format::general, prec).ptr;
+      double back = 0.0;
+      std::from_chars(buf, end, back);
+      if (back == v) break;
+    }
+    return end;
   }
-  return end;
+  // S as [-]d[.ddd]e(+|-)XX. Outside %g's fixed range this is already the
+  // %.Pg text: the same digits, point and exponent, no trailing zeros.
+  char* const sci_end =
+      std::to_chars(buf, buf + kDoubleChars, v, std::chars_format::scientific).ptr;
+  char digits[17];
+  size_t n = 0;
+  const char* p = buf + (v < 0 ? 1 : 0);
+  for (; *p != 'e'; ++p) {
+    if (*p != '.') digits[n++] = *p;
+  }
+  int exp = 0;
+  std::from_chars(p + 2, sci_end, exp);
+  if (p[1] == '-') exp = -exp;
+  if (exp < -4 || exp >= std::max(static_cast<int>(n), 15)) return sci_end;
+  // %g's fixed form: the integer digits (zero-padded), then any others.
+  char* out = buf + (v < 0 ? 1 : 0);
+  if (exp < 0) {
+    *out++ = '0';
+    *out++ = '.';
+    out = std::fill_n(out, -exp - 1, '0');
+    return std::copy(digits, digits + n, out);
+  }
+  const size_t whole = static_cast<size_t>(exp) + 1;
+  for (size_t i = 0; i < whole; ++i) *out++ = i < n ? digits[i] : '0';
+  if (n <= whole) return out;
+  *out++ = '.';
+  return std::copy(digits + whole, digits + n, out);
 }
 
 }  // namespace
@@ -84,6 +132,11 @@ bool Json::operator==(const Json& other) const {
   return false;
 }
 
+void json_double_to(std::string& out, double v) {
+  char buf[kDoubleChars];
+  out.append(buf, format_double(buf, v));
+}
+
 std::string json_double(double v) {
   char buf[kDoubleChars];
   return std::string(buf, format_double(buf, v));
@@ -97,11 +150,9 @@ void Json::dump_to(std::string& out) const {
     case Kind::kBool:
       out += bool_ ? "true" : "false";
       return;
-    case Kind::kNumber: {
-      char buf[kDoubleChars];
-      out.append(buf, format_double(buf, num_));
+    case Kind::kNumber:
+      json_double_to(out, num_);
       return;
-    }
     case Kind::kString:
       out += '"';
       obs::json_escape_to(out, str_);

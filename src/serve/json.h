@@ -9,17 +9,19 @@
 //     no comments, no NaN/Inf literals, a recursion-depth cap (malformed or
 //     adversarial frames are user input — every failure is an Error value
 //     with an offset, never an assert);
-//   * exact number round-trip: dump() renders doubles with the shortest
-//     decimal form that re-parses to the same bit pattern (a %.15g..%.17g
-//     probe, through std::to_chars/std::from_chars), which is what lets the
-//     soak test compare served departures BIT-identically against direct
-//     check_schedule results;
+//   * exact number round-trip: dump() renders a double as the first of
+//     %.15g, %.16g and %.17g that re-parses to the same bit pattern, which
+//     is what lets the soak test compare served departures BIT-identically
+//     against direct check_schedule results. It is read off the shortest
+//     round-trip digits in one pass (json_double_to), not found by
+//     formatting and re-parsing each precision in turn;
 //   * objects preserve insertion order (stable rendering for golden tests)
 //     and lookup is linear — protocol objects have a handful of keys;
 //   * a raw fragment (Json::raw) holds text that is already rendered JSON,
 //     and dump() splices it in verbatim: the service answers a cache hit by
 //     wrapping the stored bytes of the first answer in the envelope, with
-//     no re-parse and no re-render.
+//     no re-parse and no re-render, and writes an analyze's per-element
+//     rows straight into one fragment instead of a node per value.
 #pragma once
 
 #include <cmath>
@@ -58,9 +60,10 @@ class Json {
     return j;
   }
   /// A write-only fragment: dump() appends `text` as it is. The caller
-  /// vouches that `text` is one well-formed JSON value (the service only
-  /// wraps its own dump() output). It reads as no JSON type: every accessor
-  /// sees it as absent, so only the writer looks inside.
+  /// vouches that `text` is one well-formed JSON value (the service wraps
+  /// only text it wrote: a dump() output, or an analyze's detail rows). It
+  /// reads as no JSON type: every accessor sees it as absent, so only the
+  /// writer looks inside.
   static Json raw(std::string text) {
     Json j;
     j.kind_ = Kind::kRaw;
@@ -164,7 +167,12 @@ Expected<Json> parse_json(std::string_view text, const JsonParseOptions& options
 
 /// Render a double as the first of %.15g, %.16g and %.17g that re-parses
 /// to the same IEEE-754 bit pattern (non-finite values are clamped like
-/// obs::json_number — JSON has no Inf/NaN).
+/// obs::json_number — JSON has no Inf/NaN). One std::to_chars for the
+/// shortest digits decides it, except for zero, subnormals and powers of
+/// two (json.cpp says why). json_double_to appends the text to `out`, as
+/// obs::json_escape_to does, so a writer renders numbers without
+/// allocating.
+void json_double_to(std::string& out, double v);
 std::string json_double(double v);
 
 }  // namespace mintc::serve

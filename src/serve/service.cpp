@@ -97,6 +97,35 @@ Json cycle_json(const std::vector<opt::CycleRow>& rows) {
   return out;
 }
 
+/// The `detail` rows of an analyze, rendered straight into one JSON array:
+/// the bytes a Json array of {name, departure, arrival?, setup_slack,
+/// hold_slack?} objects dumps to, without building one node per value.
+std::string element_rows_json(const sta::TimingReport& report, const Circuit& circuit) {
+  std::string out;
+  out.reserve(2 + 128 * report.elements.size());  // a row runs about 110 bytes
+  out += '[';
+  for (size_t i = 0; i < report.elements.size(); ++i) {
+    const sta::ElementTiming& et = report.elements[i];
+    out += i ? ",{\"name\":\"" : "{\"name\":\"";
+    obs::json_escape_to(out, circuit.element(static_cast<int>(i)).name);
+    out += "\",\"departure\":";
+    json_double_to(out, et.departure);
+    if (std::isfinite(et.arrival)) {
+      out += ",\"arrival\":";
+      json_double_to(out, et.arrival);
+    }
+    out += ",\"setup_slack\":";
+    json_double_to(out, et.setup_slack);
+    if (std::isfinite(et.hold_slack)) {
+      out += ",\"hold_slack\":";
+      json_double_to(out, et.hold_slack);
+    }
+    out += '}';
+  }
+  out += ']';
+  return out;
+}
+
 /// Summarize a TimingReport as a result payload. `detail` adds per-element
 /// rows. Non-finite per-element values (arrival with no fanin, unchecked
 /// hold slack) are omitted rather than clamped — JSON has no infinities and
@@ -114,20 +143,7 @@ Json report_payload(const sta::TimingReport& report, const Circuit& circuit, boo
     r.set("worst_hold_slack", Json(report.worst_hold_slack));
   }
   r.set("worst_hold_element", Json(static_cast<long>(report.worst_hold_element)));
-  if (detail) {
-    Json elements = Json::array();
-    for (size_t i = 0; i < report.elements.size(); ++i) {
-      const sta::ElementTiming& et = report.elements[i];
-      Json e = Json::object();
-      e.set("name", Json(circuit.element(static_cast<int>(i)).name));
-      e.set("departure", Json(et.departure));
-      if (std::isfinite(et.arrival)) e.set("arrival", Json(et.arrival));
-      e.set("setup_slack", Json(et.setup_slack));
-      if (std::isfinite(et.hold_slack)) e.set("hold_slack", Json(et.hold_slack));
-      elements.push(std::move(e));
-    }
-    r.set("elements", std::move(elements));
-  }
+  if (detail) r.set("elements", Json::raw(element_rows_json(report, circuit)));
   return r;
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
+#include "check/fuzzer.h"
+#include "circuits/appendix_fig1.h"
 #include "circuits/example1.h"
+#include "circuits/example2.h"
 #include "circuits/gaas.h"
 
 namespace mintc::opt {
@@ -157,6 +163,61 @@ TEST(Constraints, GaasHits91Constraints) {
   const GeneratedLp g = generate_lp(circuits::gaas_datapath());
   EXPECT_EQ(g.counts.rows(), 91);
   EXPECT_EQ(g.model.num_rows(), 91);
+}
+
+// The rows of a generated LP, per class, read back from their names.
+ConstraintCounts counts_by_row_name(const GeneratedLp& g) {
+  ConstraintCounts n;
+  for (const lp::Row& row : g.model.rows()) {
+    const std::string_view name = row.name;
+    const std::string_view cls = name.substr(0, name.find(':'));
+    if (cls == "C1") ++n.c1;
+    else if (cls == "C2") ++n.c2;
+    else if (cls == "C3") ++n.c3;
+    else if (cls == "L1" || cls == "L1A") ++n.l1;
+    else if (cls == "L2R") ++n.l2r;
+    else if (name.rfind("FF:pin(", 0) == 0) ++n.ff_pin;
+    else if (name.rfind("FF:setup(", 0) == 0) ++n.ff_setup;
+    else if (cls == "HOLD") ++n.hold;
+    else if (cls == "EXT") ++n.ext;
+    else ADD_FAILURE() << "unclassified row " << row.name;
+  }
+  n.bounds = g.model.num_variables();
+  return n;
+}
+
+TEST(Constraints, CountsMatchGeneratedRowsUnderEverySetting) {
+  std::vector<Circuit> circuits = {circuits::example1(80.0), circuits::example2(),
+                                   circuits::gaas_datapath(), circuits::appendix_fig1()};
+  for (uint64_t seed = 1; seed <= 2000; ++seed) circuits.push_back(check::fuzz_circuit(seed));
+  for (const Circuit& c : circuits) {
+    // Every combination of the settings that add or remove rows; the skew
+    // and separation margins only move right-hand sides.
+    for (int bits = 0; bits < 32; ++bits) {
+      GeneratorOptions o;
+      o.enforce_nonoverlap = (bits & 1) != 0;
+      o.arrival_based_setup = (bits & 2) != 0;
+      o.hold_constraints = (bits & 4) != 0;
+      o.min_phase_width = (bits & 8) != 0 ? 1.0 : 0.0;
+      o.tc_upper_bound = (bits & 16) != 0 ? 500.0 : -1.0;
+      const GeneratedLp g = generate_lp(c, o);
+      const ConstraintCounts want = counts_by_row_name(g);
+      const ConstraintCounts got = count_constraints(c, o);
+      const auto where = [&] { return c.name() + " settings " + std::to_string(bits); };
+      ASSERT_EQ(got.rows(), g.model.num_rows()) << where();
+      ASSERT_EQ(got.bounds, want.bounds) << where();
+      ASSERT_EQ(got.c1, want.c1) << where();
+      ASSERT_EQ(got.c2, want.c2) << where();
+      ASSERT_EQ(got.c3, want.c3) << where();
+      ASSERT_EQ(got.l1, want.l1) << where();
+      ASSERT_EQ(got.l2r, want.l2r) << where();
+      ASSERT_EQ(got.ff_pin, want.ff_pin) << where();
+      ASSERT_EQ(got.ff_setup, want.ff_setup) << where();
+      ASSERT_EQ(got.hold, want.hold) << where();
+      ASSERT_EQ(got.ext, want.ext) << where();
+    }
+  }
+  EXPECT_EQ(count_constraints(circuits::gaas_datapath()).rows(), 91);
 }
 
 TEST(Constraints, ScheduleExtraction) {

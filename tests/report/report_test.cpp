@@ -191,29 +191,59 @@ TEST(SlackDbTest, HistogramTotalsAreConsistent) {
   EXPECT_NEAR(db.setup_hist.min, db.worst_setup_slack(), 1e-9);
 }
 
+// Match on name + circuit label: registry handles persist across tests in
+// this process, so points for other circuits may coexist (zeroed).
+bool labelled_with_circuit(const obs::MetricPoint& p, const std::string& circuit) {
+  return std::any_of(p.labels.begin(), p.labels.end(), [&](const auto& label) {
+    return label.first == "circuit" && label.second == circuit;
+  });
+}
+
 TEST(SlackDbTest, MirrorsHeadlinesIntoMetricsRegistry) {
   obs::MetricsRegistry::instance().reset();
   const Circuit c = circuits::example1(80.0);
   const ClockSchedule s = optimum_of(c);
   const SlackDB db = build_slackdb(c, s);
-  // Match on name + circuit label: registry handles persist across tests in
-  // this process, so points for other circuits may coexist (zeroed).
-  const auto for_this_circuit = [&](const obs::MetricPoint& p) {
-    return std::any_of(p.labels.begin(), p.labels.end(), [&](const auto& label) {
-      return label.first == "circuit" && label.second == db.circuit;
-    });
-  };
-  bool saw_gauge = false, saw_hist = false;
+  bool saw_gauge = false, saw_rows = false;
   for (const obs::MetricPoint& p : obs::MetricsRegistry::instance().snapshot()) {
-    if (!for_this_circuit(p)) continue;
+    if (!labelled_with_circuit(p, db.circuit)) continue;
     if (p.name == "report.worst_setup_slack") {
       saw_gauge = true;
       EXPECT_NEAR(p.value, db.worst_setup_slack(), 1e-9);
     }
-    if (p.name == "report.setup_slack") saw_hist = true;
+    if (p.name == "report.num_constraints") {
+      saw_rows = true;
+      EXPECT_EQ(p.value, db.num_constraints);
+    }
   }
   EXPECT_TRUE(saw_gauge);
-  EXPECT_TRUE(saw_hist);
+  EXPECT_TRUE(saw_rows);
+}
+
+// A second build of the same circuit replaces what the registry says about
+// it: no instrument keeps the first build's bounds or pools both builds'
+// endpoints.
+TEST(SlackDbTest, RegistryDescribesOnlyTheLatestBuild) {
+  obs::MetricsRegistry::instance().reset();
+  const Circuit c = circuits::example1(80.0);
+  const ClockSchedule s = optimum_of(c);
+  const SlackDB first = build_slackdb(c, s.scaled(1.5));
+  const SlackDB last = build_slackdb(c, s.scaled(20.0));
+  ASSERT_GT(last.setup_hist.min, first.setup_hist.max);  // disjoint slack ranges
+  bool saw_gauge = false;
+  for (const obs::MetricPoint& p : obs::MetricsRegistry::instance().snapshot()) {
+    if (!labelled_with_circuit(p, last.circuit)) continue;
+    if (p.kind == obs::MetricKind::kHistogram) {
+      EXPECT_EQ(p.count, last.setup_hist.count) << p.name;
+      EXPECT_EQ(p.bounds, last.setup_hist.bounds) << p.name;
+      EXPECT_EQ(p.max, last.setup_hist.max) << p.name;
+    }
+    if (p.name == "report.worst_setup_slack") {
+      saw_gauge = true;
+      EXPECT_EQ(p.value, last.worst_setup_slack());
+    }
+  }
+  EXPECT_TRUE(saw_gauge);
 }
 
 // ----------------------------------------------------------- exporters --

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -222,6 +223,85 @@ TEST(ServeJson, JsonDoubleMatchesThePrintfReference) {
     const Expected<Json> back = parse_json(text);
     ASSERT_TRUE(back) << text;
     ASSERT_TRUE(same_bits(back->as_number(), v)) << text;
+  }
+}
+
+// The oracle: the probe the codec ran before its one-pass form. Format
+// %.15g, %.16g and %.17g with to_chars in turn and keep the first that
+// from_chars reads back as v.
+std::string probe_double(double v) {
+  if (!std::isfinite(v)) return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
+  char buf[32];
+  char* end = buf;
+  for (const int prec : {15, 16, 17}) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
+  }
+  return std::string(buf, end);
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// Whether json_double renders `v` as the probe does; a difference is
+/// reported once, with the value's bits.
+bool matches_probe(double v) {
+  const std::string got = json_double(v);
+  const std::string want = probe_double(v);
+  if (got == want) return true;
+  ADD_FAILURE() << std::hexfloat << v << std::defaultfloat << ": " << got << ", probe " << want;
+  return false;
+}
+
+TEST(ServeJson, OnePassDoubleMatchesTheProbeAtEdgesAndOnDelays) {
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  for (const double v : {0.0, -0.0, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, denorm_min,
+                         -denorm_min, std::nextafter(DBL_MIN, 0.0), 0.1 + 0.2, 4.4}) {
+    if (!matches_probe(v)) return;
+  }
+  // Every power of ten and every power of two in the double range, and
+  // their neighbours one ulp away. Below a power of two the rounding
+  // interval is half as wide (2^-1017 reads back only as %.17g).
+  std::vector<double> powers;
+  for (int e = -323; e <= 308; ++e) {
+    powers.push_back(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  for (int e = -1074; e <= 1023; ++e) powers.push_back(std::ldexp(1.0, e));
+  for (const double p : powers) {
+    for (const double v : {p, std::nextafter(p, 0.0), std::nextafter(p, DBL_MAX)}) {
+      if (!matches_probe(v) || !matches_probe(-v)) return;
+    }
+  }
+  EXPECT_EQ(json_double(std::ldexp(1.0, -1017)), "7.1202363472230444e-307");
+  std::mt19937_64 rng(2104);
+  // Subnormals: random mantissas, either sign, under the smallest exponent.
+  for (int i = 0; i < 20000; ++i) {
+    if (!matches_probe(from_bits(rng() & 0x800FFFFFFFFFFFFFull))) return;
+  }
+  // Sums, differences and products of delays drawn log-uniform in
+  // 1e-3..1e3, half of them at the picosecond resolution of a netlist.
+  std::uniform_real_distribution<double> decade(-3.0, 3.0);
+  for (int i = 0; i < 200000; ++i) {
+    double a = std::pow(10.0, decade(rng));
+    double b = std::pow(10.0, decade(rng));
+    if (i % 2 != 0) {
+      a = std::round(a * 1000.0) / 1000.0;
+      b = std::round(b * 1000.0) / 1000.0;
+    }
+    if (!matches_probe(a + b) || !matches_probe(a - b) || !matches_probe(a * b)) return;
+  }
+}
+
+TEST(ServeJson, OnePassDoubleMatchesTheProbeOnRandomBits) {
+  // Every exponent, NaNs and infinities included.
+  std::mt19937_64 rng(9001);
+  for (int i = 0; i < 2000000; ++i) {
+    if (!matches_probe(from_bits(rng()))) return;
   }
 }
 

@@ -7,15 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "circuits/appendix_fig1.h"
 #include "circuits/example1.h"
 #include "circuits/example2.h"
 #include "circuits/gaas.h"
+#include "circuits/synthetic.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,6 +47,14 @@ Json expect_error(TimingService& service, const Json& request, const std::string
   EXPECT_FALSE(response.get("ok").as_bool(true)) << response.dump();
   EXPECT_EQ(response.get("error").get("kind").as_string(), kind) << response.dump();
   return response;
+}
+
+ClockSchedule schedule_of(const Json& s) {
+  ClockSchedule schedule;
+  schedule.cycle = s.num_or("cycle", 0.0);
+  for (const Json& v : s.get("start").items()) schedule.start.push_back(v.as_number());
+  for (const Json& v : s.get("width").items()) schedule.width.push_back(v.as_number());
+  return schedule;
 }
 
 Json load_example1(TimingService& service, const std::string& key) {
@@ -111,6 +122,87 @@ TEST(ServeService, AnalyzeIsBitIdenticalToDirectCheckSchedule) {
           << in.builtin << " element " << i;
     }
   }
+}
+
+/// The `detail` rows built as a Json tree and dumped, as svcbench's
+/// expected_payload builds them: one object per element, the non-finite
+/// arrival and hold slack left out.
+std::string rows_as_tree(const sta::TimingReport& report, const Circuit& circuit) {
+  Json elements = Json::array();
+  for (size_t i = 0; i < report.elements.size(); ++i) {
+    const sta::ElementTiming& et = report.elements[i];
+    Json e = Json::object();
+    e.set("name", Json(circuit.element(static_cast<int>(i)).name));
+    e.set("departure", Json(et.departure));
+    if (std::isfinite(et.arrival)) e.set("arrival", Json(et.arrival));
+    e.set("setup_slack", Json(et.setup_slack));
+    if (std::isfinite(et.hold_slack)) e.set("hold_slack", Json(et.hold_slack));
+    elements.push(std::move(e));
+  }
+  return elements.dump();
+}
+
+TEST(ServeService, DetailRowsAreTheBytesOfTheirJsonTree) {
+  struct Input {
+    std::string what;
+    Json load;  // the load request's source fields
+    Circuit circuit;
+  };
+  std::vector<Input> inputs;
+  const std::pair<const char*, Circuit> builtins[] = {
+      {"example1", circuits::example1()},
+      {"example2", circuits::example2()},
+      {"gaas", circuits::gaas_datapath()},
+      {"appendix", circuits::appendix_fig1()}};
+  for (const auto& [name, circuit] : builtins) {
+    inputs.push_back({name, req({{"builtin", Json(name)}}), circuit});
+  }
+  circuits::SyntheticParams params;
+  params.num_phases = 3;
+  params.num_stages = 6;
+  const std::string synthetic = parser::write_circuit(circuits::synthetic_circuit(params, 21));
+  // Names that need JSON escapes: a quote and backslashes, control bytes,
+  // and UTF-8, which passes through as it is.
+  const std::string odd =
+      "circuit odd\nphases 2\n"
+      "latch q\"a\\\"b\" phase=1 setup=1 dq=2\n"
+      "latch back\\slash phase=2 setup=1 dq=2\n"
+      "latch ctl\x01\x1f phase=1 setup=1 dq=2\n"
+      "latch \xc3\xa9t\xc3\xa9 phase=2 setup=1 dq=2\n"
+      "path q\"a\\\"b\" back\\slash delay=7.3\n"
+      "path back\\slash ctl\x01\x1f delay=0.1\n"
+      "path ctl\x01\x1f \xc3\xa9t\xc3\xa9 delay=12.25\n"
+      "path \xc3\xa9t\xc3\xa9 q\"a\\\"b\" delay=3.3\n";
+  for (const auto& [what, text] : {std::pair{"synthetic", synthetic}, std::pair{"odd", odd}}) {
+    Expected<Circuit> circuit = parser::parse_circuit(text);
+    ASSERT_TRUE(circuit) << what;
+    inputs.push_back({what, req({{"text", Json(text)}}), std::move(*circuit)});
+  }
+  ASSERT_EQ(inputs.back().circuit.element(0).name, "q\"a\\\"b\"");
+
+  int without_arrival_or_hold = 0;
+  for (const Input& in : inputs) {
+    TimingService service;
+    Json load = in.load;
+    load.set("verb", Json("load"));
+    load.set("circuit", Json("c"));
+    const Json loaded = expect_ok(service, load).get("result");
+    sta::AnalysisOptions options;
+    options.check_hold = true;
+    const sta::TimingReport direct =
+        sta::check_schedule(in.circuit, schedule_of(loaded.get("schedule")), options);
+    for (const sta::ElementTiming& et : direct.elements) {
+      if (!std::isfinite(et.arrival) && !std::isfinite(et.hold_slack)) ++without_arrival_or_hold;
+    }
+
+    const std::string frame = service.handle_line(
+        req({{"verb", Json("analyze")}, {"circuit", Json("c")}, {"detail", Json(true)}})
+            .dump());
+    const std::string rows = "\"elements\":" + rows_as_tree(direct, in.circuit) + ",";
+    EXPECT_NE(frame.find(rows), std::string::npos)
+        << in.what << "\nframe: " << frame.substr(0, 600) << "\nwant: " << rows.substr(0, 600);
+  }
+  EXPECT_GT(without_arrival_or_hold, 0);  // the appendix circuit's primary input
 }
 
 TEST(ServeService, SecondAnalyzeIsCachedAndIdentical) {
@@ -321,14 +413,6 @@ TEST(ServeService, UndoAfterMinApplyRestoresTheAnalysisSessionSchedule) {
   const Json back = expect_ok(service, undo_req("e1")).get("result");
   EXPECT_EQ(back.get("mark").as_long(-1), 0);
   EXPECT_EQ(back.get("fingerprint").as_string(), fp0);
-}
-
-ClockSchedule schedule_of(const Json& s) {
-  ClockSchedule schedule;
-  schedule.cycle = s.num_or("cycle", 0.0);
-  for (const Json& v : s.get("start").items()) schedule.start.push_back(v.as_number());
-  for (const Json& v : s.get("width").items()) schedule.width.push_back(v.as_number());
-  return schedule;
 }
 
 std::string problems_text(const std::vector<std::string>& problems) {
