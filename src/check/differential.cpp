@@ -309,6 +309,52 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
       if (!fingerprint_matches(session, mutated, relaxed)) {
         fail(CheckKind::kSessionAgreement, what + ": session fingerprint after edit");
       }
+      // A walk of warm-eligible edits on top, alternating small path raises
+      // with setup/hold/skew moves either way: the warm refresh carries its
+      // report from one analyze to the next, so each step is compared.
+      std::uniform_real_distribution<double> unit(0.0, 1.0);
+      const double tc = relaxed.cycle;
+      for (int step = 0; step < 8; ++step) {
+        std::string edit;
+        if (step % 2 == 0) {
+          const int q = pick_path(rng);
+          const double d = mutated.path(q).delay;
+          const double raised = d + (0.001 + 0.004 * unit(rng)) * std::max(d, 1.0);
+          session.set_path_delay(q, raised);
+          mutated.set_path_delay(q, raised);
+          edit = "raise path " + std::to_string(q);
+        } else {
+          const int i = static_cast<int>(rng() % static_cast<uint64_t>(circuit.num_elements()));
+          Element& e = mutated.element(i);
+          const double move = (unit(rng) - 0.5) * 0.04 * tc;
+          switch (rng() % 3) {
+            case 0:
+              e.setup = std::max(0.0, e.setup + move);
+              session.set_element_setup(i, e.setup);
+              edit = "setup of " + e.name;
+              break;
+            case 1:
+              e.hold = std::max(0.0, e.hold + move);
+              session.set_element_hold(i, e.hold);
+              edit = "hold of " + e.name;
+              break;
+            default:
+              e.skew = std::max(0.0, e.skew + move / 2.0);
+              session.set_element_skew(i, e.skew);
+              edit = "skew of " + e.name;
+              break;
+          }
+        }
+        diff = diff_reports(session.analyze(), sta::check_schedule(mutated, relaxed, an));
+        if (!diff.empty()) {
+          fail(CheckKind::kSessionAgreement,
+               what + ": walk step " + std::to_string(step) + " (" + edit + "): " + diff);
+          break;
+        }
+      }
+      if (!fingerprint_matches(session, mutated, relaxed)) {
+        fail(CheckKind::kSessionAgreement, what + ": session fingerprint after the walk");
+      }
       session.undo_to(mark);
       diff = diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
       if (!diff.empty()) {

@@ -18,8 +18,10 @@
 //     check/oracle.h oracle) from zero and on MLP's slide from the LP point:
 //     bit for bit where the engine's fixpoint is exact, within
 //     departure_tol where it stopped at the eps deadband,
-//   * an sta::AnalysisSession driven through a random delay perturbation
-//     (and its undo) reproduces fresh check_schedule reports BIT-identically,
+//   * an sta::AnalysisSession driven through a random delay perturbation,
+//     a walk of warm-eligible path raises and setup/hold/skew edits, and
+//     the undo of all of it reproduces fresh check_schedule reports
+//     BIT-identically at every step,
 //   * the token simulator's steady state matches the analytic fixpoint, and
 //   * the whole matrix holds again under deterministic random per-latch
 //     clock skews, reached both by construction and by AnalysisSession

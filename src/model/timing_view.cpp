@@ -224,7 +224,6 @@ void TimingView::set_element_setup(int i, double setup) {
   if (setup == setup_[static_cast<size_t>(i)]) return;
   setup_[static_cast<size_t>(i)] = setup;
   setup_margin_[static_cast<size_t>(i)] = setup + skew_[static_cast<size_t>(i)];
-  params_dirty_ = true;
   ++generation_;
 }
 
@@ -232,7 +231,6 @@ void TimingView::set_element_hold(int i, double hold) {
   if (hold == hold_[static_cast<size_t>(i)]) return;
   hold_[static_cast<size_t>(i)] = hold;
   hold_margin_[static_cast<size_t>(i)] = hold + skew_[static_cast<size_t>(i)];
-  params_dirty_ = true;
   ++generation_;
 }
 
@@ -251,7 +249,6 @@ void TimingView::set_element_skew(int i, double skew) {
     max_skew_ = 0.0;
     for (const double s : skew_) max_skew_ = std::max(max_skew_, s);
   }
-  params_dirty_ = true;
   ++generation_;
 }
 
@@ -260,7 +257,6 @@ void TimingView::clear_dirty() {
   dirty_edges_.clear();
   max_dirty_ = false;
   min_dirty_ = false;
-  params_dirty_ = false;
   max_nondecreasing_ = true;
 }
 

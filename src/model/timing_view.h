@@ -226,7 +226,6 @@ class TimingView {
   const std::vector<EdgeIndex>& dirty_edges() const { return dirty_edges_; }
   bool max_dirty() const { return max_dirty_; }    // some long-path constant moved
   bool min_dirty() const { return min_dirty_; }    // some short-path constant moved
-  bool params_dirty() const { return params_dirty_; }  // setup/hold moved
   /// True while every max_const change since clear_dirty() was nondecreasing
   /// — the warm-start precondition for the monotone eq. 17 iteration.
   bool max_nondecreasing() const { return max_nondecreasing_; }
@@ -265,7 +264,6 @@ class TimingView {
   std::vector<char> edge_dirty_;
   bool max_dirty_ = false;
   bool min_dirty_ = false;
-  bool params_dirty_ = false;
   bool max_nondecreasing_ = true;
 };
 

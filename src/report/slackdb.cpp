@@ -134,14 +134,10 @@ void mirror_into_registry(const SlackDB& db) {
       .set(static_cast<double>(db.num_constraints));
 }
 
-}  // namespace
-
-double SlackDB::worst_setup_slack() const { return analysis.worst_setup_slack; }
-
-double SlackDB::worst_hold_slack() const { return analysis.worst_hold_slack; }
-
-SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
-                      const SlackDbOptions& options) {
+// build_slackdb without the registry mirror, so build_signoff can label each
+// corner's database before mirroring it.
+SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule,
+                         const SlackDbOptions& options) {
   const StageTimer timer;
   const obs::TraceSpan span("report.build_slackdb", "report");
   SlackDB db;
@@ -246,6 +242,18 @@ SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
   db.skew_tolerance = std::isfinite(worst) ? std::max(0.0, worst) : 0.0;
 
   db.build_seconds = timer.seconds();
+  return db;
+}
+
+}  // namespace
+
+double SlackDB::worst_setup_slack() const { return analysis.worst_setup_slack; }
+
+double SlackDB::worst_hold_slack() const { return analysis.worst_hold_slack; }
+
+SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
+                      const SlackDbOptions& options) {
+  SlackDB db = build_unmirrored(circuit, schedule, options);
   mirror_into_registry(db);
   return db;
 }
@@ -257,9 +265,10 @@ SignoffDB build_signoff(const Circuit& circuit, const ClockSchedule& schedule,
   SignoffDB db;
   db.all_pass = true;
   for (const sta::Corner& corner : corners) {
-    SlackDB one = build_slackdb(sta::derate(circuit, corner), schedule, options);
+    SlackDB one = build_unmirrored(sta::derate(circuit, corner), schedule, options);
     one.corner = corner.name;
     one.circuit = circuit.name();  // report the design, not the derated copy
+    mirror_into_registry(one);
     db.all_pass = db.all_pass && one.feasible;
     db.corners.push_back(std::move(one));
   }

@@ -73,69 +73,155 @@ FixpointResult compute_early_departures(const TimingView& view, const ShiftTable
   return res;
 }
 
-void fill_setup_slacks(const Circuit& circuit, const ClockSchedule& schedule,
-                       const TimingView& view, const ShiftTable& shifts, double eps,
-                       TimingReport& rep) {
-  const int l = circuit.num_elements();
-  rep.setup_ok = true;
+namespace {
+
+// The per-element slack functions. The full passes (fill_setup_slacks,
+// fill_hold_slacks) and the warm refresh (refresh_slacks) evaluate every
+// record through these two, so a refreshed record is bit-identical to the
+// one a cold report computes.
+
+// Element i's setup record under `departure`: D_i, A_i (eq. 14) and the
+// setup slack (L1 for a latch, the leading-edge check for a flip-flop).
+void setup_timing(const TimingView& view, const ClockSchedule& schedule,
+                  const ShiftTable& shifts, const std::vector<double>& departure, int i,
+                  ElementTiming& t) {
+  t.departure = departure[static_cast<size_t>(i)];
+  t.arrival = arrival_update(view, shifts, departure, i);
+  if (view.is_latch(i)) {
+    // The capture margin is setup + local clock skew (the view's fused
+    // setup_margin): the trailing edge may arrive up to σ_i early, so the
+    // data must settle that much sooner.
+    t.setup_slack = schedule.T(view.phase(i)) - view.setup_margin(i) - t.departure;
+  } else {
+    // Flip-flop: arrival must precede the leading edge by setup + skew.
+    t.setup_slack = (t.arrival == kNegInf) ? kInf : (-view.setup_margin(i) - t.arrival);
+  }
+}
+
+// Element i's exact hold slack from the early departures `early`; +inf when
+// i has no fan-in (nothing can corrupt it).
+double hold_slack(const TimingView& view, const ClockSchedule& schedule,
+                  const ShiftTable& shifts, const std::vector<double>& early, int i) {
+  double earliest_next = kInf;
+  const EdgeIndex fi_end = view.fanin_end(i);
+  for (EdgeIndex fe = view.fanin_begin(i); fe < fi_end; ++fe) {
+    const double a = early[static_cast<size_t>(view.edge_src(fe))] + view.edge_min_const(fe) +
+                     shifts.at(view.edge_shift(fe));
+    earliest_next = std::min(earliest_next, schedule.cycle + a);
+  }
+  if (earliest_next == kInf) return kInf;  // no fanin: nothing to corrupt
+  // The next token must arrive at least hold + skew after the trailing edge
+  // of a latch (the edge may arrive up to σ_i late), or after the leading
+  // edge of a flip-flop.
+  if (view.is_latch(i)) return earliest_next - (schedule.T(view.phase(i)) + view.hold_margin(i));
+  return earliest_next - view.hold_margin(i);
+}
+
+// Folds element i's slack into a running worst record. Ties go to the lower
+// index, so an ascending scan and a fold over any subset agree on the pick;
+// +inf (and NaN) never qualify.
+void fold_worst(double slack, int i, double& worst, int& element) {
+  if (slack < worst || (slack == worst && i < element)) {
+    worst = slack;
+    element = i;
+  }
+}
+
+// One check's summary fields in a TimingReport.
+struct CheckSummary {
+  double& worst;
+  int& element;
+  int& violations;
+};
+
+// Re-evaluates `elements` through `eval(i)`, which rewrites element i's
+// record and returns its new slack, keeping the violation count; then
+// settles the worst record. Only when the previous worst element's slack
+// rose (or stopped being a candidate) can an untouched element take its
+// place, so only then are all l slacks scanned.
+template <typename SlackOf, typename Eval>
+void refresh_check(int l, const std::vector<int>& elements, double eps, SlackOf slack_of,
+                   Eval eval, CheckSummary summary) {
+  for (const int i : elements) {
+    if (definitely_lt(slack_of(i), 0.0, eps)) --summary.violations;
+    if (definitely_lt(eval(i), 0.0, eps)) ++summary.violations;
+  }
+  const int prev = summary.element;
+  double worst = kInf;
+  int element = -1;
+  if (prev >= 0 && !(slack_of(prev) <= summary.worst)) {
+    for (int i = 0; i < l; ++i) fold_worst(slack_of(i), i, worst, element);
+  } else {
+    // Untouched slacks are no lower than the previous worst, and those equal
+    // to it sit at higher indices (with no previous worst, they are all
+    // +inf): the pick is the previous worst or a refreshed element.
+    if (prev >= 0) {
+      worst = slack_of(prev);
+      element = prev;
+    }
+    for (const int i : elements) fold_worst(slack_of(i), i, worst, element);
+  }
+  summary.worst = worst;
+  summary.element = element;
+}
+
+void fill_setup_slacks(const TimingView& view, const ClockSchedule& schedule,
+                       const ShiftTable& shifts, double eps, TimingReport& rep) {
+  const int l = view.num_elements();
+  rep.setup_violations = 0;
   rep.worst_setup_slack = kInf;
   rep.worst_setup_element = -1;
   for (int i = 0; i < l; ++i) {
-    const Element& e = circuit.element(i);
     ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-    t.departure = rep.fixpoint.departure[static_cast<size_t>(i)];
-    t.arrival = arrival_update(view, shifts, rep.fixpoint.departure, i);
-    if (e.is_latch()) {
-      // The capture margin is setup + local clock skew (the view's fused
-      // setup_margin): the trailing edge may arrive up to σ_i early, so the
-      // data must settle that much sooner.
-      t.setup_slack = schedule.T(e.phase) - view.setup_margin(i) - t.departure;
-    } else {
-      // Flip-flop: arrival must precede the leading edge by setup + skew.
-      t.setup_slack = (t.arrival == kNegInf) ? kInf : (-view.setup_margin(i) - t.arrival);
-    }
-    if (t.setup_slack < rep.worst_setup_slack) {
-      rep.worst_setup_slack = t.setup_slack;
-      rep.worst_setup_element = i;
-    }
-    if (definitely_lt(t.setup_slack, 0.0, eps)) rep.setup_ok = false;
+    setup_timing(view, schedule, shifts, rep.fixpoint.departure, i, t);
+    fold_worst(t.setup_slack, i, rep.worst_setup_slack, rep.worst_setup_element);
+    if (definitely_lt(t.setup_slack, 0.0, eps)) ++rep.setup_violations;
   }
   if (l == 0) rep.worst_setup_slack = 0.0;
+  rep.setup_ok = rep.setup_violations == 0;
 }
 
-void fill_hold_slacks(const Circuit& circuit, const ClockSchedule& schedule,
-                      const TimingView& view, const ShiftTable& shifts,
-                      const std::vector<double>* early, double eps, TimingReport& rep) {
-  rep.hold_ok = true;
+void fill_hold_slacks(const TimingView& view, const ClockSchedule& schedule,
+                      const ShiftTable& shifts, const std::vector<double>* early, double eps,
+                      TimingReport& rep) {
+  rep.hold_violations = 0;
   rep.worst_hold_slack = kInf;
   rep.worst_hold_element = -1;
-  for (auto& t : rep.elements) t.hold_slack = kInf;
-  if (early == nullptr) return;
-  for (int i = 0; i < circuit.num_elements(); ++i) {
-    const Element& e = circuit.element(i);
+  for (int i = 0; i < view.num_elements(); ++i) {
     ElementTiming& t = rep.elements[static_cast<size_t>(i)];
-    double earliest_next = kInf;
-    const EdgeIndex fi_end = view.fanin_end(i);
-    for (EdgeIndex fe = view.fanin_begin(i); fe < fi_end; ++fe) {
-      const double a = (*early)[static_cast<size_t>(view.edge_src(fe))] +
-                       view.edge_min_const(fe) + shifts.at(view.edge_shift(fe));
-      earliest_next = std::min(earliest_next, schedule.cycle + a);
-    }
-    if (earliest_next == kInf) continue;  // no fanin: nothing to corrupt
-    if (e.is_latch()) {
-      // The next token must arrive at least hold + skew after the trailing
-      // edge (the edge may arrive up to σ_i late).
-      t.hold_slack = earliest_next - (schedule.T(e.phase) + view.hold_margin(i));
-    } else {
-      // ... or after the leading edge for a flip-flop.
-      t.hold_slack = earliest_next - view.hold_margin(i);
-    }
-    if (t.hold_slack < rep.worst_hold_slack) {
-      rep.worst_hold_slack = t.hold_slack;
-      rep.worst_hold_element = i;
-    }
-    if (definitely_lt(t.hold_slack, 0.0, eps)) rep.hold_ok = false;
+    t.hold_slack = early == nullptr ? kInf : hold_slack(view, schedule, shifts, *early, i);
+    fold_worst(t.hold_slack, i, rep.worst_hold_slack, rep.worst_hold_element);
+    if (definitely_lt(t.hold_slack, 0.0, eps)) ++rep.hold_violations;
   }
+  rep.hold_ok = rep.hold_violations == 0;
+}
+
+}  // namespace
+
+void refresh_slacks(const TimingView& view, const ClockSchedule& schedule,
+                    const ShiftTable& shifts, const std::vector<int>& setup_elements,
+                    const std::vector<int>& hold_elements, const std::vector<double>* early,
+                    double eps, TimingReport& rep) {
+  const int l = view.num_elements();
+  if (l == 0) return;
+  std::vector<ElementTiming>& records = rep.elements;
+  const auto at = [](int i) { return static_cast<size_t>(i); };
+  refresh_check(
+      l, setup_elements, eps, [&](int i) { return records[at(i)].setup_slack; },
+      [&](int i) {
+        setup_timing(view, schedule, shifts, rep.fixpoint.departure, i, records[at(i)]);
+        return records[at(i)].setup_slack;
+      },
+      {rep.worst_setup_slack, rep.worst_setup_element, rep.setup_violations});
+  rep.setup_ok = rep.setup_violations == 0;
+  if (early == nullptr) return;
+  refresh_check(
+      l, hold_elements, eps, [&](int i) { return records[at(i)].hold_slack; },
+      [&](int i) {
+        return records[at(i)].hold_slack = hold_slack(view, schedule, shifts, *early, i);
+      },
+      {rep.worst_hold_slack, rep.worst_hold_element, rep.hold_violations});
+  rep.hold_ok = rep.hold_violations == 0;
 }
 
 TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedule,
@@ -180,7 +266,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   rep.stats.add_stage("departure-fixpoint", rep.fixpoint.stats.solve_seconds);
 
   const StageTimer setup_timer;
-  fill_setup_slacks(circuit, schedule, view, shifts, options.eps, rep);
+  fill_setup_slacks(view, schedule, shifts, options.eps, rep);
   rep.stats.add_stage("setup-slack", setup_timer.seconds());
 
   // Hold slacks (exact short-path check).
@@ -194,8 +280,8 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
     rep.stats.add_stage("early-fixpoint", early->stats.solve_seconds);
   }
   const StageTimer hold_timer;
-  fill_hold_slacks(circuit, schedule, view, shifts,
-                   options.check_hold ? &early->departure : nullptr, options.eps, rep);
+  fill_hold_slacks(view, schedule, shifts, options.check_hold ? &early->departure : nullptr,
+                   options.eps, rep);
   if (options.check_hold) rep.stats.add_stage("hold-slack", hold_timer.seconds());
 
   // Constraint provenance (which term produced each D_i, what is tight).

@@ -58,10 +58,17 @@ struct TimingReport {
   /// fixpoint, and (when enabled) the hold-side min-fixpoint.
   EngineStats stats;
 
+  /// The worst slack of each check and the element holding it: the lowest
+  /// index among equal minima, -1 when no element has a finite slack.
   double worst_setup_slack = 0.0;
-  int worst_setup_element = -1;  // element index, -1 if no latches
+  int worst_setup_element = -1;
   double worst_hold_slack = 0.0;
   int worst_hold_element = -1;
+  /// Elements whose setup (hold) check fails: setup_ok is setup_violations
+  /// == 0, and likewise for hold. Kept so a refresh of a few elements can
+  /// update the flags without a scan.
+  int setup_violations = 0;
+  int hold_violations = 0;
 
   /// Render a human-readable report table (used by the analyzer example).
   std::string to_string(const Circuit& circuit) const;
@@ -76,27 +83,27 @@ TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedul
 /// caller supplies the solved fixpoint (cold or warm) and, optionally, a
 /// precomputed early-departure min-fixpoint (`early`; pass nullptr to have
 /// it computed here when options.check_hold). This is the shared back half
-/// between check_schedule and the incremental AnalysisSession — keeping it
-/// single-sourced is what makes warm results bit-identical to cold ones.
+/// between check_schedule and the incremental AnalysisSession; the session's
+/// warm refresh (refresh_slacks below) re-runs its per-element slack
+/// functions, which is what makes warm results bit-identical to cold ones.
 TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedule,
                              const TimingView& view, const ShiftTable& shifts,
                              const AnalysisOptions& options, FixpointResult fixpoint,
                              const FixpointResult* early = nullptr);
 
-/// The setup-slack pass of assemble_report over `rep.fixpoint.departure`:
-/// each element's departure, arrival and setup slack, worst_setup_* and
-/// setup_ok. The session's warm refresh runs the same pass, so warm and cold
-/// reports share one slack arithmetic.
-void fill_setup_slacks(const Circuit& circuit, const ClockSchedule& schedule,
-                       const TimingView& view, const ShiftTable& shifts, double eps,
-                       TimingReport& rep);
-
-/// The hold-slack pass of assemble_report: each element's hold slack from the
-/// early departures `early`, worst_hold_* and hold_ok. A null `early` (hold
-/// not checked) leaves every hold slack +inf and hold_ok true.
-void fill_hold_slacks(const Circuit& circuit, const ClockSchedule& schedule,
-                      const TimingView& view, const ShiftTable& shifts,
-                      const std::vector<double>* early, double eps, TimingReport& rep);
+/// The slack passes of assemble_report, for a few elements. `rep` must be a
+/// report of the same view, schedule and eps whose records are current
+/// except those named here: the setup records (D_i, A_i, setup slack) of
+/// `setup_elements` and, when `early` is set, the hold slacks of
+/// `hold_elements` are re-evaluated by the per-element functions the full
+/// passes run, so each matches a cold report bit for bit. The violation
+/// counts, ok flags and worst records follow from those records alone,
+/// unless the previous worst element's slack rose: only then are all l
+/// slacks rescanned.
+void refresh_slacks(const TimingView& view, const ClockSchedule& schedule,
+                    const ShiftTable& shifts, const std::vector<int>& setup_elements,
+                    const std::vector<int>& hold_elements, const std::vector<double>* early,
+                    double eps, TimingReport& rep);
 
 /// Earliest departure times (min-fixpoint over min delays); used by the
 /// exact hold check and exposed for tests.

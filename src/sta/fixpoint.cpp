@@ -236,7 +236,7 @@ FixpointResult compute_departures(const TimingView& view, const ShiftTable& shif
 
 FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
                                std::vector<double> departure, const std::vector<int>& seeds,
-                               const FixpointOptions& options) {
+                               const FixpointOptions& options, std::vector<int>* raised) {
   const int l = view.num_elements();
   assert(static_cast<int>(departure.size()) == l);
   const StageTimer timer;
@@ -246,6 +246,9 @@ FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
   const double bound = divergence_bound(view, shifts);
 
   std::vector<bool> queued(static_cast<size_t>(l), false);
+  // Elements already in *raised: a climb can raise one element millions of
+  // times before the update budget runs out.
+  std::vector<bool> rose(raised != nullptr ? static_cast<size_t>(l) : 0, false);
   std::vector<int> work;
   work.reserve(seeds.size());
   for (const int i : seeds) {
@@ -269,6 +272,10 @@ FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
     // short of the exact least fixpoint the cold engines settle on.
     if (v <= res.departure[static_cast<size_t>(i)]) continue;
     res.departure[static_cast<size_t>(i)] = v;
+    if (raised != nullptr && !rose[static_cast<size_t>(i)]) {
+      rose[static_cast<size_t>(i)] = true;
+      raised->push_back(i);
+    }
     if (v > bound) {
       res.diverged = true;
       break;

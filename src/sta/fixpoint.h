@@ -183,8 +183,12 @@ std::vector<double> compute_arrivals(const TimingView& view, const ShiftTable& s
 /// under strictly negative loop gains. The caller must ensure no edge
 /// constant decreased (TimingView::max_nondecreasing); otherwise the result
 /// can be a non-least fixpoint — fall back to a cold solve instead.
+/// When `raised` is set, every element whose departure rose is appended to
+/// it once: with their fan-out, these are the only elements whose departure
+/// or arrival the solve moved.
 FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
                                std::vector<double> departure, const std::vector<int>& seeds,
-                               const FixpointOptions& options = {});
+                               const FixpointOptions& options = {},
+                               std::vector<int>* raised = nullptr);
 
 }  // namespace mintc::sta

@@ -223,18 +223,21 @@ void AnalysisSession::apply_element_dq_min(int i, double dq_min) {
 void AnalysisSession::apply_element_setup(int i, double setup) {
   edit_element(i, [&] { circuit_.element(i).setup = setup; });
   if (view_) view_->set_element_setup(i, setup);
+  param_edited_.push_back(i);
   touch();
 }
 
 void AnalysisSession::apply_element_hold(int i, double hold) {
   edit_element(i, [&] { circuit_.element(i).hold = hold; });
   if (view_) view_->set_element_hold(i, hold);
+  param_edited_.push_back(i);
   touch();
 }
 
 void AnalysisSession::apply_element_skew(int i, double skew) {
   edit_element(i, [&] { circuit_.element(i).skew = skew; });
   if (view_) view_->set_element_skew(i, skew);
+  param_edited_.push_back(i);
   touch();
 }
 
@@ -505,6 +508,7 @@ const TimingReport& AnalysisSession::analyze() {
   bool warm = false;
   if (warm_eligible) {
     seeds_.clear();
+    raised_.clear();
     if (schedule_changed_) {
       // Any latch's inputs may have shifted: seed everything. Still cheap —
       // one relaxation pass over an already-solved vector.
@@ -515,7 +519,7 @@ const TimingReport& AnalysisSession::analyze() {
     // The previous departure vector is consumed (moved) as the warm start;
     // report_ is stale either way and gets rebuilt below.
     fp = warm_departures(*view_, *shifts_, std::move(report_.fixpoint.departure), seeds_,
-                         options_.fixpoint);
+                         options_.fixpoint, &raised_);
     warm = fp.converged;
   }
   if (!warm) {
@@ -537,11 +541,9 @@ const TimingReport& AnalysisSession::analyze() {
   }
 
   // Warm fast path: parameter-only edits on an unchanged schedule rewrite the
-  // cached report in place — same arithmetic as assemble_report, but without
-  // reallocating it or re-deriving what provably did not move (clock
-  // constraints, the early min-fixpoint). The per-analyze cost drops to the
-  // event fixpoint plus one O(l+E) slack pass, which is what makes warm
-  // re-analysis of small circuits several times faster than a cold one.
+  // cached report in place, recomputing only the records whose inputs moved
+  // (see refresh_report_warm). Everything else provably did not move: the
+  // clock constraints, the early min-fixpoint and every other record.
   if (warm && !schedule_changed_ && !options_.provenance &&
       (!options_.check_hold || early_valid_)) {
     if (options_.check_hold && had_report) ++counters_.hold_reuses;
@@ -570,6 +572,7 @@ const TimingReport& AnalysisSession::analyze() {
   }
 
   view_->clear_dirty();
+  param_edited_.clear();
   schedule_changed_ = false;
   schedule_warm_ok_ = true;
   structural_dirty_ = false;
@@ -583,9 +586,7 @@ void AnalysisSession::refresh_report_warm(FixpointResult fp) {
   TimingReport& rep = report_;
 
   // Unchanged since the last full assembly: clock_violations / schedule_ok
-  // (schedule untouched) and provenance (off on this path). The slack passes
-  // are assemble_report's own, so the rewritten report is bit-identical to a
-  // cold one.
+  // (schedule untouched) and provenance (off on this path).
   rep.fixpoint = std::move(fp);
   rep.converged = rep.fixpoint.converged;
   rep.stats = EngineStats{};
@@ -593,11 +594,37 @@ void AnalysisSession::refresh_report_warm(FixpointResult fp) {
   rep.stats.edge_relaxations = rep.fixpoint.stats.edge_relaxations;
   rep.stats.solve_seconds = rep.fixpoint.stats.solve_seconds;
 
-  fill_setup_slacks(circuit_, schedule_, *view_, *shifts_, options_.eps, rep);
-  // Hold slacks from the cached early min-fixpoint (valid by the caller's
-  // guard; min constants and shifts have not moved since it was solved).
-  fill_hold_slacks(circuit_, schedule_, *view_, *shifts_,
-                   options_.check_hold ? &early_.departure : nullptr, options_.eps, rep);
+  // The records whose inputs moved. A setup record reads D_i, the fan-in
+  // edges' max constants and source departures (through A_i) and i's setup
+  // margin; a hold record reads the early vector, min constants and shifts
+  // (none of which moved on this path) and i's hold margin.
+  const int l = circuit_.num_elements();
+  refresh_mark_.resize(static_cast<size_t>(l), 0);
+  setup_refresh_.clear();
+  hold_refresh_.clear();
+  const auto add = [&](int i) {
+    char& queued = refresh_mark_[static_cast<size_t>(i)];
+    if (queued != 0) return false;
+    queued = 1;
+    setup_refresh_.push_back(i);
+    return true;
+  };
+  for (const int i : param_edited_) {
+    if (add(i)) hold_refresh_.push_back(i);
+  }
+  for (const EdgeIndex e : view_->dirty_edges()) add(view_->edge_dst(e));
+  for (const int i : raised_) {
+    add(i);
+    const EdgeIndex fo_end = view_->fanout_end(i);
+    for (EdgeIndex f = view_->fanout_begin(i); f < fo_end; ++f) {
+      add(view_->edge_dst(view_->fanout_edge(f)));
+    }
+  }
+
+  refresh_slacks(*view_, schedule_, *shifts_, setup_refresh_, hold_refresh_,
+                 options_.check_hold ? &early_.departure : nullptr, options_.eps, rep);
+  for (const int i : setup_refresh_) refresh_mark_[static_cast<size_t>(i)] = 0;
+  counters_.slack_refreshes += static_cast<long>(setup_refresh_.size());
 
   rep.feasible = rep.schedule_ok && rep.converged && rep.setup_ok && rep.hold_ok;
   rep.stats.wall_seconds = wall_timer.seconds();

@@ -13,7 +13,18 @@
 // sta::check_schedule(session.circuit(), session.schedule(), options) no
 // matter how the session reached the current state. The warm path is only
 // taken when it provably lands on the same least fixpoint (see below);
-// everything after the fixpoint is shared code (sta::assemble_report).
+// everything after the fixpoint is shared code: sta::assemble_report, or on
+// the warm path sta::refresh_slacks, which re-evaluates only the records
+// whose inputs moved through the same per-element slack functions.
+//
+// What a warm analyze costs (DESIGN 5.4): the event-driven fixpoint from the
+// dirty edges' destinations, then one record per element in the edit's cone
+// — those destinations, every element whose departure rose and its fan-out,
+// and the elements whose setup, hold or skew changed. A setup record reads
+// only D_i, its fan-in and its own margin (L1 and eq. 17), so no other
+// record can move; hold records move only with hold-side parameters. The
+// worst-slack summaries follow from the refreshed records, and the whole
+// element set is rescanned only when the previous worst element's slack rose.
 //
 // Warm-start safety (DESIGN 5.4): eq. 17 is a monotone max-plus operator F.
 // If every edge constant is nondecreasing relative to the previously solved
@@ -149,7 +160,10 @@ class AnalysisSession {
   /// Analyze the current state. Returns a cached report when nothing
   /// changed, warm-starts the fixpoint when the change was monotone, and
   /// cold-solves otherwise — always bit-identical to a fresh
-  /// sta::check_schedule of the current circuit/schedule.
+  /// sta::check_schedule of the current circuit/schedule. A warm start on an
+  /// unchanged schedule (without provenance, and with the early vector still
+  /// valid when hold is checked) rewrites only the edit's cone of the cached
+  /// report; every other case assembles the report in full.
   const TimingReport& analyze();
 
   struct Counters {
@@ -158,6 +172,9 @@ class AnalysisSession {
     long invalidations = 0;  // mutation batches that dirtied a valid report
     long cold_fallbacks = 0; // cold solves with prior state present
     long hold_reuses = 0;    // hold checks reusing the cached early vector
+    /// Element records the warm refresh recomputed (a full assembly
+    /// recomputes all l and is not counted here).
+    long slack_refreshes = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -207,13 +224,13 @@ class AnalysisSession {
   template <typename Fn>
   void edit_path(int p, Fn&& mutate);
 
-  /// Allocation-free counterpart of sta::assemble_report for the warm path:
-  /// rewrites report_ in place through the cold assembly's own slack passes
-  /// (fill_setup_slacks, fill_hold_slacks), so the result stays
-  /// bit-identical. It skips the clock check, the early re-solve and the
-  /// reallocation. Only
-  /// valid when the schedule and structure are unchanged, provenance is off,
-  /// and (when hold is checked) the cached early vector is still valid.
+  /// The warm path's counterpart of sta::assemble_report: rewrites report_
+  /// in place through sta::refresh_slacks, for the setup records of the
+  /// dirty edges' destinations, the elements `fp` raised (raised_) and their
+  /// fan-out, and the setup and hold records of param_edited_. It skips the
+  /// clock check, the early re-solve and every other record. Only valid when
+  /// the schedule and structure are unchanged, provenance is off, and (when
+  /// hold is checked) the cached early vector is still valid.
   void refresh_report_warm(FixpointResult fp);
 
   Circuit circuit_;
@@ -241,6 +258,15 @@ class AnalysisSession {
   bool early_valid_ = false;
 
   std::vector<int> seeds_;   // scratch: warm fixpoint seed list
+  std::vector<int> raised_;  // scratch: elements the warm fixpoint raised
+  // Elements whose setup, hold or skew changed since the last analyze, in
+  // edit order (repeats allowed).
+  std::vector<int> param_edited_;
+  // Scratch of refresh_report_warm: the records to re-evaluate, and a
+  // per-element queued mark, all zero between calls.
+  std::vector<int> setup_refresh_;
+  std::vector<int> hold_refresh_;
+  std::vector<char> refresh_mark_;
 
   bool structural_dirty_ = false;   // view numbering stale: rebuild + cold
   bool schedule_changed_ = false;   // shifts/starts/widths moved since analyze

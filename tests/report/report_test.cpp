@@ -246,6 +246,38 @@ TEST(SlackDbTest, RegistryDescribesOnlyTheLatestBuild) {
   EXPECT_TRUE(saw_gauge);
 }
 
+// A signoff labels each corner's gauges with the design's own circuit name
+// plus a corner label, so a dashboard can select a design's corners by its
+// circuit. No series carries the derated copy's `<circuit>@<corner>` name.
+TEST(SlackDbTest, SignoffMirrorsCornersUnderTheDesignName) {
+  obs::MetricsRegistry::instance().reset();
+  const Circuit c = circuits::example1(80.0);
+  // Stretched so no corner's worst slack is exactly zero, which a reset
+  // gauge also reads.
+  const SignoffDB db = build_signoff(c, optimum_of(c).scaled(1.5), sta::standard_corners(0.1));
+  ASSERT_EQ(db.corners.size(), 3u);
+  for (const SlackDB& corner : db.corners) {
+    const obs::Labels want = {{"circuit", c.name()}, {"corner", corner.corner}};
+    bool saw_gauge = false;
+    for (const obs::MetricPoint& p : obs::MetricsRegistry::instance().snapshot()) {
+      if (p.name == "report.worst_setup_slack" && p.labels == want) {
+        saw_gauge = true;
+        EXPECT_EQ(p.value, corner.worst_setup_slack()) << corner.corner;
+      }
+    }
+    EXPECT_TRUE(saw_gauge) << "no report.worst_setup_slack{circuit=" << c.name()
+                           << ", corner=" << corner.corner << "}";
+  }
+  for (const obs::MetricPoint& p : obs::MetricsRegistry::instance().snapshot()) {
+    if (p.name.rfind("report.", 0) != 0) continue;
+    for (const auto& [key, value] : p.labels) {
+      if (key == "circuit" && value.find('@') != std::string::npos) {
+        EXPECT_EQ(p.value, 0.0) << p.name << "{circuit=" << value << "} was set";
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- exporters --
 
 TEST(ReportExportTest, JsonIsValidAndCarriesMetaHeader) {

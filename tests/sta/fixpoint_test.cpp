@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "check/oracle.h"
 #include "circuits/example1.h"
@@ -81,6 +83,27 @@ TEST(Fixpoint, DivergenceDetectedOnOverlappedLoop) {
   const FixpointResult r = compute_departures(c, sch, std::vector<double>(2, 0.0));
   EXPECT_TRUE(r.diverged);
   EXPECT_FALSE(r.converged);
+}
+
+TEST(Fixpoint, WarmReportsEachRaisedElementOnce) {
+  // The same race with a creeping gain: each traversal adds
+  // 2 + 8.001 - 10 = 0.001, so the warm climb raises both latches thousands
+  // of times on its way to the divergence bound. The raised list, which a
+  // session keeps, names each of them once.
+  Circuit c("creep", 1);
+  c.add_latch("A", 1, 1.0, 2.0);
+  c.add_latch("B", 1, 1.0, 2.0);
+  c.add_path("A", "B", 8.001);
+  c.add_path("B", "A", 8.001);
+  const ClockSchedule sch(10.0, {0.0}, {10.0});
+  const TimingView view(c);
+  std::vector<int> raised;
+  const FixpointResult r =
+      warm_departures(view, ShiftTable(sch), std::vector<double>(2, 0.0), {0, 1}, {}, &raised);
+  EXPECT_TRUE(r.diverged);
+  EXPECT_GT(r.updates, 1000);
+  std::sort(raised.begin(), raised.end());
+  EXPECT_EQ(raised, (std::vector<int>{0, 1}));
 }
 
 TEST(Fixpoint, FlipFlopPinnedAtZero)  {
