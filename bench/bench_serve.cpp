@@ -250,8 +250,7 @@ void build_cases(std::vector<BenchCase>& cases,
 ///   on    — default telemetry, no trace field, cost not requested: what
 ///           production pays for unsampled traffic — metric increments, the
 ///           latency/cpu/relaxations observes, the stage clock reads, the
-///           CostAccount charges and the in-flight gauge; spans stay
-///           dormant;
+///           CostAccount charges and the in-flight gauge;
 ///   full  — telemetry on AND every request opting into the "cost" echo:
 ///           attribution plus the echo, the everything-on diagnostic
 ///           posture.

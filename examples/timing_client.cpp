@@ -397,9 +397,9 @@ int run_load_generator(const LoadGenConfig& config) {
   }
 
   if (!config.trace_out.empty()) {
-    // Drain the server's span ring buffer into a Chrome trace file: one
-    // sampled request's spans (protocol -> service -> session -> solve)
-    // load as a single tree in chrome://tracing.
+    // Drain the server's sampled request records into a Chrome trace file:
+    // each sampled request loads in chrome://tracing as one span holding
+    // its stages.
     serve::Client drain;
     const Expected<bool> connected = drain.connect(config.address);
     Json req = Json::object();
@@ -411,7 +411,7 @@ int run_load_generator(const LoadGenConfig& config) {
       std::ofstream f(config.trace_out);
       if (f) {
         f << result.str_or("content");
-        std::printf("wrote %s (%ld events, %ld dropped)\n", config.trace_out.c_str(),
+        std::printf("wrote %s (%ld events, %ld records dropped)\n", config.trace_out.c_str(),
                     result.long_or("events", 0), result.long_or("dropped", 0));
       }
     } else {
@@ -455,7 +455,9 @@ int usage() {
       "             [--cost-sample N]   request cost attribution on every Nth request\n"
       "                                 (with --verify, byte-checks the envelope-only\n"
       "                                 contract against a scrubbed replay)\n"
-      "             [--trace-out <file>]  drain the server trace ring after the run\n");
+      "             [--trace-out <file>]  after the run, write the server's sampled\n"
+      "                                 request records (the trace verb) as a\n"
+      "                                 Chrome trace\n");
   return 2;
 }
 

@@ -18,10 +18,11 @@
 // Telemetry flags:
 //   --prom-out <file> [--prom-interval <sec>]   periodic Prometheus text
 //       snapshots (runtime gauges refreshed before each write; default 10 s)
-//   --trace-out <file>     drain the span ring buffer as Chrome trace JSON
-//       on shutdown
-//   --trace-buffer <N>     span ring capacity (default 65536; 0 = unbounded)
-//   --slow-ms <T>          structured slow-request log above T milliseconds
+//   --trace-out <file>     on shutdown, write the kept records of sampled
+//       requests (TimingService::kTraceRecords) as Chrome trace JSON, the
+//       content the `trace` verb returns
+//   --slow-ms <T>          structured slow-request log, with stage times,
+//       above T milliseconds
 //   --no-telemetry         kill request-path telemetry (overhead baseline)
 //
 // Observability flags (the cost-attribution / ops-dashboard layer):
@@ -63,7 +64,6 @@ constexpr long kMaxWorkers = 256;
 constexpr long kMaxMegabytes = static_cast<long>(std::numeric_limits<size_t>::max() >> 20);
 // Times (seconds, or milliseconds for --slow-ms) are scaled by 1000.
 constexpr long kMaxTime = std::numeric_limits<long>::max() / 1000;
-constexpr long kMaxCount = std::numeric_limits<long>::max();
 
 int usage() {
   std::printf(
@@ -72,8 +72,8 @@ int usage() {
       "                    [--max-frame-mb <M>]\n"
       "                    [--stop-after <sec>] [--metrics-out <file>]\n"
       "                    [--prom-out <file>] [--prom-interval <sec>]\n"
-      "                    [--trace-out <file>] [--trace-buffer <N>]\n"
-      "                    [--slow-ms <T>] [--no-telemetry]\n"
+      "                    [--trace-out <file>] [--slow-ms <T>]\n"
+      "                    [--no-telemetry]\n"
       "                    [--audit-out <file>] [--audit-rotate-mb <M>]\n"
       "                    [--status-html <file>] [--status-interval <sec>]\n"
       "  --port 0 picks an ephemeral port (printed). With no listener flags,\n"
@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   std::string status_html_out;
   long prom_interval_sec = 10;
   long status_interval_sec = 10;
-  long trace_buffer = 65536;
   long stop_after_sec = 0;
 
   // Every numeric flag parses through here: the whole value must be a
@@ -137,8 +136,6 @@ int main(int argc, char** argv) {
       prom_interval_sec = std::max(1L, number(argv[++i], 0, kMaxTime));
     } else if (arg == "--trace-out" && has_value) {
       trace_out = argv[++i];
-    } else if (arg == "--trace-buffer" && has_value) {
-      trace_buffer = number(argv[++i], 0, kMaxCount);
     } else if (arg == "--slow-ms" && has_value) {
       service_config.slow_request_us = 1000 * number(argv[++i], 0, kMaxTime);
     } else if (arg == "--no-telemetry") {
@@ -159,10 +156,6 @@ int main(int argc, char** argv) {
   if (server_config.unix_path.empty() && server_config.tcp_port < 0) {
     server_config.tcp_port = 0;  // ephemeral loopback by default
   }
-
-  // A daemon's span buffer must be bounded: the ring drops the oldest
-  // events (counted + marked) instead of growing without limit.
-  obs::Tracer::instance().set_capacity(static_cast<size_t>(trace_buffer));
 
   serve::TimingService service(service_config);
   serve::SocketServer server(service, server_config);
@@ -221,7 +214,8 @@ int main(int argc, char** argv) {
     service.sample_runtime_gauges();
     if (obs::write_prometheus_text(prom_out)) std::printf("wrote %s\n", prom_out.c_str());
   }
-  if (!trace_out.empty() && obs::write_chrome_trace(trace_out)) {
+  if (!trace_out.empty() &&
+      write_text_file(trace_out, service.record_trace(/*clear=*/true).content)) {
     std::printf("wrote %s\n", trace_out.c_str());
   }
   if (!status_html_out.empty() &&

@@ -1,12 +1,20 @@
 #include "obs/cost.h"
 
-#include "obs/trace.h"
-
 #include <ctime>
 
 namespace mintc::obs {
 
-CostAccount* current_cost_account() { return current_trace_context().cost; }
+namespace {
+
+thread_local CostAccount* t_account = nullptr;
+
+}  // namespace
+
+CostAccount* current_cost_account() { return t_account; }
+
+CostScope::CostScope(CostAccount* account) : previous_(t_account) { t_account = account; }
+
+CostScope::~CostScope() { t_account = previous_; }
 
 std::int64_t thread_cpu_now_us() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)

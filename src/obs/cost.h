@@ -2,9 +2,9 @@
 // engine work (edge relaxations, sweeps, solves) a single request caused.
 //
 // Wiring: the serve handler owns a CostAccount for the request and installs
-// a pointer to it in the thread-local TraceContext (trace.h). The whole
-// request, every solve included, runs on the handler's thread, so the
-// engines find the account there and charge it with plain adds.
+// a pointer to it on its thread with a CostScope. The whole request, every
+// solve included, runs on the handler's thread, so the engines find the
+// account there and charge it with plain adds.
 //
 // Charging discipline:
 //   * CPU time: the handler thread measures its own thread CPU clock
@@ -47,10 +47,22 @@ struct CostAccount {
   }
 };
 
-/// The calling thread's current account (nullptr when none installed) —
-/// reads the thread-local TraceContext. One TLS read; safe on hot paths
-/// when hoisted out of inner loops.
+/// The calling thread's current account (nullptr when none installed). One
+/// thread-local read; safe on hot paths when hoisted out of inner loops.
 CostAccount* current_cost_account();
+
+/// RAII: install an account on the calling thread (or nullptr, which masks
+/// an outer one) for a scope and restore the previous one on exit.
+class CostScope {
+ public:
+  explicit CostScope(CostAccount* account);
+  ~CostScope();
+  CostScope(const CostScope&) = delete;
+  CostScope& operator=(const CostScope&) = delete;
+
+ private:
+  CostAccount* previous_;
+};
 
 /// This thread's CPU time in microseconds (CLOCK_THREAD_CPUTIME_ID).
 /// Returns 0 where the clock is unavailable, so deltas degrade to zero
@@ -59,8 +71,8 @@ std::int64_t thread_cpu_now_us();
 
 /// RAII: measure this thread's CPU time across a scope and charge the delta
 /// to the account captured at CONSTRUCTION (so a task that installs the
-/// request context after constructing the timer still charges correctly
-/// pass the account explicitly in that case). No-op when account is null.
+/// request's CostScope after constructing the timer still charges correctly
+/// — pass the account explicitly in that case). No-op when account is null.
 class ThreadCpuTimer {
  public:
   explicit ThreadCpuTimer(CostAccount* account)

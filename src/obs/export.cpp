@@ -178,15 +178,11 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
         << json_escape(e.category) << "\", \"ph\": \"" << phase_of(e.kind)
         << "\", \"ts\": " << json_number(e.ts_us) << ", \"pid\": 1, \"tid\": " << e.tid;
     if (e.kind == EventKind::kInstant) out << ", \"s\": \"t\"";
-    // Merge the counter sample, the owning trace id and any span args into
-    // one "args" object. e.args is a pre-rendered JSON object — splice its
-    // members rather than nesting it.
+    // Merge the counter sample and any args into one "args" object.
+    // e.args is a pre-rendered JSON object — splice its members rather than
+    // nesting it.
     std::string members;
     if (e.kind == EventKind::kCounter) members += "\"value\": " + json_number(e.value);
-    if (e.trace_id != 0) {
-      if (!members.empty()) members += ", ";
-      members += "\"trace\": \"" + hash_hex(e.trace_id) + "\"";
-    }
     if (e.args.size() > 2 && e.args.front() == '{' && e.args.back() == '}') {
       if (!members.empty()) members += ", ";
       members += e.args.substr(1, e.args.size() - 2);

@@ -108,8 +108,8 @@ std::string run_metadata_json();  // the process-wide metadata
 /// "metadata": {...run header...}}).
 /// kBegin/kEnd become ph "B"/"E", kInstant "i", kCounter "C"; all events
 /// carry pid 1, the recording thread's tid, and timestamps in microseconds.
-/// A nonzero trace_id and any pre-rendered span args are merged into the
-/// event's "args" object (trace id as 16-char hex under key "trace").
+/// A counter's value and any pre-rendered args are merged into the event's
+/// one "args" object.
 std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 
 /// Render metric points in the Prometheus text exposition format. Names are

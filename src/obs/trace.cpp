@@ -1,34 +1,13 @@
 #include "obs/trace.h"
 
-#include "obs/metrics.h"
+#include <utility>
 
 namespace mintc::obs {
 
-namespace {
-
-thread_local TraceContext t_context;
-
-/// Stable small per-thread id for trace events: 1 for the first thread that
-/// records (usually main), then 2, 3, ... in first-record order.
 int thread_trace_id() {
   static std::atomic<int> next{1};
   thread_local int id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-Counter& dropped_spans_metric() {
-  static Counter& c = MetricsRegistry::instance().counter("trace.dropped_spans");
-  return c;
-}
-
-}  // namespace
-
-TraceContext current_trace_context() { return t_context; }
-
-TraceContext exchange_trace_context(TraceContext context) {
-  const TraceContext previous = t_context;
-  t_context = context;
-  return previous;
 }
 
 Tracer& Tracer::instance() {
@@ -36,55 +15,20 @@ Tracer& Tracer::instance() {
   return tracer;
 }
 
-void Tracer::set_capacity(size_t cap) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Linearize the ring before re-bounding it, then trim the oldest events
-  // if the new capacity is tighter than what is buffered.
-  if (head_ > 0) {
-    std::vector<TraceEvent> linear;
-    linear.reserve(events_.size());
-    linear.insert(linear.end(), events_.begin() + static_cast<long>(head_), events_.end());
-    linear.insert(linear.end(), events_.begin(), events_.begin() + static_cast<long>(head_));
-    events_ = std::move(linear);
-    head_ = 0;
-  }
-  capacity_ = cap;
-  if (capacity_ > 0 && events_.size() > capacity_) {
-    const size_t excess = events_.size() - capacity_;
-    events_.erase(events_.begin(), events_.begin() + static_cast<long>(excess));
-    seq_base_ += excess;
-    dropped_ += excess;
-    dropped_spans_metric().inc(static_cast<long>(excess));
-  }
-}
-
-size_t Tracer::capacity() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  head_ = 0;
-  seq_base_ = 0;
-  dropped_ = 0;
   // last_ts_us_ is deliberately kept: timestamps stay monotone across a
   // clear so concatenated exports never jump backwards.
 }
 
 size_t Tracer::num_events() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return seq_base_ + events_.size();
-}
-
-size_t Tracer::dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+  return events_.size();
 }
 
 void Tracer::record(EventKind kind, const std::string& name, const std::string& category,
-                    double value, std::string args) {
+                    double value) {
   const double ts =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - epoch_)
           .count();
@@ -93,29 +37,17 @@ void Tracer::record(EventKind kind, const std::string& name, const std::string& 
   event.name = name;
   event.category = category;
   event.value = value;
-  event.trace_id = t_context.trace_id;
   event.tid = thread_trace_id();
-  event.args = std::move(args);
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (ts > last_ts_us_) last_ts_us_ = ts;  // clamp: monotone in buffer order
   event.ts_us = last_ts_us_;
-  if (capacity_ == 0 || events_.size() < capacity_) {
-    events_.push_back(std::move(event));
-  } else {
-    // Ring is full: overwrite the oldest slot and advance the window.
-    events_[head_] = std::move(event);
-    head_ = (head_ + 1) % capacity_;
-    ++seq_base_;
-    ++dropped_;
-    dropped_spans_metric().inc();
-  }
+  events_.push_back(std::move(event));
 }
 
-bool Tracer::begin_span(const std::string& name, const std::string& category,
-                        std::string args) {
+bool Tracer::begin_span(const std::string& name, const std::string& category) {
   if (!enabled()) return false;
-  record(EventKind::kBegin, name, category, 0.0, std::move(args));
+  record(EventKind::kBegin, name, category, 0.0);
   return true;
 }
 
@@ -123,10 +55,9 @@ void Tracer::end_span(const std::string& name, const std::string& category) {
   record(EventKind::kEnd, name, category, 0.0);
 }
 
-void Tracer::instant(const std::string& name, const std::string& category,
-                     std::string args) {
+void Tracer::instant(const std::string& name, const std::string& category) {
   if (!enabled()) return;
-  record(EventKind::kInstant, name, category, 0.0, std::move(args));
+  record(EventKind::kInstant, name, category, 0.0);
 }
 
 void Tracer::counter(const std::string& name, double value, const std::string& category) {
@@ -136,31 +67,8 @@ void Tracer::counter(const std::string& name, double value, const std::string& c
 
 std::vector<TraceEvent> Tracer::snapshot(size_t since) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const size_t total = seq_base_ + events_.size();
-  if (since >= total) return {};
-
-  std::vector<TraceEvent> out;
-  const size_t lost = since < seq_base_ ? seq_base_ - since : 0;
-  const size_t first = since > seq_base_ ? since - seq_base_ : 0;  // logical index
-  out.reserve(events_.size() - first + (lost > 0 ? 1 : 0));
-  if (lost > 0) {
-    // The requested range lost events to the ring: lead with an explicit
-    // marker so consumers never mistake a wrapped export for a complete one
-    // (B/E balance is only promised for marker-free snapshots).
-    TraceEvent marker;
-    marker.kind = EventKind::kInstant;
-    marker.name = kTruncationMarkerName;
-    marker.category = "obs";
-    marker.value = static_cast<double>(lost);
-    marker.args = "{\"dropped\": " + std::to_string(lost) + "}";
-    marker.ts_us = events_.empty() ? last_ts_us_ : events_[head_].ts_us;
-    out.push_back(std::move(marker));
-  }
-  for (size_t i = first; i < events_.size(); ++i) {
-    const size_t slot = capacity_ > 0 ? (head_ + i) % events_.size() : i;
-    out.push_back(events_[slot]);
-  }
-  return out;
+  if (since >= events_.size()) return {};
+  return {events_.begin() + static_cast<long>(since), events_.end()};
 }
 
 }  // namespace mintc::obs

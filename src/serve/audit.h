@@ -33,8 +33,12 @@ struct StageTimes {
   double lock_wait = 0.0;      // waiting for the circuit's session lock
   double lookup = 0.0;         // result-cache get; a hit's stored bytes are
                                // its answer, with no decode
-  double work = 0.0;           // the verb handler, or SessionWork::run
-  double render = 0.0;         // the one dump() of a computed read, whose
+  double work = 0.0;           // the plain verb's handler; a session write;
+                               // a session read up to the end of its engine
+                               // step (analyze, SlackDB or signoff build,
+                               // Tc* solve, sweep loop)
+  double render = 0.0;         // a session read's answer built from that
+                               // step's result and its one dump(), whose
                                // bytes go to the cache and onto the wire
   double encode_frame = 0.0;   // the answer's envelope, echoes and frame
                                // bytes (a read's rendered bytes copied in)
@@ -67,6 +71,8 @@ struct RequestRecord {
   std::int64_t relaxations = 0;
   std::int64_t sweeps = 0;
   std::int64_t solves = 0;
+  int tid = 0;                   // handler thread's obs::thread_trace_id,
+                                 // kept for sampled records only
 };
 
 class AuditLog {

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.h"
-
 namespace mintc::serve {
 
 namespace {
@@ -24,26 +22,17 @@ ResultCache::ResultCache(size_t byte_budget)
 }
 
 std::optional<std::string> ResultCache::get(std::uint64_t key) {
-  std::optional<std::string> hit;
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // refresh: move to front
-      ++stats_.hits;
-      hits_metric_.inc();
-      hit = it->second->value;
-    } else {
-      ++stats_.misses;
-      misses_metric_.inc();
-    }
+  const std::lock_guard<std::mutex> lk(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
+    misses_metric_.inc();
+    return std::nullopt;
   }
-  // Mark the lookup in a sampled request's trace (outside the cache lock).
-  obs::Tracer& tracer = obs::Tracer::instance();
-  if (tracer.enabled()) {
-    tracer.instant(hit ? "cache.hit" : "cache.miss", "serve");
-  }
-  return hit;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh: move to front
+  ++stats_.hits;
+  hits_metric_.inc();
+  return it->second->value;
 }
 
 void ResultCache::put(std::uint64_t key, const std::string& circuit_key,

@@ -87,20 +87,20 @@ Expected<TraceField> parse_trace_field(const Json& request) {
   std::string hex;
   if (trace.is_string()) {
     hex = trace.as_string();
-    field.context.sampled = true;
+    field.sampled = true;
   } else if (trace.is_object()) {
     if (!trace.get("id").is_string()) {
       return make_error(ErrorKind::kInvalidArgument,
                         "trace object needs a string \"id\" (1-16 hex digits)");
     }
     hex = trace.get("id").as_string();
-    field.context.sampled = trace.bool_or("sampled", true);
+    field.sampled = trace.bool_or("sampled", true);
   } else {
     return make_error(ErrorKind::kInvalidArgument,
                       "trace must be a hex-id string or {\"id\", \"sampled\"} object");
   }
-  field.context.trace_id = parse_trace_id(hex);
-  if (field.context.trace_id == 0) {
+  field.id = parse_trace_id(hex);
+  if (field.id == 0) {
     return make_error(ErrorKind::kInvalidArgument,
                       "trace id '" + hex + "' is not 1-16 hex digits (nonzero)");
   }

@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "base/error.h"
-#include "obs/trace.h"
 #include "serve/json.h"
 
 namespace mintc::serve {
@@ -68,12 +68,15 @@ Expected<Json> parse_request(std::string_view line, size_t max_bytes = kDefaultM
 ///   "trace": {"id": "1f00ba3c", "sampled": false}    — explicit flag
 ///
 /// The id is 1-16 lower/upper hex digits (a 64-bit trace id), nonzero.
-/// Absent field -> {present=false, inactive context}. Malformed, zero, or
-/// oversized ids -> kInvalidArgument (the request is rejected rather than
-/// silently untraced, so a client's sampling config can't rot unnoticed).
+/// Absent field -> {present=false}. Malformed, zero, or oversized ids ->
+/// kInvalidArgument (the request is rejected rather than silently
+/// untraced, so a client's sampling config can't rot unnoticed). A sampled
+/// request's id is echoed on its response, and the service keeps its
+/// record for the `trace` verb.
 struct TraceField {
   bool present = false;
-  obs::TraceContext context;
+  std::uint64_t id = 0;
+  bool sampled = false;
 };
 
 Expected<TraceField> parse_trace_field(const Json& request);

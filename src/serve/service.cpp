@@ -147,69 +147,6 @@ Json report_payload(const sta::TimingReport& report, const Circuit& circuit, boo
   return r;
 }
 
-/// Begin-event args for the request span: verb + circuit key (generation is
-/// tagged on the nested session span once the session is locked).
-std::string request_span_args(const std::string& verb, const std::string& circuit) {
-  std::string args = "{\"verb\": \"" + obs::json_escape(verb) + "\"";
-  if (!circuit.empty()) args += ", \"circuit\": \"" + obs::json_escape(circuit) + "\"";
-  args += "}";
-  return args;
-}
-
-/// Render the events belonging to `trace_id` (0 = all) as an indented tree
-/// with per-span durations — the slow-request log body. B/E matching is
-/// per-tid: concurrent requests record on their own threads and interleave
-/// in buffer order.
-std::string span_tree_text(const std::vector<obs::TraceEvent>& events,
-                           std::uint64_t trace_id) {
-  struct Node {
-    const obs::TraceEvent* event;
-    double duration_us = -1.0;  // -1 = no matching end in range
-    size_t depth = 0;
-    int tid = 1;
-  };
-  std::vector<Node> nodes;
-  std::unordered_map<int, std::vector<size_t>> stacks;  // tid -> open node idx
-  for (const obs::TraceEvent& e : events) {
-    if (trace_id != 0 && e.trace_id != trace_id) continue;
-    std::vector<size_t>& stack = stacks[e.tid];
-    switch (e.kind) {
-      case obs::EventKind::kBegin:
-        nodes.push_back({&e, -1.0, stack.size(), e.tid});
-        stack.push_back(nodes.size() - 1);
-        break;
-      case obs::EventKind::kEnd:
-        if (!stack.empty()) {
-          Node& open = nodes[stack.back()];
-          open.duration_us = e.ts_us - open.event->ts_us;
-          stack.pop_back();
-        }
-        break;
-      case obs::EventKind::kInstant:
-        nodes.push_back({&e, 0.0, stack.size(), e.tid});
-        break;
-      case obs::EventKind::kCounter:
-        break;  // counter tracks are noise in a per-request tree
-    }
-  }
-  std::string out;
-  char buf[64];
-  for (const Node& n : nodes) {
-    out += "\n    ";
-    out.append(2 * n.depth, ' ');
-    out += n.event->name;
-    if (n.duration_us >= 0.0 && n.event->kind == obs::EventKind::kBegin) {
-      std::snprintf(buf, sizeof buf, " %.1fus", n.duration_us);
-      out += buf;
-    }
-    if (n.tid != 1) {
-      std::snprintf(buf, sizeof buf, " [tid %d]", n.tid);
-      out += buf;
-    }
-  }
-  return out;
-}
-
 std::string join_problems(const std::vector<std::string>& problems) {
   std::string msg;
   for (const std::string& p : problems) {
@@ -287,14 +224,15 @@ struct TimingService::Pending {
   void mark() {
     if (timed) boundary = Clock::now();
   }
+  /// End a session read's `work` where its engine step ends. Building the
+  /// answer from the engine's result is then `render`.
+  void engine_done() { lap(record.stages.work); }
 
   const bool timed;
   obs::CostAccount account;
   std::optional<obs::ThreadCpuTimer> cpu;  // charges `account` when reset
   Clock::time_point start, boundary;
   RequestRecord record;
-  std::uint64_t trace_id = 0;  // nonzero only when the request is sampled
-  size_t trace_mark = 0;       // tracer event count before its first span
 };
 
 std::string TimingService::handle_line(std::string_view line) {
@@ -326,38 +264,20 @@ Json TimingService::answer(const Json& request, Pending& p) {
   Expected<TraceField> trace = parse_trace_field(request);
   p.lap(record.stages.parse_request);  // the envelope fields are part of the parse
   if (!trace) return error_response(id, trace.error());
-  const bool traced = config_.telemetry && trace->context.active();
-  if (traced) {
-    record.trace = trace_id_hex(trace->context.trace_id);
-    p.trace_id = trace->context.trace_id;
-  }
+  if (trace->sampled) record.trace = trace_id_hex(trace->id);
 
-  // Install the request's context for the handler's whole extent, the
-  // session solve included: the engines run on this thread. Inactive
-  // context when untraced: installing is two thread-local writes.
-  //
-  // Cost attribution rides the same context but independently of sampling:
-  // when telemetry is on, EVERY request carries an account, so the
-  // serve.cpu_us / serve.relaxations histograms and the audit log see full
-  // traffic, not just the sampled slice. The account outlives the scope.
-  obs::TraceContext context = traced ? trace->context : obs::TraceContext{};
-  if (config_.telemetry) context.cost = &p.account;
-  obs::TraceContextScope context_scope(context);
-
-  std::optional<obs::TraceSpan> span;
-  if (config_.telemetry && obs::Tracer::instance().enabled()) {
-    if (traced) p.trace_mark = obs::Tracer::instance().num_events();
-    span.emplace("serve.request", "serve", request_span_args(record.verb, record.circuit));
-  }
+  // When telemetry is on, EVERY request carries a cost account, installed
+  // on the handler's thread for its whole extent (the engines run on this
+  // thread), so the serve.cpu_us / serve.relaxations histograms and the
+  // audit log see full traffic. The account outlives the scope.
+  const obs::CostScope cost_scope(config_.telemetry ? &p.account : nullptr);
 
   Json response = dispatch(request, id, record.verb, p);
 
   // The echo is protocol, not telemetry: a sampled id comes back even when
   // config_.telemetry is off (the client's accounting must not depend on a
   // server-side tuning knob).
-  if (trace->context.active()) {
-    response.set("trace", Json(trace_id_hex(trace->context.trace_id)));
-  }
+  if (!record.trace.empty()) response.set("trace", Json(record.trace));
 
   // Opt-in cost echo, always at the ENVELOPE level — cached result payloads
   // stay byte-identical whether or not attribution is requested. Its CPU
@@ -370,7 +290,7 @@ Json TimingService::answer(const Json& request, Pending& p) {
     cost.set("solves", Json(static_cast<long>(p.account.solves)));
     response.set("cost", std::move(cost));
   }
-  return response;  // serve.request ends here, before finish() slices the tree
+  return response;
 }
 
 void TimingService::finish(Pending& p, const Json& response) {
@@ -403,15 +323,20 @@ void TimingService::finish(Pending& p, const Json& response) {
       std::snprintf(buf, sizeof buf, " %s=%.1f", name, us);
       stages += buf;
     }
-    std::string tree;
-    if (p.trace_id != 0) {
-      tree = span_tree_text(obs::Tracer::instance().snapshot(p.trace_mark), p.trace_id);
-    }
     log_warn() << "serve: slow request verb=" << record.verb
                << " circuit=" << (record.circuit.empty() ? "-" : record.circuit)
                << " us=" << record.wall_us << stages << " cpu_us=" << record.cpu_us
                << " relaxations=" << record.relaxations
-               << " trace=" << (record.trace.empty() ? "-" : record.trace) << tree;
+               << " trace=" << (record.trace.empty() ? "-" : record.trace);
+  }
+  if (!record.trace.empty()) {
+    record.tid = obs::thread_trace_id();
+    const std::lock_guard<std::mutex> lk(traced_mu_);
+    if (traced_.size() == kTraceRecords) {
+      traced_.pop_front();
+      ++traced_dropped_;
+    }
+    traced_.push_back(record);
   }
 
   // Insertion sort into the top-K: the vector is tiny (<= kSlowTopK) and
@@ -498,15 +423,19 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
         return Json::raw(std::move(*hit));
       }
     }
-    Expected<Json> result = work->run(s, *entry);
+    // A read's work ends at its engine step (Pending::engine_done); what
+    // follows is render.
+    Expected<Json> result = work->run(s, *entry, p);
     if (result) {
       if (!result->has("fingerprint")) {
         result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
       }
       if (work->write) cache_.invalidate(key, s.generation());
     }
-    p.lap(stages.work);
-    if (!result || work->write) return result;
+    if (!result || work->write) {
+      p.lap(stages.work);
+      return result;
+    }
     // A read is rendered once: the cache stores the bytes the frame
     // carries. The tree is released before the cache takes its copy.
     std::string rendered = result->dump();
@@ -622,7 +551,8 @@ Expected<TimingService::SessionWork> TimingService::verb_edit_batch(const Json& 
   }
   // `edits` lives in the request, which outlives the work.
   return SessionWork{
-      .write = true, .run = [&edits](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+      .write = true,
+      .run = [&edits](sta::AnalysisSession& s, Entry& entry, Pending&) -> Expected<Json> {
         const size_t mark = s.mark();
         // Every edit is validated against the EVOLVING state before it is
         // applied — the Circuit setters assert on invalid values, and an
@@ -780,8 +710,10 @@ Expected<TimingService::SessionWork> TimingService::verb_analyze(const Json& req
   const bool detail = req.bool_or("detail", false);
   return SessionWork{
       .params = detail ? 1u : 0u,
-      .run = [detail](sta::AnalysisSession& s, Entry&) -> Expected<Json> {
-        return report_payload(s.analyze(), s.circuit(), detail);
+      .run = [detail](sta::AnalysisSession& s, Entry&, Pending& p) -> Expected<Json> {
+        const sta::TimingReport& report = s.analyze();
+        p.engine_done();
+        return report_payload(report, s.circuit(), detail);
       }};
 }
 
@@ -807,13 +739,14 @@ Expected<TimingService::SessionWork> TimingService::verb_report(const Json& req)
   return SessionWork{
       .params = obs::Fnv1a().str(format).u64(signoff ? 1 : 0).num(spread).i32(options.nworst)
                     .digest(),
-      .run = [format, signoff, spread, options](sta::AnalysisSession& s,
-                                               Entry&) -> Expected<Json> {
+      .run = [format, signoff, spread, options](sta::AnalysisSession& s, Entry&,
+                                               Pending& p) -> Expected<Json> {
         Json result = Json::object();
         result.set("format", Json(format));
         if (signoff) {
           const report::SignoffDB db = report::build_signoff(
               s.circuit(), s.schedule(), sta::standard_corners(spread), options);
+          p.engine_done();
           result.set("all_pass", Json(db.all_pass));
           if (format == "json") {
             result.set("content", Json(report::signoff_json(db)));
@@ -824,6 +757,7 @@ Expected<TimingService::SessionWork> TimingService::verb_report(const Json& req)
           }
         } else {
           const report::SlackDB db = report::build_slackdb(s.circuit(), s.schedule(), options);
+          p.engine_done();
           result.set("feasible", Json(db.feasible));
           if (format == "json") {
             result.set("content", Json(report::report_json(db)));
@@ -887,8 +821,8 @@ Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) 
   for (const double f : factors) params.num(f);
   return SessionWork{
       .params = params.digest(),
-      .run = [param, skew_sweep, factors = std::move(factors)](sta::AnalysisSession& s,
-                                                               Entry&) -> Expected<Json> {
+      .run = [param, skew_sweep, factors = std::move(factors)](
+                 sta::AnalysisSession& s, Entry&, Pending& p) -> Expected<Json> {
         // Every step edits from the ORIGINAL state (not the previous step's)
         // and the undo log restores the pre-sweep state exactly — content
         // fingerprint included (checked below via the generation-independent
@@ -919,6 +853,7 @@ Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) 
           rows.push(std::move(row));
         }
         s.undo_to(mark);
+        p.engine_done();
         result.set("results", std::move(rows));
         return result;
       }};
@@ -930,7 +865,8 @@ Expected<TimingService::SessionWork> TimingService::verb_undo(const Json& req) {
   const long steps = req.long_or("steps", 1);
   return SessionWork{
       .write = true,
-      .run = [has_to, to, steps](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+      .run = [has_to, to, steps](sta::AnalysisSession& s, Entry& entry,
+                                 Pending&) -> Expected<Json> {
         std::vector<size_t>& commits = entry.commits;
         const long current = static_cast<long>(s.mark());
         size_t target = 0;
@@ -966,12 +902,14 @@ Expected<TimingService::SessionWork> TimingService::verb_undo(const Json& req) {
 Expected<TimingService::SessionWork> TimingService::verb_min(const Json& req) {
   const bool apply = req.bool_or("apply", false);
   return SessionWork{
-      .write = apply, .run = [apply](sta::AnalysisSession& s, Entry& entry) -> Expected<Json> {
+      .write = apply,
+      .run = [apply](sta::AnalysisSession& s, Entry& entry, Pending& p) -> Expected<Json> {
         opt::GraphSolveOptions options;
         options.assume_valid = true;  // edit batches keep the circuit validate()-clean
         Expected<opt::ExactSolveResult> exact =
             opt::minimize_cycle_time_exact(s.circuit(), options);
         if (!exact) return exact.error();
+        p.engine_done();
         Json result = Json::object();
         result.set("min_cycle", Json(exact->min_cycle));
         result.set("schedule", schedule_json(exact->schedule));
@@ -1084,16 +1022,63 @@ Expected<Json> TimingService::verb_metrics(const Json& /*req*/) {
 }
 
 Expected<Json> TimingService::verb_trace(const Json& req) {
-  const bool clear = req.bool_or("clear", true);
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const std::vector<obs::TraceEvent> events = tracer.snapshot();
+  RecordTrace trace = record_trace(req.bool_or("clear", true));
   Json result = Json::object();
   result.set("format", Json("chrome_trace"));
-  result.set("events", Json(static_cast<long>(events.size())));
-  result.set("dropped", Json(static_cast<long>(tracer.dropped())));
-  result.set("content", Json(obs::chrome_trace_json(events)));
-  if (clear) tracer.clear();
+  result.set("events", Json(static_cast<long>(trace.events)));
+  result.set("dropped", Json(static_cast<long>(trace.dropped)));
+  result.set("content", Json(std::move(trace.content)));
   return result;
+}
+
+TimingService::RecordTrace TimingService::record_trace(bool clear) {
+  std::deque<RequestRecord> records;
+  RecordTrace out;
+  {
+    const std::lock_guard<std::mutex> lk(traced_mu_);
+    out.dropped = traced_dropped_;
+    if (clear) {
+      records.swap(traced_);
+      traced_dropped_ = 0;
+    } else {
+      records = traced_;
+    }
+  }
+  std::vector<obs::TraceEvent> events;
+  const auto add = [&](obs::EventKind kind, std::string name, double ts, int tid,
+                       std::string args) {
+    obs::TraceEvent& e = events.emplace_back();
+    e.kind = kind;
+    e.name = std::move(name);
+    e.category = "serve";
+    e.ts_us = ts;
+    e.tid = tid;
+    e.args = std::move(args);
+  };
+  for (const RequestRecord& r : records) {
+    // µs since the service started; t_seconds is where the request ended.
+    const double start = r.t_seconds * 1e6 - r.wall_us;
+    const std::string trace_arg = "{\"trace\": \"" + r.trace + "\"}";
+    std::string args = "{\"trace\": \"" + r.trace + "\", \"verb\": \"";
+    obs::json_escape_to(args, r.verb);
+    args += "\", \"circuit\": \"";
+    obs::json_escape_to(args, r.circuit);
+    args += std::string("\", \"cached\": ") + (r.cached ? "true" : "false") +
+            ", \"ok\": " + (r.ok ? "true" : "false") + "}";
+    const std::string name = "serve." + r.verb;
+    add(obs::EventKind::kBegin, name, start, r.tid, std::move(args));
+    double ts = start;
+    for (const auto& [stage, us] : r.stages.named()) {
+      if (us <= 0.0) continue;
+      add(obs::EventKind::kBegin, stage, ts, r.tid, trace_arg);
+      ts += us;
+      add(obs::EventKind::kEnd, stage, ts, r.tid, "");
+    }
+    add(obs::EventKind::kEnd, name, start + r.wall_us, r.tid, "");
+  }
+  out.events = events.size();
+  out.content = obs::chrome_trace_json(events);
+  return out;
 }
 
 void TimingService::set_runtime_sampler(std::function<void()> sampler) {

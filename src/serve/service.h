@@ -52,9 +52,11 @@
 //   metrics     the full metrics registry rendered in the Prometheus text
 //               exposition format (result.content) — a scrape endpoint;
 //               refreshes runtime gauges (pool/cache/in-flight) first
-//   trace       drain the span ring buffer as Chrome trace-event JSON
-//               (result.content), with event/dropped counts; "clear": false
-//               keeps the buffer
+//   trace       the kept records of sampled requests as Chrome trace-event
+//               JSON (result.content): per record a serve.<verb> span over
+//               its wall time holding one span per nonzero stage, with the
+//               event count and the records dropped since the last drain;
+//               the verb drains the ring unless "clear": false
 //   status      the live ops dashboard as a single self-contained HTML
 //               document (result.content): uptime/build tiles, latency and
 //               CPU histograms, HistoryRing sparklines, session/cache
@@ -81,21 +83,23 @@
 // render, encode_frame) say where that time went.
 //
 // Cost attribution: when telemetry is on, every request carries an
-// obs::CostAccount through the thread-local TraceContext — the handler
-// thread charges its CPU time, and the engines (which run on that thread)
-// charge relaxations/sweeps at solve completion. The totals land in the
-// request's record; a request with "cost": true gets them echoed as a
-// response-envelope "cost" block (never inside result — cached payloads
-// stay byte-identical whether or not attribution is requested).
+// obs::CostAccount, installed on the handler's thread by an obs::CostScope
+// — the handler thread charges its CPU time, and the engines (which run on
+// that thread) charge relaxations/sweeps at solve completion. The totals
+// land in the request's record; a request with "cost": true gets them
+// echoed as a response-envelope "cost" block (never inside result — cached
+// payloads stay byte-identical whether or not attribution is requested).
 //
-// Telemetry: every request may carry an optional "trace" field (see
-// protocol.h) — a sampled trace id turns recording ON for exactly this
-// request's thread, tags every span with the id, and echoes the id in the
-// response.
-// ServiceConfig.telemetry kills the whole request-path telemetry
-// (spans/metrics/trace activation) for overhead measurement;
-// slow_request_us triggers a structured warning log carrying the request's
-// span tree when a request exceeds the threshold.
+// Tracing: every request may carry an optional "trace" field (see
+// protocol.h). A sampled id is echoed in the response and tags the
+// request's record, and finish() keeps the record in a ring of the last
+// kTraceRecords sampled ones. The `trace` verb and `timing_serve
+// --trace-out` render that ring (record_trace()); nothing else is recorded
+// per request, and the engines' tracer stays off.
+// ServiceConfig.telemetry kills the whole request-path telemetry (records,
+// metrics, cost accounts) for overhead measurement; slow_request_us
+// triggers a structured warning log with the request's stage times when a
+// request exceeds the threshold.
 //
 // Caching: responses for the read-only verbs (analyze/report/sweep/min
 // without apply) are cached under a content key —
@@ -118,6 +122,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -149,14 +154,15 @@ struct ServiceConfig {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Hard cap on `sweep` steps per request.
   long max_sweep_steps = 4096;
-  /// Request-path telemetry master switch: request spans, trace-context
-  /// activation, stage times, serve.* metric updates and the slow-request
-  /// log. Off is the baseline lane of `bench_serve --overhead-check`.
-  /// Protocol behavior is unchanged (a "trace" field is still validated and
-  /// echoed).
+  /// Request-path telemetry master switch: the request record and every
+  /// view of it (stage times, cost accounts, serve.* metric updates, the
+  /// audit log, the slow table, the sampled-record ring and the
+  /// slow-request log). Off is the baseline lane of `bench_serve
+  /// --overhead-check`. Protocol behavior is unchanged (a "trace" field is
+  /// still validated and echoed).
   bool telemetry = true;
-  /// Log a structured warning (with the request's span tree when sampled)
-  /// for requests slower than this many microseconds. 0 disables.
+  /// Log a structured warning with the request's stage times for requests
+  /// slower than this many microseconds. 0 disables.
   long slow_request_us = 0;
   /// Per-request JSONL audit log path ("" disables). Every handled request
   /// appends one line with its trace id, verb, circuit key, cache hit/miss
@@ -230,7 +236,24 @@ class TimingService {
   /// The audit log, when ServiceConfig.audit_path configured one.
   AuditLog* audit() { return audit_.get(); }
 
+  /// The kept records of sampled requests as Chrome trace-event JSON, the
+  /// body of the `trace` verb and of `timing_serve --trace-out`. Per record,
+  /// one serve.<verb> span over its wall time (args: trace, verb, circuit,
+  /// cached, ok) holds one span per nonzero stage, laid end to end from the
+  /// request's start on its handler thread's track; timestamps are µs since
+  /// the service started. `clear` empties the ring.
+  struct RecordTrace {
+    std::string content;
+    size_t events = 0;   // trace events in `content`
+    size_t dropped = 0;  // records pushed out of the ring since the last clear
+  };
+  RecordTrace record_trace(bool clear);
+
   static constexpr size_t kSlowTopK = 16;
+  /// Sampled records kept for record_trace(), oldest pushed out first. A
+  /// full ring renders as 10-14 events a record, about 9 MB of JSON: well
+  /// inside one frame.
+  static constexpr size_t kTraceRecords = 8192;
 
  private:
   struct Entry {
@@ -246,6 +269,10 @@ class TimingService {
     std::vector<size_t> commits;
   };
 
+  /// One request in flight: its record, cost account and stage clock
+  /// (service.cpp).
+  struct Pending;
+
   /// A session verb's request after its parameter checks: what the shared
   /// session path runs under the session lock.
   struct SessionWork {
@@ -257,8 +284,10 @@ class TimingService {
     std::uint64_t params = 0;
     /// The verb's own work. Its answer is stamped with the fingerprint of
     /// the content it names: the session's after the work, unless the work
-    /// stamped the one it solved for (min apply:true).
-    std::function<Expected<Json>(sta::AnalysisSession&, Entry&)> run;
+    /// stamped the one it solved for (min apply:true). A read calls
+    /// Pending::engine_done when its engine step ends, so the rest of its
+    /// answer is timed as `render`.
+    std::function<Expected<Json>(sta::AnalysisSession&, Entry&, Pending&)> run;
   };
 
   // -- The verb table's handlers. A plain verb answers in full; a session
@@ -276,16 +305,12 @@ class TimingService {
   Expected<SessionWork> verb_undo(const Json& req);
   Expected<SessionWork> verb_min(const Json& req);
 
-  /// One request in flight: its record, cost account and stage clock, and
-  /// where a sampled request's spans start in the tracer (service.cpp).
-  struct Pending;
-
-  /// Answer a parsed request: trace context, cost account, request span,
-  /// then dispatch. Fills `p`'s record except what finish() adds.
+  /// Answer a parsed request: its trace field and cost account, then
+  /// dispatch. Fills `p`'s record except what finish() adds.
   Json answer(const Json& request, Pending& p);
 
   /// Look `verb` up in the verb table and answer the request (the body of
-  /// answer() minus the trace context, request span and echoes).
+  /// answer() minus the trace field, cost scope and echoes).
   Json dispatch(const Json& request, const Json& id, const std::string& verb, Pending& p);
 
   /// The shared path of the session verbs; `bind` is the verb's handler.
@@ -294,9 +319,9 @@ class TimingService {
                         Pending& p);
 
   /// Complete `p`'s record for the answered `response` and feed every view
-  /// of it: counters, histograms, audit line, slow table and --slow-ms
-  /// warning (with the request's span tree when sampled). Records nothing
-  /// when telemetry is off.
+  /// of it: counters, histograms, audit line, slow table, --slow-ms warning
+  /// and, when sampled, the trace ring. Records nothing when telemetry is
+  /// off.
   void finish(Pending& p, const Json& response);
 
   /// Validate one edit op against the session's EVOLVING state and apply
@@ -350,6 +375,10 @@ class TimingService {
 
   mutable std::mutex slow_mu_;
   std::vector<RequestRecord> slow_;  // kept sorted, slowest first, <= kSlowTopK
+
+  std::mutex traced_mu_;
+  std::deque<RequestRecord> traced_;  // sampled records, oldest first
+  size_t traced_dropped_ = 0;         // pushed out since the last clear
 };
 
 }  // namespace mintc::serve

@@ -227,7 +227,7 @@ std::string TimingService::status_html(int top_n) {
   }
 
   // -- Top-K slow requests with their attribution — each row's trace id is
-  // the join key into the audit log and the trace buffer.
+  // the join key into the audit log and the trace verb's records.
   const std::vector<RequestRecord> slow = slow_requests();
   out << "  <section>\n  <h2>slowest requests</h2>\n";
   if (slow.empty()) {

@@ -257,8 +257,14 @@ FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
       work.push_back(i);
     }
   }
+  // A few sweeps' worth of updates. A warm start after a small raise settles
+  // in about one sweep; a longer climb is creeping round a loop of (near)
+  // zero gain, as at a schedule `min` just made tight, which a cold solve
+  // ends far sooner.
+  constexpr int kWarmSweeps = 8;
   const std::int64_t max_updates =
-      static_cast<std::int64_t>(options.effective_max_sweeps(l)) * std::max(1, l);
+      static_cast<std::int64_t>(std::min(kWarmSweeps, options.effective_max_sweeps(l))) *
+      std::max(1, l);
   size_t head = 0;
   while (head < work.size()) {
     if (res.updates >= max_updates) break;

@@ -183,6 +183,9 @@ std::vector<double> compute_arrivals(const TimingView& view, const ShiftTable& s
 /// under strictly negative loop gains. The caller must ensure no edge
 /// constant decreased (TimingView::max_nondecreasing); otherwise the result
 /// can be a non-least fixpoint — fall back to a cold solve instead.
+/// The climb gets 8 sweeps' worth of updates (8 * l; fewer when max_sweeps
+/// is set lower) and reports kSweepLimit past that: the caller falls back
+/// to a cold solve then too.
 /// When `raised` is set, every element whose departure rose is appended to
 /// it once: with their fan-out, these are the only elements whose departure
 /// or arrival the solve moved.

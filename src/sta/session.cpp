@@ -468,13 +468,7 @@ const TimingReport& AnalysisSession::analyze() {
     warm_hits_counter().inc();
     return report_;
   }
-  // Tag the span with the session generation so a request trace pins which
-  // edit state it analyzed; the string only builds when tracing records.
-  const obs::TraceSpan span(
-      "session.analyze", "sta",
-      obs::Tracer::instance().enabled()
-          ? "{\"generation\": " + std::to_string(generation_) + "}"
-          : std::string());
+  const obs::TraceSpan span("session.analyze", "sta");
   const bool had_report = have_report_;
 
   bool rebuilt = false;

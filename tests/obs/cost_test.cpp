@@ -1,12 +1,10 @@
 // CostAccount / ThreadCpuTimer / charge_solve: the per-request attribution
 // primitives. The serve-layer round trip (account totals == EngineStats on
 // the wire) lives in tests/serve/cost_attribution_test.cpp; here we pin the
-// obs-level contracts: context carriage and charging discipline.
+// obs-level contracts: the thread's account scope and charging discipline.
 #include "obs/cost.h"
 
 #include <gtest/gtest.h>
-
-#include "obs/trace.h"
 
 namespace mintc::obs {
 namespace {
@@ -39,18 +37,16 @@ TEST(CostAccount, CurrentAccountIsNullByDefault) {
   EXPECT_EQ(current_cost_account(), nullptr);
 }
 
-TEST(CostAccount, TraceContextCarriesTheAccount) {
+TEST(CostAccount, CostScopeCarriesTheAccount) {
   CostAccount account;
-  TraceContext context;
-  context.cost = &account;
   {
-    TraceContextScope scope(context);
+    const CostScope scope(&account);
     EXPECT_EQ(current_cost_account(), &account);
     charge_solve(42, 3);
     {
       // A nested scope without an account masks the outer one — exactly the
-      // behavior a nested untraced sub-request needs.
-      TraceContextScope inner((TraceContext()));
+      // behavior a nested unattributed sub-request needs.
+      const CostScope inner(nullptr);
       EXPECT_EQ(current_cost_account(), nullptr);
       charge_solve(1000, 1);  // charged nowhere
     }
@@ -60,17 +56,6 @@ TEST(CostAccount, TraceContextCarriesTheAccount) {
   EXPECT_EQ(account.relaxations, 42);
   EXPECT_EQ(account.sweeps, 3);
   EXPECT_EQ(account.solves, 1);
-}
-
-TEST(CostAccount, AccountRidesWithoutSampling) {
-  // Cost attribution is independent of trace sampling: an unsampled context
-  // (trace_id == 0) still carries the account.
-  CostAccount account;
-  TraceContext context;  // inactive: no id, not sampled
-  context.cost = &account;
-  TraceContextScope scope(context);
-  EXPECT_FALSE(current_trace_context().active());
-  EXPECT_EQ(current_cost_account(), &account);
 }
 
 TEST(CostAccount, ThreadCpuTimerChargesBusyTime) {

@@ -191,38 +191,23 @@ TEST_F(ExportTest, MetricsTableMentionsEveryMetric) {
   EXPECT_NE(table.find("test.table.two"), std::string::npos);
 }
 
-TEST_F(ExportTest, ChromeTraceMergesTraceIdAndSpanArgs) {
-  Tracer& t = Tracer::instance();
-  {
-    const TraceContextScope scope(TraceContext{0xdeadbeef01ull, true});
-    const TraceSpan span("serve.request", "serve", R"({"verb":"analyze"})");
-  }
-  const std::string json = chrome_trace_json(t.snapshot());
-  EXPECT_TRUE(mintc::testing::is_valid_json(json)) << json;
-  // Span args and the hex trace id are SPLICED into one "args" object, not
-  // nested under each other.
-  EXPECT_NE(json.find("\"verb\":\"analyze\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"trace\": \"000000deadbeef01\""), std::string::npos) << json;
-}
-
-TEST_F(ExportTest, BeginEndPairsBalanceUnlessTruncated) {
-  Tracer& t = Tracer::instance();
-  t.set_capacity(4);
-  t.set_enabled(true);
-  for (int i = 0; i < 6; ++i) {
-    const TraceSpan span("work", "test");
-  }
-  t.set_enabled(false);
-  // The wrapped ring may hold an unmatched E at the front — but the
-  // snapshot SAYS so via the truncation marker, which is the contract:
-  // B/E balance is only promised for marker-free exports.
-  const std::vector<TraceEvent> events = t.snapshot();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events[0].name, kTruncationMarkerName);
+TEST_F(ExportTest, ChromeTraceSplicesArgsIntoOneObject) {
+  std::vector<TraceEvent> events(2);
+  events[0].kind = EventKind::kBegin;
+  events[0].name = "serve.analyze";
+  events[0].args = R"({"trace": "000000deadbeef01", "verb": "analyze"})";
+  events[1].kind = EventKind::kCounter;
+  events[1].name = "residual";
+  events[1].value = 0.5;
+  events[1].args = R"({"unit": "ns"})";
   const std::string json = chrome_trace_json(events);
   EXPECT_TRUE(mintc::testing::is_valid_json(json)) << json;
-  EXPECT_NE(json.find(kTruncationMarkerName), std::string::npos);
-  t.set_capacity(0);
+  // Pre-rendered args are SPLICED into the event's one "args" object, after
+  // a counter's value, not nested under it.
+  EXPECT_NE(json.find(R"("args": {"trace": "000000deadbeef01", "verb": "analyze"})"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("args": {"value": 0.5, "unit": "ns"})"), std::string::npos) << json;
 }
 
 TEST_F(ExportTest, PrometheusTextGoldenFormat) {

@@ -6,26 +6,20 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace mintc::obs {
 namespace {
 
-// The tracer is process-wide: each test starts disabled, unbounded, with an
-// empty buffer and no trace context installed.
+// The tracer is process-wide: each test starts disabled with an empty
+// buffer.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Tracer::instance().set_enabled(false);
-    Tracer::instance().set_capacity(0);
     Tracer::instance().clear();
-    exchange_trace_context({});
   }
   void TearDown() override {
     Tracer::instance().set_enabled(false);
-    Tracer::instance().set_capacity(0);
     Tracer::instance().clear();
-    exchange_trace_context({});
   }
 };
 
@@ -126,97 +120,6 @@ TEST_F(TraceTest, ClearEmptiesTheBuffer) {
   EXPECT_EQ(t.num_events(), 0u);
 }
 
-TEST_F(TraceTest, RingDropsOldestAndMarksTruncation) {
-  Tracer& t = Tracer::instance();
-  t.set_capacity(4);
-  t.set_enabled(true);
-  const long dropped_before =
-      MetricsRegistry::instance().counter("trace.dropped_spans").value();
-  for (int i = 0; i < 10; ++i) t.instant("t" + std::to_string(i), "test");
-  EXPECT_EQ(t.num_events(), 10u);  // counts dropped events too (stable marks)
-  EXPECT_EQ(t.dropped(), 6u);
-  EXPECT_EQ(MetricsRegistry::instance().counter("trace.dropped_spans").value(),
-            dropped_before + 6);
-
-  const std::vector<TraceEvent> ev = t.snapshot();
-  ASSERT_EQ(ev.size(), 5u);  // marker + the 4 retained events
-  EXPECT_EQ(ev[0].name, kTruncationMarkerName);
-  EXPECT_EQ(ev[0].kind, EventKind::kInstant);
-  EXPECT_DOUBLE_EQ(ev[0].value, 6.0);
-  EXPECT_NE(ev[0].args.find("\"dropped\""), std::string::npos);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ev[static_cast<size_t>(i) + 1].name, "t" + std::to_string(6 + i));
-  }
-}
-
-TEST_F(TraceTest, SnapshotOfRetainedSuffixHasNoMarker) {
-  Tracer& t = Tracer::instance();
-  t.set_capacity(4);
-  t.set_enabled(true);
-  for (int i = 0; i < 10; ++i) t.instant("warm", "test");
-  const size_t mark = t.num_events();
-  t.instant("a", "test");
-  t.instant("b", "test");
-  // The [mark, now) range is fully buffered: no truncation marker even
-  // though the ring wrapped earlier.
-  const std::vector<TraceEvent> ev = t.snapshot(mark);
-  ASSERT_EQ(ev.size(), 2u);
-  EXPECT_EQ(ev[0].name, "a");
-  EXPECT_EQ(ev[1].name, "b");
-}
-
-TEST_F(TraceTest, ShrinkingCapacityTrimsOldest) {
-  Tracer& t = Tracer::instance();
-  t.set_enabled(true);
-  for (int i = 0; i < 5; ++i) t.instant("e" + std::to_string(i), "test");
-  t.set_capacity(2);
-  EXPECT_EQ(t.dropped(), 3u);
-  const std::vector<TraceEvent> ev = t.snapshot();
-  ASSERT_EQ(ev.size(), 3u);  // marker + 2 survivors
-  EXPECT_EQ(ev[0].name, kTruncationMarkerName);
-  EXPECT_EQ(ev[1].name, "e3");
-  EXPECT_EQ(ev[2].name, "e4");
-}
-
-TEST_F(TraceTest, SampledContextActivatesRecordingAndStampsId) {
-  Tracer& t = Tracer::instance();
-  EXPECT_FALSE(t.enabled());
-  {
-    const TraceContextScope scope(TraceContext{0xdeadbeef, true});
-    EXPECT_TRUE(t.enabled());  // context alone forces recording on
-    t.instant("in-request", "test");
-  }
-  EXPECT_FALSE(t.enabled());
-  t.instant("after", "test");  // context gone: not recorded
-  const std::vector<TraceEvent> ev = t.snapshot();
-  ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0].name, "in-request");
-  EXPECT_EQ(ev[0].trace_id, 0xdeadbeefu);
-}
-
-TEST_F(TraceTest, InactiveContextsDoNotActivate) {
-  Tracer& t = Tracer::instance();
-  {
-    const TraceContextScope unsampled(TraceContext{42, false});
-    EXPECT_FALSE(t.enabled());
-  }
-  {
-    const TraceContextScope zero_id(TraceContext{0, true});
-    EXPECT_FALSE(t.enabled());
-  }
-  EXPECT_EQ(t.num_events(), 0u);
-}
-
-TEST_F(TraceTest, NestedScopesRestoreThePreviousContext) {
-  const TraceContextScope outer(TraceContext{7, true});
-  {
-    const TraceContextScope inner(TraceContext{9, true});
-    EXPECT_EQ(current_trace_context().trace_id, 9u);
-  }
-  EXPECT_EQ(current_trace_context().trace_id, 7u);
-  EXPECT_TRUE(current_trace_context().sampled);
-}
-
 TEST_F(TraceTest, EventsCarryDistinctThreadIds) {
   Tracer& t = Tracer::instance();
   t.set_enabled(true);
@@ -228,19 +131,6 @@ TEST_F(TraceTest, EventsCarryDistinctThreadIds) {
   EXPECT_GE(ev[0].tid, 1);
   EXPECT_GE(ev[1].tid, 1);
   EXPECT_NE(ev[0].tid, ev[1].tid);
-}
-
-TEST_F(TraceTest, ContextPropagatesIntoWorkerThread) {
-  Tracer& t = Tracer::instance();
-  const TraceContext context{0xabc, true};
-  std::thread worker([&, context] {
-    const TraceContextScope scope(context);  // by-value hop, as pool tasks do
-    t.instant("shard", "test");
-  });
-  worker.join();
-  const std::vector<TraceEvent> ev = t.snapshot();
-  ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0].trace_id, 0xabcu);
 }
 
 }  // namespace

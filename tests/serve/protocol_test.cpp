@@ -103,7 +103,7 @@ TEST(ServeProtocol, TraceFieldAbsentIsInactive) {
   const Expected<TraceField> trace = parse_trace_field(*request);
   ASSERT_TRUE(trace);
   EXPECT_FALSE(trace->present);
-  EXPECT_FALSE(trace->context.active());
+  EXPECT_FALSE(trace->sampled);
 }
 
 TEST(ServeProtocol, TraceFieldStringFormRoundTrips) {
@@ -113,10 +113,9 @@ TEST(ServeProtocol, TraceFieldStringFormRoundTrips) {
   const Expected<TraceField> trace = parse_trace_field(request);
   ASSERT_TRUE(trace);
   EXPECT_TRUE(trace->present);
-  EXPECT_TRUE(trace->context.sampled);  // string form implies sampled
-  EXPECT_EQ(trace->context.trace_id, 0xdeadbeef01ull);
-  EXPECT_TRUE(trace->context.active());
-  EXPECT_EQ(trace_id_hex(trace->context.trace_id), "000000deadbeef01");
+  EXPECT_TRUE(trace->sampled);  // string form implies sampled
+  EXPECT_EQ(trace->id, 0xdeadbeef01ull);
+  EXPECT_EQ(trace_id_hex(trace->id), "000000deadbeef01");
 }
 
 TEST(ServeProtocol, TraceFieldObjectFormCarriesSamplingFlag) {
@@ -128,9 +127,8 @@ TEST(ServeProtocol, TraceFieldObjectFormCarriesSamplingFlag) {
   const Expected<TraceField> trace = parse_trace_field(request);
   ASSERT_TRUE(trace);
   EXPECT_TRUE(trace->present);
-  EXPECT_EQ(trace->context.trace_id, 0x1f00u);
-  EXPECT_FALSE(trace->context.sampled);
-  EXPECT_FALSE(trace->context.active());  // id present but unsampled
+  EXPECT_EQ(trace->id, 0x1f00u);
+  EXPECT_FALSE(trace->sampled);  // id present but unsampled
 }
 
 TEST(ServeProtocol, TraceFieldRejectsMalformedIds) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <random>
 #include <set>
 #include <string>
@@ -993,11 +995,15 @@ TEST(ServeService, MetricsVerbEmitsPrometheusText) {
       << "the metrics request itself is in flight\n" << text;
 }
 
-// The tentpole contract: one sampled request produces one coherent span
-// tree, sliced out of the shared ring by trace id via the `trace` verb.
+// A sampled request's record is its trace: the `trace` verb renders it as
+// one request span enclosing one span per nonzero stage, with the same
+// stage times the slow table and the audit line show.
 TEST(ServeService, TraceVerbReturnsTheSampledRequestTree) {
-  obs::Tracer::instance().clear();
-  TimingService service;  // the whole solve runs on this thread
+  const std::string audit_path = ::testing::TempDir() + "trace_verb_audit.jsonl";
+  std::remove(audit_path.c_str());
+  ServiceConfig config;
+  config.audit_path = audit_path;
+  TimingService service(config);
   load_example1(service, "e1");
 
   const Json response = service.handle(req({{"verb", Json("analyze")},
@@ -1006,49 +1012,85 @@ TEST(ServeService, TraceVerbReturnsTheSampledRequestTree) {
   EXPECT_TRUE(response.get("ok").as_bool(false)) << response.dump();
   EXPECT_EQ(response.get("trace").as_string(), "000000deadbeef01");
 
-  const Json r =
-      expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
   EXPECT_EQ(r.get("format").as_string(), "chrome_trace");
-  EXPECT_GT(r.get("events").as_long(0), 0);
   EXPECT_EQ(r.get("dropped").as_long(-1), 0);
-
   const Expected<Json> parsed = parse_json(r.get("content").as_string());
   ASSERT_TRUE(parsed) << "trace content must be valid Chrome trace JSON";
-  std::vector<std::pair<std::string, std::string>> ours;  // (ph, name)
-  for (const Json& e : parsed->get("traceEvents").items()) {
-    if (e.get("args").get("trace").as_string() == "000000deadbeef01") {
-      ours.emplace_back(e.get("ph").as_string(), e.get("name").as_string());
+  const Json& events = parsed->get("traceEvents");
+  EXPECT_EQ(static_cast<long>(events.size()), r.get("events").as_long(-1));
+  ASSERT_GE(events.size(), 4u);
+
+  // The request span opens and closes the tree; its args name the request.
+  const Json& begin = events.at(0);
+  const Json& end = events.at(events.size() - 1);
+  EXPECT_EQ(begin.get("ph").as_string(), "B");
+  EXPECT_EQ(begin.get("name").as_string(), "serve.analyze");
+  EXPECT_EQ(begin.get("args").get("trace").as_string(), "000000deadbeef01");
+  EXPECT_EQ(begin.get("args").get("verb").as_string(), "analyze");
+  EXPECT_EQ(begin.get("args").get("circuit").as_string(), "e1");
+  EXPECT_FALSE(begin.get("args").get("cached").as_bool(true));
+  EXPECT_TRUE(begin.get("args").get("ok").as_bool(false));
+  EXPECT_EQ(end.get("ph").as_string(), "E");
+  EXPECT_EQ(end.get("name").as_string(), "serve.analyze");
+  const double start = begin.get("ts").as_number();
+  const double stop = end.get("ts").as_number();
+
+  // The same record in the slow table and in the audit log.
+  RequestRecord record;
+  for (const RequestRecord& slow : service.slow_requests()) {
+    if (slow.trace == "000000deadbeef01") record = slow;
+  }
+  ASSERT_EQ(record.verb, "analyze");
+  EXPECT_NEAR(stop - start, record.wall_us, 1e-3);
+  Json audit_stages;
+  {
+    std::ifstream in(audit_path);
+    std::string line;
+    while (std::getline(in, line)) {
+      const Expected<Json> a = parse_json(line);
+      if (a && a->get("trace").as_string() == "000000deadbeef01") audit_stages = a->get("stages");
     }
   }
-  ASSERT_GE(ours.size(), 4u);
-  // Golden shape: the request span opens the tree and closes it last, with
-  // the session solve (and its fixpoint) strictly inside.
-  EXPECT_EQ(ours.front(), (std::pair<std::string, std::string>("B", "serve.request")));
-  EXPECT_EQ(ours.back(), (std::pair<std::string, std::string>("E", "serve.request")));
-  const auto index_of = [&](const char* ph, const char* name) {
-    for (size_t i = 0; i < ours.size(); ++i) {
-      if (ours[i].first == ph && ours[i].second == name) return static_cast<long>(i);
-    }
-    return -1L;
-  };
-  const long analyze_b = index_of("B", "session.analyze");
-  const long analyze_e = index_of("E", "session.analyze");
-  const long fix_b = index_of("B", "fixpoint.solve");
-  const long fix_e = index_of("E", "fixpoint.solve");
-  ASSERT_GE(analyze_b, 0);
-  ASSERT_GE(fix_b, 0);
-  EXPECT_LT(analyze_b, fix_b);   // fixpoint nests inside the session solve
-  EXPECT_LT(fix_e, analyze_e);
-  EXPECT_LT(analyze_e, static_cast<long>(ours.size()) - 1);
+  ASSERT_TRUE(audit_stages.is_object());
+
+  // One span per nonzero stage, in request order, end to end inside the
+  // request span.
+  std::vector<std::pair<std::string, double>> spans;  // (stage, duration)
+  for (size_t k = 1; k + 1 < events.size(); k += 2) {
+    const Json& b = events.at(k);
+    const Json& e = events.at(k + 1);
+    ASSERT_EQ(b.get("ph").as_string(), "B");
+    ASSERT_EQ(e.get("ph").as_string(), "E");
+    ASSERT_EQ(b.get("name").as_string(), e.get("name").as_string());
+    EXPECT_EQ(b.get("args").get("trace").as_string(), "000000deadbeef01");
+    EXPECT_GE(b.get("ts").as_number(), start);
+    EXPECT_LE(e.get("ts").as_number(), stop + 1e-6);
+    spans.emplace_back(b.get("name").as_string(), e.get("ts").as_number() - b.get("ts").as_number());
+  }
+  std::vector<std::pair<std::string, double>> nonzero;
+  for (const auto& [name, us] : record.stages.named()) {
+    if (us > 0.0) nonzero.emplace_back(name, us);
+  }
+  ASSERT_EQ(spans.size(), nonzero.size());
+  for (size_t k = 0; k < spans.size(); ++k) {
+    EXPECT_EQ(spans[k].first, nonzero[k].first);
+    EXPECT_NEAR(spans[k].second, nonzero[k].second, 1e-3) << spans[k].first;
+    // The audit line rounds each stage down to 0.1 µs.
+    EXPECT_NEAR(spans[k].second, audit_stages.get(spans[k].first).as_number(), 0.1 + 1e-3)
+        << spans[k].first;
+  }
+  // A miss: the analysis is work, building and dumping the payload render.
+  EXPECT_GT(record.stages.work, 0.0);
+  EXPECT_GT(record.stages.render, 0.0);
 
   // The default drains the ring: a second drain starts empty.
-  const Json drained =
-      expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  const Json drained = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
   EXPECT_EQ(drained.get("events").as_long(-1), 0);
+  std::remove(audit_path.c_str());
 }
 
 TEST(ServeService, TraceVerbClearFalseKeepsTheBuffer) {
-  obs::Tracer::instance().clear();
   TimingService service;
   load_example1(service, "e1");
   service.handle(req({{"verb", Json("analyze")},
@@ -1057,9 +1099,101 @@ TEST(ServeService, TraceVerbClearFalseKeepsTheBuffer) {
   const Json keep = expect_ok(service, req({{"verb", Json("trace")},
                                             {"clear", Json(false)}}))
                         .get("result");
+  EXPECT_GT(keep.get("events").as_long(0), 0);
   const Json again = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
   EXPECT_EQ(again.get("events").as_long(-1), keep.get("events").as_long(-2));
+}
+
+// The ring keeps the newest kTraceRecords sampled records; `dropped` counts
+// the ones pushed out since the last drain.
+TEST(ServeService, TraceRingKeepsTheNewestRecordsAndCountsTheRest) {
+  TimingService service;
+  load_example1(service, "e1");
+  const long extra = 5;
+  const long sent = static_cast<long>(TimingService::kTraceRecords) + extra;
+  for (long k = 1; k <= sent; ++k) {
+    service.handle_line(R"({"verb": "analyze", "circuit": "e1", "trace": ")" +
+                        trace_id_hex(static_cast<std::uint64_t>(k)) + "\"}");
+  }
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  EXPECT_EQ(r.get("dropped").as_long(-1), extra);
+  const Expected<Json> parsed = parse_json(r.get("content").as_string());
+  ASSERT_TRUE(parsed);
+  std::vector<std::string> kept;
+  for (const Json& e : parsed->get("traceEvents").items()) {
+    if (e.get("ph").as_string() == "B" && e.get("name").as_string() == "serve.analyze") {
+      kept.push_back(e.get("args").get("trace").as_string());
+    }
+  }
+  ASSERT_EQ(kept.size(), TimingService::kTraceRecords);
+  EXPECT_EQ(kept.front(), trace_id_hex(static_cast<std::uint64_t>(extra + 1)));
+  EXPECT_EQ(kept.back(), trace_id_hex(static_cast<std::uint64_t>(sent)));
+  // The drain reset the count.
+  const Json drained = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  EXPECT_EQ(drained.get("dropped").as_long(-1), 0);
+  EXPECT_EQ(drained.get("events").as_long(-1), 0);
+}
+
+// Sampling keeps a record; it does not switch the engines' tracer on.
+TEST(ServeService, SampledTrafficRecordsNoTracerEvents) {
   obs::Tracer::instance().clear();
+  TimingService service;
+  load_example1(service, "e1");
+  for (const char* verb : {"analyze", "report", "sweep", "min"}) {
+    expect_ok(service, req({{"verb", Json(verb)},
+                            {"circuit", Json("e1")},
+                            {"trace", Json("feed")}}));
+  }
+  EXPECT_EQ(obs::Tracer::instance().num_events(), 0u);
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  EXPECT_GT(r.get("events").as_long(0), 0);
+}
+
+// An unsampled id is validated and the request answered, but nothing is
+// kept for the trace verb. The response does not carry the id, as before
+// records replaced spans: only a sampled id is echoed.
+TEST(ServeService, UnsampledTraceIdIsAnsweredButNotKept) {
+  TimingService service;
+  load_example1(service, "e1");
+  Json trace = Json::object();
+  trace.set("id", Json("1f00"));
+  trace.set("sampled", Json(false));
+  const Json response =
+      expect_ok(service, req({{"verb", Json("analyze")}, {"circuit", Json("e1")},
+                              {"trace", trace}}));
+  EXPECT_TRUE(response.get("trace").is_null()) << response.dump();
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  EXPECT_EQ(r.get("events").as_long(-1), 0);
+  for (const RequestRecord& slow : service.slow_requests()) EXPECT_EQ(slow.trace, "");
+}
+
+// A report miss: building the SlackDB is the engine step (work), rendering
+// the report and dumping the answer is render — in the slow table and in
+// the trace verb alike.
+TEST(ServeService, ReportMissSplitsTheSlackDbBuildFromItsRender) {
+  TimingService service;
+  load_example1(service, "e1");
+  expect_ok(service, req({{"verb", Json("report")}, {"circuit", Json("e1")},
+                          {"trace", Json("5eed")}}));
+  RequestRecord miss;
+  for (const RequestRecord& slow : service.slow_requests()) {
+    if (slow.verb == "report") miss = slow;
+  }
+  ASSERT_EQ(miss.verb, "report");
+  EXPECT_FALSE(miss.cached);
+  EXPECT_GT(miss.stages.work, 0.0);
+  EXPECT_GT(miss.stages.render, 0.0);
+
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  const Expected<Json> parsed = parse_json(r.get("content").as_string());
+  ASSERT_TRUE(parsed);
+  std::set<std::string> stages;
+  for (const Json& e : parsed->get("traceEvents").items()) {
+    if (e.get("ph").as_string() == "B") stages.insert(e.get("name").as_string());
+  }
+  EXPECT_TRUE(stages.count("serve.report"));
+  EXPECT_TRUE(stages.count("work"));
+  EXPECT_TRUE(stages.count("render"));
 }
 
 TEST(ServeService, UntracedRequestsRecordNoSpansAndEchoNothing) {
@@ -1071,6 +1205,8 @@ TEST(ServeService, UntracedRequestsRecordNoSpansAndEchoNothing) {
   EXPECT_TRUE(response.get("ok").as_bool(false));
   EXPECT_TRUE(response.get("trace").is_null());
   EXPECT_EQ(obs::Tracer::instance().num_events(), 0u);
+  const Json r = expect_ok(service, req({{"verb", Json("trace")}})).get("result");
+  EXPECT_EQ(r.get("events").as_long(-1), 0);
 }
 
 TEST(ServeService, MalformedTraceFieldRejectsTheRequest) {
@@ -1143,13 +1279,18 @@ TEST(ServeService, TelemetryOffServesIdenticallyWithoutRecording) {
   load_example1(service, "e1");
 
   // A sampled trace field is still validated and echoed (protocol), but no
-  // spans are recorded and no context is installed (telemetry).
+  // record is kept (telemetry).
   const Json response = service.handle(req({{"verb", Json("analyze")},
                                             {"circuit", Json("e1")},
                                             {"trace", Json("beef")}}));
   EXPECT_TRUE(response.get("ok").as_bool(false)) << response.dump();
   EXPECT_EQ(response.get("trace").as_string(), "000000000000beef");
   EXPECT_EQ(obs::Tracer::instance().num_events(), 0u);
+  EXPECT_EQ(expect_ok(service, req({{"verb", Json("trace")}}))
+                .get("result")
+                .get("events")
+                .as_long(-1),
+            0);
   expect_error(service, req({{"verb", Json("analyze")},
                              {"circuit", Json("e1")},
                              {"trace", Json("not-hex")}}),

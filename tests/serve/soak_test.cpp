@@ -250,15 +250,14 @@ TEST(ServeSoak, SocketStreamsBitIdentical) {
 }
 
 // Telemetry must be an OBSERVER: with every request sampled (the worst
-// case) and the ring bounded small enough to wrap, analyses remain
-// bit-identical and every response echoes its request's trace id.
+// case), analyses remain bit-identical, every response echoes its request's
+// trace id, and every sampled request leaves one record for the trace verb.
 TEST(ServeSoak, FullySampledTrafficStaysBitIdentical) {
   const int streams = env_int("MINTC_SOAK_TRACED_STREAMS", 64);
   const int rounds = env_int("MINTC_SOAK_ROUNDS", 3);
   const int threads = 8;
 
   obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.set_capacity(4096);  // small: force ring wrap under load
   tracer.clear();
 
   ServiceConfig config;
@@ -295,10 +294,20 @@ TEST(ServeSoak, FullySampledTrafficStaysBitIdentical) {
   EXPECT_EQ(stats.mismatches.load(), 0) << stats.first_problem;
   EXPECT_EQ(stats.responses.load(), streams * (1 + 2 * rounds)) << "lost responses";
   EXPECT_EQ(echo_misses.load(), 0) << "responses must echo their trace id";
-  EXPECT_GT(tracer.num_events(), 0u) << "sampling on: spans must be recorded";
+  EXPECT_EQ(tracer.num_events(), 0u) << "sampling keeps records, not tracer spans";
 
-  tracer.set_capacity(0);
-  tracer.clear();
+  // One request event per sampled response, counting any record the ring
+  // pushed out.
+  const TimingService::RecordTrace trace = service.record_trace(true);
+  const Expected<Json> parsed = parse_json(trace.content);
+  ASSERT_TRUE(parsed);
+  long requests = 0;
+  for (const Json& e : parsed->get("traceEvents").items()) {
+    if (e.get("ph").as_string() == "B" && e.get("name").as_string().rfind("serve.", 0) == 0) {
+      ++requests;
+    }
+  }
+  EXPECT_EQ(requests + static_cast<long>(trace.dropped), seq.load());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "check/fuzzer.h"
 #include "circuits/synthetic.h"
+#include "obs/metrics.h"
 #include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "sta/analysis.h"
@@ -298,6 +299,54 @@ TEST(AnalysisSession, OnePathRaiseRefreshesOnlyItsCone) {
   EXPECT_GT(cone.size(), 1u) << "the raise should move departures";
   EXPECT_EQ(session.counters().slack_refreshes - refreshes, static_cast<long>(cone.size()));
   EXPECT_LT(cone.size() * 20, static_cast<size_t>(l)) << "a cone, not the circuit";
+}
+
+// A warm start onto a schedule that `min` just made tight can climb by ulps
+// round a zero-gain loop. The warm solve's budget is a few sweeps' worth of
+// updates, so such a climb ends at once and the session falls back cold.
+// The walk is a clock-schedule design loop on one 32-latch design: set a
+// path to its base delay times U(0.9, 1.1), solve Tc* exactly, and every
+// fourth step apply the schedule and analyze. Which step climbs depends on
+// the standard library's distributions; with libstdc++, step 1,735 ran the
+// warm solve for 100,000 sweeps under the old budget of
+// effective_max_sweeps(l) sweeps.
+TEST(AnalysisSession, WarmSolveOntoAMinScheduleStopsWithinAFewSweeps) {
+  circuits::SyntheticParams params;
+  params.num_phases = 2;
+  params.num_stages = 8;
+  params.latches_per_stage = 4;
+  params.extra_long_edges = 4;
+  const Circuit base = circuits::synthetic_circuit(params, 3101);
+  const Expected<opt::ExactSolveResult> first = opt::minimize_cycle_time_exact(base);
+  ASSERT_TRUE(first);
+  AnalysisOptions options;
+  options.check_hold = true;
+  AnalysisSession session(base, first->schedule, options);
+  const long warm_budget = 8;  // sweeps: 8 * l updates
+
+  obs::Counter& warm_sweeps = obs::MetricsRegistry::instance().counter(
+      "fixpoint.sweeps", {{"scheme", "event-warm"}});
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<int> pick(0, base.num_paths() - 1);
+  std::uniform_real_distribution<double> scale(0.9, 1.1);
+  for (long step = 0; step < 2000; ++step) {
+    const int p = pick(rng);
+    session.set_path_delay(p, base.path(p).delay * scale(rng));
+    const Expected<opt::ExactSolveResult> exact =
+        opt::minimize_cycle_time_exact(session.circuit());
+    ASSERT_TRUE(exact) << "step " << step;
+    if (step % 4 != 3) continue;
+    session.set_schedule(exact->schedule);
+    const long before = warm_sweeps.value();
+    const TimingReport& got = session.analyze();
+    ASSERT_LE(warm_sweeps.value() - before, warm_budget) << "step " << step;
+    if (step % 64 == 63) {
+      ASSERT_EQ(first_difference(got, check_schedule(session.circuit(), exact->schedule,
+                                                     options)),
+                "")
+          << "step " << step;
+    }
+  }
 }
 
 }  // namespace
