@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,31 +16,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) ++i;
-    size_t j = i;
-    while (j < s.size() && std::isspace(static_cast<unsigned char>(s[j])) == 0) ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::vector<std::string_view> split(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -47,11 +23,18 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 bool parse_double(std::string_view s, double& out) {
   s = trim(s);
   if (s.empty()) return false;
-  // std::from_chars for double is not available on all libstdc++ configs we
-  // target, so use strtod on a bounded copy.
-  std::string buf(s);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc{} && ptr == s.data() + s.size() && !std::isnan(v)) {
+    out = v;
+    return true;
+  }
+  // strtod decides what from_chars does not take whole: a leading '+', hex
+  // floats, overflow and underflow (±inf and ±0 to strtod), a NaN (whose
+  // payload from_chars drops), and garbage, which both reject.
+  const std::string buf(s);
   char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
+  v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;
   out = v;
   return true;

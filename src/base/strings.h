@@ -3,23 +3,17 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mintc {
 
 /// Remove leading and trailing whitespace.
 std::string_view trim(std::string_view s);
 
-/// Split on any run of the given delimiter characters; empty tokens dropped.
-std::vector<std::string_view> split_ws(std::string_view s);
-
-/// Split on a single delimiter character; empty tokens kept.
-std::vector<std::string_view> split(std::string_view s, char delim);
-
 /// True if s starts with the given prefix.
 bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Parse a double; returns false on any trailing garbage.
+/// Parse a double as strtod reads it, surrounding whitespace allowed;
+/// returns false on any trailing garbage and leaves `out` alone.
 bool parse_double(std::string_view s, double& out);
 
 /// Parse a non-negative integer; returns false on any trailing garbage.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "base/strings.h"
+#include "parser/scan.h"
 
 namespace mintc::parser {
 
@@ -24,14 +25,10 @@ bool parse_finite(std::string_view s, double& out) {
 Expected<ClockSchedule> parse_schedule(std::string_view text) {
   ClockSchedule sch;
   bool have_cycle = false;
-  int line_no = 0;
-  for (std::string_view raw : split(text, '\n')) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string_view::npos) raw = raw.substr(0, hash);
-    const std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    const std::vector<std::string_view> tok = split_ws(line);
+  LineScanner lines(text, /*quoted=*/false);
+  while (lines.next()) {
+    const int line_no = lines.line_number();
+    const std::vector<std::string_view>& tok = lines.tokens();
 
     if (tok[0] == "cycle") {
       if (tok.size() != 2 || !parse_finite(tok[1], sch.cycle)) {
@@ -76,11 +73,9 @@ Expected<ClockSchedule> parse_schedule(std::string_view text) {
 }
 
 Expected<ClockSchedule> load_schedule(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return make_error(ErrorKind::kIo, "cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_schedule(buf.str());
+  Expected<std::string> text = read_file(path);
+  if (!text) return text.error();
+  return parse_schedule(*text);
 }
 
 std::string write_schedule(const ClockSchedule& schedule) {

@@ -2,13 +2,12 @@
 
 #include <cctype>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "base/strings.h"
+#include "parser/scan.h"
 
 namespace mintc::parser {
 
@@ -358,11 +357,9 @@ Expected<netlist::Netlist> parse_verilog(std::string_view text) {
 }
 
 Expected<netlist::Netlist> load_verilog(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return make_error(ErrorKind::kIo, "cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_verilog(buf.str());
+  Expected<std::string> text = read_file(path);
+  if (!text) return text.error();
+  return parse_verilog(*text);
 }
 
 }  // namespace mintc::parser

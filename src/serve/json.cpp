@@ -326,13 +326,17 @@ class Parser {
     ++pos_;  // opening '"'
     out.clear();
     while (pos_ < text_.size()) {
+      // Append the run up to the next quote, escape or control byte at once.
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return nullptr;
-      if (static_cast<unsigned char>(c) < 0x20) return fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("raw control character in string");
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];
       switch (esc) {

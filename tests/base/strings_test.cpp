@@ -13,26 +13,6 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim(""), "");
 }
 
-TEST(Strings, SplitWs) {
-  const auto t = split_ws("  a  bb\tccc \n d ");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "a");
-  EXPECT_EQ(t[1], "bb");
-  EXPECT_EQ(t[2], "ccc");
-  EXPECT_EQ(t[3], "d");
-  EXPECT_TRUE(split_ws("").empty());
-  EXPECT_TRUE(split_ws("   ").empty());
-}
-
-TEST(Strings, SplitKeepsEmptyTokens) {
-  const auto t = split("a,,b,", ',');
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "a");
-  EXPECT_EQ(t[1], "");
-  EXPECT_EQ(t[2], "b");
-  EXPECT_EQ(t[3], "");
-}
-
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("latch L1", "latch"));
   EXPECT_FALSE(starts_with("lat", "latch"));
