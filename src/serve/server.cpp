@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -17,6 +18,9 @@ namespace mintc::serve {
 namespace {
 
 obs::MetricsRegistry& registry() { return obs::MetricsRegistry::instance(); }
+
+// How long stop() waits, in all, for half-closed peers to close.
+constexpr std::chrono::milliseconds kCloseDrain{100};
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -162,13 +166,50 @@ void SocketServer::stop() {
   pool_.wait();
   publish_pool_gauges();
   service_.set_runtime_sampler(nullptr);  // it captures `this`
-  conns_.clear();  // closes every remaining connection fd
+  close_connections();
   close_fd(unix_fd_);
   close_fd(tcp_fd_);
   close_fd(wake_pipe_[0]);
   close_fd(wake_pipe_[1]);
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
   started_ = false;
+}
+
+void SocketServer::close_connections() {
+  // Closing a socket that still holds unread request bytes resets the
+  // connection, and the reset drops the answers still queued to send. So
+  // half-close each one, which sends its queued answers and then EOF, and
+  // read and drop what its peer sends until the peer closes too, or until
+  // kCloseDrain has passed.
+  std::vector<struct pollfd> pfds;
+  for (const auto& [fd, conn] : conns_) {
+    ::shutdown(fd, SHUT_WR);
+    pfds.push_back({fd, POLLIN, 0});
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kCloseDrain;
+  size_t open = pfds.size();
+  char buf[64 * 1024];
+  while (open > 0) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), static_cast<int>(left.count())) <
+        0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    for (struct pollfd& pfd : pfds) {
+      if (pfd.fd < 0 || pfd.revents == 0) continue;
+      // One read per wakeup, so a peer that keeps sending cannot hold the
+      // loop past the deadline.
+      const ssize_t n = ::recv(pfd.fd, buf, sizeof(buf), 0);
+      if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)) {
+        pfd.fd = -1;  // closed or failed: poll skips it from now on
+        --open;
+      }
+    }
+  }
+  conns_.clear();  // closes every fd
 }
 
 void SocketServer::wake_io() {

@@ -22,7 +22,11 @@
 //     down; malformed-but-complete lines only cost an error response.
 //   * stop() joins the IO thread, the pool's only submitter, so the pool's
 //     wait() then drains exactly the requests already read; every one of
-//     them is answered before the remaining sockets close.
+//     them is answered before the remaining sockets close. It half-closes
+//     each socket and reads what its peer still sends until the peer
+//     closes, for at most 100 ms in all, before closing it: closing over
+//     unread request bytes would reset the connection and drop answers
+//     still queued to send.
 //   * Pool and queue gauges (pool.*, serve.queue_depth) are read from the
 //     pool when the service samples its runtime gauges, and once more by
 //     stop() after the drain, so a final snapshot describes the idle pool.
@@ -106,6 +110,9 @@ class SocketServer {
   /// when the connection should be dropped from the poll set.
   bool drain_readable(const std::shared_ptr<Conn>& conn);
   void dispatch_line(std::shared_ptr<Conn> conn, std::string line);
+  /// stop()'s last step: half-close every connection, drain its peer's
+  /// bytes for a bounded time, then close it.
+  void close_connections();
   void wake_io();
   /// Set the pool.* and serve.queue_depth gauges from the pool: the
   /// service's runtime sampler, and stop()'s last word after the drain.
