@@ -8,7 +8,7 @@
 //
 // Exit status: 0 when every circuit passes the full agreement matrix
 // (simplex vs graph solver vs fixpoint engine vs Jacobi oracle vs token
-// sim); 1 when any disagreement survives. In --inject mode the logic
+// sim, plus the .lct text round trip); 1 when any disagreement survives. In --inject mode the logic
 // inverts: the injected fault MUST be detected and shrunk, so 0 means the
 // harness caught it and 1 means it slipped through.
 #include <cstdio>

@@ -8,6 +8,7 @@
 #include "check/oracle.h"
 #include "opt/graph_solver.h"
 #include "opt/mlp.h"
+#include "parser/lct.h"
 #include "sim/token_sim.h"
 #include "sta/analysis.h"
 #include "sta/fixpoint.h"
@@ -23,6 +24,7 @@ const char* to_string(CheckKind kind) {
     case CheckKind::kSimAgreement: return "sim-agreement";
     case CheckKind::kSessionAgreement: return "session-agreement";
     case CheckKind::kSkewAgreement: return "skew-agreement";
+    case CheckKind::kTextRoundTrip: return "text-round-trip";
   }
   return "?";
 }
@@ -115,6 +117,37 @@ bool fingerprint_matches(const sta::AnalysisSession& session, const Circuit& cir
          sta::AnalysisSession(circuit, schedule).content_fingerprint();
 }
 
+// The .lct writer against the reader: the written text parses back into a
+// circuit that writes the same bytes and has the same structure. Empty when
+// it does.
+std::string text_round_trip_problem(const Circuit& circuit) {
+  const std::string text = parser::write_circuit(circuit);
+  const Expected<Circuit> back = parser::parse_circuit(text);
+  if (!back) return "the written .lct does not parse: " + back.error().to_string();
+  if (parser::write_circuit(*back) != text) return "the parsed .lct writes different bytes";
+  if (back->num_phases() != circuit.num_phases() ||
+      back->num_elements() != circuit.num_elements() ||
+      back->num_paths() != circuit.num_paths()) {
+    return "the parsed .lct has other phase, element or path counts";
+  }
+  for (int i = 0; i < circuit.num_elements(); ++i) {
+    const Element& a = circuit.element(i);
+    const Element& b = back->element(i);
+    if (a.name != b.name || a.kind != b.kind || a.phase != b.phase) {
+      return "element " + std::to_string(i) + " parses back as '" + b.name + "'";
+    }
+    if (circuit.fanin(i) != back->fanin(i) || circuit.fanout(i) != back->fanout(i)) {
+      return "element '" + a.name + "' parses back with other fan-in or fan-out";
+    }
+  }
+  for (int p = 0; p < circuit.num_paths(); ++p) {
+    if (circuit.path(p).from != back->path(p).from || circuit.path(p).to != back->path(p).to) {
+      return "path " + std::to_string(p) + " parses back with other endpoints";
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
@@ -123,6 +156,10 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   const auto fail = [&rep](CheckKind kind, std::string detail) {
     rep.failures.push_back({kind, std::move(detail)});
   };
+
+  if (std::string problem = text_round_trip_problem(circuit); !problem.empty()) {
+    fail(CheckKind::kTextRoundTrip, std::move(problem));
+  }
 
   // Engines 1 and 2: simplex MLP and the difference-constraint graph
   // solver. The graph solver optionally sees a skewed copy (fault

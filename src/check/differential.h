@@ -25,7 +25,11 @@
 //   * the token simulator's steady state matches the analytic fixpoint, and
 //   * the whole matrix holds again under deterministic random per-latch
 //     clock skews, reached both by construction and by AnalysisSession
-//     set_element_skew edits (kSkewAgreement).
+//     set_element_skew edits (kSkewAgreement), and
+//   * the circuit's .lct text round-trips: write_circuit -> parse_circuit
+//     -> write_circuit returns the same bytes, and the parsed circuit has
+//     the same element names, kinds and phases, path endpoints and
+//     fan-in/fan-out order (kTextRoundTrip).
 //
 // This is the oracle behind the fuzzer (fuzzer.h) and the shrinker
 // (shrink.h): any failure here is a bug in at least one engine.
@@ -47,6 +51,7 @@ enum class CheckKind {
   kSimAgreement,          // token-sim steady state != analytic fixpoint
   kSessionAgreement,      // AnalysisSession warm/undo != fresh check_schedule
   kSkewAgreement,         // engines disagree under random per-latch skews
+  kTextRoundTrip,         // the .lct writer and reader do not round-trip
 };
 
 const char* to_string(CheckKind kind);

@@ -50,6 +50,20 @@ TEST(Differential, InjectedSkewIsDetected) {
   EXPECT_TRUE(rep.has(CheckKind::kSolverAgreement)) << rep.to_string();
 }
 
+TEST(Differential, TextRoundTripCatchesNamesTheWriterCannotSpell) {
+  // The writer emits element names bare, so a name with a space comes back
+  // as an extra token and the text no longer parses.
+  Circuit c("spaced", 1);
+  c.add_latch("A B", 1, 1.0, 2.0);
+  c.add_latch("C", 1, 1.0, 2.0);
+  c.add_path(0, 1, 5.0);
+  c.add_path(1, 0, 5.0);
+  const DifferentialReport rep = check_circuit(c, 5);
+  ASSERT_TRUE(rep.has(CheckKind::kTextRoundTrip)) << rep.to_string();
+  EXPECT_EQ(rep.failures.front().kind, CheckKind::kTextRoundTrip);
+  EXPECT_FALSE(check_circuit(circuits::example1(80.0), 5).has(CheckKind::kTextRoundTrip));
+}
+
 TEST(Differential, ConsistentInfeasibilityIsNotAFailure) {
   // A hold requirement no cycle time can buy (hold constraints are
   // Tc-independent on a same-phase pair): both engines must agree on
