@@ -13,7 +13,9 @@
 // quotes, whitespace, '#' and '=' are literal, and '"' / '\' are written
 // as '\"' / '\\'. The writer quotes automatically whenever a bare value
 // would not re-parse. `min` must not exceed `delay` (rejected at parse
-// time with the offending line number).
+// time with the offending line number). A repeated key keeps its last
+// value; of two bad attributes on one line, the error names the one whose
+// key sorts first.
 //
 // `circuit` and `phases` must precede any element; elements must precede
 // the paths that reference them. Unknown keywords are errors (this is a
