@@ -142,6 +142,65 @@ TEST(CircuitValidate, ParallelPathsFlagged) {
   EXPECT_NE(p[0].find("parallel"), std::string::npos);
 }
 
+TEST(CircuitValidate, ParallelPathMessagesKeepPathOrder) {
+  // Each path's own problems, then its parallel-path message, in path order;
+  // a non-finite path is neither flagged as parallel nor counted as a first.
+  Circuit c("order", 1);
+  c.add_latch("X", 1, 1.0, 2.0);
+  c.add_latch("Y", 1, 1.0, 2.0);
+  c.add_latch("Z", 1, 1.0, 2.0);
+  c.add_path(1, 2, 3.0, 0.0, "yz");
+  c.add_path(0, 1, std::numeric_limits<double>::quiet_NaN(), 0.0, "nan");
+  c.add_path(0, 1, 5.0, 0.0, "xy");
+  c.add_path(2, 0, 1.0, 0.0, "zx");
+  c.add_path(0, 1, 7.0, 0.0, "xy2");
+  c.add_path(1, 2, -1.0, 0.0, "neg");
+  const std::vector<std::string> expected = {
+      "path 'nan' has a non-finite delay",
+      "parallel combinational paths between 'X' and 'Y' (merge them by taking max/min delays)",
+      "path 'neg' has negative max delay",
+      "path 'neg' has min delay greater than max delay",
+      "parallel combinational paths between 'Y' and 'Z' (merge them by taking max/min delays)",
+  };
+  EXPECT_EQ(c.validate(), expected);
+}
+
+TEST(Circuit, AddPathsMatchesAddPathOneAtATime) {
+  const int from[] = {0, 1, 2, 0, 2, 1, 0};
+  const int to[] = {1, 2, 0, 2, 2, 0, 1};
+  Circuit one("c", 2);
+  Circuit batch("c", 2);
+  for (Circuit* c : {&one, &batch}) {
+    c->add_latch("A", 1, 1.0, 2.0);
+    c->add_latch("B", 2, 1.0, 2.0);
+    c->add_latch("C", 1, 1.0, 2.0);
+  }
+  std::vector<CombPath> rest;
+  for (int p = 0; p < 7; ++p) {
+    const double delay = 1.0 + p;
+    one.add_path(from[p], to[p], delay, 0.5, "p" + std::to_string(p));
+    if (p < 2) {
+      batch.add_path(from[p], to[p], delay, 0.5, "p" + std::to_string(p));
+    } else {
+      rest.push_back(CombPath{from[p], to[p], delay, 0.5, "p" + std::to_string(p)});
+    }
+  }
+  batch.add_paths(std::move(rest));
+  batch.shrink_to_fit();
+  ASSERT_EQ(batch.num_paths(), one.num_paths());
+  for (int p = 0; p < one.num_paths(); ++p) {
+    EXPECT_EQ(batch.path(p).from, one.path(p).from);
+    EXPECT_EQ(batch.path(p).to, one.path(p).to);
+    EXPECT_EQ(batch.path(p).delay, one.path(p).delay);
+    EXPECT_EQ(batch.path(p).label, one.path(p).label);
+  }
+  for (int e = 0; e < one.num_elements(); ++e) {
+    EXPECT_EQ(batch.fanin(e), one.fanin(e)) << e;
+    EXPECT_EQ(batch.fanout(e), one.fanout(e)) << e;
+  }
+  EXPECT_EQ(batch.find_element("C"), std::optional<int>(2));
+}
+
 TEST(CircuitValidate, NonFiniteElementParameterFlagged) {
   const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
                         std::numeric_limits<double>::infinity(),
