@@ -50,15 +50,35 @@ bool parse_int(std::string_view s, int& out) {
   return true;
 }
 
-std::string fmt_time(double v, int max_decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", max_decimals, v);
-  std::string s(buf);
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
+void append_fixed(std::string& out, double v, int decimals) {
+  char buf[352];  // "%.*f" of -DBL_MAX with 17 decimals is 328 characters
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, decimals);
+  if (ec == std::errc{}) {
+    out.append(buf, end);
+    return;
   }
-  if (s == "-0") s = "0";
+  // More decimals than the buffer holds: printf sizes the text.
+  const int n = std::snprintf(nullptr, 0, "%.*f", decimals, v);
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(n) + 1);
+  std::snprintf(out.data() + at, static_cast<size_t>(n) + 1, "%.*f", decimals, v);
+  out.resize(at + static_cast<size_t>(n));
+}
+
+void fmt_time_to(std::string& out, double v, int max_decimals) {
+  const size_t at = out.size();
+  append_fixed(out, v, max_decimals);
+  if (out.find('.', at) != std::string::npos) {
+    while (out.back() == '0') out.pop_back();
+    if (out.back() == '.') out.pop_back();
+  }
+  if (std::string_view(out).substr(at) == "-0") out.erase(at, 1);
+}
+
+std::string fmt_time(double v, int max_decimals) {
+  std::string s;
+  fmt_time_to(s, v, max_decimals);
   return s;
 }
 

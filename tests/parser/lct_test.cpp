@@ -122,6 +122,17 @@ TEST(LctWriter, RoundTripsExample1) {
   }
 }
 
+TEST(LctWriter, KeepsADelayLongerThanSixtyThreeDigits) {
+  // 1e70 prints as 71 digits before the point; every one must reach the
+  // reader, or the path comes back shorter by a power of ten per digit lost.
+  Circuit original = circuits::example1(80.0);
+  original.set_path_delay(0, 1e70);
+  const auto back = parse_circuit(write_circuit(original));
+  ASSERT_TRUE(back) << back.error().to_string();
+  EXPECT_EQ(back->path(0).delay, 1e70);
+  EXPECT_EQ(write_circuit(*back), write_circuit(original));
+}
+
 TEST(LctWriter, RoundTripsGaasWithFlipFlops) {
   const Circuit original = circuits::gaas_datapath();
   const auto back = parse_circuit(write_circuit(original));
