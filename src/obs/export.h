@@ -9,12 +9,15 @@
 //   * a human-readable table (base/table) for terminal output.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "base/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -61,6 +64,89 @@ void json_escape_to(std::string& out, std::string_view s);
 std::string json_escape(std::string_view s);
 void json_number_to(std::string& out, double v);
 std::string json_number(double v);
+
+/// json_escape_to for a long string: measures the escaped text first, makes
+/// room in `out` for it and `room_after` more bytes at once, then writes it
+/// in one pass instead of appending run by run.
+void json_escape_long_to(std::string& out, std::string_view s, std::size_t room_after);
+
+/// Append `s` with &, <, >, " escaped for HTML text and attribute positions.
+void html_escape_to(std::string& out, std::string_view s);
+
+/// The one append-only writer behind every text view in the tree: report,
+/// signoff and metadata JSON, the text tables, the HTML dashboards and the
+/// SVG figures. `out << x` appends x to the string it wraps, with no stream
+/// and no string per value:
+///   * text as it is, a char as itself, an integer in decimal;
+///   * a double as json_number_to renders it (%.15g, clamped);
+///   * quoted(text): a JSON string, escaped by json_escape_to;
+///   * html(text): text escaped by html_escape_to;
+///   * fixed(v, d): printf's "%.*f"; trimmed(v, d): that without trailing
+///     zeros, as fmt_time writes it;
+///   * a callable taking the writer, which writes itself (as a stream
+///     manipulator does).
+struct TextOut {
+  std::string& s;
+};
+
+struct Quoted {
+  std::string_view text;
+};
+struct Html {
+  std::string_view text;
+};
+struct Fixed {
+  double v;
+  int decimals;
+  bool trim;
+};
+inline Quoted quoted(std::string_view text) { return {text}; }
+inline Html html(std::string_view text) { return {text}; }
+inline Fixed fixed(double v, int decimals) { return {v, decimals, false}; }
+inline Fixed trimmed(double v, int decimals = 3) { return {v, decimals, true}; }
+
+inline TextOut& operator<<(TextOut& out, std::string_view text) {
+  out.s += text;
+  return out;
+}
+inline TextOut& operator<<(TextOut& out, char c) {
+  out.s += c;
+  return out;
+}
+template <std::integral I>
+  requires(!std::same_as<I, bool> && !std::same_as<I, char>)
+TextOut& operator<<(TextOut& out, I v) {
+  char buf[24];
+  out.s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  return out;
+}
+inline TextOut& operator<<(TextOut& out, double v) {
+  json_number_to(out.s, v);
+  return out;
+}
+inline TextOut& operator<<(TextOut& out, Quoted q) {
+  out.s += '"';
+  json_escape_to(out.s, q.text);
+  out.s += '"';
+  return out;
+}
+inline TextOut& operator<<(TextOut& out, Html h) {
+  html_escape_to(out.s, h.text);
+  return out;
+}
+inline TextOut& operator<<(TextOut& out, Fixed f) {
+  if (f.trim) {
+    fmt_time_to(out.s, f.v, f.decimals);
+  } else {
+    append_fixed(out.s, f.v, f.decimals);
+  }
+  return out;
+}
+template <std::invocable<TextOut&> Write>
+TextOut& operator<<(TextOut& out, Write&& write) {
+  write(out);
+  return out;
+}
 
 /// FNV-1a 64-bit digest; used to fingerprint schedules in the header and as
 /// the serve-layer result-cache key.

@@ -1,48 +1,32 @@
 #include "report/html.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace mintc::report {
 
-namespace {
+using obs::fixed;
+using obs::html;
 
-std::string fmt(double v, int digits = 1) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-
-// Compact axis/tooltip numbers: 2500000 -> "2.5M", 1500 -> "1.5k".
-std::string fmt_compact(double v) {
-  const double a = std::fabs(v);
-  char buf[48];
+obs::TextOut& operator<<(obs::TextOut& out, Compact c) {
+  const double a = std::fabs(c.v);
+  const auto general = [&out](double v, int precision) {
+    char buf[32];
+    out.s.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                                    precision).ptr);
+  };
   if (a >= 1e9) {
-    std::snprintf(buf, sizeof buf, "%.3gG", v / 1e9);
+    general(c.v / 1e9, 3);
+    out << 'G';
   } else if (a >= 1e6) {
-    std::snprintf(buf, sizeof buf, "%.3gM", v / 1e6);
+    general(c.v / 1e6, 3);
+    out << 'M';
   } else if (a >= 1e3) {
-    std::snprintf(buf, sizeof buf, "%.3gk", v / 1e3);
+    general(c.v / 1e3, 3);
+    out << 'k';
   } else {
-    std::snprintf(buf, sizeof buf, "%.4g", v);
-  }
-  return buf;
-}
-
-}  // namespace
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
+    general(c.v, 4);
   }
   return out;
 }
@@ -99,25 +83,17 @@ const char* dashboard_css() {
 )css";
 }
 
-std::string html_head(const std::string& title) {
-  std::ostringstream out;
+void html_head(obs::TextOut& out, std::string_view title) {
   out << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
       << "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n"
-      << "<title>" << html_escape(title) << "</title>\n<style>" << dashboard_css()
+      << "<title>" << html(title) << "</title>\n<style>" << dashboard_css()
       << "</style>\n</head>\n<body>\n";
-  return out.str();
 }
 
-void tile(std::ostringstream& out, const std::string& value, const std::string& key,
-          bool bad) {
-  out << "    <div class=\"tile\"><div class=\"v" << (bad ? " bad" : "") << "\">" << value
-      << "</div><div class=\"k\">" << key << "</div></div>\n";
-}
-
-std::string sparkline_svg(const std::vector<double>& values, double width, double height) {
-  std::ostringstream out;
-  out << "<svg viewBox=\"0 0 " << fmt(width, 0) << " " << fmt(height, 0) << "\" width=\""
-      << fmt(width, 0) << "\" height=\"" << fmt(height, 0) << "\" role=\"img\">\n";
+void sparkline_svg(obs::TextOut& out, const std::vector<double>& values, double width,
+                   double height) {
+  out << "<svg viewBox=\"0 0 " << fixed(width, 0) << " " << fixed(height, 0) << "\" width=\""
+      << fixed(width, 0) << "\" height=\"" << fixed(height, 0) << "\" role=\"img\">\n";
   double lo = 0.0, hi = 0.0;
   bool any = false;
   for (const double v : values) {
@@ -127,9 +103,9 @@ std::string sparkline_svg(const std::vector<double>& values, double width, doubl
     any = true;
   }
   if (!any || values.size() < 2) {
-    out << "  <text x=\"4\" y=\"" << fmt(height / 2.0, 0)
+    out << "  <text x=\"4\" y=\"" << fixed(height / 2.0, 0)
         << "\" fill=\"var(--text-2)\" font-size=\"11\">no data</text>\n</svg>\n";
-    return out.str();
+    return;
   }
   if (hi - lo < 1e-12) hi = lo + 1.0;  // flat series draws mid-height
   const double mt = 4.0, mb = 4.0, ml = 2.0, mr = 44.0;
@@ -147,7 +123,7 @@ std::string sparkline_svg(const std::vector<double>& values, double width, doubl
     const double x = ml + dx * static_cast<double>(i);
     const double y = mt + plot_h * (1.0 - (values[i] - lo) / (hi - lo));
     if (!open) out << "  <polyline points=\"";
-    out << fmt(x, 1) << "," << fmt(y, 1) << " ";
+    out << fixed(x, 1) << "," << fixed(y, 1) << " ";
     open = true;
     last_x = x;
     last_y = y;
@@ -161,17 +137,14 @@ std::string sparkline_svg(const std::vector<double>& values, double width, doubl
       break;
     }
   }
-  out << "  <circle cx=\"" << fmt(last_x, 1) << "\" cy=\"" << fmt(last_y, 1)
+  out << "  <circle cx=\"" << fixed(last_x, 1) << "\" cy=\"" << fixed(last_y, 1)
       << "\" r=\"2\" fill=\"var(--series-1)\"/>\n"
-      << "  <text x=\"" << fmt(last_x + 5.0, 1) << "\" y=\"" << fmt(last_y + 4.0, 1)
-      << "\" fill=\"var(--text-2)\" font-size=\"11\">" << fmt_compact(last)
-      << "</text>\n</svg>\n";
-  return out.str();
+      << "  <text x=\"" << fixed(last_x + 5.0, 1) << "\" y=\"" << fixed(last_y + 4.0, 1)
+      << "\" fill=\"var(--text-2)\" font-size=\"11\">" << Compact{last} << "</text>\n</svg>\n";
 }
 
-std::string bucket_bars_svg(const std::vector<double>& bounds,
-                            const std::vector<long>& buckets, const std::string& unit) {
-  std::ostringstream out;
+void bucket_bars_svg(obs::TextOut& out, const std::vector<double>& bounds,
+                     const std::vector<long>& buckets, std::string_view unit) {
   size_t nb = buckets.size();
   while (nb > 1 && buckets[nb - 1] == 0) --nb;
   long total = 0, maxc = 1;
@@ -180,46 +153,52 @@ std::string bucket_bars_svg(const std::vector<double>& bounds,
     maxc = std::max(maxc, buckets[b]);
   }
   const double w = 640.0, hgt = 160.0, ml = 40.0, mr = 10.0, mt = 14.0, mb = 30.0;
-  out << "<svg viewBox=\"0 0 " << fmt(w, 0) << " " << fmt(hgt, 0) << "\" width=\""
-      << fmt(w, 0) << "\" role=\"img\">\n";
+  out << "<svg viewBox=\"0 0 " << fixed(w, 0) << " " << fixed(hgt, 0) << "\" width=\""
+      << fixed(w, 0) << "\" role=\"img\">\n";
   if (total == 0 || nb == 0) {
     out << "  <text x=\"20\" y=\"30\" fill=\"var(--text-2)\" font-size=\"12\">no data"
            "</text>\n</svg>\n";
-    return out.str();
+    return;
   }
   const double plot_w = w - ml - mr, plot_h = hgt - mt - mb;
   const double bw = plot_w / static_cast<double>(nb);
   const auto lo_edge = [&](size_t b) { return b == 0 ? 0.0 : bounds[b - 1]; };
+  const auto hi_edge = [&](size_t b) {  // "+inf" past the last bound
+    if (b < bounds.size()) {
+      out << Compact{bounds[b]};
+    } else {
+      out << "+inf";
+    }
+  };
   for (int g = 0; g <= 4; ++g) {
     const double y = mt + plot_h * g / 4.0;
-    out << "  <line x1=\"" << fmt(ml, 1) << "\" y1=\"" << fmt(y, 1) << "\" x2=\""
-        << fmt(w - mr, 1) << "\" y2=\"" << fmt(y, 1) << "\" stroke=\"var(--grid)\"/>\n";
+    out << "  <line x1=\"" << fixed(ml, 1) << "\" y1=\"" << fixed(y, 1) << "\" x2=\""
+        << fixed(w - mr, 1) << "\" y2=\"" << fixed(y, 1) << "\" stroke=\"var(--grid)\"/>\n";
   }
-  out << "  <text x=\"4\" y=\"" << fmt(mt + 4.0, 1)
+  out << "  <text x=\"4\" y=\"" << fixed(mt + 4.0, 1)
       << "\" fill=\"var(--text-2)\" font-size=\"11\">" << maxc << "</text>\n";
   for (size_t b = 0; b < nb; ++b) {
     const double bar_h = plot_h * static_cast<double>(buckets[b]) / static_cast<double>(maxc);
     const double x = ml + bw * static_cast<double>(b) + 1.0;
     const double y = mt + plot_h - bar_h;
-    out << "  <rect x=\"" << fmt(x, 1) << "\" y=\"" << fmt(y, 1) << "\" width=\""
-        << fmt(std::max(1.0, bw - 2.0), 1) << "\" height=\"" << fmt(bar_h, 1)
-        << "\" rx=\"2\" fill=\"var(--series-1)\"><title>(" << fmt_compact(lo_edge(b)) << ", "
-        << (b < bounds.size() ? fmt_compact(bounds[b]) : std::string("+inf")) << "] "
-        << html_escape(unit) << ": " << buckets[b] << "</title></rect>\n";
+    out << "  <rect x=\"" << fixed(x, 1) << "\" y=\"" << fixed(y, 1) << "\" width=\""
+        << fixed(std::max(1.0, bw - 2.0), 1) << "\" height=\"" << fixed(bar_h, 1)
+        << "\" rx=\"2\" fill=\"var(--series-1)\"><title>(" << Compact{lo_edge(b)} << ", ";
+    hi_edge(b);
+    out << "] " << html(unit) << ": " << buckets[b] << "</title></rect>\n";
   }
-  out << "  <line x1=\"" << fmt(ml, 1) << "\" y1=\"" << fmt(mt + plot_h, 1) << "\" x2=\""
-      << fmt(w - mr, 1) << "\" y2=\"" << fmt(mt + plot_h, 1)
+  out << "  <line x1=\"" << fixed(ml, 1) << "\" y1=\"" << fixed(mt + plot_h, 1) << "\" x2=\""
+      << fixed(w - mr, 1) << "\" y2=\"" << fixed(mt + plot_h, 1)
       << "\" stroke=\"var(--border)\"/>\n";
   const size_t step = std::max<size_t>(1, nb / 6);
   for (size_t k = 0; k < nb; k += step) {
     const double x = ml + bw * static_cast<double>(k) + bw / 2.0;
-    out << "  <text x=\"" << fmt(x, 1) << "\" y=\"" << fmt(hgt - mb + 14.0, 1)
-        << "\" text-anchor=\"middle\" fill=\"var(--text-2)\" font-size=\"11\">"
-        << (k < bounds.size() ? fmt_compact(bounds[k]) : std::string("+inf"))
-        << "</text>\n";
+    out << "  <text x=\"" << fixed(x, 1) << "\" y=\"" << fixed(hgt - mb + 14.0, 1)
+        << "\" text-anchor=\"middle\" fill=\"var(--text-2)\" font-size=\"11\">";
+    hi_edge(k);
+    out << "</text>\n";
   }
   out << "</svg>\n";
-  return out.str();
 }
 
 }  // namespace mintc::report

@@ -2,17 +2,16 @@
 // report (report/export.cpp) and the serve layer's live status page
 // (serve/status.cpp) render with the same stylesheet and helpers so the two
 // surfaces look and behave identically (light/dark via the OS setting, no
-// external assets, no script dependencies).
+// external assets, no script dependencies). Every helper appends to the
+// page's one obs::TextOut.
 #pragma once
 
-#include <sstream>
-#include <string>
+#include <string_view>
 #include <vector>
 
-namespace mintc::report {
+#include "obs/export.h"
 
-/// Escape &, <, >, " for text and attribute positions.
-std::string html_escape(const std::string& s);
+namespace mintc::report {
 
 /// The dashboard stylesheet: palette roles as CSS custom properties (light
 /// values by default, dark under prefers-color-scheme), tiles, sections,
@@ -21,22 +20,33 @@ const char* dashboard_css();
 
 /// "<!DOCTYPE html>...<style>...</style></head><body>" with `title` escaped
 /// into <title>. Callers append content and close </body></html>.
-std::string html_head(const std::string& title);
+void html_head(obs::TextOut& out, std::string_view title);
 
-/// One metric tile (value over a small caption) into a .tiles flex row.
-void tile(std::ostringstream& out, const std::string& value, const std::string& key,
-          bool bad = false);
+/// One metric tile (value over a small caption) into a .tiles flex row;
+/// `value` is anything the writer takes.
+template <class Value>
+void tile(obs::TextOut& out, const Value& value, std::string_view key, bool bad = false) {
+  out << "    <div class=\"tile\"><div class=\"v" << (bad ? " bad" : "") << "\">" << value
+      << "</div><div class=\"k\">" << key << "</div></div>\n";
+}
+
+/// A compact axis/tooltip number: 2500000 -> "2.5M", 1500 -> "1.5k"
+/// (printf's %.3g with a suffix from 1e3 up, %.4g below).
+struct Compact {
+  double v;
+};
+obs::TextOut& operator<<(obs::TextOut& out, Compact c);
 
 /// Inline-SVG sparkline of a series, oldest first; NaN entries are gaps.
 /// Renders "no data" when nothing is finite. The final value is labeled.
-std::string sparkline_svg(const std::vector<double>& values, double width = 240.0,
-                          double height = 48.0);
+void sparkline_svg(obs::TextOut& out, const std::vector<double>& values, double width = 240.0,
+                   double height = 48.0);
 
 /// Inline-SVG vertical-bar chart of histogram bucket counts. `bounds` are
 /// the ascending upper bounds; `buckets` has bounds.size()+1 entries (last
 /// = +inf). Trailing empty buckets are dropped for data-fit x bounds;
 /// tooltips carry exact ranges in `unit`.
-std::string bucket_bars_svg(const std::vector<double>& bounds,
-                            const std::vector<long>& buckets, const std::string& unit);
+void bucket_bars_svg(obs::TextOut& out, const std::vector<double>& bounds,
+                     const std::vector<long>& buckets, std::string_view unit);
 
 }  // namespace mintc::report

@@ -1,38 +1,37 @@
 #include "viz/svg.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "base/strings.h"
 
 namespace mintc::viz {
 
 namespace {
 
-void rect(std::ostringstream& out, double x, double y, double w, double h,
-          const std::string& fill, double opacity = 1.0) {
+using obs::trimmed;
+
+void rect(obs::TextOut& out, double x, double y, double w, double h, const char* fill,
+          double opacity = 1.0) {
   if (w <= 0.0) return;
-  out << "  <rect x=\"" << fmt_time(x, 2) << "\" y=\"" << fmt_time(y, 2) << "\" width=\""
-      << fmt_time(w, 2) << "\" height=\"" << fmt_time(h, 2) << "\" fill=\"" << fill
-      << "\" fill-opacity=\"" << fmt_time(opacity, 2) << "\"/>\n";
+  out << "  <rect x=\"" << trimmed(x, 2) << "\" y=\"" << trimmed(y, 2) << "\" width=\""
+      << trimmed(w, 2) << "\" height=\"" << trimmed(h, 2) << "\" fill=\"" << fill
+      << "\" fill-opacity=\"" << trimmed(opacity, 2) << "\"/>\n";
 }
 
-void text(std::ostringstream& out, double x, double y, const std::string& s) {
-  out << "  <text x=\"" << fmt_time(x, 2) << "\" y=\"" << fmt_time(y, 2)
-      << "\" font-family=\"monospace\" font-size=\"12\">" << s << "</text>\n";
+/// Open a label at (x, y); the caller writes its text and "</text>\n".
+obs::TextOut& text_at(obs::TextOut& out, double x, double y) {
+  return out << "  <text x=\"" << trimmed(x, 2) << "\" y=\"" << trimmed(y, 2)
+             << "\" font-family=\"monospace\" font-size=\"12\">";
 }
 
-void vline(std::ostringstream& out, double x, double y0, double y1) {
-  out << "  <line x1=\"" << fmt_time(x, 2) << "\" y1=\"" << fmt_time(y0, 2) << "\" x2=\""
-      << fmt_time(x, 2) << "\" y2=\"" << fmt_time(y1, 2)
+void vline(obs::TextOut& out, double x, double y0, double y1) {
+  out << "  <line x1=\"" << trimmed(x, 2) << "\" y1=\"" << trimmed(y0, 2) << "\" x2=\""
+      << trimmed(x, 2) << "\" y2=\"" << trimmed(y1, 2)
       << "\" stroke=\"#999\" stroke-dasharray=\"4 3\"/>\n";
 }
 
 }  // namespace
 
-std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& schedule,
-                               const std::vector<double>& departure,
-                               const SvgOptions& options) {
+void svg_timing_diagram(obs::TextOut& out, const Circuit& circuit, const ClockSchedule& schedule,
+                        const std::vector<double>& departure, const SvgOptions& options) {
   const double horizon = schedule.cycle * options.cycles;
   const double margin = 90.0;
   const double plot_w = options.width - margin - 10.0;
@@ -40,19 +39,18 @@ std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& sche
   const double height = (rows + 2) * options.row_height + 20.0;
   const auto x_of = [&](double t) { return margin + t / horizon * plot_w; };
 
-  std::ostringstream out;
-  out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << fmt_time(options.width, 0)
-      << "\" height=\"" << fmt_time(height, 0) << "\">\n";
+  out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << trimmed(options.width, 0)
+      << "\" height=\"" << trimmed(height, 0) << "\">\n";
   out << "  <rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
   if (horizon <= 0.0) {
     out << "</svg>\n";
-    return out.str();
+    return;
   }
 
   double y = 10.0;
   // Clock waveforms.
   for (int p = 1; p <= schedule.num_phases(); ++p) {
-    text(out, 5.0, y + options.row_height * 0.7, "phi" + std::to_string(p));
+    text_at(out, 5.0, y + options.row_height * 0.7) << "phi" << p << "</text>\n";
     for (int cyc = 0; cyc < options.cycles + 1; ++cyc) {
       const double s = schedule.s(p) + cyc * schedule.cycle;
       const double e = std::min(s + schedule.T(p), horizon);
@@ -64,7 +62,7 @@ std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& sche
   // Element strips.
   for (int i = 0; i < circuit.num_elements(); ++i) {
     const Element& e = circuit.element(i);
-    text(out, 5.0, y + options.row_height * 0.7, e.name);
+    text_at(out, 5.0, y + options.row_height * 0.7) << obs::html(e.name) << "</text>\n";
     for (int cyc = 0; cyc < options.cycles + 1; ++cyc) {
       const double dep =
           schedule.s(e.phase) + departure[static_cast<size_t>(i)] + cyc * schedule.cycle;
@@ -91,11 +89,18 @@ std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& sche
   for (int cyc = 0; cyc <= options.cycles; ++cyc) {
     vline(out, x_of(std::min(cyc * schedule.cycle, horizon)), 6.0, y);
   }
-  text(out, margin, y + options.row_height * 0.7,
-       "Tc = " + fmt_time(schedule.cycle) + "  (" + std::to_string(options.cycles) +
-           " cycles)");
+  text_at(out, margin, y + options.row_height * 0.7)
+      << "Tc = " << trimmed(schedule.cycle) << "  (" << options.cycles << " cycles)</text>\n";
   out << "</svg>\n";
-  return out.str();
+}
+
+std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& schedule,
+                               const std::vector<double>& departure,
+                               const SvgOptions& options) {
+  std::string s;
+  obs::TextOut out{s};
+  svg_timing_diagram(out, circuit, schedule, departure, options);
+  return s;
 }
 
 }  // namespace mintc::viz

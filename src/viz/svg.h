@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "model/circuit.h"
+#include "obs/export.h"
 
 namespace mintc::viz {
 
@@ -17,6 +18,10 @@ struct SvgOptions {
 };
 
 /// Render a full timing diagram (clock waveforms + element strips) as SVG.
+/// Element names are HTML-escaped. The first form appends to `out` (the
+/// report dashboard embeds the figure this way); the second returns it.
+void svg_timing_diagram(obs::TextOut& out, const Circuit& circuit, const ClockSchedule& schedule,
+                        const std::vector<double>& departure, const SvgOptions& options = {});
 std::string svg_timing_diagram(const Circuit& circuit, const ClockSchedule& schedule,
                                const std::vector<double>& departure,
                                const SvgOptions& options = {});

@@ -381,11 +381,17 @@ TEST_F(ExportTest, JsonEscapeMatchesThePerCharacterReference) {
     }
     inputs.push_back(s);
   }
+  inputs.push_back(std::string(70000, '"') + every_byte + std::string(5000, 'x'));
   for (const std::string& s : inputs) {
     EXPECT_EQ(json_escape(s), reference_escape(s)) << s;
     std::string appended = "prefix:";
     json_escape_to(appended, s);
     EXPECT_EQ(appended, "prefix:" + reference_escape(s)) << s;
+    // The long-string form writes the same bytes and leaves the room asked.
+    std::string sized = "prefix:";
+    json_escape_long_to(sized, s, 100);
+    EXPECT_EQ(sized, appended) << s;
+    EXPECT_GE(sized.capacity(), sized.size() + 100);
   }
 }
 

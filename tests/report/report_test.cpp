@@ -21,6 +21,7 @@
 #include "circuits/gaas.h"
 #include "obs/metrics.h"
 #include "opt/mlp.h"
+#include "parser/lct.h"
 #include "report/export.h"
 #include "sta/analysis.h"
 #include "../obs/json_validate.h"
@@ -372,6 +373,19 @@ TEST(ReportExportTest, HtmlIsOneSelfContainedDocument) {
   EXPECT_NE(html.find("4.4"), std::string::npos);
   EXPECT_NE(html.find("constraints"), std::string::npos);
   EXPECT_NE(html.find("phi1 &cap; phi3"), std::string::npos);
+}
+
+TEST(ReportExportTest, HtmlEscapesEveryElementName) {
+  // The timing diagram, the tables and the borrow chart all name elements.
+  const auto c = parser::parse_circuit(
+      "circuit esc\nphases 2\n"
+      "latch \"a<b&c\" phase=1 setup=10 dq=10\nlatch L2 phase=2 setup=10 dq=10\n"
+      "path \"a<b&c\" L2 delay=20\npath L2 \"a<b&c\" delay=30\n");
+  ASSERT_TRUE(c) << c.error().to_string();
+  const std::string html = report_html(*c, build_slackdb(*c, optimum_of(*c)));
+  EXPECT_EQ(html.find("a<b"), std::string::npos);
+  EXPECT_NE(html.find(">&quot;a&lt;b&amp;c&quot;</text>"), std::string::npos);
+  EXPECT_NE(html.find("<td>&quot;a&lt;b&amp;c&quot;</td>"), std::string::npos);
 }
 
 TEST(ReportExportTest, SignoffMergedViewIsThePerCornerMinimum) {

@@ -2,6 +2,7 @@
 
 #include "circuits/example1.h"
 #include "opt/mlp.h"
+#include "parser/lct.h"
 #include "viz/svg.h"
 #include "viz/timing_diagram.h"
 
@@ -93,6 +94,21 @@ TEST(Svg, WellFormedDocument) {
     ++rects;
   }
   EXPECT_GE(rects, 8u);
+}
+
+TEST(Svg, ElementNamesAreEscaped) {
+  // A quoted .lct name may hold markup characters; the label must not.
+  const auto c = parser::parse_circuit(
+      "circuit esc\nphases 2\n"
+      "latch \"a<b&c\" phase=1 setup=10 dq=10\nlatch L2 phase=2 setup=10 dq=10\n"
+      "path \"a<b&c\" L2 delay=20\npath L2 \"a<b&c\" delay=30\n");
+  ASSERT_TRUE(c) << c.error().to_string();
+  const auto r = opt::minimize_cycle_time(*c);
+  ASSERT_TRUE(r);
+  const std::string svg = svg_timing_diagram(*c, r->schedule, r->departure);
+  // The reader keeps a quoted name's quotes.
+  EXPECT_NE(svg.find(">&quot;a&lt;b&amp;c&quot;</text>"), std::string::npos) << svg;
+  EXPECT_EQ(svg.find("a<b"), std::string::npos);
 }
 
 TEST(Svg, DegenerateScheduleStillValid) {
