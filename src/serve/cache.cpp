@@ -21,13 +21,13 @@ ResultCache::ResultCache(size_t byte_budget)
   stats_.budget = budget_;
 }
 
-std::optional<std::string> ResultCache::get(std::uint64_t key) {
+ResultCache::Value ResultCache::get(std::uint64_t key) {
   const std::lock_guard<std::mutex> lk(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
     misses_metric_.inc();
-    return std::nullopt;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh: move to front
   ++stats_.hits;
@@ -36,8 +36,8 @@ std::optional<std::string> ResultCache::get(std::uint64_t key) {
 }
 
 void ResultCache::put(std::uint64_t key, const std::string& circuit_key,
-                      std::uint64_t generation, std::string value) {
-  const size_t charged = value.size() + kEntryOverhead;
+                      std::uint64_t generation, Value value) {
+  const size_t charged = value->capacity() + kEntryOverhead;
   const std::lock_guard<std::mutex> lk(mu_);
   if (charged > budget_) return;  // cannot fit even alone (covers budget 0)
   const auto it = index_.find(key);

@@ -1,8 +1,11 @@
 // ResultCache — the serve layer's rendered-response cache.
 //
-// A value is a read's result exactly as it went on the wire: the service
-// renders a miss once, stores those bytes, and answers a hit by splicing
-// them into the frame unparsed (see service.h).
+// A value is a read's result exactly as it went on the wire, held by a
+// shared pointer: the service renders a miss once and hands those bytes to
+// the cache and to its frame without a copy, and answers a hit by taking a
+// reference and splicing the bytes into the frame unparsed (see service.h).
+// A reference a caller holds stays readable after its entry is evicted or
+// invalidated.
 //
 // Analyses are pure functions of circuit+schedule content, so responses are
 // cached under a CONTENT key: the FNV-1a fingerprint chain the tree already
@@ -19,10 +22,11 @@
 // content recurred (e.g. an undo), and dropping them keeps the LRU list
 // from filling with dead states under sustained edit traffic.
 //
-// Eviction is LRU under a byte budget (value bytes + fixed per-entry
-// overhead). Everything is guarded by one mutex — entries are whole
-// rendered responses, so the critical sections are map lookups and string
-// copies, dwarfed by the analyses they save.
+// Eviction is LRU under a byte budget: each entry is charged what its
+// value holds on the heap (the string's capacity, which Json::dump keeps
+// within a few hundred bytes of its length) plus a fixed per-entry
+// overhead. Everything is guarded by one mutex; the critical sections are
+// map lookups, list splices and reference counts, never a copy of bytes.
 //
 // Metrics (always on, registered at construction): cache.hits, cache.misses,
 // cache.evictions, cache.invalidations counters and the cache.bytes /
@@ -32,8 +36,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -48,14 +52,17 @@ class ResultCache {
   /// bench_serve.
   explicit ResultCache(size_t byte_budget);
 
-  /// The cached value for `key`, refreshing its LRU position.
-  std::optional<std::string> get(std::uint64_t key);
+  using Value = std::shared_ptr<const std::string>;
+
+  /// The cached value for `key` (null on a miss), refreshing its LRU
+  /// position.
+  Value get(std::uint64_t key);
 
   /// Insert (or refresh) `value` under `key`, tagged with the owning
   /// circuit key and its session generation; evicts LRU entries until the
   /// budget holds. Values larger than the whole budget are not stored.
   void put(std::uint64_t key, const std::string& circuit_key, std::uint64_t generation,
-           std::string value);
+           Value value);
 
   /// Drop every entry tagged with `circuit_key` and a generation older than
   /// `current_generation` — called when an edit batch / reload bumps the
@@ -81,8 +88,8 @@ class ResultCache {
     std::uint64_t key = 0;
     std::string circuit_key;
     std::uint64_t generation = 0;
-    std::string value;
-    size_t charged = 0;  // value size + overhead
+    Value value;
+    size_t charged = 0;  // value capacity + overhead
   };
 
   // Per-entry bookkeeping overhead charged against the budget (list node,

@@ -86,6 +86,16 @@ char* format_double(char* buf, double v) {
   return std::copy(digits + whole, digits + n, out);
 }
 
+// A string this long is measured before it is escaped into the output, so
+// the output grows once instead of by doubling and the escape writes in one
+// pass; shorter ones are cheaper to regrow than to measure.
+constexpr size_t kLongString = 4096;
+
+// Room left after a sized string or fragment for what usually follows it
+// (the closing braces, an answer's fingerprint, the envelope's trace and
+// cost echoes, the frame's newline), so the output is not regrown for them.
+constexpr size_t kRoomAfter = 256;
+
 }  // namespace
 
 bool Json::has(std::string_view key) const {
@@ -124,8 +134,8 @@ bool Json::operator==(const Json& other) const {
       // Bit comparison, not ==: the protocol's identity notion is
       // bit-identity (and NaN never parses, so no NaN != NaN surprises).
       return std::memcmp(&num_, &other.num_, sizeof num_) == 0;
-    case Kind::kString:
-    case Kind::kRaw: return str_ == other.str_;
+    case Kind::kString: return str_ == other.str_;
+    case Kind::kRaw: return *raw_ == *other.raw_;
     case Kind::kArray: return items_ == other.items_;
     case Kind::kObject: return fields_ == other.fields_;
   }
@@ -155,15 +165,16 @@ void Json::dump_to(std::string& out) const {
       return;
     case Kind::kString:
       out += '"';
-      obs::json_escape_to(out, str_);
+      if (str_.size() >= kLongString) {
+        obs::json_escape_long_to(out, str_, kRoomAfter);
+      } else {
+        obs::json_escape_to(out, str_);
+      }
       out += '"';
       return;
     case Kind::kRaw:
-      // Room for what an envelope appends after its result (closing
-      // braces, the trace and cost echoes, the frame's newline), so a large
-      // fragment is copied into the frame once, not again as it grows.
-      out.reserve(out.size() + str_.size() + 256);
-      out += str_;
+      out.reserve(out.size() + raw_->size() + kRoomAfter);
+      out += *raw_;
       return;
     case Kind::kArray:
       out += '[';

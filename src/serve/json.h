@@ -18,15 +18,21 @@
 //   * objects preserve insertion order (stable rendering for golden tests)
 //     and lookup is linear — protocol objects have a handful of keys;
 //   * a raw fragment (Json::raw) holds text that is already rendered JSON,
-//     and dump() splices it in verbatim: the service answers a cache hit by
-//     wrapping the stored bytes of the first answer in the envelope, with
-//     no re-parse and no re-render, and writes an analyze's per-element
-//     rows straight into one fragment instead of a node per value.
+//     shared rather than copied, and dump() splices it in verbatim: the
+//     service renders a read's answer once and hands the same bytes to its
+//     cache and to the frame; a hit wraps the stored bytes in the envelope
+//     with no re-parse, no re-render and no copy but the frame's. An
+//     analyze's per-element rows go straight into one fragment instead of a
+//     node per value;
+//   * dump() sizes a large string or fragment before appending it, so a
+//     megabyte answer is written into one allocation, not regrown by
+//     doubling.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,12 +69,16 @@ class Json {
   /// vouches that `text` is one well-formed JSON value (the service wraps
   /// only text it wrote: a dump() output, or an analyze's detail rows). It
   /// reads as no JSON type: every accessor sees it as absent, so only the
-  /// writer looks inside.
-  static Json raw(std::string text) {
+  /// writer looks inside. The bytes are shared, never copied, by copies of
+  /// the value.
+  static Json raw(std::shared_ptr<const std::string> text) {
     Json j;
     j.kind_ = Kind::kRaw;
-    j.str_ = std::move(text);
+    j.raw_ = std::move(text);
     return j;
+  }
+  static Json raw(std::string text) {
+    return raw(std::make_shared<const std::string>(std::move(text)));
   }
 
   Kind kind() const { return kind_; }
@@ -149,7 +159,8 @@ class Json {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
-  std::string str_;                                    // kString, kRaw
+  std::string str_;                                    // kString
+  std::shared_ptr<const std::string> raw_;             // kRaw
   std::vector<Json> items_;                            // kArray
   std::vector<std::pair<std::string, Json>> fields_;   // kObject
 };

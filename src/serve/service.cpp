@@ -414,13 +414,13 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
     if (!work->write) {
       cache_key =
           obs::Fnv1a().u64(s.content_fingerprint()).str(verb).u64(work->params).digest();
-      std::optional<std::string> hit = cache_.get(cache_key);
+      ResultCache::Value hit = cache_.get(cache_key);
       p.lap(stages.lookup);
       if (hit) {
         // The stored bytes are the first answer as it went on the wire; the
         // frame splices them in as they are.
         cached = true;
-        return Json::raw(std::move(*hit));
+        return Json::raw(std::move(hit));
       }
     }
     // A read's work ends at its engine step (Pending::engine_done); what
@@ -436,9 +436,9 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
       p.lap(stages.work);
       return result;
     }
-    // A read is rendered once: the cache stores the bytes the frame
-    // carries. The tree is released before the cache takes its copy.
-    std::string rendered = result->dump();
+    // A read is rendered once: the cache and the frame share its bytes.
+    // The tree is released first.
+    auto rendered = std::make_shared<const std::string>(result->dump());
     *result = Json();
     cache_.put(cache_key, key, generation, rendered);
     p.lap(stages.render);
