@@ -33,6 +33,13 @@ Expected<Circuit> extract_timing_model(const Netlist& netlist, const DelayModel&
 
   Circuit circuit(netlist.name(), netlist.num_phases());
   for (const Storage& s : netlist.storages()) {
+    // A circuit names each element once (its .lct text could not be read
+    // back otherwise).
+    if (circuit.find_element(s.name)) {
+      return make_error(ErrorKind::kInvalidCircuit,
+                        "netlist '" + netlist.name() + "' has two storage cells named '" +
+                            s.name + "'");
+    }
     Element e;
     e.name = s.name;
     e.kind = s.kind;

@@ -24,6 +24,23 @@ Netlist small_netlist() {
   return n;
 }
 
+TEST(Extract, DuplicateStorageNameIsATypedError) {
+  Netlist n("dup", 2);
+  const int d1 = n.add_net("d1");
+  const int q1 = n.add_net("q1");
+  const int d2 = n.add_net("d2");
+  const int q2 = n.add_net("q2");
+  n.add_latch("L1", 1, d1, q1, 0.5, 1.0);
+  n.add_latch("L1", 2, d2, q2, 0.5, 1.0);
+  n.add_gate("b1", GateType::kBuf, {q1}, d2);
+  n.add_gate("b2", GateType::kBuf, {q2}, d1);
+  const auto c = extract_timing_model(n);
+  ASSERT_FALSE(c);
+  EXPECT_EQ(c.error().kind, ErrorKind::kInvalidCircuit);
+  EXPECT_NE(c.error().message.find("two storage cells named 'L1'"), std::string::npos)
+      << c.error().message;
+}
+
 TEST(Extract, ElementsCarryOver) {
   const auto c = extract_timing_model(small_netlist());
   ASSERT_TRUE(c) << c.error().to_string();

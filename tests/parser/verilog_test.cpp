@@ -51,6 +51,20 @@ TEST(Verilog, FlowsIntoTimingModel) {
   EXPECT_GT(r->min_cycle, 0.0);
 }
 
+TEST(Verilog, TwoCellsWithOneNameDoNotExtract) {
+  const auto nl = parse_verilog(
+      "module m (a);\n"
+      "  latch #(.phase(1), .setup(0.1), .dq(0.3)) L1 (.d(a), .q(b));\n"
+      "  latch #(.phase(2), .setup(0.1), .dq(0.3)) L1 (.d(b), .q(a));\n"
+      "endmodule\n");
+  ASSERT_TRUE(nl) << nl.error().to_string();
+  const auto circuit = netlist::extract_timing_model(*nl);
+  ASSERT_FALSE(circuit);
+  EXPECT_EQ(circuit.error().kind, ErrorKind::kInvalidCircuit);
+  EXPECT_NE(circuit.error().message.find("'L1'"), std::string::npos)
+      << circuit.error().message;
+}
+
 TEST(Verilog, DffAndExtraParams) {
   const auto nl = parse_verilog(
       "module m (a);\n"
