@@ -107,10 +107,11 @@
 // corners of one circuit never collide) mixed with the verb and its
 // parameters — and tagged with (circuit key, generation) for invalidation
 // on edits; see cache.h. A read is rendered once: a miss dump()s its result
-// and the same bytes go into the cache and into the frame (a Json::raw
-// fragment inside the envelope). A hit splices the stored bytes into its
-// frame as they are, with no parse and no render, so its frame is the
-// miss's frame with "cached" set.
+// and the cache and the frame share those bytes (a Json::raw fragment
+// inside the envelope holds them, and the frame is their one copy). A hit
+// takes a reference to the stored bytes and splices them into its frame as
+// they are, with no parse and no render, so its frame is the miss's frame
+// with "cached" set.
 //
 // Session-pool eviction: the pool carries a byte budget; loading a new
 // circuit evicts least-recently-used idle sessions (session.evictions
