@@ -4,8 +4,8 @@
 // algorithms "potentially more efficient than the simplex algorithm"; the
 // max cycle ratio of the latch graph is exactly such a combinatorial
 // object: it lower-bounds Tc* and equals it whenever no setup constraint
-// binds. This bench compares values and costs of simplex vs Lawler's
-// binary search vs Howard-style policy iteration.
+// binds. This bench compares values and costs of simplex vs Howard-style
+// policy iteration.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -32,8 +32,7 @@ Circuit synthetic_mid() {
 
 void print_value_table() {
   std::printf("== LP optimum vs max cycle ratio ==\n");
-  TextTable table({"circuit", "Tc* (LP)", "cycle ratio (Lawler)", "cycle ratio (Howard)",
-                   "setup binds?"});
+  TextTable table({"circuit", "Tc* (LP)", "cycle ratio (Howard)", "setup binds?"});
   struct Named {
     const char* name;
     Circuit circuit;
@@ -45,18 +44,16 @@ void print_value_table() {
                         {"synthetic(l=36)", synthetic_mid()}};
   for (const auto& [name, circuit] : list) {
     const auto r = opt::minimize_cycle_time(circuit);
-    const auto lawler = graph::max_cycle_ratio_lawler(circuit.latch_graph());
     const auto howard = graph::max_cycle_ratio_howard(circuit.latch_graph());
     if (!r) continue;
-    char tc[32], la[32], ho[32];
+    char tc[32], ho[32];
     std::snprintf(tc, sizeof tc, "%.4f", r->min_cycle);
-    std::snprintf(la, sizeof la, "%.4f", lawler ? lawler->ratio : 0.0);
     std::snprintf(ho, sizeof ho, "%.4f", howard ? howard->ratio : 0.0);
     bool setup_binds = false;
     for (const auto& t : r->critical) {
       setup_binds |= t.name.rfind("L1:", 0) == 0 || t.name.rfind("FF:", 0) == 0;
     }
-    table.add_row({name, tc, la, ho, setup_binds ? "yes" : "no"});
+    table.add_row({name, tc, ho, setup_binds ? "yes" : "no"});
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("\ninvariant: Tc* >= ratio always; equality when no setup row binds.\n\n");
@@ -70,16 +67,6 @@ void BM_SimplexOptimum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexOptimum);
-
-void BM_CycleRatioLawler(benchmark::State& state) {
-  const Circuit c = synthetic_mid();
-  const auto g = c.latch_graph();
-  for (auto _ : state) {
-    auto r = graph::max_cycle_ratio_lawler(g);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_CycleRatioLawler);
 
 void BM_CycleRatioHoward(benchmark::State& state) {
   const Circuit c = synthetic_mid();

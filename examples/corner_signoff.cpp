@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
     std::printf("error: %s\n", typical.error().to_string().c_str());
     return 1;
   }
-  const sta::CornerReport naive =
-      sta::check_corners(c, typical->schedule, sta::standard_corners(spread));
+  const report::SignoffDB naive =
+      report::build_signoff(c, typical->schedule, sta::standard_corners(spread));
   std::printf("typical-corner design (Tc = %s):\n%s\n",
-              fmt_time(typical->min_cycle, 4).c_str(), naive.to_string(c).c_str());
+              fmt_time(typical->min_cycle, 4).c_str(), report::signoff_table(naive).c_str());
 
   // Robust: optimize the slow-corner circuit (fast-corner mins), then check
   // all corners under it.
@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
     std::printf("error: %s\n", robust.error().to_string().c_str());
     return 1;
   }
-  const sta::CornerReport signoff =
-      sta::check_corners(c, robust->schedule, sta::standard_corners(spread));
+  const report::SignoffDB signoff =
+      report::build_signoff(c, robust->schedule, sta::standard_corners(spread));
   std::printf("slow-corner design (Tc = %s):\n%s\n",
-              fmt_time(robust->min_cycle, 4).c_str(), signoff.to_string(c).c_str());
+              fmt_time(robust->min_cycle, 4).c_str(), report::signoff_table(signoff).c_str());
 
   TextTable table({"design point", "Tc [ns]", "freq [MHz]", "all corners pass?"});
   table.add_row({"typical (no margin)", fmt_time(typical->min_cycle, 4),
@@ -86,16 +86,14 @@ int main(int argc, char** argv) {
     // plus the merged worst-corner JSON.
     std::error_code ec;
     std::filesystem::create_directories(report_dir, ec);
-    const report::SignoffDB db =
-        report::build_signoff(c, robust->schedule, sta::standard_corners(spread));
-    report::write_report_file(report_dir + "/signoff.json", report::signoff_json(db));
-    report::write_report_file(report_dir + "/signoff.html", report::signoff_html(c, db));
-    for (const report::SlackDB& corner : db.corners) {
+    report::write_report_file(report_dir + "/signoff.json", report::signoff_json(signoff));
+    report::write_report_file(report_dir + "/signoff.html", report::signoff_html(c, signoff));
+    for (const report::SlackDB& corner : signoff.corners) {
       report::write_report_file(report_dir + "/corner_" + corner.corner + ".html",
                                 report::report_html(c, corner));
     }
     std::printf("\nwrote signoff package (%zu corner dashboards) to %s/\n",
-                db.corners.size(), report_dir.c_str());
+                signoff.corners.size(), report_dir.c_str());
   }
   return signoff.all_pass ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 //   timing_tool sens <circuit.lct>                dTc*/ddelay for every path
 //   timing_tool bounds <circuit.lct>              closed-form lower bounds vs Tc*
 //   timing_tool sim <circuit.lct> <sched.lcs>     event-driven token simulation
-//   timing_tool corners <circuit.lct> <sched.lcs> slow/typical/fast sign-off
+//   timing_tool corners <circuit.lct> <sched.lcs> slow/typical/fast sign-off (report --corners)
 //   timing_tool svg|dot|vcd <circuit.lct> [out]   diagram / graph / waveform files
 //   timing_tool baselines <circuit.lct>           compare against CPM/Jouppi/NRIP
 //   timing_tool report <circuit> [sched.lcs] [--json F] [--html F] [--nworst K]
@@ -26,12 +26,13 @@
 // subcommands are local-only and say so.
 //
 // With no arguments, runs every subcommand against the built-in example 1.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/strings.h"
@@ -230,12 +231,6 @@ int cmd_vcd(const Circuit& c, const std::string& out_path) {
   return 0;
 }
 
-int cmd_corners(const Circuit& c, const ClockSchedule& s) {
-  const sta::CornerReport rep = sta::check_corners(c, s);
-  std::printf("%s", rep.to_string(c).c_str());
-  return rep.all_pass ? 0 : 1;
-}
-
 int cmd_bounds(const Circuit& c) {
   std::printf("path-span bound: Tc >= %s\n", fmt_time(opt::path_span_bound(c), 6).c_str());
   std::printf("loop bound:      Tc >= %s\n", fmt_time(opt::loop_bound(c), 6).c_str());
@@ -246,32 +241,60 @@ int cmd_bounds(const Circuit& c) {
   return 0;
 }
 
+/// The flags after `<circuit>` of `report` (and of every --remote
+/// subcommand), parsed once for the local and remote paths.
+struct ReportArgs {
+  std::string schedule_path, json_path, html_path;
+  int nworst = 10;
+  bool corners = false;
+};
+
+/// False on an unknown flag, or an --nworst that is not a decimal integer
+/// in [1, 100000] (the service's range).
+bool parse_report_args(int argc, char** argv, ReportArgs* out) {
+  for (int i = 3; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--json" && i + 1 < argc) {
+      out->json_path = argv[++i];
+    } else if (arg == "--html" && i + 1 < argc) {
+      out->html_path = argv[++i];
+    } else if (arg == "--nworst" && i + 1 < argc) {
+      const std::string_view text = argv[++i];
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, out->nworst);
+      if (ec != std::errc() || ptr != end || out->nworst < 1 || out->nworst > 100000) {
+        return false;
+      }
+    } else if (arg == "--corners") {
+      out->corners = true;
+    } else if (!arg.empty() && arg[0] != '-') {
+      out->schedule_path = arg;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Signoff report: runs the SlackDB builder and renders text (stdout) plus
 /// optional JSON / self-contained HTML dashboard files.
-int cmd_report(const Circuit& c, const ClockSchedule& s, const std::string& json_path,
-               const std::string& html_path, int nworst, bool corners) {
+int cmd_report(const Circuit& c, const ClockSchedule& s, const ReportArgs& args) {
   report::SlackDbOptions opt;
-  opt.nworst = nworst;
-  if (corners) {
+  opt.nworst = args.nworst;
+  const auto write = [](const std::string& path, const std::string& text) {
+    if (report::write_report_file(path, text)) std::printf("wrote %s\n", path.c_str());
+  };
+  if (args.corners) {
     const report::SignoffDB db = report::build_signoff(c, s, sta::standard_corners(), opt);
     std::printf("%s", report::signoff_table(db).c_str());
-    if (!json_path.empty() && report::write_report_file(json_path, report::signoff_json(db))) {
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-    if (!html_path.empty() &&
-        report::write_report_file(html_path, report::signoff_html(c, db))) {
-      std::printf("wrote %s\n", html_path.c_str());
-    }
+    if (!args.json_path.empty()) write(args.json_path, report::signoff_json(db));
+    if (!args.html_path.empty()) write(args.html_path, report::signoff_html(c, db));
     return db.all_pass ? 0 : 1;
   }
   const report::SlackDB db = report::build_slackdb(c, s, opt);
   std::printf("%s", report::report_table(db).c_str());
-  if (!json_path.empty() && report::write_report_file(json_path, report::report_json(db))) {
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  if (!html_path.empty() && report::write_report_file(html_path, report::report_html(c, db))) {
-    std::printf("wrote %s\n", html_path.c_str());
-  }
+  if (!args.json_path.empty()) write(args.json_path, report::report_json(db));
+  if (!args.html_path.empty()) write(args.html_path, report::report_html(c, db));
   return db.feasible ? 0 : 1;
 }
 
@@ -366,7 +389,7 @@ std::optional<Json> remote_call(serve::Client& client, Json request) {
 /// min / check / corners / report against a timing_serve daemon. The
 /// circuit (.lct text or builtin name) and optional .lcs schedule travel in
 /// the load request; the analysis runs in the server's warm session pool.
-int run_remote(const std::string& cmd, int argc, char** argv) {
+int run_remote(const std::string& cmd, const std::string& circuit_arg, const ReportArgs& args) {
   serve::Client client;
   const Expected<bool> connected = client.connect(g_remote);
   if (!connected) {
@@ -375,7 +398,6 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
     return 1;
   }
 
-  const std::string circuit_arg = argv[2];
   Json load = Json::object();
   load.set("verb", Json("load"));
   load.set("circuit", Json(circuit_arg));
@@ -392,29 +414,13 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
   }
   // Optional positional schedule (required for check/corners semantics;
   // without it the server analyzes at its computed MLP optimum).
-  std::string json_path, html_path;
-  int nworst = 10;
-  bool corners_flag = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--html" && i + 1 < argc) {
-      html_path = argv[++i];
-    } else if (arg == "--nworst" && i + 1 < argc) {
-      nworst = std::atoi(argv[++i]);
-    } else if (arg == "--corners") {
-      corners_flag = true;
-    } else if (!arg.empty() && arg[0] != '-') {
-      std::string text;
-      if (!read_text_file(arg, &text)) {
-        std::printf("cannot read %s\n", arg.c_str());
-        return 1;
-      }
-      load.set("schedule", Json(std::move(text)));
-    } else {
-      return usage();
+  if (!args.schedule_path.empty()) {
+    std::string text;
+    if (!read_text_file(args.schedule_path, &text)) {
+      std::printf("cannot read %s\n", args.schedule_path.c_str());
+      return 1;
     }
+    load.set("schedule", Json(std::move(text)));
   }
 
   const std::optional<Json> loaded = remote_call(client, std::move(load));
@@ -461,8 +467,8 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
   if (cmd == "corners" || cmd == "report") {
     Json req = make_req("report");
     req.set("format", Json("table"));
-    req.set("nworst", Json(static_cast<long>(nworst)));
-    const bool signoff = cmd == "corners" || corners_flag;
+    req.set("nworst", Json(static_cast<long>(args.nworst)));
+    const bool signoff = cmd == "corners" || args.corners;
     req.set("signoff", Json(signoff));
     const std::optional<Json> result = remote_call(client, req);
     if (!result) return 1;
@@ -470,15 +476,15 @@ int run_remote(const std::string& cmd, int argc, char** argv) {
     const auto fetch_to_file = [&](const char* format, const std::string& path) {
       Json file_req = make_req("report");
       file_req.set("format", Json(format));
-      file_req.set("nworst", Json(static_cast<long>(nworst)));
+      file_req.set("nworst", Json(static_cast<long>(args.nworst)));
       file_req.set("signoff", Json(signoff));
       const std::optional<Json> r = remote_call(client, file_req);
       if (r && report::write_report_file(path, r->str_or("content"))) {
         std::printf("wrote %s\n", path.c_str());
       }
     };
-    if (!json_path.empty()) fetch_to_file("json", json_path);
-    if (!html_path.empty()) fetch_to_file("html", html_path);
+    if (!args.json_path.empty()) fetch_to_file("json", args.json_path);
+    if (!args.html_path.empty()) fetch_to_file("html", args.html_path);
     return (signoff ? result->bool_or("all_pass", false)
                     : result->bool_or("feasible", false))
                ? 0
@@ -512,48 +518,36 @@ int run(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   if (!g_remote.empty()) {
-    if (cmd == "min" || cmd == "check" || cmd == "corners" || cmd == "report") {
-      return run_remote(cmd, argc, argv);
+    if (cmd != "min" && cmd != "check" && cmd != "corners" && cmd != "report") {
+      std::printf("subcommand '%s' runs locally only; drop --remote\n", cmd.c_str());
+      return 2;
     }
-    std::printf("subcommand '%s' runs locally only; drop --remote\n", cmd.c_str());
-    return 2;
+    ReportArgs args;
+    if (!parse_report_args(argc, argv, &args)) return usage();
+    return run_remote(cmd, argv[2], args);
   }
 
   if (cmd == "report") {
+    ReportArgs args;
+    if (!parse_report_args(argc, argv, &args)) return usage();
     Circuit c("", 1);
     ClockSchedule sched;
     bool have_sched = false;
     if (!resolve_circuit(argv[2], &c, &sched, &have_sched)) return 1;
-    std::string json_path, html_path;
-    int nworst = 10;
-    bool corners = false;
-    for (int i = 3; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--json" && i + 1 < argc) {
-        json_path = argv[++i];
-      } else if (arg == "--html" && i + 1 < argc) {
-        html_path = argv[++i];
-      } else if (arg == "--nworst" && i + 1 < argc) {
-        nworst = std::atoi(argv[++i]);
-      } else if (arg == "--corners") {
-        corners = true;
-      } else if (!arg.empty() && arg[0] != '-') {
-        const auto s = parser::load_schedule(arg);
-        if (!s) {
-          std::printf("cannot load schedule: %s\n", s.error().to_string().c_str());
-          return 1;
-        }
-        sched = *s;
-        have_sched = true;
-      } else {
-        return usage();
+    if (!args.schedule_path.empty()) {
+      const auto s = parser::load_schedule(args.schedule_path);
+      if (!s) {
+        std::printf("cannot load schedule: %s\n", s.error().to_string().c_str());
+        return 1;
       }
+      sched = *s;
+      have_sched = true;
     }
     if (!have_sched) {
       std::printf("no feasible schedule for this circuit (pass a .lcs file)\n");
       return 1;
     }
-    return cmd_report(c, sched, json_path, html_path, nworst, corners);
+    return cmd_report(c, sched, args);
   }
 
   const auto circuit = parser::load_circuit(argv[2]);
@@ -578,7 +572,11 @@ int run(int argc, char** argv) {
       return 1;
     }
     if (cmd == "check") return cmd_check(*circuit, *schedule);
-    if (cmd == "corners") return cmd_corners(*circuit, *schedule);
+    if (cmd == "corners") {
+      ReportArgs args;
+      args.corners = true;
+      return cmd_report(*circuit, *schedule, args);
+    }
     return cmd_sim(*circuit, *schedule);
   }
   return usage();

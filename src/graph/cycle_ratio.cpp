@@ -13,58 +13,7 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Is there a cycle with positive total (weight - lambda*transit)?
-// Longest-path Bellman-Ford from a virtual super-source (all dist = 0);
-// improvement on the n-th pass exposes a positive cycle.
-bool has_positive_cycle(const Digraph& g, double lambda, double tol) {
-  const int n = g.num_nodes();
-  if (n == 0) return false;
-  std::vector<double> dist(static_cast<size_t>(n), 0.0);
-  for (int pass = 0; pass < n; ++pass) {
-    bool improved = false;
-    for (const Edge& e : g.edges()) {
-      const double w = e.weight - lambda * e.transit;
-      const double cand = dist[static_cast<size_t>(e.from)] + w;
-      if (cand > dist[static_cast<size_t>(e.to)] + tol) {
-        dist[static_cast<size_t>(e.to)] = cand;
-        improved = true;
-      }
-    }
-    if (!improved) return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-std::optional<CycleRatioResult> max_cycle_ratio_lawler(const Digraph& g, double tol) {
-  if (!has_cycle(g)) return std::nullopt;
-
-  double abs_w_sum = 1.0;
-  for (const Edge& e : g.edges()) abs_w_sum += std::fabs(e.weight);
-  double lo = -abs_w_sum;
-  double hi = abs_w_sum;
-
-  // Defensive: if a positive cycle survives at the upper bound, the ratio is
-  // unbounded (a cycle with zero transit and positive weight).
-  if (has_positive_cycle(g, hi, tol)) {
-    CycleRatioResult res;
-    res.ratio = std::numeric_limits<double>::infinity();
-    return res;
-  }
-
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    if (has_positive_cycle(g, mid, tol * 1e-3)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  CycleRatioResult res;
-  res.ratio = 0.5 * (lo + hi);
-  return res;
-}
 
 std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double tol) {
   const int n = g.num_nodes();

@@ -10,10 +10,8 @@
 // computation share no code), and bench_ablation_cycle_ratio compares the
 // two solvers' costs.
 //
-// Two algorithms are provided:
-//   * Lawler's parametric binary search (feasibility check = positive-cycle
-//     detection on reweighted edges via Bellman-Ford), robust and simple;
-//   * Howard-style policy iteration, typically much faster in practice.
+// The algorithm is Howard-style policy iteration; tests check it against
+// exact simple-cycle enumeration (graph/cycles.h).
 #pragma once
 
 #include <optional>
@@ -25,17 +23,12 @@ namespace mintc::graph {
 
 struct CycleRatioResult {
   double ratio = 0.0;
-  /// Edge ids of one critical cycle achieving the ratio (may be empty for
-  /// the binary-search method when only the value was requested).
+  /// Edge ids of one critical cycle achieving the ratio.
   std::vector<int> cycle_edges;
 };
 
-/// Lawler binary search. Requires every cycle to have total transit > 0
-/// (guaranteed for latch graphs: a cycle must cross the clock period at
-/// least once). Returns nullopt if the graph is acyclic.
-std::optional<CycleRatioResult> max_cycle_ratio_lawler(const Digraph& g, double tol = 1e-9);
-
-/// Howard-style policy iteration; also recovers a critical cycle.
+/// Howard-style policy iteration; also recovers a critical cycle. A cycle
+/// with zero total transit and positive weight makes the ratio +inf.
 /// Returns nullopt if the graph is acyclic.
 std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double tol = 1e-9);
 

@@ -3,7 +3,7 @@
 // Used for the loop inventory of latch circuits (opt/critical.h) and as an
 // exact brute-force cross-check of the cycle-ratio algorithms in tests:
 // for small graphs the maximum ratio over *enumerated* cycles must equal
-// what Lawler/Howard compute.
+// what Howard's policy iteration computes.
 #pragma once
 
 #include <vector>

@@ -9,14 +9,6 @@ namespace {
 
 std::string phi(int p) { return "phi" + std::to_string(p); }
 
-// Effective capture-side skew of one element: its per-latch σ_i floored by
-// the legacy global option. With all Element::skew zero this degenerates to
-// the old scalar behavior bit-for-bit; with clock_skew zero it reads the
-// per-latch model field.
-double eff_skew(const Element& e, const GeneratorOptions& options) {
-  return std::max(e.skew, options.clock_skew);
-}
-
 }  // namespace
 
 ConstraintCounts count_constraints(const Circuit& circuit, const GeneratorOptions& options) {
@@ -79,9 +71,8 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
   if (options.enforce_nonoverlap) {
     const KMatrix K = circuit.k_matrix();
     // The nonoverlap guard protects every latch pair, so it charges the
-    // worst effective skew in the circuit (max over per-latch σ_i, floored
-    // by the global option).
-    double worst_skew = options.clock_skew;
+    // worst per-latch σ_i in the circuit.
+    double worst_skew = 0.0;
     for (const Element& e : circuit.elements()) worst_skew = std::max(worst_skew, e.skew);
     const double margin = options.min_phase_separation + worst_skew;
     for (int i = 1; i <= k; ++i) {
@@ -121,7 +112,7 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
       if (!options.arrival_based_setup) {
         // L1 (eq. 16): D_i + Δ_DCi (+ σ_i) <= T_pi.
         m.add_row("L1:setup(" + e.name + ")", {{d_var(i), 1.0}, {t_var(p), -1.0}},
-                  lp::Sense::kLe, -(e.setup + eff_skew(e, options)));
+                  lp::Sense::kLe, -(e.setup + e.skew));
       } else {
         // Eq. (10): A_i + Δ_DCi <= T_pi, one row per fanin path.
         for (const int pi : circuit.fanin(i)) {
@@ -136,7 +127,7 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
                      {v.tc, -static_cast<double>(c_flag(pj, p))},
                      {t_var(p), -1.0}},
                     lp::Sense::kLe,
-                    -(src.dq + path.delay + e.setup + eff_skew(e, options)));
+                    -(src.dq + path.delay + e.setup + e.skew));
         }
       }
     } else {
@@ -154,7 +145,7 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
              {s_var(pj), 1.0},
              {s_var(p), -1.0},
              {v.tc, -static_cast<double>(c_flag(pj, p))}},
-            lp::Sense::kLe, -(src.dq + path.delay + e.setup + eff_skew(e, options)));
+            lp::Sense::kLe, -(src.dq + path.delay + e.setup + e.skew));
         out.delay_row_of_path[static_cast<size_t>(pi)] = row;
       }
     }
@@ -194,21 +185,19 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
         const int pj = src.phase;
         const double c = static_cast<double>(c_flag(pj, p));
         // The capture edge may arrive up to σ_i late, so the hold margin is
-        // Δ_Hi + σ_i. (The pre-skew scalar option never reached hold rows —
-        // a pessimism gap this per-latch form closes; with all skews and the
-        // global option zero the RHS is unchanged.)
+        // Δ_Hi + σ_i.
         if (e.is_latch()) {
           // Tc + δ_DQj + δ_ji + S_{pj,pi} >= T_pi + Δ_Hi + σ_i
           // (1-C)*Tc + s_pj - s_pi - T_pi >= Δ_Hi + σ_i - δ_DQj - δ_ji
           m.add_row("HOLD:" + e.name + "<-" + src.name,
                     {{v.tc, 1.0 - c}, {s_var(pj), 1.0}, {s_var(p), -1.0}, {t_var(p), -1.0}},
-                    lp::Sense::kGe, e.hold + eff_skew(e, options) - src.min_dq() - path.min_delay);
+                    lp::Sense::kGe, e.hold + e.skew - src.min_dq() - path.min_delay);
         } else {
           // Flip-flop holds against the leading edge: (1-C)*Tc + s_pj - s_pi
           // >= Δ_Hi + σ_i - δ_DQj - δ_ji.
           m.add_row("HOLD:" + e.name + "<-" + src.name,
                     {{v.tc, 1.0 - c}, {s_var(pj), 1.0}, {s_var(p), -1.0}}, lp::Sense::kGe,
-                    e.hold + eff_skew(e, options) - src.min_dq() - path.min_delay);
+                    e.hold + e.skew - src.min_dq() - path.min_delay);
         }
       }
     }

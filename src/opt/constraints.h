@@ -49,16 +49,11 @@ struct GeneratorOptions {
   bool arrival_based_setup = false;
 
   /// Extensions (Section III-A: "minimum phase width, minimum phase
-  /// separation, and clock skew ... can be easily added").
+  /// separation, and clock skew ... can be easily added"). Clock skew is
+  /// the model's per-latch Element::skew: each setup/hold row charges its
+  /// own σ_i, and the C3 margin charges the largest.
   double min_phase_width = 0.0;
   double min_phase_separation = 0.0;
-  /// Convenience *broadcast floor* for the per-element skew field: every
-  /// generated setup/hold row charges max(Element::skew, clock_skew), and
-  /// the C3 nonoverlap margin charges the worst such value. Per-latch skews
-  /// in the model (Element::skew) are the first-class mechanism; a circuit
-  /// with all skews zero plus clock_skew = g generates exactly the same LP
-  /// as one with every Element::skew = g and clock_skew = 0.
-  double clock_skew = 0.0;
 
   /// Emit conservative linear hold rows (short-path check): assumes the
   /// earliest departure from any source latch is its phase's leading edge.

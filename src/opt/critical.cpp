@@ -7,6 +7,7 @@
 #include "base/strings.h"
 #include "graph/cycles.h"
 #include "model/timing_view.h"
+#include "sta/provenance.h"
 
 namespace mintc::opt {
 
@@ -52,26 +53,16 @@ LoopReport analyze_loops(const Circuit& circuit, int max_loops) {
 CriticalReport find_critical_segments(const Circuit& circuit, const ClockSchedule& schedule,
                                       const std::vector<double>& departure, double eps) {
   CriticalReport report;
-  report.path_slack.resize(static_cast<size_t>(circuit.num_paths()), 0.0);
-
   const TimingView view(circuit);
   const ShiftTable shifts(schedule);
 
-  // Path slacks at the fixpoint. Flip-flop destinations have no L2R row;
-  // report their slack against the setup deadline instead.
-  for (int p = 0; p < circuit.num_paths(); ++p) {
-    const EdgeIndex e = view.edge_of_path(p);
-    const int dst = view.edge_dst(e);
-    const double arrival_term = departure[static_cast<size_t>(view.edge_src(e))] +
-                                view.edge_max_const(e) + shifts.at(view.edge_shift(e));
-    double slack;
-    if (view.is_latch(dst)) {
-      slack = departure[static_cast<size_t>(dst)] - arrival_term;
-    } else {
-      slack = -view.setup_margin(dst) - arrival_term;
+  // Path slacks at the fixpoint, as the signoff report reads them.
+  report.path_slack =
+      sta::constraint_provenance(circuit, view, schedule, shifts, departure, eps).path_slack;
+  for (int p = 0; p < static_cast<int>(report.path_slack.size()); ++p) {
+    if (approx_eq(report.path_slack[static_cast<size_t>(p)], 0.0, eps)) {
+      report.tight_paths.push_back(p);
     }
-    report.path_slack[static_cast<size_t>(p)] = slack;
-    if (approx_eq(slack, 0.0, eps)) report.tight_paths.push_back(p);
   }
 
   // Setup-critical elements.

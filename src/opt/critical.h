@@ -46,7 +46,7 @@ struct LoopReport {
 LoopReport analyze_loops(const Circuit& circuit, int max_loops = 10000);
 
 struct CriticalReport {
-  std::vector<double> path_slack;   // per CombPath: D_i - (D_j + Δ_DQj + Δ_ji + S)
+  std::vector<double> path_slack;   // per CombPath: sta::ProvenanceReport::path_slack
   std::vector<int> tight_paths;     // paths with ~zero slack (critical segments)
   std::vector<int> setup_critical;  // element ids with ~zero setup slack
   std::vector<LoopInfo> critical_loops;  // loops made entirely of tight paths

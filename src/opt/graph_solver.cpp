@@ -95,11 +95,10 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
   // C2 ordering.
   for (int p = 1; p < k; ++p) sys.add(RowKind::kOrdering, p, s_of(p), s_of(p + 1), 0.0);
   // C3 nonoverlap. Mirrors generate_lp: the margin charges the worst
-  // effective skew (max over per-latch σ_i, floored by the global option).
+  // per-latch σ_i.
   if (opt.enforce_nonoverlap) {
     const KMatrix K = circuit.k_matrix();
-    const double margin =
-        opt.min_phase_separation + std::max(view.max_skew(), opt.clock_skew);
+    const double margin = opt.min_phase_separation + view.max_skew();
     for (int i = 1; i <= k; ++i) {
       for (int j = 1; j <= k; ++j) {
         if (!K.at(i, j)) continue;
@@ -112,10 +111,9 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
 
   for (int i = 0; i < l; ++i) {
     const int p = view.phase(i);
-    // Per-element capture margins, floored by the legacy global option
-    // (same effective-skew rule as generate_lp's eff_skew).
-    const double setup_skew = view.setup(i) + std::max(view.skew(i), opt.clock_skew);
-    const double hold_skew = view.hold(i) + std::max(view.skew(i), opt.clock_skew);
+    // Per-element capture margins: setup or hold plus σ_i, as generate_lp.
+    const double setup_skew = view.setup_margin(i);
+    const double hold_skew = view.hold_margin(i);
     const int dn = sys.d_node[static_cast<size_t>(i)];
     const EdgeIndex fi_end = view.fanin_end(i);
     // L3: D >= 0  ->  s_p - dh <= 0.

@@ -20,10 +20,8 @@ lp::ParametricResult sweep_path_delay(const Circuit& circuit, int path_index, do
 lp::ParametricResult sweep_clock_skew(const Circuit& circuit, double lo, double hi,
                                       int samples, const GeneratorOptions& options) {
   const lp::SimplexSolver solver;
-  // Broadcast σ through the first-class Element::skew field (not the
-  // GeneratorOptions::clock_skew floor) so the sweep exercises the same
-  // per-element path every other engine reads; the two are constructed to
-  // generate identical LPs.
+  // Broadcast σ through the per-element Element::skew field, the path every
+  // other engine reads.
   Circuit scratch = circuit;
   return lp::sweep_parameter(
       [&](double theta) {

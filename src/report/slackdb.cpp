@@ -3,20 +3,28 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
+#include "base/approx.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "opt/constraints.h"
-#include "opt/critical.h"
+#include "sta/session.h"
 
 namespace mintc::report {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Every database is built from an analysis at this tolerance
+// (AnalysisOptions::eps) and calls a path, endpoint or borrow tight within
+// kTightEps; its histograms have kHistogramBuckets buckets.
+constexpr double kEps = 1e-7;
+constexpr double kTightEps = 1e-6;
+constexpr int kHistogramBuckets = 12;
 
-HistogramSummary summarize(const std::vector<double>& values, int nbuckets) {
+HistogramSummary summarize(const std::vector<double>& values) {
   HistogramSummary s;
   if (values.empty()) return s;
   double lo = values.front(), hi = values.front();
@@ -28,8 +36,8 @@ HistogramSummary summarize(const std::vector<double>& values, int nbuckets) {
   if (hi - lo < 1e-12) {
     bounds.push_back(lo);  // degenerate population: one bound, two buckets
   } else {
-    for (int k = 1; k <= nbuckets; ++k) {
-      bounds.push_back(lo + (hi - lo) * k / nbuckets);
+    for (int k = 1; k <= kHistogramBuckets; ++k) {
+      bounds.push_back(lo + (hi - lo) * k / kHistogramBuckets);
     }
   }
   obs::Histogram h(std::move(bounds));
@@ -75,14 +83,14 @@ std::vector<std::pair<int, int>> overlapping_phase_pairs(const ClockSchedule& sc
   return out;
 }
 
-void build_borrow_chains(SlackDB& db, double tight_eps) {
+void build_borrow_chains(SlackDB& db) {
   const auto& origins = db.analysis.provenance.origins;
   const int l = static_cast<int>(db.endpoints.size());
   if (static_cast<int>(origins.size()) != l) return;  // provenance unavailable
 
   std::vector<int> order;
   for (int i = 0; i < l; ++i) {
-    if (db.endpoints[static_cast<size_t>(i)].borrow > tight_eps) order.push_back(i);
+    if (db.endpoints[static_cast<size_t>(i)].borrow > kTightEps) order.push_back(i);
   }
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return db.endpoints[static_cast<size_t>(a)].borrow >
@@ -100,7 +108,7 @@ void build_borrow_chains(SlackDB& db, double tight_eps) {
       const sta::DepartureOrigin& o = origins[static_cast<size_t>(cur)];
       if (o.via_path < 0 || o.from < 0) break;  // departs at its enabling edge
       const EndpointRecord& pred = db.endpoints[static_cast<size_t>(o.from)];
-      if (pred.borrow <= tight_eps) break;  // predecessor does not borrow
+      if (pred.borrow <= kTightEps) break;  // predecessor does not borrow
       if (std::find(ch.elements.begin(), ch.elements.end(), o.from) != ch.elements.end()) {
         ch.paths.push_back(o.via_path);  // the back edge closing the loop
         ch.is_loop = true;
@@ -134,28 +142,33 @@ void mirror_into_registry(const SlackDB& db) {
       .set(static_cast<double>(db.num_constraints));
 }
 
-// build_slackdb without the registry mirror, so build_signoff can label each
-// corner's database before mirroring it.
-SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule,
-                         const SlackDbOptions& options) {
+sta::AnalysisOptions analysis_options(const SlackDbOptions& options) {
+  sta::AnalysisOptions aopt;
+  aopt.check_hold = options.check_hold;
+  aopt.provenance = true;
+  aopt.eps = kEps;
+  return aopt;
+}
+
+// One database from `analyze()`, the analysis (+hold, +provenance) of
+// `circuit` under `schedule`, timed and traced as one build. Every record is
+// a copy of that analysis, never a recomputation, which keeps them
+// cross-checkable. The registry mirror is left to the caller, so
+// build_signoff can label each corner's database first.
+template <typename Analyze>
+SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule, int nworst,
+                         Analyze analyze) {
   const StageTimer timer;
   const obs::TraceSpan span("report.build_slackdb", "report");
   SlackDB db;
   db.circuit = circuit.name();
   db.schedule = schedule;
   db.tc = schedule.cycle;
-
-  // One analysis run supplies every slack in the database (records below
-  // are copies of it, never recomputations — keeping them cross-checkable).
-  sta::AnalysisOptions aopt;
-  aopt.check_hold = options.check_hold;
-  aopt.provenance = true;
-  aopt.eps = options.eps;
-  db.analysis = sta::check_schedule(circuit, schedule, aopt);
+  db.analysis = analyze();
   db.feasible = db.analysis.feasible;
 
   db.num_constraints = opt::count_constraints(circuit).rows();
-  db.overlapping_phases = overlapping_phase_pairs(schedule, options.eps);
+  db.overlapping_phases = overlapping_phase_pairs(schedule, kEps);
 
   const int l = circuit.num_elements();
   db.endpoints.resize(static_cast<size_t>(l));
@@ -184,18 +197,17 @@ SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule,
       r.origin_path = o.via_path;
       r.origin_from = o.from;
     }
-    if (std::isfinite(r.setup_slack) && r.setup_slack <= options.tight_eps) {
+    if (std::isfinite(r.setup_slack) && r.setup_slack <= kTightEps) {
       r.tight.push_back("L1");
     }
     if (r.origin_path >= 0) r.tight.push_back("L2");
-    if (el.is_latch() && r.departure <= options.tight_eps) r.tight.push_back("L3");
+    if (el.is_latch() && r.departure <= kTightEps) r.tight.push_back("L3");
   }
 
-  // Per-path propagation slack + critical segments (only meaningful at a
-  // converged fixpoint).
+  // Per-path propagation slack, read off the provenance pass (it exists
+  // exactly when the fixpoint converged); a tight path is a critical segment.
   if (db.analysis.converged) {
-    const opt::CriticalReport crit = opt::find_critical_segments(
-        circuit, schedule, db.analysis.fixpoint.departure, options.tight_eps);
+    const std::vector<double>& path_slack = db.analysis.provenance.path_slack;
     db.paths.resize(static_cast<size_t>(circuit.num_paths()));
     for (int p = 0; p < circuit.num_paths(); ++p) {
       const CombPath& cp = circuit.path(p);
@@ -205,10 +217,10 @@ SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule,
       r.to = circuit.element(cp.to).name;
       r.label = cp.label;
       r.delay = cp.delay;
-      r.slack = crit.path_slack[static_cast<size_t>(p)];
+      r.slack = path_slack[static_cast<size_t>(p)];
+      r.tight = approx_eq(r.slack, 0.0, kTightEps);
     }
-    for (const int p : crit.tight_paths) db.paths[static_cast<size_t>(p)].tight = true;
-    build_borrow_chains(db, options.tight_eps);
+    build_borrow_chains(db);
   }
 
   // Top-K worst endpoints (by setup slack) and paths (by propagation slack).
@@ -217,19 +229,19 @@ SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule,
     return db.endpoints[static_cast<size_t>(a)].setup_slack <
            db.endpoints[static_cast<size_t>(b)].setup_slack;
   });
-  if (static_cast<int>(db.worst_endpoints.size()) > options.nworst) {
-    db.worst_endpoints.resize(static_cast<size_t>(options.nworst));
+  if (static_cast<int>(db.worst_endpoints.size()) > nworst) {
+    db.worst_endpoints.resize(static_cast<size_t>(nworst));
   }
   for (const PathRecord& r : db.paths) db.worst_paths.push_back(r.path);
   std::stable_sort(db.worst_paths.begin(), db.worst_paths.end(), [&](int a, int b) {
     return db.paths[static_cast<size_t>(a)].slack < db.paths[static_cast<size_t>(b)].slack;
   });
-  if (static_cast<int>(db.worst_paths.size()) > options.nworst) {
-    db.worst_paths.resize(static_cast<size_t>(options.nworst));
+  if (static_cast<int>(db.worst_paths.size()) > nworst) {
+    db.worst_paths.resize(static_cast<size_t>(nworst));
   }
 
-  db.setup_hist = summarize(finite_setup, options.histogram_buckets);
-  db.borrow_hist = summarize(borrows, options.histogram_buckets);
+  db.setup_hist = summarize(finite_setup);
+  db.borrow_hist = summarize(borrows);
 
   // Every setup and hold slack loses exactly δ when a uniform extra skew δ
   // is added at every endpoint (σ enters the checks linearly, coefficient
@@ -253,7 +265,9 @@ double SlackDB::worst_hold_slack() const { return analysis.worst_hold_slack; }
 
 SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
                       const SlackDbOptions& options) {
-  SlackDB db = build_unmirrored(circuit, schedule, options);
+  SlackDB db = build_unmirrored(circuit, schedule, options.nworst, [&] {
+    return sta::check_schedule(circuit, schedule, analysis_options(options));
+  });
   mirror_into_registry(db);
   return db;
 }
@@ -263,14 +277,30 @@ SignoffDB build_signoff(const Circuit& circuit, const ClockSchedule& schedule,
                         const SlackDbOptions& options) {
   const obs::TraceSpan span("report.build_signoff", "report");
   SignoffDB db;
+  db.corners.resize(corners.size());
+  // One session serves every corner: apply_derating scales the pristine
+  // circuit with sta::derate's arithmetic, so each corner's analysis is
+  // bit-identical to a cold one of the derated copy. Visiting corners in
+  // ascending delay_scale makes each step after the first a nondecreasing
+  // perturbation, which the session warm-starts from the previous corner's
+  // fixpoint. Results land in caller order.
+  std::vector<size_t> order(corners.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return corners[a].delay_scale < corners[b].delay_scale;
+  });
+  sta::AnalysisSession session(circuit, schedule, analysis_options(options));
+  for (const size_t idx : order) {
+    const sta::Corner& corner = corners[idx];
+    session.apply_derating(corner.delay_scale, corner.min_scale);
+    db.corners[idx] = build_unmirrored(session.circuit(), schedule, options.nworst,
+                                       [&] { return session.analyze(); });
+    db.corners[idx].corner = corner.name;
+  }
   db.all_pass = true;
-  for (const sta::Corner& corner : corners) {
-    SlackDB one = build_unmirrored(sta::derate(circuit, corner), schedule, options);
-    one.corner = corner.name;
-    one.circuit = circuit.name();  // report the design, not the derated copy
+  for (const SlackDB& one : db.corners) {
     mirror_into_registry(one);
     db.all_pass = db.all_pass && one.feasible;
-    db.corners.push_back(std::move(one));
   }
   if (db.corners.empty()) return db;
 

@@ -13,11 +13,11 @@
 //                                predecessors, and the loop totals;
 //   * what are the N worst?      top-K endpoints and paths, -nworst style.
 //
-// A SlackDB is built by running the *existing* engines once (check_schedule
-// with provenance + hold, find_critical_segments, generate_lp for the row
-// census) and flattening their answers into plain records — a strictly
-// opt-in pass that never executes inside engine hot loops. Exporters live
-// in report/export.h (JSON / text table / self-contained HTML dashboard).
+// A SlackDB is built from ONE analysis (check_schedule with provenance +
+// hold, whose provenance pass also yields every path's propagation slack)
+// plus the LP row census, flattened into plain records — a strictly opt-in
+// pass that never executes inside engine hot loops. Exporters live in
+// report/export.h (JSON / text table / self-contained HTML dashboard).
 #pragma once
 
 #include <string>
@@ -33,9 +33,6 @@ namespace mintc::report {
 struct SlackDbOptions {
   int nworst = 10;          // size of the worst-endpoint / worst-path lists
   bool check_hold = true;   // include the short-path (hold) records
-  int histogram_buckets = 12;
-  double eps = 1e-7;        // analysis tolerance (AnalysisOptions::eps)
-  double tight_eps = 1e-6;  // tightness threshold for paths / constraints
 };
 
 /// One synchronizing element's complete timing record.
@@ -125,15 +122,18 @@ struct SlackDB {
 };
 
 /// Build the database for one design point. Runs analysis (+hold, +
-/// provenance), the critical-segment scan and the constraint census once;
-/// also sets the headline gauges report.* in the process-wide metrics
-/// registry, labeled by circuit (and corner), so they describe the latest
-/// build. The slack distribution is the database's own setup_hist.
+/// provenance) and the constraint census once; also sets the headline
+/// gauges report.* in the process-wide metrics registry, labeled by circuit
+/// (and corner), so they describe the latest build. The slack distribution
+/// is the database's own setup_hist.
 SlackDB build_slackdb(const Circuit& circuit, const ClockSchedule& schedule,
                       const SlackDbOptions& options = {});
 
 /// Multi-corner signoff: one SlackDB per corner plus the merged
-/// worst-corner view (per-endpoint minimum slack over all corners).
+/// worst-corner view (per-endpoint minimum slack over all corners). The
+/// corners derate one sta::AnalysisSession, visited in ascending
+/// delay_scale so each warm-starts from the last; every corner's analysis
+/// is bit-identical to check_schedule of sta::derate(circuit, corner).
 struct SignoffDB {
   std::vector<SlackDB> corners;
   /// Per element: worst (minimum) slack across corners, and which corner.

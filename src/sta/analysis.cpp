@@ -288,8 +288,8 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   if (options.provenance && rep.converged) {
     const StageTimer prov_timer;
     const obs::TraceSpan prov_span("analysis.provenance", "sta");
-    rep.provenance =
-        constraint_provenance(circuit, schedule, rep.fixpoint.departure, options.eps);
+    rep.provenance = constraint_provenance(circuit, view, schedule, shifts,
+                                           rep.fixpoint.departure, options.eps);
     rep.stats.add_stage("provenance", prov_timer.seconds());
   }
 

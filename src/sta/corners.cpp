@@ -1,11 +1,6 @@
 #include "sta/corners.h"
 
 #include <algorithm>
-#include <numeric>
-#include <sstream>
-
-#include "base/strings.h"
-#include "sta/session.h"
 
 namespace mintc::sta {
 
@@ -40,52 +35,6 @@ Circuit derate(const Circuit& circuit, const Corner& corner) {
     out.add_path(p.from, p.to, max_d, min_d, p.label);
   }
   return out;
-}
-
-CornerReport check_corners(const Circuit& circuit, const ClockSchedule& schedule,
-                           const std::vector<Corner>& corners) {
-  CornerReport report;
-  report.all_pass = true;
-  report.corners.resize(corners.size());
-  AnalysisOptions options;
-  options.check_hold = true;
-
-  // One session serves every corner; per-corner deltas are applied via
-  // apply_derating (arithmetic identical to derate() above). Visiting
-  // corners in ascending delay_scale order makes each step after the first
-  // a monotone-nondecreasing perturbation, so those corners warm-start from
-  // the previous corner's fixpoint. Results land in caller order.
-  std::vector<size_t> order(corners.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return corners[a].delay_scale < corners[b].delay_scale;
-  });
-  AnalysisSession session(circuit, schedule, options);
-  for (const size_t idx : order) {
-    const Corner& corner = corners[idx];
-    session.apply_derating(corner.delay_scale, corner.min_scale);
-    report.corners[idx] = CornerResult{corner, session.analyze()};
-    report.all_pass = report.all_pass && report.corners[idx].report.feasible;
-  }
-  return report;
-}
-
-std::string CornerReport::to_string(const Circuit& circuit) const {
-  std::ostringstream out;
-  out << "corner analysis of '" << circuit.name() << "': " << (all_pass ? "PASS" : "FAIL")
-      << "\n";
-  for (const CornerResult& c : corners) {
-    out << "  " << c.corner.name << " (x" << fmt_time(c.corner.delay_scale, 3)
-        << "): " << (c.report.feasible ? "pass" : "FAIL");
-    if (c.report.converged && circuit.num_elements() > 0) {
-      out << "  worst setup slack " << fmt_time(c.report.worst_setup_slack, 4);
-      if (c.report.worst_hold_element >= 0) {
-        out << ", worst hold slack " << fmt_time(c.report.worst_hold_slack, 4);
-      }
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace mintc::sta

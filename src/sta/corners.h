@@ -1,20 +1,20 @@
-// Multi-corner analysis.
+// Process corners.
 //
 // The paper's GaAs flow refined delays "from additional circuit simulations
 // as well as actual measurements on prototype chips" and re-ran MLP
 // "throughout the design process". Real sign-off additionally requires the
 // schedule to survive process/voltage/temperature spread. This extension
 // models a corner as a uniform derating of all delays (combinational and
-// latch) and setup times, and checks a fixed schedule at every corner:
-// slow corners stress setup (long paths), fast corners stress hold (short
-// paths).
+// latch) and setup times: slow corners stress setup (long paths), fast
+// corners stress hold (short paths). report::build_signoff checks a fixed
+// schedule at every corner on one AnalysisSession (apply_derating);
+// derate() is the copy-based reference that session is held to.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "model/circuit.h"
-#include "sta/analysis.h"
 
 namespace mintc::sta {
 
@@ -29,22 +29,5 @@ std::vector<Corner> standard_corners(double spread = 0.1);
 
 /// Apply a corner's derating to a copy of the circuit.
 Circuit derate(const Circuit& circuit, const Corner& corner);
-
-struct CornerResult {
-  Corner corner;
-  TimingReport report;
-};
-
-struct CornerReport {
-  bool all_pass = false;
-  std::vector<CornerResult> corners;
-
-  std::string to_string(const Circuit& circuit) const;
-};
-
-/// Analyze `schedule` at every corner (hold checking enabled: that is what
-/// fast corners are for).
-CornerReport check_corners(const Circuit& circuit, const ClockSchedule& schedule,
-                           const std::vector<Corner>& corners = standard_corners());
 
 }  // namespace mintc::sta

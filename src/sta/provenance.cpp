@@ -6,7 +6,6 @@
 
 #include "base/strings.h"
 #include "base/table.h"
-#include "model/timing_view.h"
 
 namespace mintc::sta {
 
@@ -22,39 +21,45 @@ std::string phase_name(int phase) { return "phi" + std::to_string(phase); }
 
 }  // namespace
 
-ProvenanceReport constraint_provenance(const Circuit& circuit, const ClockSchedule& schedule,
+ProvenanceReport constraint_provenance(const Circuit& circuit, const TimingView& view,
+                                       const ClockSchedule& schedule, const ShiftTable& shifts,
                                        const std::vector<double>& departure, double eps) {
   ProvenanceReport rep;
   const int l = circuit.num_elements();
   if (static_cast<int>(departure.size()) != l) return rep;
-  const TimingView view(circuit);
-  const ShiftTable shifts(schedule);
   rep.origins.resize(static_cast<size_t>(l));
+  rep.path_slack.resize(static_cast<size_t>(circuit.num_paths()));
 
-  // Pass 1: per-element arg-max edge of eq. (17) + tight L1/L2/L3 records.
+  // Pass 1: every path's slack; per latch, the arg-max edge of eq. (17) and
+  // the tight L1/L2/L3 records.
   for (int i = 0; i < l; ++i) {
     const double d = departure[static_cast<size_t>(i)];
     DepartureOrigin& origin = rep.origins[static_cast<size_t>(i)];
     origin.element = i;
-    if (!view.is_latch(i)) continue;  // flip-flop departures are pinned to 0
+    // A flip-flop's departure is pinned to 0 and it has no L2 row: its
+    // paths' slack is against the setup deadline at its leading edge.
+    const bool latch = view.is_latch(i);
+    const double bound = latch ? d : -view.setup_margin(i);
     const EdgeIndex end = view.fanin_end(i);
     for (EdgeIndex e = view.fanin_begin(i); e < end; ++e) {
       const double term = departure[static_cast<size_t>(view.edge_src(e))] +
                           view.edge_max_const(e) + shifts.at(view.edge_shift(e));
+      const double slack = bound - term;
+      rep.path_slack[static_cast<size_t>(view.edge_path(e))] = slack;
+      if (!latch || !(std::fabs(slack) <= eps)) continue;
       // The winning term: the largest one that reaches D_i (within eps).
-      if (std::fabs(term - d) <= eps && term > origin.term) {
+      if (term > origin.term) {
         origin.term = term;
         origin.via_path = view.edge_path(e);
         origin.from = view.edge_src(e);
       }
-      if (std::fabs(term - d) <= eps) {
-        rep.tight.push_back({"L2",
-                             "L2[" + circuit.element(view.edge_src(e)).name + "->" +
-                                 circuit.element(i).name + " via " +
-                                 path_label(circuit, view.edge_path(e)) + "]",
-                             d - term});
-      }
+      rep.tight.push_back({"L2",
+                           "L2[" + circuit.element(view.edge_src(e)).name + "->" +
+                               circuit.element(i).name + " via " +
+                               path_label(circuit, view.edge_path(e)) + "]",
+                           slack});
     }
+    if (!latch) continue;
     if (std::fabs(d) <= eps) {
       // The 0-clamp dominates (or ties): the latch departs at its leading
       // edge, so L3 is tight and the chain ends here.

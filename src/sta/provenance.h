@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "model/circuit.h"
+#include "model/timing_view.h"
 
 namespace mintc::sta {
 
@@ -42,6 +43,11 @@ struct TightConstraint {
 struct ProvenanceReport {
   std::vector<DepartureOrigin> origins;  // one per element, index-aligned
   std::vector<TightConstraint> tight;    // every tight constraint, L's then C's
+  /// Per CombPath, the propagation slack at the fixpoint: D_i - term for a
+  /// latch destination (the L2 row), -(setup + skew) - term for a flip-flop
+  /// destination (no L2 row; the setup deadline at its leading edge), where
+  /// term = (D_j + (Δ_DQj + Δ_ji)) + S. Zero marks a critical segment.
+  std::vector<double> path_slack;
   /// Worst-setup-slack latch first, then its arg-max predecessors; ends at a
   /// 0-clamped latch or closes a loop (`chain_is_loop`).
   std::vector<int> critical_chain;
@@ -59,9 +65,11 @@ struct ProvenanceReport {
 };
 
 /// Reconstruct provenance for a converged departure vector under `schedule`.
-/// `departure` must be the eq. (17) least fixpoint (e.g. from
+/// `view` and `shifts` are the caller's flattening of `circuit` and
+/// `schedule`. `departure` must be the eq. (17) least fixpoint (e.g. from
 /// compute_departures or MlpResult::departure); tightness uses `eps`.
-ProvenanceReport constraint_provenance(const Circuit& circuit, const ClockSchedule& schedule,
+ProvenanceReport constraint_provenance(const Circuit& circuit, const TimingView& view,
+                                       const ClockSchedule& schedule, const ShiftTable& shifts,
                                        const std::vector<double>& departure, double eps = 1e-6);
 
 }  // namespace mintc::sta

@@ -75,13 +75,14 @@ TEST(GraphSolver, MatchesLpOnSynthetics) {
 }
 
 TEST(GraphSolver, MatchesLpWithExtensions) {
-  const Circuit c = circuits::example1(80.0);
+  // Per-latch skews, the largest of which sets the C3 margin.
+  Circuit c = circuits::example1(80.0);
+  for (int i = 0; i < c.num_elements(); ++i) c.element(i).skew = 3.0;
+  c.element(0).skew = 5.0;
   MlpOptions lp_opts;
   GraphSolveOptions g_opts;
   lp_opts.generator.min_phase_width = 55.0;
   g_opts.generator.min_phase_width = 55.0;
-  lp_opts.generator.clock_skew = 3.0;
-  g_opts.generator.clock_skew = 3.0;
   lp_opts.generator.min_phase_separation = 4.0;
   g_opts.generator.min_phase_separation = 4.0;
   expect_matches_lp(c, lp_opts, g_opts);

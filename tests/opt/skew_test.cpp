@@ -1,6 +1,4 @@
-// Per-latch clock skew through the optimizing engines: the global
-// GeneratorOptions::clock_skew knob is a broadcast floor over the
-// first-class Element::skew field (identical LPs by construction), zero
+// Per-latch clock skew (Element::skew) through the optimizing engines: zero
 // skew leaves the paper's pinned numbers untouched, skew moves RHS terms
 // only (never the row census), both engines agree under skew, and the
 // parametric skew-tolerance sweep matches point solves.
@@ -24,63 +22,6 @@ namespace {
 Circuit with_uniform_skew(Circuit c, double skew) {
   for (int i = 0; i < c.num_elements(); ++i) c.element(i).skew = skew;
   return c;
-}
-
-void expect_models_identical(const lp::Model& a, const lp::Model& b) {
-  ASSERT_EQ(a.num_variables(), b.num_variables());
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (int r = 0; r < a.num_rows(); ++r) {
-    const lp::Row& ra = a.row(r);
-    const lp::Row& rb = b.row(r);
-    EXPECT_EQ(ra.name, rb.name);
-    EXPECT_EQ(ra.sense, rb.sense);
-    EXPECT_EQ(ra.rhs, rb.rhs) << ra.name;  // bitwise, not approximate
-    ASSERT_EQ(ra.terms.size(), rb.terms.size()) << ra.name;
-    for (size_t t = 0; t < ra.terms.size(); ++t) {
-      EXPECT_EQ(ra.terms[t].var, rb.terms[t].var);
-      EXPECT_EQ(ra.terms[t].coeff, rb.terms[t].coeff);
-    }
-  }
-}
-
-TEST(OptSkew, BroadcastEqualsLegacyGlobalExactly) {
-  for (const Circuit& base : {circuits::example1(80.0), circuits::example2(),
-                              circuits::gaas_datapath()}) {
-    opt::GeneratorOptions global;
-    global.clock_skew = 2.0;
-    const Circuit broadcast = with_uniform_skew(base, 2.0);
-    expect_models_identical(opt::generate_lp(base, global).model,
-                            opt::generate_lp(broadcast).model);
-  }
-}
-
-TEST(OptSkew, BroadcastEqualsLegacyGlobalWithHoldRows) {
-  Circuit base = circuits::example2();
-  for (int i = 0; i < base.num_elements(); ++i) {
-    base.element(i).hold = 1.0;
-    base.element(i).dq_min = 2.0;
-  }
-  opt::GeneratorOptions global;
-  global.clock_skew = 1.5;
-  global.hold_constraints = true;
-  opt::GeneratorOptions per_latch;
-  per_latch.hold_constraints = true;
-  expect_models_identical(opt::generate_lp(base, global).model,
-                          opt::generate_lp(with_uniform_skew(base, 1.5), per_latch).model);
-}
-
-TEST(OptSkew, GlobalFloorComposesWithLargerPerLatchSkew) {
-  // eff = max(element.skew, clock_skew): a per-latch value above the floor
-  // wins, one below is lifted to it.
-  Circuit c = circuits::example1(80.0);
-  c.element(0).skew = 5.0;
-  opt::GeneratorOptions floor2;
-  floor2.clock_skew = 2.0;
-  Circuit explicit_mix = circuits::example1(80.0);
-  explicit_mix.element(0).skew = 5.0;
-  for (int i = 1; i < explicit_mix.num_elements(); ++i) explicit_mix.element(i).skew = 2.0;
-  expect_models_identical(opt::generate_lp(c, floor2).model,
-                          opt::generate_lp(explicit_mix).model);
 }
 
 TEST(OptSkew, ZeroSkewLeavesPaperPinsUntouched) {
@@ -150,8 +91,7 @@ TEST(OptSkew, HoldRowsChargeTheCaptureSkew) {
     if (plain.row(r).name.rfind("HOLD:", 0) != 0) continue;
     ++hold_rows;
     // σ = 0.5 charged at the capturing endpoint tightens each hold RHS by
-    // exactly that amount (the legacy scalar knob never reached hold rows —
-    // the per-latch field closes that pessimism gap).
+    // exactly that amount.
     EXPECT_EQ(skewed.row(r).rhs, plain.row(r).rhs + 0.5) << plain.row(r).name;
   }
   EXPECT_GT(hold_rows, 0);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuits/example1.h"
 #include "opt/mlp.h"
+#include "report/export.h"
+#include "report/slackdb.h"
 
 namespace mintc::sta {
 namespace {
@@ -41,16 +45,19 @@ TEST(Corners, DerateKeepsMinBelowMax) {
   EXPECT_TRUE(odd.validate().empty());
 }
 
+// The corners run through report::build_signoff, the one multi-corner path;
+// SessionEquivalence.SignoffCornersBitMatchDeratedCopies holds its session
+// walk to derate() bit for bit.
 TEST(Corners, OptimalScheduleFailsAtSlowCorner) {
   // The exact optimum has zero margin: any slowdown breaks it.
   const Circuit c = circuits::example1(80.0);
   const auto r = opt::minimize_cycle_time(c);
   ASSERT_TRUE(r.has_value());
-  const CornerReport rep = check_corners(c, r->schedule, standard_corners(0.1));
-  EXPECT_FALSE(rep.all_pass);
-  ASSERT_EQ(rep.corners.size(), 3u);
-  EXPECT_FALSE(rep.corners[0].report.feasible);  // slow
-  EXPECT_TRUE(rep.corners[1].report.feasible);   // typical
+  const report::SignoffDB db = report::build_signoff(c, r->schedule, standard_corners(0.1));
+  EXPECT_FALSE(db.all_pass);
+  ASSERT_EQ(db.corners.size(), 3u);
+  EXPECT_FALSE(db.corners[0].feasible);  // slow
+  EXPECT_TRUE(db.corners[1].feasible);   // typical
 }
 
 TEST(Corners, MarginedScheduleSurvivesAllCorners) {
@@ -61,20 +68,20 @@ TEST(Corners, MarginedScheduleSurvivesAllCorners) {
   const Circuit slow = derate(c, {"slow", 1.1, 1.1});
   const auto r = opt::minimize_cycle_time(slow);
   ASSERT_TRUE(r.has_value());
-  const CornerReport rep = check_corners(c, r->schedule, standard_corners(0.1));
-  EXPECT_TRUE(rep.all_pass) << rep.to_string(c);
+  const report::SignoffDB db = report::build_signoff(c, r->schedule, standard_corners(0.1));
+  EXPECT_TRUE(db.all_pass) << report::signoff_table(db);
 }
 
 TEST(Corners, ReportRendering) {
   const Circuit c = circuits::example1(80.0);
   const auto r = opt::minimize_cycle_time(c);
   ASSERT_TRUE(r.has_value());
-  const CornerReport rep = check_corners(c, r->schedule);
-  const std::string s = rep.to_string(c);
+  const std::string s = report::signoff_table(report::build_signoff(c, r->schedule));
+  EXPECT_NE(s.find("multi-corner signoff: FAIL"), std::string::npos) << s;
   EXPECT_NE(s.find("slow"), std::string::npos);
   EXPECT_NE(s.find("typical"), std::string::npos);
   EXPECT_NE(s.find("fast"), std::string::npos);
-  EXPECT_NE(s.find("worst setup slack"), std::string::npos);
+  EXPECT_NE(s.find("worst setup"), std::string::npos);
 }
 
 }  // namespace

@@ -22,6 +22,13 @@ bool has_tight(const ProvenanceReport& rep, const std::string& name) {
                      [&](const TightConstraint& t) { return t.name == name; });
 }
 
+ProvenanceReport provenance_of(const Circuit& c, const ClockSchedule& s,
+                               const std::vector<double>& departure) {
+  const TimingView view(c);
+  const ShiftTable shifts(s);
+  return constraint_provenance(c, view, s, shifts, departure);
+}
+
 ProvenanceReport provenance_at_optimum(const Circuit& c, double* min_cycle = nullptr) {
   const auto r = opt::minimize_cycle_time(c);
   EXPECT_TRUE(r.has_value());
@@ -121,8 +128,7 @@ TEST(ProvenanceTest, ArgMaxCycleIsReportedAsALoop) {
   c.add_path("B", "A", 20.0, 0.0, "back");
   const auto r = opt::minimize_cycle_time(c);
   ASSERT_TRUE(r.has_value());
-  const ProvenanceReport rep =
-      constraint_provenance(c, r->schedule, {3.0, 3.0});
+  const ProvenanceReport rep = provenance_of(c, r->schedule, {3.0, 3.0});
   EXPECT_TRUE(rep.chain_is_loop);
   EXPECT_EQ(rep.critical_chain.size(), 2u);
   EXPECT_EQ(rep.critical_paths.size(), 2u);
@@ -194,7 +200,7 @@ TEST(ProvenanceTest, MismatchedDepartureSizeYieldsEmptyReport) {
   const Circuit c = circuits::example2();
   const auto r = opt::minimize_cycle_time(c);
   ASSERT_TRUE(r.has_value());
-  const ProvenanceReport rep = constraint_provenance(c, r->schedule, {1.0, 2.0});
+  const ProvenanceReport rep = provenance_of(c, r->schedule, {1.0, 2.0});
   EXPECT_TRUE(rep.empty());
 }
 
