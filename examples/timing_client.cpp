@@ -9,8 +9,9 @@
 //       --circuits 8 --threads 8 --verify --out client_bench.json
 //
 // Each logical stream owns its own circuit key on the server: it loads a
-// synthetic circuit (one of --circuits base shapes), then runs --rounds of
-// edit_batch (a deterministic path-delay perturbation) + analyze. Threads
+// synthetic circuit (one of --circuits base shapes) with a schedule at 1.25x
+// its minimum cycle time, then runs --rounds of edit_batch (a deterministic
+// path-delay perturbation) + analyze with detail. Threads
 // each hold one connection and drive their share of streams; every round
 // trip is timed client-side and the run reports exact p50/p95/p99 over all
 // requests. --verify replays each stream's edits on a local mirror circuit
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,8 @@
 #include "circuits/synthetic.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "opt/graph_solver.h"
+#include "parser/lcs.h"
 #include "parser/lct.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -103,18 +107,28 @@ ClockSchedule schedule_from_json(const Json& s) {
 }
 
 /// Bit-compare the served analysis payload against a direct check_schedule
-/// of the mirror circuit. Returns a description of the first mismatch, or "".
+/// of the mirror circuit: the summary and every field of every detail row.
+/// Returns a description of the first mismatch, or "".
 std::string verify_against_local(const Json& result, const Circuit& mirror,
                                  const ClockSchedule& schedule) {
   sta::AnalysisOptions options;
   options.check_hold = true;
   const sta::TimingReport local = sta::check_schedule(mirror, schedule, options);
-  if (result.bool_or("feasible", !local.feasible) != local.feasible) {
-    return "feasible mismatch";
-  }
-  if (result.num_or("worst_setup_slack", local.worst_setup_slack + 1.0) !=
-      local.worst_setup_slack) {
+  // Json compares numbers by their bits. A non-finite value is left out
+  // (JSON has no infinities), so its field must be absent.
+  const auto same = [](const Json& served, double want) {
+    return std::isfinite(want) ? served == Json(want) : served.is_null();
+  };
+  if (result.get("feasible") != Json(local.feasible)) return "feasible mismatch";
+  if (result.get("hold_ok") != Json(local.hold_ok)) return "hold_ok mismatch";
+  if (!same(result.get("worst_setup_slack"), local.worst_setup_slack)) {
     return "worst_setup_slack not bit-identical";
+  }
+  if (!same(result.get("worst_hold_slack"), local.worst_hold_slack)) {
+    return "worst_hold_slack not bit-identical";
+  }
+  if (result.get("worst_hold_element") != Json(static_cast<long>(local.worst_hold_element))) {
+    return "worst_hold_element mismatch";
   }
   const Json& elements = result.get("elements");
   if (static_cast<size_t>(elements.size()) != local.elements.size()) {
@@ -122,13 +136,18 @@ std::string verify_against_local(const Json& result, const Circuit& mirror,
   }
   for (size_t i = 0; i < local.elements.size(); ++i) {
     const Json& e = elements.at(i);
-    if (e.num_or("departure", local.elements[i].departure + 1.0) !=
-        local.elements[i].departure) {
-      return "departure[" + std::to_string(i) + "] not bit-identical";
+    const sta::ElementTiming& want = local.elements[i];
+    const std::string at = "[" + std::to_string(i) + "]";
+    if (e.get("name") != Json(mirror.element(static_cast<int>(i)).name)) {
+      return "name" + at + " mismatch";
     }
-    if (e.num_or("setup_slack", local.elements[i].setup_slack + 1.0) !=
-        local.elements[i].setup_slack) {
-      return "setup_slack[" + std::to_string(i) + "] not bit-identical";
+    if (!same(e.get("departure"), want.departure)) return "departure" + at + " not bit-identical";
+    if (!same(e.get("arrival"), want.arrival)) return "arrival" + at + " not bit-identical";
+    if (!same(e.get("setup_slack"), want.setup_slack)) {
+      return "setup_slack" + at + " not bit-identical";
+    }
+    if (!same(e.get("hold_slack"), want.hold_slack)) {
+      return "hold_slack" + at + " not bit-identical";
     }
   }
   return "";
@@ -191,10 +210,21 @@ void run_stream(serve::Client& client, const LoadGenConfig& config, int stream,
   }
   Circuit mirror = std::move(*reparsed);
 
+  // The stream's edits run on a schedule with slack, Tc* x 1.25, as an ECO
+  // loop's do (svcbench's eco_loop too). At Tc* itself the first raise on
+  // a critical loop diverges the fixpoint, and every later analyze moves
+  // most rows.
+  Expected<opt::ExactSolveResult> exact = opt::minimize_cycle_time_exact(mirror);
+  if (!exact) {
+    ++tr.errors;
+    if (tr.first_error.empty()) tr.first_error = exact.error().to_string();
+    return;
+  }
   Json load = Json::object();
   load.set("verb", Json("load"));
   load.set("circuit", Json(key));
   load.set("text", Json(text));
+  load.set("schedule", Json(parser::write_schedule(exact->schedule.scaled(1.25))));
   const Json loaded = timed_call(std::move(load));
   if (loaded.is_null()) return;
   const ClockSchedule schedule =

@@ -35,11 +35,11 @@ ResultCache::Value ResultCache::get(std::uint64_t key) {
   return it->second->value;
 }
 
-void ResultCache::put(std::uint64_t key, const std::string& circuit_key,
+bool ResultCache::put(std::uint64_t key, const std::string& circuit_key,
                       std::uint64_t generation, Value value) {
   const size_t charged = value->capacity() + kEntryOverhead;
   const std::lock_guard<std::mutex> lk(mu_);
-  if (charged > budget_) return;  // cannot fit even alone (covers budget 0)
+  if (charged > budget_) return false;  // cannot fit even alone (covers budget 0)
   const auto it = index_.find(key);
   if (it != index_.end()) {
     // Same content key: refresh the tag and LRU position; the value is
@@ -47,7 +47,7 @@ void ResultCache::put(std::uint64_t key, const std::string& circuit_key,
     it->second->circuit_key = circuit_key;
     it->second->generation = generation;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return true;
   }
   while (bytes_ + charged > budget_ && !lru_.empty()) {
     ++stats_.evictions;
@@ -61,6 +61,7 @@ void ResultCache::put(std::uint64_t key, const std::string& circuit_key,
   stats_.entries = lru_.size();
   bytes_metric_.set(static_cast<double>(bytes_));
   entries_metric_.set(static_cast<double>(lru_.size()));
+  return true;
 }
 
 void ResultCache::invalidate(const std::string& circuit_key,

@@ -61,7 +61,9 @@ class ResultCache {
   /// Insert (or refresh) `value` under `key`, tagged with the owning
   /// circuit key and its session generation; evicts LRU entries until the
   /// budget holds. Values larger than the whole budget are not stored.
-  void put(std::uint64_t key, const std::string& circuit_key, std::uint64_t generation,
+  /// Returns whether the cache holds the value's bytes under `key` now:
+  /// false exactly when it did not fit (always, at budget 0).
+  bool put(std::uint64_t key, const std::string& circuit_key, std::uint64_t generation,
            Value value);
 
   /// Drop every entry tagged with `circuit_key` and a generation older than

@@ -21,9 +21,9 @@
 //     shared rather than copied, and dump() splices it in verbatim: the
 //     service renders a read's answer once and hands the same bytes to its
 //     cache and to the frame; a hit wraps the stored bytes in the envelope
-//     with no re-parse, no re-render and no copy but the frame's. An
-//     analyze's per-element rows go straight into one fragment instead of a
-//     node per value;
+//     with no re-parse, no re-render and no copy but the frame's. A detail
+//     analyze writes its whole answer, rows included, into one fragment
+//     instead of a node per value;
 //   * dump() sizes a large string or fragment before appending it, so a
 //     megabyte answer is written into one allocation, not regrown by
 //     doubling.
@@ -67,10 +67,10 @@ class Json {
   }
   /// A write-only fragment: dump() appends `text` as it is. The caller
   /// vouches that `text` is one well-formed JSON value (the service wraps
-  /// only text it wrote: a dump() output, or an analyze's detail rows). It
+  /// only text it wrote: a dump() output, or a detail analyze's answer). It
   /// reads as no JSON type: every accessor sees it as absent, so only the
-  /// writer looks inside. The bytes are shared, never copied, by copies of
-  /// the value.
+  /// writer and raw_text() look inside. The bytes are shared, never copied,
+  /// by copies of the value.
   static Json raw(std::shared_ptr<const std::string> text) {
     Json j;
     j.kind_ = Kind::kRaw;
@@ -80,6 +80,9 @@ class Json {
   static Json raw(std::string text) {
     return raw(std::make_shared<const std::string>(std::move(text)));
   }
+
+  /// The bytes of a raw fragment, shared; null for every other kind.
+  const std::shared_ptr<const std::string>& raw_text() const { return raw_; }
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }

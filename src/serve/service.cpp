@@ -1,9 +1,11 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -97,40 +99,43 @@ Json cycle_json(const std::vector<opt::CycleRow>& rows) {
   return out;
 }
 
-/// The `detail` rows of an analyze, rendered straight into one JSON array:
-/// the bytes a Json array of {name, departure, arrival?, setup_slack,
-/// hold_slack?} objects dumps to, without building one node per value.
-std::string element_rows_json(const sta::TimingReport& report, const Circuit& circuit) {
-  std::string out;
-  out.reserve(2 + 128 * report.elements.size());  // a row runs about 110 bytes
-  out += '[';
-  for (size_t i = 0; i < report.elements.size(); ++i) {
-    const sta::ElementTiming& et = report.elements[i];
-    out += i ? ",{\"name\":\"" : "{\"name\":\"";
-    obs::json_escape_to(out, circuit.element(static_cast<int>(i)).name);
-    out += "\",\"departure\":";
-    json_double_to(out, et.departure);
-    if (std::isfinite(et.arrival)) {
-      out += ",\"arrival\":";
-      json_double_to(out, et.arrival);
-    }
-    out += ",\"setup_slack\":";
-    json_double_to(out, et.setup_slack);
-    if (std::isfinite(et.hold_slack)) {
-      out += ",\"hold_slack\":";
-      json_double_to(out, et.hold_slack);
-    }
-    out += '}';
+/// Row i of a `detail` analyze: the bytes a Json {name, departure,
+/// arrival?, setup_slack, hold_slack?} object dumps to, after a comma unless
+/// it is the first row. Non-finite per-element values (arrival with no
+/// fanin, unchecked hold slack) are omitted rather than clamped — JSON has
+/// no infinities and the soak's bit-identity gate compares only what is
+/// emitted. The one writer of a row's bytes: they depend on nothing but the
+/// name and the four values.
+void write_row(std::string& out, size_t i, const std::string& name,
+               const sta::ElementTiming& et) {
+  out += i ? ",{\"name\":\"" : "{\"name\":\"";
+  obs::json_escape_to(out, name);
+  out += "\",\"departure\":";
+  json_double_to(out, et.departure);
+  if (std::isfinite(et.arrival)) {
+    out += ",\"arrival\":";
+    json_double_to(out, et.arrival);
   }
-  out += ']';
-  return out;
+  out += ",\"setup_slack\":";
+  json_double_to(out, et.setup_slack);
+  if (std::isfinite(et.hold_slack)) {
+    out += ",\"hold_slack\":";
+    json_double_to(out, et.hold_slack);
+  }
+  out += '}';
 }
 
-/// Summarize a TimingReport as a result payload. `detail` adds per-element
-/// rows. Non-finite per-element values (arrival with no fanin, unchecked
-/// hold slack) are omitted rather than clamped — JSON has no infinities and
-/// the soak's bit-identity gate compares only what is emitted.
-Json report_payload(const sta::TimingReport& report, const Circuit& circuit, bool detail) {
+/// A row's four values as bit patterns, the only inputs of its bytes but
+/// its name.
+std::array<std::uint64_t, 4> row_bits(const sta::ElementTiming& et) {
+  return {std::bit_cast<std::uint64_t>(et.departure), std::bit_cast<std::uint64_t>(et.arrival),
+          std::bit_cast<std::uint64_t>(et.setup_slack),
+          std::bit_cast<std::uint64_t>(et.hold_slack)};
+}
+
+/// Summarize a TimingReport as a result payload; a `detail` analyze
+/// appends its rows (render_detail).
+Json report_payload(const sta::TimingReport& report) {
   Json r = Json::object();
   r.set("feasible", Json(report.feasible));
   r.set("schedule_ok", Json(report.schedule_ok));
@@ -143,7 +148,6 @@ Json report_payload(const sta::TimingReport& report, const Circuit& circuit, boo
     r.set("worst_hold_slack", Json(report.worst_hold_slack));
   }
   r.set("worst_hold_element", Json(static_cast<long>(report.worst_hold_element)));
-  if (detail) r.set("elements", Json::raw(element_rows_json(report, circuit)));
   return r;
 }
 
@@ -176,6 +180,8 @@ TimingService::TimingService(ServiceConfig config)
       cpu_metric_(registry().histogram("serve.cpu_us", {}, obs::latency_buckets_us())),
       relaxations_metric_(
           registry().histogram("serve.relaxations", {}, work_count_buckets())),
+      detail_rows_rendered_metric_(registry().counter("serve.detail_rows_rendered")),
+      detail_rows_reused_metric_(registry().counter("serve.detail_rows_reused")),
       history_(config.history_capacity) {
   // Info-gauge idiom: constant 1 with the identity in the labels, so any
   // scrape can join build identity against the numeric series.
@@ -424,9 +430,10 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
       }
     }
     // A read's work ends at its engine step (Pending::engine_done); what
-    // follows is render.
+    // follows is render. A detail analyze's answer comes back rendered.
     Expected<Json> result = work->run(s, *entry, p);
-    if (result) {
+    ResultCache::Value rendered = result ? result->raw_text() : nullptr;
+    if (result && !rendered) {
       if (!result->has("fingerprint")) {
         result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
       }
@@ -438,9 +445,12 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
     }
     // A read is rendered once: the cache and the frame share its bytes.
     // The tree is released first.
-    auto rendered = std::make_shared<const std::string>(result->dump());
+    if (!rendered) rendered = std::make_shared<const std::string>(result->dump());
     *result = Json();
-    cache_.put(cache_key, key, generation, rendered);
+    // A session keeps a detail answer only if the cache admits it.
+    if (!cache_.put(cache_key, key, generation, rendered) && entry->detail.answer == rendered) {
+      entry->detail = DetailRows();
+    }
     p.lap(stages.render);
     return Json::raw(std::move(rendered));
   });
@@ -710,11 +720,68 @@ Expected<TimingService::SessionWork> TimingService::verb_analyze(const Json& req
   const bool detail = req.bool_or("detail", false);
   return SessionWork{
       .params = detail ? 1u : 0u,
-      .run = [detail](sta::AnalysisSession& s, Entry&, Pending& p) -> Expected<Json> {
+      .run = [this, detail](sta::AnalysisSession& s, Entry& entry,
+                            Pending& p) -> Expected<Json> {
         const sta::TimingReport& report = s.analyze();
         p.engine_done();
-        return report_payload(report, s.circuit(), detail);
+        if (!detail) return report_payload(report);
+        const size_t rendered = render_detail(s, report, entry.detail);
+        if (config_.telemetry) {
+          detail_rows_rendered_metric_.inc(static_cast<long>(rendered));
+          detail_rows_reused_metric_.inc(static_cast<long>(report.elements.size() - rendered));
+        }
+        return Json::raw(entry.detail.answer);
       }};
+}
+
+size_t TimingService::render_detail(const sta::AnalysisSession& s,
+                                    const sta::TimingReport& report, DetailRows& kept) {
+  const std::vector<sta::ElementTiming>& rows = report.elements;
+  const size_t n = rows.size();
+  DetailRows next;
+  next.structure = s.structure_stamp();
+  next.offset.resize(n + 1);
+  next.bits.resize(n);
+  // Kept bytes name the elements of one numbering; a row whose four values
+  // kept their bits has exactly its kept bytes.
+  const bool reuse = kept.answer && kept.bits.size() == n && kept.structure == next.structure;
+  size_t changed = 0;
+  for (size_t i = 0; i < n; ++i) {
+    next.bits[i] = row_bits(rows[i]);
+    if (!reuse || next.bits[i] != kept.bits[i]) ++changed;
+  }
+
+  std::string out = report_payload(report).dump();
+  out.pop_back();  // the summary's '}': the rows and the fingerprint follow
+  // A rendered row runs about 110 bytes, and one that changed rarely grows
+  // by more than 64.
+  out.reserve((reuse ? kept.answer->size() + 64 * changed : out.size() + 128 * n) + 64);
+  out += ",\"elements\":[";
+  for (size_t i = 0; i < n;) {
+    size_t end = i;
+    while (reuse && end < n && next.bits[end] == kept.bits[end]) ++end;
+    if (end == i) {
+      next.offset[i] = static_cast<std::uint32_t>(out.size());
+      write_row(out, i, s.circuit().element(static_cast<int>(i)).name, rows[i]);
+      ++i;
+      continue;
+    }
+    // A run of unchanged rows is one copy of their kept bytes.
+    const size_t from = kept.offset[i];
+    const size_t at = out.size();
+    out.append(*kept.answer, from, kept.offset[end] - from);
+    for (; i < end; ++i) next.offset[i] = static_cast<std::uint32_t>(kept.offset[i] - from + at);
+  }
+  next.offset[n] = static_cast<std::uint32_t>(out.size());
+  out += "],\"fingerprint\":\"";
+  out += obs::hash_hex(s.content_fingerprint());
+  out += "\"}";
+  if (out.size() > std::numeric_limits<std::uint32_t>::max()) {
+    next.bits.clear();  // the offsets wrapped: keep nothing to reuse
+  }
+  next.answer = std::make_shared<const std::string>(std::move(out));
+  kept = std::move(next);
+  return changed;
 }
 
 Expected<TimingService::SessionWork> TimingService::verb_report(const Json& req) {

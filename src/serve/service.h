@@ -113,12 +113,20 @@
 // they are, with no parse and no render, so its frame is the miss's frame
 // with "cached" set.
 //
+// Kept detail rows: a `detail` analyze renders its answer itself. Each
+// session keeps its last such answer that the cache admitted, with each
+// row's offset and four values; the next one copies every run of rows whose
+// values are bitwise unchanged and renders only the rest (Entry::detail).
+// A row's bytes are a function of its element's name and four values, so
+// the answer is the full render's bytes by construction.
+//
 // Session-pool eviction: the pool carries a byte budget; loading a new
 // circuit evicts least-recently-used idle sessions (session.evictions
 // metric). A request against an evicted key fails with "not_loaded" and the
 // client re-loads — the soak test exercises exactly that path.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -143,7 +151,8 @@
 namespace mintc::serve {
 
 struct ServiceConfig {
-  /// Result-cache byte budget (0 disables caching).
+  /// Result-cache byte budget (0 disables caching, and with it the `detail`
+  /// rows each session keeps).
   size_t cache_bytes = 64u << 20;
   /// Session-pool byte budget (estimated bytes of warm sessions kept).
   size_t session_bytes = 256u << 20;
@@ -257,6 +266,23 @@ class TimingService {
   static constexpr size_t kTraceRecords = 8192;
 
  private:
+  /// A session's last `detail` analyze answer that the result cache
+  /// admitted, with what each of its rows was rendered from.
+  struct DetailRows {
+    /// The answer: the bytes the cache and the frame share. Never written
+    /// again; each answer is a new string.
+    ResultCache::Value answer;
+    /// Row i is answer[offset[i], offset[i + 1]), its leading comma
+    /// included; the last entry is where the rows end.
+    std::vector<std::uint32_t> offset;
+    /// Row i's departure, arrival, setup and hold slack as bit patterns, so
+    /// -0.0 and 0.0 differ, as their rows do.
+    std::vector<std::array<std::uint64_t, 4>> bits;
+    /// AnalysisSession::structure_stamp() at the render: a row's name is
+    /// right only while the element numbering holds.
+    std::uint64_t structure = 0;
+  };
+
   struct Entry {
     std::string key;
     std::unique_ptr<sta::SharedSession> session;
@@ -268,6 +294,10 @@ class TimingService {
     // min apply), ascending; `undo` rewinds to these. Only read/written
     // inside session->with, under the session's lock.
     std::vector<size_t> commits;
+    // The last `detail` answer, kept only while the cache admits it, so no
+    // session holds more than the cache's budget. Only read/written inside
+    // session->with.
+    DetailRows detail;
   };
 
   /// One request in flight: its record, cost account and stage clock
@@ -287,7 +317,9 @@ class TimingService {
     /// the content it names: the session's after the work, unless the work
     /// stamped the one it solved for (min apply:true). A read calls
     /// Pending::engine_done when its engine step ends, so the rest of its
-    /// answer is timed as `render`.
+    /// answer is timed as `render`. A read may return its answer already
+    /// rendered, fingerprint included, as a Json::raw: a `detail` analyze
+    /// does (render_detail).
     std::function<Expected<Json>(sta::AnalysisSession&, Entry&, Pending&)> run;
   };
 
@@ -325,6 +357,15 @@ class TimingService {
   /// off.
   void finish(Pending& p, const Json& response);
 
+  /// A `detail` analyze's answer for `report`, the analysis of `s`, written
+  /// into one new string: the summary, `"elements"` and the fingerprint.
+  /// Each run of rows whose four values match `kept` bit for bit is copied
+  /// from its bytes, when `kept` has as many rows and `s` the same
+  /// structure stamp; every other row is rendered. Then `kept` describes the
+  /// new answer. Returns the number of rows rendered.
+  static size_t render_detail(const sta::AnalysisSession& s, const sta::TimingReport& report,
+                              DetailRows& kept);
+
   /// Validate one edit op against the session's EVOLVING state and apply
   /// it; returns "" on success, a human-readable problem otherwise (the
   /// Circuit setters assert on invalid values — an assert must never be
@@ -361,6 +402,8 @@ class TimingService {
   obs::Histogram& latency_metric_;
   obs::Histogram& cpu_metric_;          // serve.cpu_us: attributed CPU/request
   obs::Histogram& relaxations_metric_;  // serve.relaxations: engine work/request
+  obs::Counter& detail_rows_rendered_metric_;  // detail rows written fresh
+  obs::Counter& detail_rows_reused_metric_;    // detail rows copied from a kept answer
 
   std::atomic<long> inflight_{0};
   std::mutex sampler_mu_;

@@ -35,19 +35,22 @@ obs::Counter& cold_fallbacks_counter() {
 
 }  // namespace
 
-AnalysisSession::AnalysisSession(Circuit circuit)
-    : circuit_(std::move(circuit)),
-      pristine_elements_(circuit_.elements()),
-      pristine_paths_(circuit_.paths()) {}
+AnalysisSession::AnalysisSession(Circuit circuit) : circuit_(std::move(circuit)) {
+  pristine_elements_.reserve(circuit_.elements().size());
+  for (const Element& e : circuit_.elements()) {
+    pristine_elements_.push_back({e.setup, e.dq, e.dq_min});
+  }
+  pristine_paths_.reserve(circuit_.paths().size());
+  for (const CombPath& p : circuit_.paths()) pristine_paths_.push_back({p.delay, p.min_delay});
+}
 
 AnalysisSession::AnalysisSession(Circuit circuit, ClockSchedule schedule,
                                  AnalysisOptions options)
-    : circuit_(std::move(circuit)),
-      schedule_(std::move(schedule)),
-      options_(options),
-      has_schedule_(true),
-      pristine_elements_(circuit_.elements()),
-      pristine_paths_(circuit_.paths()) {}
+    : AnalysisSession(std::move(circuit)) {
+  schedule_ = std::move(schedule);
+  options_ = options;
+  has_schedule_ = true;
+}
 
 void AnalysisSession::touch() {
   // Every state-changing applier funnels through here except label edits,
@@ -258,6 +261,7 @@ void AnalysisSession::apply_schedule(const ClockSchedule& schedule) {
 }
 
 void AnalysisSession::apply_structural() {
+  ++structure_stamp_;
   structural_dirty_ = true;
   view_.reset();  // edge numbering is stale; analyze() rebuilds
   early_valid_ = false;
@@ -361,7 +365,7 @@ void AnalysisSession::apply_derating(double delay_scale, double min_scale) {
   // the derated copy. Clock skew is a clock-network property, not a silicon
   // delay: corners leave it unscaled (both here and in sta::derate).
   for (int i = 0; i < circuit_.num_elements(); ++i) {
-    const Element& e = pristine_elements_[static_cast<size_t>(i)];
+    const PristineElement& e = pristine_elements_[static_cast<size_t>(i)];
     const double setup = e.setup * delay_scale;
     const double dq = e.dq * delay_scale;
     double dq_min = (e.dq_min >= 0.0 ? e.dq_min : e.dq) * min_scale;
@@ -371,7 +375,7 @@ void AnalysisSession::apply_derating(double delay_scale, double min_scale) {
     set_element_dq_min(i, dq_min);
   }
   for (int p = 0; p < circuit_.num_paths(); ++p) {
-    const CombPath& path = pristine_paths_[static_cast<size_t>(p)];
+    const PristinePath& path = pristine_paths_[static_cast<size_t>(p)];
     const double max_d = path.delay * delay_scale;
     const double min_d = std::min(path.min_delay * min_scale, max_d);
     set_path_delays(p, max_d, min_d);

@@ -110,7 +110,7 @@ class AnalysisSession {
 
   /// Whether apply_derating is still legal: true until a structural edit
   /// (remove_path/remove_element) changes the element/path counts away from
-  /// the pristine snapshot. The serve layer checks this to reject `derate`
+  /// the pristine reference. The serve layer checks this to reject `derate`
   /// edits with an error instead of tripping the assert.
   bool derating_allowed() const;
 
@@ -128,6 +128,14 @@ class AnalysisSession {
   /// point in the session's edit history exactly once; the serve layer uses
   /// it for generation-based cache invalidation.
   std::uint64_t generation() const { return generation_; }
+
+  /// Monotone count of structural changes: every remove_path and
+  /// remove_element, and every undo of one. Element and path numbering
+  /// moves only when the stamp does, so while it holds, index i names the
+  /// same element. The serve layer reuses a kept `detail` row only under an
+  /// unchanged stamp: "remove i, undo, remove j" keeps the element count
+  /// but renumbers the names.
+  std::uint64_t structure_stamp() const { return structure_stamp_; }
 
   /// 64-bit fingerprint of the session's CURRENT content: circuit name,
   /// phase count, every element parameter and name, every path (endpoints,
@@ -238,9 +246,17 @@ class AnalysisSession {
   AnalysisOptions options_;
   bool has_schedule_ = false;
 
-  // Pristine parameter snapshot for apply_derating.
-  std::vector<Element> pristine_elements_;
-  std::vector<CombPath> pristine_paths_;
+  // The numbers apply_derating scales, as they were at construction: each
+  // element's setup, dq and raw dq_min, and each path's max and min delay.
+  // Names, labels and endpoints are not kept; derating never reads them.
+  struct PristineElement {
+    double setup, dq, dq_min;
+  };
+  struct PristinePath {
+    double delay, min_delay;
+  };
+  std::vector<PristineElement> pristine_elements_;
+  std::vector<PristinePath> pristine_paths_;
 
   std::optional<TimingView> view_;
   std::optional<ShiftTable> shifts_;
@@ -287,6 +303,7 @@ class AnalysisSession {
   Counters counters_;
 
   std::uint64_t generation_ = 0;
+  std::uint64_t structure_stamp_ = 0;
   // Sum mod 2^64 of every element_term and path_term. Stale from
   // construction and after structural edits until content_fingerprint()
   // recomputes it; while stale, parameter edits skip the term updates.

@@ -32,7 +32,7 @@ std::string text_of(const Value& v) { return v ? *v : "-"; }
 TEST(ServeCache, MissThenHit) {
   ResultCache cache(1 << 20);
   EXPECT_EQ(cache.get(1), nullptr);
-  cache.put(1, "c", 0, value(kA));
+  EXPECT_TRUE(cache.put(1, "c", 0, value(kA)));
   EXPECT_EQ(text_of(cache.get(1)), kA);
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1);
@@ -48,7 +48,7 @@ TEST(ServeCache, PutOnExistingKeyRefreshesTagsAndKeepsBytes) {
   ResultCache cache(1 << 20);
   const Value first = value(kA);
   cache.put(1, "c", 0, first);
-  cache.put(1, "c", 5, value(kA));
+  EXPECT_TRUE(cache.put(1, "c", 5, value(kA)));  // the cache holds these bytes
   EXPECT_EQ(cache.get(1), first);
   EXPECT_EQ(cache.stats().entries, 1u);
   // The refreshed generation tag protects the entry from invalidation of
@@ -74,14 +74,14 @@ TEST(ServeCache, EvictsLeastRecentlyUsedUnderByteBudget) {
 
 TEST(ServeCache, ValueLargerThanBudgetIsNotStored) {
   ResultCache cache(kOverhead + 4);
-  cache.put(1, "c", 0, value(std::string(64, 'x')));
+  EXPECT_FALSE(cache.put(1, "c", 0, value(std::string(64, 'x'))));
   EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(ServeCache, ZeroBudgetDisablesCaching) {
   ResultCache cache(0);
-  cache.put(1, "c", 0, value("v"));
+  EXPECT_FALSE(cache.put(1, "c", 0, value("v")));
   EXPECT_EQ(cache.get(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "check/fuzzer.h"
 #include "circuits/appendix_fig1.h"
 #include "circuits/example1.h"
 #include "circuits/example2.h"
@@ -641,6 +646,511 @@ TEST(ServeService, BatchValidationSessionEquivalence) {
     }
     EXPECT_GT(accepted, 20) << in.builtin;
     EXPECT_GT(rejected, 20) << in.builtin;
+  }
+}
+
+/// The bytes of a detail analyze frame's "elements" value: from after its
+/// key to the fingerprint that follows the rows.
+std::string detail_rows_of(const std::string& frame) {
+  const std::string key = "\"elements\":";
+  const size_t begin = frame.find(key);
+  const size_t end = frame.rfind(",\"fingerprint\":\"");
+  if (begin == std::string::npos || end == std::string::npos || end < begin) return "";
+  return frame.substr(begin + key.size(), end - begin - key.size());
+}
+
+/// The fingerprint a frame's answer names.
+std::string fingerprint_of(const std::string& frame) {
+  const std::string key = "\"fingerprint\":\"";
+  const size_t at = frame.rfind(key);
+  return at == std::string::npos ? "" : frame.substr(at + key.size(), 16);
+}
+
+/// Detail rows rendered and reused so far, service-wide.
+std::pair<long, long> detail_row_counts() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  return {registry.counter("serve.detail_rows_rendered").value(),
+          registry.counter("serve.detail_rows_reused").value()};
+}
+
+std::string detail_frame(TimingService& service, const std::string& key) {
+  return service.handle_line(
+      req({{"verb", Json("analyze")}, {"circuit", Json(key)}, {"detail", Json(true)}}).dump());
+}
+
+/// One service session and a mirror AnalysisSession driven through the same
+/// edits; check() sends a detail analyze and compares its rows with a fresh
+/// render of the mirror's state.
+struct DetailWalk {
+  explicit DetailWalk(ServiceConfig config = {}) : service(std::move(config)) {}
+
+  TimingService service;
+  std::optional<sta::AnalysisSession> mirror;
+  std::vector<size_t> commits;  // the service's undo targets, as edit_batch tracks them
+  std::string what;
+
+  static sta::AnalysisOptions options() {
+    sta::AnalysisOptions o;
+    o.check_hold = true;
+    return o;
+  }
+
+  /// Load `lct` as "c", with `lcs` as its schedule or, when empty, the
+  /// optimum the service solves for. False when the service refuses it.
+  bool load(const std::string& lct, const std::string& lcs = "") {
+    Json request = req({{"verb", Json("load")}, {"circuit", Json("c")}, {"text", Json(lct)}});
+    if (!lcs.empty()) request.set("schedule", Json(lcs));
+    const Json r = service.handle(request);
+    if (!r.get("ok").as_bool(false)) return false;
+    Expected<Circuit> circuit = parser::parse_circuit(lct);  // as the service reads it
+    if (!circuit) return false;
+    mirror.emplace(std::move(*circuit), schedule_of(r.get("result").get("schedule")), options());
+    EXPECT_EQ(obs::hash_hex(mirror->content_fingerprint()),
+              r.get("result").get("fingerprint").as_string())
+        << what;
+    return true;
+  }
+
+  /// Send `edits`, applied to the mirror from `mark` on: the service takes
+  /// them exactly when the mirror's circuit is valid.
+  void batch(Json edits, size_t mark) {
+    const bool valid = mirror->circuit().validate().empty();
+    const Json r = service.handle(edit_batch_req("c", std::move(edits)));
+    EXPECT_EQ(r.get("ok").as_bool(!valid), valid) << what << ": " << r.dump();
+    if (!valid) {
+      mirror->undo_to(mark);
+    } else if (mirror->mark() > mark) {
+      commits.push_back(mark);
+    }
+  }
+
+  void undo_to_commit(size_t j) {
+    expect_ok(service, undo_to_req("c", static_cast<long>(commits[j])));
+    mirror->undo_to(commits[j]);
+    commits.resize(j);
+  }
+
+  void undo_steps(size_t steps) {
+    expect_ok(service, req({{"verb", Json("undo")}, {"circuit", Json("c")},
+                            {"steps", Json(static_cast<long>(steps))}}));
+    mirror->undo_to(commits[commits.size() - steps]);
+    commits.resize(commits.size() - steps);
+  }
+
+  /// A detail analyze's rows are a fresh render of the state its
+  /// fingerprint names: the mirror's. And the bytes of the previous answer,
+  /// still held as a frame in flight would hold them, were not written
+  /// again.
+  void check(const std::string& step) {
+    const std::string frame = detail_frame(service, "c");
+    const sta::TimingReport fresh =
+        sta::check_schedule(mirror->circuit(), mirror->schedule(), options());
+    EXPECT_EQ(detail_rows_of(frame), rows_as_tree(fresh, mirror->circuit()))
+        << what << ", " << step;
+    EXPECT_EQ(fingerprint_of(frame), obs::hash_hex(mirror->content_fingerprint()))
+        << what << ", " << step;
+    if (held) {
+      EXPECT_EQ(*held, held_bytes) << what << ", " << step;
+    }
+    if (service.config().cache_bytes == 0) return;
+    // The service's cache key of a detail analyze: the content fingerprint,
+    // the verb and params 1.
+    held = service.cache().get(
+        obs::Fnv1a().u64(mirror->content_fingerprint()).str("analyze").u64(1).digest());
+    ASSERT_NE(held, nullptr) << what << ", " << step;
+    held_bytes = *held;
+  }
+
+  ResultCache::Value held;  // the last answer's bytes, shared with the cache
+  std::string held_bytes;   // and a copy of them
+};
+
+/// Whether two rows hold the same four values, bit for bit.
+bool same_bits(const sta::ElementTiming& a, const sta::ElementTiming& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.departure) == bits(b.departure) && bits(a.arrival) == bits(b.arrival) &&
+         bits(a.setup_slack) == bits(b.setup_slack) && bits(a.hold_slack) == bits(b.hold_slack);
+}
+
+Json element_edit(const char* op, int i, double value) {
+  return req({{"op", Json(op)}, {"element", Json(static_cast<long>(i))}, {"value", Json(value)}});
+}
+
+Json path_edit(const char* op, int p) {
+  return req({{"op", Json(op)}, {"path", Json(static_cast<long>(p))}});
+}
+
+// A detail analyze copies the rows whose four values kept their bits from
+// the session's last detail answer and renders the rest. Walk every edit op,
+// undo to a commit and undo by steps over fuzzed circuits, and after each
+// step the rows must be what a fresh render of the same state writes.
+TEST(ServeService, DetailRowsKeptAcrossEditsMatchAFreshRender) {
+  {
+    // "remove i, undo, remove j" keeps the element count and every row's
+    // values, but renumbers the names: B1..B3 are alike, so without the
+    // sessions's structure stamp the rows after removing B3 would be copied
+    // from those after removing B1, names and all.
+    DetailWalk walk;
+    walk.what = "remove i, undo, remove j";
+    ASSERT_TRUE(walk.load(
+        "circuit fan\nphases 2\n"
+        "latch A phase=1 setup=1 dq=2\n"
+        "latch B1 phase=2 setup=1 dq=2\nlatch B2 phase=2 setup=1 dq=2\n"
+        "latch B3 phase=2 setup=1 dq=2\n"
+        "path A B1 delay=5\npath A B2 delay=5\npath A B3 delay=5\n"
+        "path B1 A delay=4\npath B2 A delay=4\npath B3 A delay=4\n"));
+    walk.check("loaded");
+    Json edits = Json::array();
+    edits.push(req({{"op", Json("remove_element")}, {"element", Json(1L)}}));
+    size_t mark = walk.mirror->mark();
+    walk.mirror->remove_element(1);
+    walk.batch(std::move(edits), mark);
+    const sta::TimingReport without_b1 =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    walk.check("remove B1");
+    walk.undo_steps(1);
+    edits = Json::array();
+    edits.push(req({{"op", Json("remove_element")}, {"element", Json(3L)}}));
+    mark = walk.mirror->mark();
+    walk.mirror->remove_element(3);
+    walk.batch(std::move(edits), mark);
+    const sta::TimingReport without_b3 =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    // The case has its teeth: every row kept its values.
+    ASSERT_EQ(without_b1.elements.size(), without_b3.elements.size());
+    for (size_t i = 0; i < without_b1.elements.size(); ++i) {
+      ASSERT_TRUE(same_bits(without_b1.elements[i], without_b3.elements[i])) << i;
+    }
+    walk.check("undo, remove B3");
+  }
+  {
+    // Flip-flop F's arrival is (0 + (2 + 8)) + (-10) = +0.0. With setup and
+    // skew +0.0 its setup slack is -0.0 - 0.0 = -0.0; with both -0.0 it is
+    // -(-0.0) - 0.0 = +0.0. Only that slack's sign moves, so a row compare
+    // by value instead of by bits would copy the stale "-0".
+    DetailWalk walk;
+    walk.what = "signed zero";
+    ASSERT_TRUE(walk.load("circuit zeros\nphases 1\n"
+                          "flipflop G phase=1 setup=0 cq=2\nflipflop F phase=1 setup=0 cq=2\n"
+                          "path G F delay=8\npath F G delay=8\n",
+                          "cycle 10\nphase 1 start=0 width=5\n"));
+    const sta::TimingReport before =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    ASSERT_EQ(walk.mirror->circuit().element(1).name, "F");
+    ASSERT_TRUE(before.elements[1].setup_slack == 0.0 &&
+                std::signbit(before.elements[1].setup_slack));
+    walk.check("setup slack -0");
+    Json edits = Json::array();
+    const size_t mark = walk.mirror->mark();
+    for (const char* op : {"set_element_setup", "set_element_skew"}) {
+      for (const double v : {1.0, -0.0}) {
+        edits.push(element_edit(op, 1, v));
+        if (op == std::string("set_element_setup")) {
+          walk.mirror->set_element_setup(1, v);
+        } else {
+          walk.mirror->set_element_skew(1, v);
+        }
+      }
+    }
+    walk.batch(std::move(edits), mark);
+    const sta::TimingReport after =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    ASSERT_TRUE(after.elements[1].setup_slack == 0.0 &&
+                !std::signbit(after.elements[1].setup_slack));
+    walk.check("setup slack +0");
+    walk.undo_steps(1);
+    walk.check("undone to -0");
+  }
+  if (HasFailure()) return;
+
+  const std::pair<long, long> rows_before = detail_row_counts();
+  int walked = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    DetailWalk walk;
+    walk.what = "fuzz seed " + std::to_string(seed);
+    if (!walk.load(parser::write_circuit(check::fuzz_circuit(seed)))) continue;
+    const Circuit& c = walk.mirror->circuit();
+    if (c.num_paths() == 0) continue;
+    ++walked;
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&](double lo, double hi) {
+      return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const auto pick = [&](size_t n) {
+      return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+    };
+    walk.check("loaded");
+    for (int step = 0; step < 32 && !HasFailure(); ++step) {
+      const std::string name = "step " + std::to_string(step);
+      const size_t kind = pick(16);
+      if (kind == 0 && !walk.commits.empty()) {
+        walk.undo_to_commit(pick(walk.commits.size()));
+        walk.check(name + ", undo to a commit");
+        continue;
+      }
+      if (kind == 1 && !walk.commits.empty()) {
+        walk.undo_steps(1 + pick(std::min<size_t>(3, walk.commits.size())));
+        walk.check(name + ", undo by steps");
+        continue;
+      }
+      const size_t mark = walk.mirror->mark();
+      Json edits = Json::array();
+      for (size_t k = 1 + pick(3); k > 0 && c.num_paths() > 0; --k) {
+        const int p = static_cast<int>(pick(static_cast<size_t>(c.num_paths())));
+        const int i = static_cast<int>(pick(static_cast<size_t>(c.num_elements())));
+        const CombPath& path = c.path(p);
+        const Element& e = c.element(i);
+        switch (pick(15)) {
+          case 0:
+          case 1: {  // a raise, or a lower no further than the min delay
+            const double d = pick(2) == 0 ? path.delay * uniform(1.005, 1.05)
+                                          : path.min_delay + (path.delay - path.min_delay) *
+                                                                 uniform(0.8, 1.0);
+            Json edit = path_edit("set_path_delay", p);
+            edit.set("delay", Json(d));
+            edits.push(std::move(edit));
+            walk.mirror->set_path_delay(p, d);
+            break;
+          }
+          case 2: {
+            const double m = path.delay * uniform(0.0, 1.0);
+            Json edit = path_edit("set_path_min_delay", p);
+            edit.set("min", Json(m));
+            edits.push(std::move(edit));
+            walk.mirror->set_path_min_delay(p, m);
+            break;
+          }
+          case 3: {
+            const double d = path.delay * uniform(0.9, 1.1);
+            const double m = d * uniform(0.0, 1.0);
+            Json edit = path_edit("set_path_delays", p);
+            edit.set("delay", Json(d));
+            edit.set("min", Json(m));
+            edits.push(std::move(edit));
+            walk.mirror->set_path_delays(p, d, m);
+            break;
+          }
+          case 4: {
+            const std::string label = "x" + std::to_string(pick(4));
+            Json edit = path_edit("set_path_label", p);
+            edit.set("label", Json(label));
+            edits.push(std::move(edit));
+            walk.mirror->set_path_label(p, label);
+            break;
+          }
+          case 5: {
+            const double v = std::max(e.setup, e.dq * uniform(0.9, 1.2));
+            edits.push(element_edit("set_element_dq", i, v));
+            walk.mirror->set_element_dq(i, v);
+            break;
+          }
+          case 6: {  // negative values mean "track dq" on the wire
+            const double v = pick(3) == 0 ? -2.0 : e.dq * uniform(0.5, 1.0);
+            edits.push(element_edit("set_element_dq_min", i, v));
+            walk.mirror->set_element_dq_min(i, v < 0.0 ? -1.0 : v);
+            break;
+          }
+          case 7: {
+            const double v = e.dq * uniform(0.5, 1.0);
+            edits.push(element_edit("set_element_setup", i, v));
+            walk.mirror->set_element_setup(i, v);
+            break;
+          }
+          case 8: {
+            const double v = uniform(0.0, 1.0);
+            edits.push(element_edit("set_element_hold", i, v));
+            walk.mirror->set_element_hold(i, v);
+            break;
+          }
+          case 9: {
+            const double v = uniform(0.0, 0.5);
+            edits.push(element_edit("set_element_skew", i, v));
+            walk.mirror->set_element_skew(i, v);
+            break;
+          }
+          case 10: {  // the service and the mirror read the same .lcs text
+            const std::string lcs =
+                parser::write_schedule(walk.mirror->schedule().scaled(uniform(0.95, 1.3)));
+            edits.push(req({{"op", Json("set_schedule")}, {"schedule", Json(lcs)}}));
+            walk.mirror->set_schedule(parser::parse_schedule(lcs).value());
+            break;
+          }
+          case 11: {
+            const double f = uniform(0.95, 1.3);
+            edits.push(req({{"op", Json("scale_schedule")}, {"factor", Json(f)}}));
+            walk.mirror->set_schedule(walk.mirror->schedule().scaled(f));
+            break;
+          }
+          case 12:
+            if (walk.mirror->derating_allowed()) {
+              const double ds = uniform(0.9, 1.15), ms = uniform(0.8, 1.0);
+              edits.push(req({{"op", Json("derate")}, {"delay_scale", Json(ds)},
+                              {"min_scale", Json(ms)}}));
+              walk.mirror->apply_derating(ds, ms);
+            }
+            break;
+          case 13:
+            if (pick(4) == 0 && c.num_paths() > 2) {
+              edits.push(path_edit("remove_path", p));
+              walk.mirror->remove_path(p);
+            }
+            break;
+          default:
+            if (pick(4) == 0 && c.num_elements() > 3) {
+              edits.push(req({{"op", Json("remove_element")},
+                              {"element", Json(static_cast<long>(i))}}));
+              walk.mirror->remove_element(i);
+            }
+            break;
+        }
+      }
+      walk.batch(std::move(edits), mark);
+      walk.check(name);
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GE(walked, 90) << "fuzzer draws stopped loading; the walk lost its teeth";
+  // A third or more of the rows were copied from kept answers: the walk ran
+  // the reuse path, not only first renders.
+  const std::pair<long, long> rows_after = detail_row_counts();
+  EXPECT_GT(2 * (rows_after.second - rows_before.second), rows_after.first - rows_before.first);
+}
+
+// Readers send detail analyzes of one key while a writer edits it: each
+// answer's rows must be a fresh render of the state its fingerprint names,
+// whichever kept answer the render reused.
+TEST(ServeService, DetailRowsKeptUnderConcurrentReadersMatchTheStateTheyName) {
+  circuits::SyntheticParams params;
+  params.num_phases = 3;
+  params.num_stages = 8;
+  params.latches_per_stage = 6;
+  DetailWalk walk;
+  walk.what = "concurrent";
+  ASSERT_TRUE(walk.load(parser::write_circuit(circuits::synthetic_circuit(params, 4242))));
+  Json scale = Json::array();
+  scale.push(req({{"op", Json("scale_schedule")}, {"factor", Json(1.25)}}));
+  walk.mirror->set_schedule(walk.mirror->schedule().scaled(1.25));
+  walk.batch(std::move(scale), 0);
+
+  // The rows of every state the writer reaches, by fingerprint. Written by
+  // the writer alone, read after the readers joined.
+  std::map<std::string, std::string> rows_of_state;
+  const auto record_state = [&] {
+    rows_of_state[obs::hash_hex(walk.mirror->content_fingerprint())] = rows_as_tree(
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options()),
+        walk.mirror->circuit());
+  };
+  record_state();
+
+  constexpr int kReaders = 3;
+  constexpr int kReads = 120;
+  std::vector<std::vector<std::string>> frames(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&service = walk.service, &mine = frames[static_cast<size_t>(r)]] {
+      for (int k = 0; k < kReads; ++k) mine.push_back(detail_frame(service, "c"));
+    });
+  }
+  std::mt19937_64 rng(7);
+  const Circuit& c = walk.mirror->circuit();
+  for (int step = 0; step < 80; ++step) {
+    if (step % 10 == 9 && !walk.commits.empty()) {
+      walk.undo_steps(1);
+    } else {
+      const int p = std::uniform_int_distribution<int>(0, c.num_paths() - 1)(rng);
+      const CombPath& path = c.path(p);
+      const double d = step % 4 == 3 ? path.min_delay + (path.delay - path.min_delay) * 0.9
+                                     : path.delay * 1.02;
+      Json edits = Json::array();
+      Json edit = path_edit("set_path_delay", p);
+      edit.set("delay", Json(d));
+      edits.push(std::move(edit));
+      const size_t mark = walk.mirror->mark();
+      walk.mirror->set_path_delay(p, d);
+      walk.batch(std::move(edits), mark);
+    }
+    record_state();
+  }
+  for (std::thread& t : readers) t.join();
+
+  size_t answers = 0;
+  for (const std::vector<std::string>& mine : frames) {
+    for (const std::string& frame : mine) {
+      const auto state = rows_of_state.find(fingerprint_of(frame));
+      ASSERT_NE(state, rows_of_state.end()) << frame.substr(0, 300);
+      EXPECT_EQ(detail_rows_of(frame), state->second) << "state " << state->first;
+      ++answers;
+    }
+  }
+  EXPECT_EQ(answers, static_cast<size_t>(kReaders * kReads));
+}
+
+// Count the work: a detail analyze renders exactly the rows whose values
+// moved since the session's last detail answer, and every row when there is
+// none to reuse — the first answer, one after a structural edit, and every
+// answer of a service without a cache.
+TEST(ServeService, DetailRowsRenderedAreTheRowsWhoseValuesChanged) {
+  circuits::SyntheticParams params;  // eco_loop's 6000-latch design
+  params.num_phases = 3;
+  params.num_stages = 240;
+  params.latches_per_stage = 25;
+  params.extra_long_edges = 240;
+  const std::string lct = parser::write_circuit(circuits::synthetic_circuit(params, 1101));
+
+  for (const size_t cache_bytes : {ServiceConfig{}.cache_bytes, size_t{0}}) {
+    ServiceConfig config;
+    config.cache_bytes = cache_bytes;
+    DetailWalk walk(config);
+    walk.what = "cache_bytes " + std::to_string(cache_bytes);
+    ASSERT_TRUE(walk.load(lct));
+    const long n = walk.mirror->circuit().num_elements();
+    ASSERT_EQ(n, 6000);
+    Json scale = Json::array();
+    scale.push(req({{"op", Json("scale_schedule")}, {"factor", Json(1.25)}}));
+    walk.mirror->set_schedule(walk.mirror->schedule().scaled(1.25));
+    walk.batch(std::move(scale), 0);
+
+    // Rows rendered and reused by the next detail analyze.
+    const auto next_answer = [&](const std::string& step) {
+      const std::pair<long, long> before = detail_row_counts();
+      walk.check(step);
+      const std::pair<long, long> after = detail_row_counts();
+      return std::pair{after.first - before.first, after.second - before.second};
+    };
+    EXPECT_EQ(next_answer("first"), std::pair(n, 0L)) << walk.what;
+
+    const sta::TimingReport before =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    const int p = walk.mirror->circuit().num_paths() / 2;
+    Json edits = Json::array();
+    Json raise = path_edit("set_path_delay", p);
+    const double raised = walk.mirror->circuit().path(p).delay * 1.05;
+    raise.set("delay", Json(raised));
+    edits.push(std::move(raise));
+    size_t mark = walk.mirror->mark();
+    walk.mirror->set_path_delay(p, raised);
+    walk.batch(std::move(edits), mark);
+    const sta::TimingReport after =
+        sta::check_schedule(walk.mirror->circuit(), walk.mirror->schedule(), walk.options());
+    long moved = 0;
+    for (size_t i = 0; i < after.elements.size(); ++i) {
+      if (!same_bits(before.elements[i], after.elements[i])) ++moved;
+    }
+    ASSERT_GT(moved, 0);
+    ASSERT_LT(moved, n / 10);
+    const std::pair<long, long> raise_rows = next_answer("one-path raise");
+    if (cache_bytes == 0) {
+      EXPECT_EQ(raise_rows, std::pair(n, 0L));  // nothing kept: every row rendered
+    } else {
+      EXPECT_EQ(raise_rows, std::pair(moved, n - moved));
+    }
+
+    edits = Json::array();
+    edits.push(path_edit("remove_path", 0));
+    mark = walk.mirror->mark();
+    walk.mirror->remove_path(0);
+    walk.batch(std::move(edits), mark);
+    EXPECT_EQ(next_answer("structural edit"), std::pair(n, 0L)) << walk.what;
   }
 }
 
