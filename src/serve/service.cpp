@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -158,6 +159,16 @@ std::string join_problems(const std::vector<std::string>& problems) {
     msg += p;
   }
   return msg;
+}
+
+/// Record a commit at `mark`. Past kUndoCommits, the oldest commit is
+/// forgotten, and with it the undo records only it could reach.
+void commit(sta::AnalysisSession& s, std::deque<size_t>& commits, size_t mark) {
+  commits.push_back(mark);
+  if (commits.size() > TimingService::kUndoCommits) {
+    commits.pop_front();
+    s.forget_before(commits.front());
+  }
 }
 
 }  // namespace
@@ -588,7 +599,7 @@ Expected<TimingService::SessionWork> TimingService::verb_edit_batch(const Json& 
           return make_error(ErrorKind::kInvalidArgument,
                             "batch leaves the circuit invalid: " + join_problems(problems));
         }
-        if (s.mark() > mark) entry.commits.push_back(mark);
+        if (s.mark() > mark) commit(s, entry.commits, mark);
         Json result = Json::object();
         result.set("applied", Json(static_cast<long>(edits.size())));
         result.set("mark", Json(static_cast<long>(mark)));
@@ -934,7 +945,7 @@ Expected<TimingService::SessionWork> TimingService::verb_undo(const Json& req) {
       .write = true,
       .run = [has_to, to, steps](sta::AnalysisSession& s, Entry& entry,
                                  Pending&) -> Expected<Json> {
-        std::vector<size_t>& commits = entry.commits;
+        std::deque<size_t>& commits = entry.commits;
         const long current = static_cast<long>(s.mark());
         size_t target = 0;
         if (has_to) {
@@ -945,8 +956,9 @@ Expected<TimingService::SessionWork> TimingService::verb_undo(const Json& req) {
                                                               static_cast<size_t>(to)))) {
             return make_error(ErrorKind::kInvalidArgument,
                               "mark " + std::to_string(to) + " is neither the current mark (" +
-                                  std::to_string(current) +
-                                  ") nor one returned by an edit_batch or min apply");
+                                  std::to_string(current) + ") nor one returned by the last " +
+                                  std::to_string(kUndoCommits) +
+                                  " edit_batch or min apply commits");
           }
           target = static_cast<size_t>(to);
         } else {
@@ -988,7 +1000,7 @@ Expected<TimingService::SessionWork> TimingService::verb_min(const Json& req) {
           result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
           const size_t mark = s.mark();
           s.set_schedule(exact->schedule);
-          if (s.mark() > mark) entry.commits.push_back(mark);
+          if (s.mark() > mark) commit(s, entry.commits, mark);
           result.set("mark", Json(static_cast<long>(mark)));
           result.set("generation", Json(s.generation()));
         }

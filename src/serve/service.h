@@ -35,7 +35,8 @@
 //               1) undoes the last N edit_batch / min-apply commits; "to"
 //               must be the current mark or a mark such a commit returned,
 //               never a point inside a batch, so undo lands only on states
-//               that passed validation
+//               that passed validation. It reaches back kUndoCommits
+//               commits; older marks are forgotten
 //   min         the minimum cycle time of the loaded circuit, solved
 //               exactly as the maximum cycle ratio of its constraint graph
 //               (opt::minimize_cycle_time_exact): "min_cycle" = Tc*;
@@ -264,6 +265,10 @@ class TimingService {
   /// full ring renders as 10-14 events a record, about 9 MB of JSON: well
   /// inside one frame.
   static constexpr size_t kTraceRecords = 8192;
+  /// Commits `undo` reaches back to, per session. Past these the oldest is
+  /// forgotten with the undo records only it could reach, so a session that
+  /// is edited and never rewound keeps a bounded log.
+  static constexpr size_t kUndoCommits = 512;
 
  private:
   /// A session's last `detail` analyze answer that the result cache
@@ -290,10 +295,11 @@ class TimingService {
     size_t bytes = 0;
     // LRU stamp from clock_ (monotone); only read/written under map_mu_.
     std::uint64_t last_used = 0;
-    // The session's mark before each committed state change (edit_batch,
-    // min apply), ascending; `undo` rewinds to these. Only read/written
-    // inside session->with, under the session's lock.
-    std::vector<size_t> commits;
+    // The session's mark before each of its last kUndoCommits committed
+    // state changes (edit_batch, min apply), ascending; `undo` rewinds to
+    // these. Only read/written inside session->with, under the session's
+    // lock.
+    std::deque<size_t> commits;
     // The last `detail` answer, kept only while the cache admits it, so no
     // session holds more than the cache's budget. Only read/written inside
     // session->with.

@@ -146,10 +146,11 @@ std::uint64_t AnalysisSession::content_fingerprint() const {
 }
 
 std::vector<std::string> AnalysisSession::validate_since(size_t mark) const {
-  assert(mark <= undo_.size() && "mark is ahead of the log");
+  assert(mark >= forgotten_ && "mark is forgotten");
+  assert(mark <= this->mark() && "mark is ahead of the log");
   std::vector<int> elements;
   std::vector<int> paths;
-  for (size_t r = mark; r < undo_.size(); ++r) {
+  for (size_t r = mark - forgotten_; r < undo_.size(); ++r) {
     const UndoRecord& rec = undo_[r];
     switch (rec.kind) {
       case UndoRecord::Kind::kPathDelay:
@@ -457,8 +458,42 @@ void AnalysisSession::undo() {
 }
 
 void AnalysisSession::undo_to(size_t mark) {
-  assert(mark <= undo_.size() && "mark is ahead of the log");
-  while (undo_.size() > mark) undo();
+  assert(mark >= forgotten_ && "mark is forgotten");
+  assert(mark <= this->mark() && "mark is ahead of the log");
+  while (this->mark() > mark) undo();
+}
+
+void AnalysisSession::forget_before(size_t mark) {
+  assert(mark <= this->mark() && "mark is ahead of the log");
+  // Each side stack holds its payloads in their records' order, so the
+  // oldest record's payload is at the front of its stack.
+  for (; forgotten_ < mark; ++forgotten_) {
+    const UndoRecord rec = undo_.front();
+    undo_.pop_front();
+    switch (rec.kind) {
+      case UndoRecord::Kind::kPathDelay:
+      case UndoRecord::Kind::kPathMinDelay:
+      case UndoRecord::Kind::kElementDq:
+      case UndoRecord::Kind::kElementDqMin:
+      case UndoRecord::Kind::kElementSetup:
+      case UndoRecord::Kind::kElementHold:
+      case UndoRecord::Kind::kElementSkew:
+        break;  // the record holds its scalar
+      case UndoRecord::Kind::kPathLabel:
+        undo_labels_.pop_front();
+        break;
+      case UndoRecord::Kind::kSchedule:
+        undo_schedules_.erase(undo_schedules_.begin(),
+                              undo_schedules_.begin() + 2 * static_cast<std::ptrdiff_t>(rec.index));
+        break;
+      case UndoRecord::Kind::kPathRemoved:
+        undo_paths_.pop_front();
+        break;
+      case UndoRecord::Kind::kElementRemoved:
+        undo_elements_.pop_front();
+        break;
+    }
+  }
 }
 
 // -- Analysis ----------------------------------------------------------------

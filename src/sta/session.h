@@ -50,6 +50,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,9 +162,13 @@ class AnalysisSession {
   std::vector<std::string> validate_since(size_t mark) const;
 
   // -- Undo log -------------------------------------------------------------
-  size_t mark() const { return undo_.size(); }
+  size_t mark() const { return forgotten_ + undo_.size(); }
   void undo();                  // revert the most recent mutation
   void undo_to(size_t mark);    // revert everything after mark()
+  /// Drop the records before `mark` (<= mark()), so the log no longer
+  /// reaches back past it; later marks keep their numbers. A long-lived
+  /// owner calls this to bound the log's bytes.
+  void forget_before(size_t mark);
 
   /// Analyze the current state. Returns a cached report when nothing
   /// changed, warm-starts the fixpoint when the change was monotone, and
@@ -295,11 +300,14 @@ class AnalysisSession {
   // exact base cannot introduce residual).
   bool fixpoint_exact_ = false;
 
-  std::vector<UndoRecord> undo_;
-  std::vector<std::string> undo_labels_;
-  std::vector<double> undo_schedules_;
-  std::vector<CombPath> undo_paths_;
-  std::vector<Element> undo_elements_;
+  // Deques, so forget_before drops the oldest records and payloads from
+  // their fronts in O(1) each.
+  std::deque<UndoRecord> undo_;
+  std::deque<std::string> undo_labels_;
+  std::deque<double> undo_schedules_;
+  std::deque<CombPath> undo_paths_;
+  std::deque<Element> undo_elements_;
+  size_t forgotten_ = 0;  // records forget_before dropped: undo_[0]'s mark
   Counters counters_;
 
   std::uint64_t generation_ = 0;

@@ -387,6 +387,34 @@ TEST(ServeService, UndoIntoTheMiddleOfABatchIsRejectedAnalysisSessionUnchanged) 
   expect_error(service, undo_req("e1"), "invalid_argument");  // nothing left to rewind
 }
 
+// A session keeps its last kUndoCommits commits; older ones are forgotten
+// with their undo records. `to` a forgotten mark and `steps` past the kept
+// commits are rejected, and the oldest kept mark still rewinds exactly.
+TEST(ServeService, UndoReachesBackTheLastCommitsOnly) {
+  TimingService service;
+  std::vector<std::string> fingerprints = {
+      load_example1(service, "e1").get("result").get("fingerprint").as_string()};
+  for (size_t i = 0; i < TimingService::kUndoCommits + 2; ++i) {
+    Json edits = Json::array();
+    edits.push(req({{"op", Json("set_path_delay")},
+                    {"path", Json(0L)},
+                    {"delay", Json(50.0 + 0.01 * static_cast<double>(i + 1))}}));
+    const Json r = expect_ok(service, edit_batch_req("e1", std::move(edits))).get("result");
+    ASSERT_EQ(r.get("mark").as_long(-1), static_cast<long>(i));
+    fingerprints.push_back(r.get("fingerprint").as_string());  // the content at mark i + 1
+  }
+  expect_error(service, undo_to_req("e1", 0), "invalid_argument");
+  expect_error(service, undo_to_req("e1", 1), "invalid_argument");
+  const long too_many = static_cast<long>(TimingService::kUndoCommits) + 1;
+  expect_error(service,
+               req({{"verb", Json("undo")}, {"circuit", Json("e1")}, {"steps", Json(too_many)}}),
+               "invalid_argument");
+  const Json r = expect_ok(service, undo_to_req("e1", 2)).get("result");
+  EXPECT_EQ(r.get("mark").as_long(-1), 2);
+  EXPECT_EQ(r.get("fingerprint").as_string(), fingerprints[2]);
+  expect_error(service, undo_req("e1"), "invalid_argument");  // nothing kept before it
+}
+
 TEST(ServeService, UndoAfterMinApplyRestoresTheAnalysisSessionSchedule) {
   TimingService service;
   const std::string fp0 =

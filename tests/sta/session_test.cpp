@@ -427,6 +427,75 @@ TEST(AnalysisSession, UndoToEveryMarkRestoresContentBitwise) {
   expect_reports_identical(session.analyze(), f.fresh(f.circuit, f.schedule));
 }
 
+// forget_before drops the oldest records, and with them the payloads at the
+// fronts of the side stacks. Marks keep their numbers, and every later mark
+// must still rewind bit for bit, edits made after the forget included.
+TEST(AnalysisSession, ForgetBeforeKeepsEveryLaterMarkExact) {
+  const Fixture f(circuits::gaas_datapath());
+  AnalysisSession session(f.circuit, f.schedule, f.options);
+  std::mt19937_64 rng(12);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto pick = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  struct Snapshot {
+    size_t mark;
+    std::string text;
+    std::uint64_t fingerprint;
+  };
+  std::vector<Snapshot> snapshots;
+  const auto walk = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      snapshots.push_back({session.mark(), content_text(session), session.content_fingerprint()});
+      const Circuit& c = session.circuit();
+      const int p = pick(c.num_paths());
+      const int i = pick(c.num_elements());
+      switch (pick(6)) {
+        case 0:
+          session.set_path_delay(p, c.path(p).min_delay + uniform(0.0, 3.0));
+          break;
+        case 1:
+          session.set_path_label(p, std::string(static_cast<size_t>(1 + pick(20)), 'x'));
+          break;
+        case 2:
+          session.set_element_skew(i, uniform(0.0, 0.3));
+          break;
+        case 3:
+          session.set_schedule(f.schedule.scaled(uniform(0.9, 1.3)));
+          break;
+        case 4:
+          if (c.num_paths() > 8) session.remove_path(p);
+          break;
+        default:
+          if (c.num_elements() > 8) session.remove_element(i);
+          break;
+      }
+    }
+  };
+  walk(120);
+  const size_t keep = snapshots.size() / 2;
+  const size_t end = session.mark();
+  session.forget_before(snapshots[keep].mark);
+  ASSERT_EQ(session.mark(), end);
+  walk(60);
+  while (snapshots.size() > keep) {
+    const Snapshot& snap = snapshots.back();
+    session.undo_to(snap.mark);
+    ASSERT_EQ(session.mark(), snap.mark);
+    EXPECT_EQ(content_text(session), snap.text) << "mark " << snap.mark;
+    EXPECT_EQ(session.content_fingerprint(), snap.fingerprint) << "mark " << snap.mark;
+    snapshots.pop_back();
+  }
+  // Nothing before the oldest kept mark is left to undo; editing on from it
+  // numbers the new records after it.
+  const size_t oldest = session.mark();
+  session.set_path_delay(0, session.circuit().path(0).delay + 1.0);
+  EXPECT_EQ(session.mark(), oldest + 1);
+  session.undo();
+  expect_reports_identical(session.analyze(),
+                           f.fresh(session.circuit(), session.schedule()));
+}
+
 // Warm re-analysis cases no other session test covers: the warm path must
 // stay local, and must still report a runaway loop.
 
