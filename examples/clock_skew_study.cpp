@@ -4,9 +4,9 @@
 //
 // The centerpiece is the per-design SKEW-TOLERANCE CURVE Tc*(σ): every
 // element's first-class skew field is swept uniformly through the
-// parametric-LP machinery (opt::sweep_clock_skew chains warm simplex bases
-// between samples), and the recovered piecewise-linear segments show how
-// much clock uncertainty each design absorbs per nanosecond of cycle time.
+// parametric-LP machinery (opt::sweep_clock_skew solves each sample's LP
+// cold), and the recovered piecewise-linear segments show how much clock
+// uncertainty each design absorbs per nanosecond of cycle time.
 // Results are printed as text tables and written as JSON
 // (skew_tolerance.json, or argv[1]) for plotting; see EXPERIMENTS.md.
 #include <cstdio>

@@ -48,7 +48,7 @@ BaselineResult fixed_shape_search(const Circuit& circuit, const ClockShape& shap
     }
   }
   double lo = 0.0;
-  while (hi - lo > options.tol) {
+  while (hi - lo > kSearchTol) {
     const double mid = 0.5 * (lo + hi);
     if (feasible_at(mid)) {
       hi = mid;

@@ -34,8 +34,10 @@ struct ClockShape {
   static ClockShape symmetric(int num_phases, double duty = 1.0);
 };
 
+/// The absolute Tc tolerance of every fixed-shape binary search.
+inline constexpr double kSearchTol = 1e-6;
+
 struct BinarySearchOptions {
-  double tol = 1e-6;       // absolute Tc tolerance
   double hi_limit = 1e9;   // give up if no feasible Tc below this
   bool check_hold = false;
 };

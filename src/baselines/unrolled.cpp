@@ -83,7 +83,7 @@ BaselineResult atv_unrolled(const Circuit& circuit, const ClockShape& shape, int
     }
   }
   double lo = 0.0;
-  while (hi - lo > options.tol) {
+  while (hi - lo > kSearchTol) {
     const double mid = 0.5 * (lo + hi);
     if (feasible_at(mid)) {
       hi = mid;

@@ -47,8 +47,23 @@ std::string DifferentialReport::to_string() const {
 
 namespace {
 
-// The exact solver's Tc* must match the simplex's this closely, relative.
+// The exact solver's Tc* must match the simplex's this closely, relative;
+// the binary search's within kTcTol, scaled by max(1, Tc*).
 constexpr double kExactRelTol = 1e-9;
+constexpr double kTcTol = 1e-4;
+// Per-element departure tolerance where a solve stopped at the eps deadband.
+constexpr double kDepartureTol = 1e-6;
+// The tolerance handed to satisfies_p1.
+constexpr double kP1Eps = 1e-5;
+// The perturbation checks run at the optimum scaled by kSlackFactor, so
+// every loop has strictly negative gain and every solve stays convergent.
+// The random delay perturbation is at most kMaxPerturb relative; it must
+// stay below kSlackFactor - 1 - margin or an increase on a tight loop could
+// legitimately diverge after the edit (see check_circuit).
+constexpr double kSlackFactor = 1.25;
+constexpr double kMaxPerturb = 0.2;
+// The token simulator's generation budget.
+constexpr int kSimMaxGenerations = 1024;
 
 std::vector<double> zeros(const Circuit& circuit) {
   return std::vector<double>(static_cast<size_t>(circuit.num_elements()), 0.0);
@@ -202,10 +217,10 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   rep.feasible = true;
   rep.min_cycle = lp->min_cycle;
   const double tc_scale = std::max(1.0, std::fabs(lp->min_cycle));
-  if (std::fabs(lp->min_cycle - bf->min_cycle) > options.tc_tol * tc_scale) {
+  if (std::fabs(lp->min_cycle - bf->min_cycle) > kTcTol * tc_scale) {
     fail(CheckKind::kSolverAgreement,
          "simplex Tc*=" + fmt_time(lp->min_cycle, 8) + " vs graph Tc*=" +
-             fmt_time(bf->min_cycle, 8) + " (tol " + fmt_time(options.tc_tol * tc_scale, 8) + ")");
+             fmt_time(bf->min_cycle, 8) + " (tol " + fmt_time(kTcTol * tc_scale, 8) + ")");
   }
   // The exact solver agrees to rounding, relative to Tc* itself.
   if (std::fabs(lp->min_cycle - ex->min_cycle) > kExactRelTol * std::fabs(lp->min_cycle)) {
@@ -216,13 +231,13 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
 
   // Each engine's solution must satisfy the nonlinear problem P1 exactly —
   // not just the relaxed LP rows.
-  if (!opt::satisfies_p1(circuit, lp->schedule, lp->departure, options.p1_eps)) {
+  if (!opt::satisfies_p1(circuit, lp->schedule, lp->departure, kP1Eps)) {
     fail(CheckKind::kP1Satisfaction, "simplex (schedule, departures) violates P1");
   }
-  if (!opt::satisfies_p1(graph_input, bf->schedule, bf->departure, options.p1_eps)) {
+  if (!opt::satisfies_p1(graph_input, bf->schedule, bf->departure, kP1Eps)) {
     fail(CheckKind::kP1Satisfaction, "graph-solver (schedule, departures) violates P1");
   }
-  if (!opt::satisfies_p1(graph_input, ex->schedule, ex->departure, options.p1_eps)) {
+  if (!opt::satisfies_p1(graph_input, ex->schedule, ex->departure, kP1Eps)) {
     fail(CheckKind::kP1Satisfaction, "exact-solver (schedule, departures) violates P1");
   }
 
@@ -241,7 +256,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   // from such a start they must agree bit for bit. Elsewhere — either stops
   // at the eps deadband (a zero-gain loop drifting by ulps), or the LP point
   // sits an ulp above its image somewhere and the order picks one of a
-  // zero-gain loop's many fixpoints — within departure_tol.
+  // zero-gain loop's many fixpoints — within kDepartureTol.
   const auto check_against_oracle = [&](const char* leg, const std::vector<double>& engine,
                                         const std::vector<double>& initial) {
     const sta::FixpointResult oracle = jacobi_departures(circuit, lp->schedule, initial);
@@ -260,7 +275,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     const bool exact = (up || down) && oracle.residual == 0.0 &&
                        sta::fixpoint_residual(view, opt_shifts, engine) == 0.0;
     const VecDiff d = max_abs_diff(engine, oracle.departure);
-    if (exact ? engine != oracle.departure : d.amount > options.departure_tol) {
+    if (exact ? engine != oracle.departure : d.amount > kDepartureTol) {
       fail(CheckKind::kSchemeAgreement,
            std::string(leg) + ": engine differs from the jacobi oracle by " +
                fmt_time(d.amount, 12) + " at element '" + circuit.element(d.element).name +
@@ -282,7 +297,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   if (options.check_simulation) {
     const ClockSchedule sim_sch = lp->schedule.scaled(1.02);
     sim::SimOptions so;
-    so.max_generations = options.sim_max_generations;
+    so.max_generations = kSimMaxGenerations;
     const sim::SimResult sim = sim::simulate_tokens(circuit, sim_sch, so);
     const sta::FixpointResult fix =
         sta::compute_departures(view, ShiftTable(sim_sch), zeros(circuit));
@@ -292,7 +307,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
                " steady state but the fixpoint " + flag_string(fix));
     } else if (sim.converged) {
       const VecDiff d = max_abs_diff(sim.departure, fix.departure);
-      if (d.amount > options.departure_tol) {
+      if (d.amount > kDepartureTol) {
         fail(CheckKind::kSimAgreement,
              "steady state differs from the fixpoint by " + fmt_time(d.amount, 9) +
                  " at element '" + circuit.element(d.element).name + "'");
@@ -301,15 +316,15 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
   }
 
   // Warm re-analysis vs a fresh analysis after a random perturbation, at a
-  // relaxed schedule. With slack_factor > 1 + max_perturb every loop keeps
+  // relaxed schedule. With kSlackFactor > 1 + kMaxPerturb every loop keeps
   // strictly negative gain (a path's delay is at most its loop's sum, which
   // the optimal Tc covers), so every solve must stay convergent.
   if (circuit.num_paths() > 0) {
     std::mt19937_64 rng(rng_seed);
     std::uniform_int_distribution<int> pick_path(0, circuit.num_paths() - 1);
-    std::uniform_real_distribution<double> magnitude(0.05, options.max_perturb);
+    std::uniform_real_distribution<double> magnitude(0.05, kMaxPerturb);
     const int p = pick_path(rng);
-    const ClockSchedule relaxed = lp->schedule.scaled(options.slack_factor);
+    const ClockSchedule relaxed = lp->schedule.scaled(kSlackFactor);
     const sta::FixpointResult before =
         sta::compute_departures(view, ShiftTable(relaxed), zeros(circuit));
     if (before.converged) {
@@ -429,7 +444,7 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     // then undo back — each state bit-identical to a fresh check_schedule.
     sta::AnalysisOptions an;
     an.check_hold = true;
-    const ClockSchedule relaxed = lp->schedule.scaled(options.slack_factor);
+    const ClockSchedule relaxed = lp->schedule.scaled(kSlackFactor);
     sta::AnalysisSession session(circuit, relaxed, an);
     std::string diff =
         diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));

@@ -10,14 +10,14 @@
 // one circuit:
 //
 //   * the simplex and both graph-solver optima agree on Tc* — the binary
-//     search within tc_tol, the exact solver within 1e-9 relative — or all
-//     report the same error kind,
+//     search within 1e-4·max(1, Tc*), the exact solver within 1e-9
+//     relative — or all report the same error kind,
 //   * each engine's (schedule, departures) satisfies the nonlinear problem
 //     P1 exactly,
 //   * the eq. (17) engine matches the paper's Jacobi iteration (the
 //     check/oracle.h oracle) from zero and on MLP's slide from the LP point:
-//     bit for bit where the engine's fixpoint is exact, within
-//     departure_tol where it stopped at the eps deadband,
+//     bit for bit where the engine's fixpoint is exact, within 1e-6 where
+//     it stopped at the eps deadband,
 //   * an sta::AnalysisSession driven through a random delay perturbation,
 //     a walk of warm-eligible path raises and setup/hold/skew edits, and
 //     the undo of all of it reproduces fresh check_schedule reports
@@ -65,18 +65,7 @@ struct DifferentialOptions {
   /// Constraint-generation knobs (hold constraints, nonoverlap, skew, ...)
   /// handed identically to both optimizing engines.
   opt::GeneratorOptions generator;
-  double tc_tol = 1e-4;         // |Tc_simplex - Tc_graph| tolerance
-  double departure_tol = 1e-6;  // per-element departure tolerance
-  double p1_eps = 1e-5;         // tolerance handed to satisfies_p1
-  /// The perturbation checks run at the optimum scaled by this factor, so
-  /// every loop has strictly negative gain and every solve stays convergent.
-  double slack_factor = 1.25;
-  /// Relative size of the random delay perturbation. Must stay below
-  /// slack_factor - 1 - margin or an increase on a tight loop could
-  /// legitimately diverge after the edit (see differential.cpp).
-  double max_perturb = 0.2;
   bool check_simulation = true;
-  int sim_max_generations = 1024;
   /// Skew leg: re-run the whole agreement matrix on a copy of the circuit
   /// with deterministic random per-latch skews (drawn from rng_seed), plus
   /// an AnalysisSession leg that reaches the skewed circuit via

@@ -3,6 +3,7 @@
 #include <random>
 #include <utility>
 
+#include "check/shrink.h"
 #include "circuits/synthetic.h"
 #include "netlist/extract.h"
 #include "netlist/generators.h"
@@ -90,7 +91,7 @@ FuzzResult run_fuzz(const FuzzOptions& options) {
       const auto still_fails = [&](const Circuit& cand) {
         return check_circuit(cand, perturb_seed, options.diff).has(kind);
       };
-      ShrinkResult sr = shrink_circuit(c, still_fails, options.shrink);
+      ShrinkResult sr = shrink_circuit(c, still_fails);
       minimal = std::move(sr.circuit);
       ff.shrink_attempts = sr.attempts;
     }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "check/differential.h"
-#include "check/shrink.h"
 #include "model/circuit.h"
 
 namespace mintc::check {
@@ -27,7 +26,6 @@ struct FuzzOptions {
   uint64_t base_seed = 1;
   int num_seeds = 100;
   DifferentialOptions diff;
-  ShrinkOptions shrink;
   bool shrink_failures = true;
   /// Directory to write shrunk repros into ("" = keep them in memory only).
   std::string repro_dir;

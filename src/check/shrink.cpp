@@ -10,6 +10,14 @@
 
 namespace mintc::check {
 
+namespace {
+
+// Full passes over all edit kinds, and the grid delays are rounded onto.
+constexpr int kMaxRounds = 12;
+constexpr double kDelayGrid = 1.0;
+
+}  // namespace
+
 Circuit without_path(const Circuit& circuit, int skip) {
   Circuit out(circuit.name(), circuit.num_phases());
   for (const Element& e : circuit.elements()) out.add_element(e);
@@ -36,8 +44,7 @@ Circuit without_element(const Circuit& circuit, int skip) {
   return out;
 }
 
-ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& still_fails,
-                            const ShrinkOptions& options) {
+ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& still_fails) {
   assert(still_fails(failing));
   ShrinkResult res{failing, 0, 0};
 
@@ -58,7 +65,7 @@ ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& stil
     return false;
   };
 
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool progress = false;
 
     // Drop paths, highest index first so lower indices survive an accepted
@@ -75,7 +82,7 @@ ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& stil
     // Round delays onto a coarse grid so the repro prints cleanly.
     for (int p = 0; p < session.circuit().num_paths(); ++p) {
       const CombPath& path = session.circuit().path(p);
-      double rounded = std::round(path.delay / options.delay_grid) * options.delay_grid;
+      double rounded = std::round(path.delay / kDelayGrid) * kDelayGrid;
       rounded = std::max({rounded, path.min_delay, 0.0});
       if (std::fabs(rounded - path.delay) < 1e-12) continue;
       progress |= try_edit([&] { session.set_path_delay(p, rounded); });

@@ -20,21 +20,17 @@ namespace mintc::check {
 /// elements)) times.
 using FailurePredicate = std::function<bool(const Circuit&)>;
 
-struct ShrinkOptions {
-  int max_rounds = 12;      // full passes over all edit kinds
-  double delay_grid = 1.0;  // round delays to multiples of this when possible
-};
-
 struct ShrinkResult {
   Circuit circuit;    // the minimized failing circuit
   int attempts = 0;   // candidate edits tried
   int accepted = 0;   // edits that preserved the failure
 };
 
-/// Greedily minimize `failing` while `still_fails` keeps returning true.
-/// `still_fails(failing)` itself must be true on entry (asserted).
-ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& still_fails,
-                            const ShrinkOptions& options = {});
+/// Greedily minimize `failing` while `still_fails` keeps returning true:
+/// at most 12 full passes over all edit kinds, delays rounded to whole
+/// units where possible. `still_fails(failing)` itself must be true on
+/// entry (asserted).
+ShrinkResult shrink_circuit(const Circuit& failing, const FailurePredicate& still_fails);
 
 /// Rebuild the circuit without path `p` (exposed for the shrinker tests).
 Circuit without_path(const Circuit& circuit, int p);

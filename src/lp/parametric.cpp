@@ -10,16 +10,11 @@ ParametricResult sweep_parameter(const std::function<Model(double)>& build, doub
   if (samples < 2 || hi <= lo) return result;
 
   const double step = (hi - lo) / (samples - 1);
-  // Chain the optimal basis across samples: z*(θ) is piecewise-linear, so
-  // the basis is constant within each segment and consecutive solves after
-  // the first are pure warm re-optimizations (a handful of pivots at the
-  // breakpoints, zero elsewhere).
-  std::vector<int> basis;
+  // Every sample is a cold solve of its own model, so each point is exactly
+  // what solving that θ alone returns.
   for (int i = 0; i < samples; ++i) {
     const double theta = lo + step * i;
-    const Model m = build(theta);
-    const Solution s = solver.solve(m, basis.empty() ? nullptr : &basis);
-    if (s.optimal()) basis = s.basis;
+    const Solution s = solver.solve(build(theta));
     ParametricPoint p;
     p.theta = theta;
     p.status = s.status;

@@ -34,6 +34,11 @@ double Solution::row_slack(const Model& model, int r) const {
 
 namespace {
 
+// Pivot and feasibility tolerance.
+constexpr double kEps = 1e-9;
+// Degenerate pivots in a row before pricing switches to Bland's rule.
+constexpr int kStallLimit = 64;
+
 // How an original model variable maps into tableau columns.
 struct VarMap {
   int pos = -1;       // column of the shifted nonnegative part
@@ -62,7 +67,7 @@ struct Standard {
 // Dense row operations for the tableau: rows of `a` plus parallel vectors.
 class Tableau {
  public:
-  Tableau(Standard& s, double eps) : s_(s), eps_(eps) {}
+  explicit Tableau(Standard& s) : s_(s) {}
 
   // Reduced costs for the given cost vector, given the current basis.
   // r_j = c_j - y' a_j where y solves  y' B = c_B.
@@ -91,7 +96,7 @@ class Tableau {
   // lowest-index negative one (Bland). Banned columns are skipped.
   int choose_entering(bool bland, const std::vector<bool>& banned) const {
     int best = -1;
-    double best_red = -eps_;
+    double best_red = -kEps;
     for (int j = 0; j < s_.n; ++j) {
       if (banned[static_cast<size_t>(j)]) continue;
       const double r = red_[static_cast<size_t>(j)];
@@ -111,12 +116,12 @@ class Tableau {
     double best_ratio = std::numeric_limits<double>::infinity();
     for (int i = 0; i < s_.m; ++i) {
       const double aij = s_.at(i, entering);
-      if (aij <= eps_) continue;
+      if (aij <= kEps) continue;
       const double ratio = s_.b[static_cast<size_t>(i)] / aij;
-      if (ratio < best_ratio - eps_) {
+      if (ratio < best_ratio - kEps) {
         best_ratio = ratio;
         best_row = i;
-      } else if (ratio < best_ratio + eps_ && best_row >= 0) {
+      } else if (ratio < best_ratio + kEps && best_row >= 0) {
         // Tie: prefer leaving artificials, then Bland's smallest index.
         const int cur = s_.basis[static_cast<size_t>(i)];
         const int prev = s_.basis[static_cast<size_t>(best_row)];
@@ -142,7 +147,7 @@ class Tableau {
   // the function pins the loop's offset within its line.
   __attribute__((aligned(64))) void pivot(int row, int col) {
     const double piv = s_.at(row, col);
-    assert(std::fabs(piv) > eps_);
+    assert(std::fabs(piv) > kEps);
     const double inv = 1.0 / piv;
     for (int j = 0; j < s_.n; ++j) s_.at(row, j) *= inv;
     s_.b[static_cast<size_t>(row)] *= inv;
@@ -154,7 +159,7 @@ class Tableau {
       for (int j = 0; j < s_.n; ++j) s_.at(i, j) -= f * s_.at(row, j);
       s_.b[static_cast<size_t>(i)] -= f * s_.b[static_cast<size_t>(row)];
       s_.at(i, col) = 0.0;  // exact
-      if (s_.b[static_cast<size_t>(i)] < 0.0 && s_.b[static_cast<size_t>(i)] > -eps_) {
+      if (s_.b[static_cast<size_t>(i)] < 0.0 && s_.b[static_cast<size_t>(i)] > -kEps) {
         s_.b[static_cast<size_t>(i)] = 0.0;
       }
     }
@@ -169,87 +174,27 @@ class Tableau {
 
  private:
   Standard& s_;
-  double eps_;
   std::vector<double> cost_;
   std::vector<double> red_;
   double obj_ = 0.0;  // c_B' b accumulated; actual objective = -(...) handled by caller
 };
 
-// Re-install a previously optimal basis on a freshly built standard form.
-// Tableau::pivot cannot be used here — its reduced-cost row only exists
-// after start_phase — so this is raw Gauss-Jordan elimination on `s` alone.
-// The hint is treated as a *set* of columns: for each column the best pivot
-// row among the not-yet-assigned ones is chosen, which tolerates the row
-// permutations a rebuilt tableau can introduce. Returns false (leaving `s`
-// in an undefined state — caller must restore a backup) when the hint is
-// malformed, names an artificial column, is numerically singular, or the
-// resulting basic point is primal-infeasible.
-bool install_basis(Standard& s, const std::vector<int>& hint) {
-  if (static_cast<int>(hint.size()) != s.m) return false;
-  std::vector<bool> used_col(static_cast<size_t>(s.n), false);
-  for (const int c : hint) {
-    if (c < 0 || c >= s.n) return false;
-    if (s.artificial[static_cast<size_t>(c)]) return false;
-    if (used_col[static_cast<size_t>(c)]) return false;
-    used_col[static_cast<size_t>(c)] = true;
-  }
-  std::vector<bool> used_row(static_cast<size_t>(s.m), false);
-  for (const int col : hint) {
-    int row = -1;
-    double best = 1e-8;  // singularity threshold
-    for (int i = 0; i < s.m; ++i) {
-      if (used_row[static_cast<size_t>(i)]) continue;
-      const double a = std::fabs(s.at(i, col));
-      if (a > best) {
-        best = a;
-        row = i;
-      }
-    }
-    if (row < 0) return false;
-    used_row[static_cast<size_t>(row)] = true;
-    const double inv = 1.0 / s.at(row, col);
-    for (int j = 0; j < s.n; ++j) s.at(row, j) *= inv;
-    s.b[static_cast<size_t>(row)] *= inv;
-    s.at(row, col) = 1.0;  // exact
-    for (int i = 0; i < s.m; ++i) {
-      if (i == row) continue;
-      const double f = s.at(i, col);
-      if (f == 0.0) continue;
-      for (int j = 0; j < s.n; ++j) s.at(i, j) -= f * s.at(row, j);
-      s.b[static_cast<size_t>(i)] -= f * s.b[static_cast<size_t>(row)];
-      s.at(i, col) = 0.0;  // exact
-    }
-    s.basis[static_cast<size_t>(row)] = col;
-  }
-  // Primal feasibility of the basic point; without it phase 1 cannot be
-  // skipped. Small negative noise is clamped like in Tableau::pivot.
-  for (int i = 0; i < s.m; ++i) {
-    double& bi = s.b[static_cast<size_t>(i)];
-    if (bi < -1e-7) return false;
-    if (bi < 0.0) bi = 0.0;
-  }
-  return true;
-}
-
 }  // namespace
 
-Solution SimplexSolver::solve(const Model& model, const std::vector<int>* warm_basis) const {
+Solution SimplexSolver::solve(const Model& model) const {
   const obs::TraceSpan span("simplex.solve", "lp");
-  Solution sol = solve_impl(model, warm_basis);
+  Solution sol = solve_impl(model);
   auto& reg = obs::MetricsRegistry::instance();
   const long pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots;
   reg.counter("simplex.solves", {{"status", to_string(sol.status)}}).inc();
   reg.counter("simplex.pivots").inc(pivots);
   reg.counter("simplex.degenerate_pivots").inc(sol.stats.degenerate_pivots);
   if (sol.stats.used_bland) reg.counter("simplex.bland_switches").inc();
-  if (sol.stats.warm_started) reg.counter("simplex.warm_starts").inc();
-  if (sol.stats.warm_rejected) reg.counter("simplex.warm_fallbacks").inc();
   reg.histogram("simplex.pivots_per_solve").observe(static_cast<double>(pivots));
   return sol;
 }
 
-Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* warm_basis) const {
-  const double eps = options_.eps;
+Solution SimplexSolver::solve_impl(const Model& model) const {
   Solution sol;
   sol.x.assign(static_cast<size_t>(model.num_variables()), 0.0);
   sol.duals.assign(static_cast<size_t>(model.num_rows()), 0.0);
@@ -390,10 +335,10 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* w
   sol.stats.rows = s.m;
   sol.stats.cols = s.n;
 
-  Tableau tab(s, eps);
+  Tableau tab(s);
   std::vector<bool> banned(static_cast<size_t>(s.n), false);
 
-  auto run_phase = [&](const std::vector<double>& cost, int& pivots, bool phase1) -> SolveStatus {
+  auto run_phase = [&](const std::vector<double>& cost, int& pivots) -> SolveStatus {
     tab.start_phase(cost);
     bool bland = options_.bland_from_start;
     int stall = 0;
@@ -409,9 +354,9 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* w
       tab.pivot(leaving, entering);
       ++pivots;
       const double obj = tab.objective();
-      if (std::fabs(obj - last_obj) <= eps) {
+      if (std::fabs(obj - last_obj) <= kEps) {
         ++sol.stats.degenerate_pivots;
-        if (++stall >= options_.stall_limit && !bland) {
+        if (++stall >= kStallLimit && !bland) {
           bland = true;
           sol.stats.used_bland = true;
         }
@@ -420,32 +365,14 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* w
         if (bland && !options_.bland_from_start) bland = false;
       }
       last_obj = obj;
-      (void)phase1;
     }
   };
 
-  // ---- 4a. Warm start: try to re-install the hinted basis and skip phase 1.
-  bool warm = false;
-  if (warm_basis != nullptr && !warm_basis->empty()) {
-    const Standard backup = s;
-    if (install_basis(s, *warm_basis)) {
-      warm = true;
-      sol.stats.warm_started = true;
-      // The hinted basis is artificial-free; keep artificials locked out.
-      for (int j = 0; j < s.n; ++j) {
-        if (s.artificial[static_cast<size_t>(j)]) banned[static_cast<size_t>(j)] = true;
-      }
-    } else {
-      sol.stats.warm_rejected = true;
-      s = backup;
-    }
-  }
-
   // ---- 4. Phase 1.
   const bool any_artificial =
-      !warm && std::any_of(s.artificial.begin(), s.artificial.end(), [](bool v) { return v; });
+      std::any_of(s.artificial.begin(), s.artificial.end(), [](bool v) { return v; });
   if (any_artificial) {
-    const SolveStatus st = run_phase(phase1_cost, sol.stats.phase1_pivots, true);
+    const SolveStatus st = run_phase(phase1_cost, sol.stats.phase1_pivots);
     if (st == SolveStatus::kIterLimit) {
       sol.status = st;
       return sol;
@@ -497,7 +424,7 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* w
   }
 
   // ---- 5. Phase 2.
-  const SolveStatus st2 = run_phase(s.cost, sol.stats.phase2_pivots, false);
+  const SolveStatus st2 = run_phase(s.cost, sol.stats.phase2_pivots);
   if (st2 != SolveStatus::kOptimal) {
     sol.status = st2;
     return sol;
@@ -532,7 +459,6 @@ Solution SimplexSolver::solve_impl(const Model& model, const std::vector<int>* w
     sol.activity[static_cast<size_t>(r)] = model.row_activity(r, sol.x);
   }
 
-  sol.basis = s.basis;  // reusable as warm_basis on a same-shaped model
   sol.status = SolveStatus::kOptimal;
   return sol;
 }

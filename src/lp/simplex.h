@@ -34,8 +34,6 @@ struct SolveStats {
   int rows = 0;     // tableau rows after preprocessing
   int cols = 0;     // tableau columns after preprocessing
   bool used_bland = false;
-  bool warm_started = false;   // a caller-supplied basis was installed; phase 1 skipped
-  bool warm_rejected = false;  // a basis hint was supplied but unusable (fell back cold)
 };
 
 /// Result of a solve. `x`, `duals` and `activity` are indexed like the
@@ -48,12 +46,6 @@ struct Solution {
   std::vector<double> duals;
   std::vector<double> activity;
   SolveStats stats;
-  /// The optimal basis: one standard-form column per tableau row. Opaque to
-  /// callers except as a `warm_basis` for a later solve of a *same-shaped*
-  /// model (same variables, bounds and rows, possibly different
-  /// coefficients/RHS) — the parametric-RHS situation of Section VI, where
-  /// the optimal basis usually survives small perturbations.
-  std::vector<int> basis;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }
 
@@ -65,10 +57,8 @@ struct Solution {
 class SimplexSolver {
  public:
   struct Options {
-    double eps = 1e-9;           // pivot / feasibility tolerance
-    int max_pivots = 200000;     // hard iteration cap across both phases
+    int max_pivots = 200000;  // hard iteration cap across both phases
     bool bland_from_start = false;
-    int stall_limit = 64;        // degenerate pivots before switching to Bland
   };
 
   SimplexSolver() = default;
@@ -76,20 +66,12 @@ class SimplexSolver {
 
   /// Solve the model. Never throws on infeasible/unbounded input; those are
   /// reported in Solution::status.
-  ///
-  /// `warm_basis` (optional) warm-starts the solve from a previous
-  /// Solution::basis: the hinted columns are re-installed by Gaussian
-  /// elimination and, when they still form a primal-feasible basis, phase 1
-  /// is skipped entirely and phase 2 re-optimizes from there. Any defect in
-  /// the hint (wrong size, artificial/duplicate columns, singular or
-  /// infeasible basis) falls back to the ordinary two-phase solve, so a
-  /// stale hint can cost time but never correctness.
-  Solution solve(const Model& model, const std::vector<int>* warm_basis = nullptr) const;
+  Solution solve(const Model& model) const;
 
   const Options& options() const { return options_; }
 
  private:
-  Solution solve_impl(const Model& model, const std::vector<int>* warm_basis) const;
+  Solution solve_impl(const Model& model) const;
 
   Options options_;
 };

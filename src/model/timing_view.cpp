@@ -1,6 +1,5 @@
 #include "model/timing_view.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -98,7 +97,6 @@ TimingView::TimingView(const Circuit& circuit) {
     skew_[static_cast<size_t>(i)] = e.skew;
     setup_margin_[static_cast<size_t>(i)] = e.setup + e.skew;
     hold_margin_[static_cast<size_t>(i)] = e.hold + e.skew;
-    if (e.skew > max_skew_) max_skew_ = e.skew;
     divergence_base_ += e.dq;
   }
 
@@ -162,7 +160,6 @@ TimingView::TimingView(const Circuit& circuit) {
 }
 
 void TimingView::mark_edge_dirty(EdgeIndex e) {
-  ++generation_;
   if (!edge_dirty_[static_cast<size_t>(e)]) {
     edge_dirty_[static_cast<size_t>(e)] = 1;
     dirty_edges_.push_back(e);
@@ -177,7 +174,6 @@ void TimingView::set_path_delay(int p, double delay) {
   divergence_base_ += delay - old;
   path_delay_[static_cast<size_t>(e)] = delay;
   max_const_[static_cast<size_t>(e)] = dq_[static_cast<size_t>(src_[static_cast<size_t>(e)])] + delay;
-  max_dirty_ = true;
   mark_edge_dirty(e);
 }
 
@@ -187,7 +183,6 @@ void TimingView::set_path_min_delay(int p, double min_delay) {
   path_min_delay_[static_cast<size_t>(e)] = min_delay;
   min_const_[static_cast<size_t>(e)] =
       min_dq_[static_cast<size_t>(src_[static_cast<size_t>(e)])] + min_delay;
-  min_dirty_ = true;
   mark_edge_dirty(e);
 }
 
@@ -201,10 +196,8 @@ void TimingView::set_element_dq(int i, double dq) {
   for (EdgeIndex f = fanout_begin(i); f < end; ++f) {
     const EdgeIndex e = fanout_edges_[static_cast<size_t>(f)];
     max_const_[static_cast<size_t>(e)] = dq + path_delay_[static_cast<size_t>(e)];
-    max_dirty_ = true;
     mark_edge_dirty(e);
   }
-  if (fanout_begin(i) == end) ++generation_;  // no edges, still a change
 }
 
 void TimingView::set_element_min_dq(int i, double min_dq) {
@@ -214,49 +207,33 @@ void TimingView::set_element_min_dq(int i, double min_dq) {
   for (EdgeIndex f = fanout_begin(i); f < end; ++f) {
     const EdgeIndex e = fanout_edges_[static_cast<size_t>(f)];
     min_const_[static_cast<size_t>(e)] = min_dq + path_min_delay_[static_cast<size_t>(e)];
-    min_dirty_ = true;
     mark_edge_dirty(e);
   }
-  if (fanout_begin(i) == end) ++generation_;
 }
 
 void TimingView::set_element_setup(int i, double setup) {
   if (setup == setup_[static_cast<size_t>(i)]) return;
   setup_[static_cast<size_t>(i)] = setup;
   setup_margin_[static_cast<size_t>(i)] = setup + skew_[static_cast<size_t>(i)];
-  ++generation_;
 }
 
 void TimingView::set_element_hold(int i, double hold) {
   if (hold == hold_[static_cast<size_t>(i)]) return;
   hold_[static_cast<size_t>(i)] = hold;
   hold_margin_[static_cast<size_t>(i)] = hold + skew_[static_cast<size_t>(i)];
-  ++generation_;
 }
 
 void TimingView::set_element_skew(int i, double skew) {
   assert(std::isfinite(skew) && skew >= 0.0 && "element skew must be finite and nonnegative");
-  const double old = skew_[static_cast<size_t>(i)];
-  if (skew == old) return;
+  if (skew == skew_[static_cast<size_t>(i)]) return;
   skew_[static_cast<size_t>(i)] = skew;
   setup_margin_[static_cast<size_t>(i)] = setup_[static_cast<size_t>(i)] + skew;
   hold_margin_[static_cast<size_t>(i)] = hold_[static_cast<size_t>(i)] + skew;
-  if (skew > max_skew_) {
-    max_skew_ = skew;
-  } else if (old == max_skew_) {
-    // The previous maximum shrank: rescan. Skew edits are rare next to
-    // fixpoint sweeps, so O(l) here is fine.
-    max_skew_ = 0.0;
-    for (const double s : skew_) max_skew_ = std::max(max_skew_, s);
-  }
-  ++generation_;
 }
 
 void TimingView::clear_dirty() {
   for (const EdgeIndex e : dirty_edges_) edge_dirty_[static_cast<size_t>(e)] = 0;
   dirty_edges_.clear();
-  max_dirty_ = false;
-  min_dirty_ = false;
   max_nondecreasing_ = true;
 }
 

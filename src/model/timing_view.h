@@ -24,10 +24,10 @@
 // Invalidation rules: a TimingView tracks one Circuit's *parameters*, not
 // its structure. Parameter edits (a path delay, a latch Δ_DQ/setup/hold)
 // go through the in-place mutation API below, which patches the fused
-// per-edge constants, bumps the generation counter and records the touched
-// edges in a dirty set — so an incremental engine (sta::AnalysisSession)
-// can warm-start the eq. 17 fixpoint from its previous answer instead of
-// re-flattening and cold-starting. Mutating the Circuit *behind the view's
+// per-edge constants and records the touched edges in a dirty set — so an
+// incremental engine (sta::AnalysisSession) can warm-start the eq. 17
+// fixpoint from its previous answer instead of re-flattening and
+// cold-starting. Mutating the Circuit *behind the view's
 // back*, or structurally (add/remove paths or elements), still invalidates
 // it — rebuild. A ShiftTable is the per-ClockSchedule companion; update()
 // re-derives it in place from a new schedule and reports which phases (and
@@ -160,9 +160,6 @@ class TimingView {
   /// scheme bit-identical under per-latch skew (see DESIGN.md §5.9).
   double setup_margin(int i) const { return setup_margin_[static_cast<size_t>(i)]; }
   double hold_margin(int i) const { return hold_margin_[static_cast<size_t>(i)]; }
-  /// max over elements of skew(i); 0 for an empty circuit. The nonoverlap
-  /// (C3) margin uses the worst local uncertainty. Maintained incrementally.
-  double max_skew() const { return max_skew_; }
 
   // -- Fan-in CSR -----------------------------------------------------------
   // Edges entering element i are fanin_begin(i) .. fanin_end(i), in the same
@@ -208,9 +205,9 @@ class TimingView {
 
   // -- In-place mutation API ------------------------------------------------
   // Each setter patches the fused per-edge constants (max_const / min_const)
-  // the kernels read, bumps generation(), and records the touched edges in
-  // the dirty set. Mirror the same edit into the source Circuit separately;
-  // the view never writes back.
+  // the kernels read and records the touched edges in the dirty set. Mirror
+  // the same edit into the source Circuit separately; the view never writes
+  // back.
   void set_path_delay(int p, double delay);          // Δ_ij (by path index)
   void set_path_min_delay(int p, double min_delay);  // δ_ij
   void set_element_dq(int i, double dq);             // Δ_DQ (all fanout edges)
@@ -219,13 +216,9 @@ class TimingView {
   void set_element_hold(int i, double hold);         // slack-only parameter
   void set_element_skew(int i, double skew);         // slack-only parameter (σ_i >= 0)
 
-  /// Bumped by every mutation; lets caches detect any drift cheaply.
-  uint64_t generation() const { return generation_; }
   /// Edges whose max_const or min_const changed since clear_dirty(),
   /// deduplicated, in first-touch order.
   const std::vector<EdgeIndex>& dirty_edges() const { return dirty_edges_; }
-  bool max_dirty() const { return max_dirty_; }    // some long-path constant moved
-  bool min_dirty() const { return min_dirty_; }    // some short-path constant moved
   /// True while every max_const change since clear_dirty() was nondecreasing
   /// — the warm-start precondition for the monotone eq. 17 iteration.
   bool max_nondecreasing() const { return max_nondecreasing_; }
@@ -243,7 +236,6 @@ class TimingView {
   std::vector<int> phase_;
   std::vector<double> setup_, hold_, dq_, min_dq_, skew_;
   std::vector<double> setup_margin_, hold_margin_;  // setup+skew / hold+skew
-  double max_skew_ = 0.0;
 
   std::vector<EdgeIndex> fanin_offset_;  // l + 1
   std::vector<int> src_, dst_, path_of_edge_, shift_index_;
@@ -259,11 +251,8 @@ class TimingView {
   std::vector<double> path_delay_, path_min_delay_;
 
   // Mutation tracking.
-  uint64_t generation_ = 0;
   std::vector<EdgeIndex> dirty_edges_;
   std::vector<char> edge_dirty_;
-  bool max_dirty_ = false;
-  bool min_dirty_ = false;
   bool max_nondecreasing_ = true;
 };
 

@@ -11,6 +11,12 @@ std::string phi(int p) { return "phi" + std::to_string(p); }
 
 }  // namespace
 
+double nonoverlap_margin(const Circuit& circuit, const GeneratorOptions& options) {
+  double worst_skew = 0.0;
+  for (const Element& e : circuit.elements()) worst_skew = std::max(worst_skew, e.skew);
+  return options.min_phase_separation + worst_skew;
+}
+
 ConstraintCounts count_constraints(const Circuit& circuit, const GeneratorOptions& options) {
   ConstraintCounts n;
   const int k = circuit.num_phases();
@@ -70,11 +76,7 @@ GeneratedLp generate_lp(const Circuit& circuit, const GeneratorOptions& options)
   // with the optional skew/separation margin folded into the RHS.
   if (options.enforce_nonoverlap) {
     const KMatrix K = circuit.k_matrix();
-    // The nonoverlap guard protects every latch pair, so it charges the
-    // worst per-latch σ_i in the circuit.
-    double worst_skew = 0.0;
-    for (const Element& e : circuit.elements()) worst_skew = std::max(worst_skew, e.skew);
-    const double margin = options.min_phase_separation + worst_skew;
+    const double margin = nonoverlap_margin(circuit, options);
     for (int i = 1; i <= k; ++i) {
       for (int j = 1; j <= k; ++j) {
         if (!K.at(i, j)) continue;

@@ -72,7 +72,6 @@ struct ConstraintCounts {
   int bounds = 0;  // nonnegativity constraints C4 + L3 (variable bounds)
 
   int rows() const { return c1 + c2 + c3 + l1 + l2r + ff_pin + ff_setup + hold + ext; }
-  int total_with_bounds() const { return rows() + bounds; }
 };
 
 struct GeneratedLp {
@@ -84,6 +83,11 @@ struct GeneratedLp {
   /// -1 if the path generated no such row. The row's dual is dTc*/dΔ_ij.
   std::vector<int> delay_row_of_path;
 };
+
+/// The C3 nonoverlap margin: min_phase_separation plus the worst per-latch
+/// skew σ_i, since the guard protects every latch pair. generate_lp and the
+/// graph solvers' difference system both take it from here.
+double nonoverlap_margin(const Circuit& circuit, const GeneratorOptions& options);
 
 /// The rows generate_lp emits for this circuit and options, per class,
 /// counted from the circuit alone: no LP is built. generate_lp takes its

@@ -24,6 +24,10 @@ constexpr double kRelaxRelTol = 1e-12;
 constexpr double kHowardRelTol = 1e-9;
 // Newton steps plus ulp raises before certification gives up.
 constexpr int kMaxCertifyRounds = 64;
+// The binary search's absolute Tc tolerance, and the Tc above which it
+// reports the circuit infeasible.
+constexpr double kSearchTol = 1e-7;
+constexpr double kSearchLimit = 1e12;
 
 // Which P2 row (or variable bound) a difference edge encodes, for naming
 // the rows of a critical cycle the way generate_lp names them.
@@ -94,11 +98,10 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
   }
   // C2 ordering.
   for (int p = 1; p < k; ++p) sys.add(RowKind::kOrdering, p, s_of(p), s_of(p + 1), 0.0);
-  // C3 nonoverlap. Mirrors generate_lp: the margin charges the worst
-  // per-latch σ_i.
+  // C3 nonoverlap, with generate_lp's margin.
   if (opt.enforce_nonoverlap) {
     const KMatrix K = circuit.k_matrix();
-    const double margin = opt.min_phase_separation + view.max_skew();
+    const double margin = nonoverlap_margin(circuit, opt);
     for (int i = 1; i <= k; ++i) {
       for (int j = 1; j <= k; ++j) {
         if (!K.at(i, j)) continue;
@@ -290,20 +293,21 @@ bool feasible_at(const DiffSystem& sys, double tc, double eps, std::vector<doubl
 // the loop's gain is then ~0 and each sweep only sheds that much, so the
 // sweep limit trips. The upward iteration's cost is bounded by path depth
 // instead and reaches the same least fixpoint (found by differential
-// fuzzing, seed 26).
-Expected<sta::FixpointResult> schedule_and_departures(const Circuit& circuit,
+// fuzzing, seed 26). The departures are solved on the view the system was
+// built from.
+Expected<sta::FixpointResult> schedule_and_departures(const TimingView& view,
                                                       const DiffSystem& sys, double tc,
                                                       const std::vector<double>& x,
                                                       ClockSchedule& schedule) {
   schedule.cycle = tc;
-  for (int p = 0; p < circuit.num_phases(); ++p) {
+  for (int p = 0; p < view.num_phases(); ++p) {
     const double s = x[static_cast<size_t>(sys.s_node[static_cast<size_t>(p)])];
     const double e = x[static_cast<size_t>(sys.e_node[static_cast<size_t>(p)])];
     schedule.start.push_back(s);
     schedule.width.push_back(e - s);
   }
-  sta::FixpointResult fix = sta::compute_departures(
-      circuit, schedule, std::vector<double>(static_cast<size_t>(circuit.num_elements()), 0.0));
+  const std::vector<double> zeros(static_cast<size_t>(view.num_elements()), 0.0);
+  sta::FixpointResult fix = sta::compute_departures(view, ShiftTable(schedule), zeros);
   if (!fix.converged) {
     return make_error(ErrorKind::kNotConverged,
                       fix.hit_sweep_limit()
@@ -340,7 +344,7 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
   double hi = std::max(1.0, baselines::edge_triggered_cpm(circuit).cycle);
   while (!feasible_at(sys, hi, kEps, x, res.relaxations)) {
     hi *= 2.0;
-    if (hi > options.hi_limit) {
+    if (hi > kSearchLimit) {
       return make_error(ErrorKind::kInfeasible,
                         "no feasible cycle time below the search limit for '" +
                             circuit.name() + "'");
@@ -348,7 +352,7 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
   }
   res.stats.add_stage("bracket", bracket_timer.seconds());
   const StageTimer search_timer;
-  while (hi - lo > options.tol) {
+  while (hi - lo > kSearchTol) {
     const double mid = 0.5 * (lo + hi);
     ++res.search_steps;
     if (feasible_at(sys, mid, kEps, x, res.relaxations)) {
@@ -364,8 +368,7 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
   res.stats.add_stage("binary-search", search_timer.seconds());
 
   res.min_cycle = hi;
-  Expected<sta::FixpointResult> fix =
-      schedule_and_departures(circuit, sys, hi, x, res.schedule);
+  Expected<sta::FixpointResult> fix = schedule_and_departures(view, sys, hi, x, res.schedule);
   if (!fix) return fix.error();
   res.departure = std::move(fix->departure);
   res.stats.absorb(fix->stats);  // folds the departure fixpoint's accounting in
@@ -461,8 +464,7 @@ Expected<ExactSolveResult> solve_exact(const Circuit& circuit, const GraphSolveO
 
   // 4-5. The certified potentials are the schedule; departures climb from 0.
   res.min_cycle = tc;
-  Expected<sta::FixpointResult> fix =
-      schedule_and_departures(circuit, sys, tc, x, res.schedule);
+  Expected<sta::FixpointResult> fix = schedule_and_departures(view, sys, tc, x, res.schedule);
   if (!fix) return fix.error();
   res.departure = std::move(fix->departure);
   for (const int id : critical) {

@@ -38,9 +38,9 @@
 // rounding.
 //
 // minimize_cycle_time_graph binary-searches Tc over Bellman-Ford
-// feasibility instead, to `tol`. It is the reference svcbench checks the
-// service's `min` answers against, and a leg of the fuzzer's agreement
-// matrix; it shares only build_system with the exact solver.
+// feasibility instead, to an absolute 1e-7. It is the reference svcbench
+// checks the service's `min` answers against, and a leg of the fuzzer's
+// agreement matrix; it shares only build_system with the exact solver.
 //
 // Tests pin both solvers to the simplex result on every circuit;
 // bench_ablation_graph_solver compares the bisection's cost with MLP's.
@@ -58,8 +58,6 @@ namespace mintc::opt {
 
 struct GraphSolveOptions {
   GeneratorOptions generator;  // same extension knobs as the LP path
-  double tol = 1e-7;           // absolute Tc tolerance of the binary search
-  double hi_limit = 1e12;      // the binary search's upper limit
   /// Skip Circuit::validate() — for session loops over a circuit already
   /// validated once (see MlpOptions::assume_valid).
   bool assume_valid = false;
@@ -76,7 +74,7 @@ struct GraphSolveResult {
 
 /// Minimize the cycle time by binary search over difference-constraint
 /// feasibility. Produces the same optimal Tc as minimize_cycle_time (up to
-/// `tol`); fails with kInfeasible when no Tc below hi_limit works.
+/// 1e-7); fails with kInfeasible when no Tc below 1e12 works.
 Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
                                                      const GraphSolveOptions& options = {});
 
@@ -102,7 +100,6 @@ struct ExactSolveResult {
 };
 
 /// Tc* as the maximum cycle ratio of the constraint graph (see above).
-/// `options.tol` and `hi_limit` are the binary search's and unused here.
 /// Fails with kInvalidCircuit, kInfeasible (a negative cycle without a Tc
 /// term), or kNotConverged (certification or the departure fixpoint ran
 /// out of budget).

@@ -11,6 +11,9 @@ namespace mintc::opt {
 
 namespace {
 
+// Slack and dual threshold below which a row is reported as critical.
+constexpr double kCriticalEps = 1e-6;
+
 // Shared back half of minimize_cycle_time / refine_schedule: solve the
 // prepared LP, then run steps 2-5 of Algorithm MLP.
 Expected<MlpResult> solve_and_slide(const Circuit& circuit, GeneratedLp gen,
@@ -135,7 +138,7 @@ Expected<MlpResult> solve_and_slide(const Circuit& circuit, GeneratedLp gen,
     for (int r = 0; r < gen.model.num_rows(); ++r) {
       const double slack = sol.row_slack(gen.model, r);
       const double dual = sol.duals[static_cast<size_t>(r)];
-      if (std::fabs(slack) <= options.critical_eps && std::fabs(dual) > options.critical_eps) {
+      if (std::fabs(slack) <= kCriticalEps && std::fabs(dual) > kCriticalEps) {
         res.critical.push_back({gen.model.row(r).name, slack, dual});
       }
     }

@@ -28,8 +28,6 @@ struct MlpOptions {
   GeneratorOptions generator;
   lp::SimplexSolver::Options lp;
   sta::FixpointOptions fixpoint;
-  /// Slack/dual threshold below which a row is reported as critical.
-  double critical_eps = 1e-6;
   /// Skip Circuit::validate() — for session loops that mutate an
   /// already-validated circuit only through invariant-preserving setters.
   bool assume_valid = false;

@@ -5,9 +5,7 @@ namespace mintc::opt {
 lp::ParametricResult sweep_path_delay(const Circuit& circuit, int path_index, double lo,
                                       double hi, int samples, const GeneratorOptions& options) {
   const lp::SimplexSolver solver;
-  // One scratch circuit mutated per sample replaces the full per-θ copy;
-  // sweep_parameter chains the optimal basis between consecutive samples,
-  // so all solves after the first are warm re-optimizations.
+  // One scratch circuit mutated per sample replaces the full per-θ copy.
   Circuit scratch = circuit;
   return lp::sweep_parameter(
       [&](double theta) {

@@ -23,10 +23,9 @@ lp::ParametricResult sweep_path_delay(const Circuit& circuit, int path_index, do
 /// Skew-tolerance curve: sweep a uniform per-latch clock skew σ over
 /// [lo, hi], setting every element's skew to σ and solving P2 at each
 /// sample. Skew only moves setup/hold RHS terms and the C3 nonoverlap
-/// margin, so Tc*(σ) is piecewise-linear like the delay sweeps and the
-/// solves chain warm bases the same way. The curve's knees locate how much
-/// clock uncertainty a design absorbs before each constraint family goes
-/// critical.
+/// margin, so Tc*(σ) is piecewise-linear like the delay sweeps. The curve's
+/// knees locate how much clock uncertainty a design absorbs before each
+/// constraint family goes critical.
 lp::ParametricResult sweep_clock_skew(const Circuit& circuit, double lo, double hi,
                                       int samples, const GeneratorOptions& options = {});
 

@@ -17,10 +17,8 @@ namespace mintc::report {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Every database is built from an analysis at this tolerance
-// (AnalysisOptions::eps) and calls a path, endpoint or borrow tight within
-// kTightEps; its histograms have kHistogramBuckets buckets.
-constexpr double kEps = 1e-7;
+// Every database calls a path, endpoint or borrow tight within kTightEps;
+// its histograms have kHistogramBuckets buckets.
 constexpr double kTightEps = 1e-6;
 constexpr int kHistogramBuckets = 12;
 
@@ -146,7 +144,6 @@ sta::AnalysisOptions analysis_options(const SlackDbOptions& options) {
   sta::AnalysisOptions aopt;
   aopt.check_hold = options.check_hold;
   aopt.provenance = true;
-  aopt.eps = kEps;
   return aopt;
 }
 
@@ -168,7 +165,7 @@ SlackDB build_unmirrored(const Circuit& circuit, const ClockSchedule& schedule, 
   db.feasible = db.analysis.feasible;
 
   db.num_constraints = opt::count_constraints(circuit).rows();
-  db.overlapping_phases = overlapping_phase_pairs(schedule, kEps);
+  db.overlapping_phases = overlapping_phase_pairs(schedule, sta::kAnalysisEps);
 
   const int l = circuit.num_elements();
   db.endpoints.resize(static_cast<size_t>(l));

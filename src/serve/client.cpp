@@ -15,6 +15,13 @@
 
 namespace mintc::serve {
 
+namespace {
+
+// How long one read waits for the server before failing with kIo.
+constexpr int kRecvTimeoutMs = 30000;
+
+}  // namespace
+
 Client::~Client() { close(); }
 
 void Client::close() {
@@ -148,7 +155,7 @@ Expected<Json> Client::read_response() {
       return make_error(ErrorKind::kIo, "server frame exceeded the client's size cap");
     }
     struct pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, recv_timeout_ms_);
+    const int ready = ::poll(&pfd, 1, kRecvTimeoutMs);
     if (ready == 0) return make_error(ErrorKind::kIo, "timed out waiting for a response");
     if (ready < 0) {
       if (errno == EINTR) continue;

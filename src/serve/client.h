@@ -5,8 +5,8 @@
 // fresh numeric id, sends the frame and reads until the response with that
 // id arrives — the server may answer pipelined requests out of order, so
 // responses for OTHER outstanding ids (from send()) are stashed and handed
-// out by their matching recv(). Every read waits at most `recv_timeout_ms`
-// (kIo on expiry) so a hung server cannot hang the client.
+// out by their matching recv(). Every read waits at most 30 s (kIo on
+// expiry) so a hung server cannot hang the client.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +37,6 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   void close();
 
-  void set_recv_timeout_ms(int ms) { recv_timeout_ms_ = ms; }
-
   /// One round trip: stamps `request` with a fresh id, sends, waits for the
   /// matching response envelope.
   Expected<Json> call(Json request);
@@ -55,7 +53,6 @@ class Client {
   int fd_ = -1;
   FrameReader reader_;
   long next_id_ = 1;
-  int recv_timeout_ms_ = 30000;
   std::unordered_map<long, Json> stash_;  // out-of-order responses by id
 };
 

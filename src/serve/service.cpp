@@ -193,7 +193,7 @@ TimingService::TimingService(ServiceConfig config)
           registry().histogram("serve.relaxations", {}, work_count_buckets())),
       detail_rows_rendered_metric_(registry().counter("serve.detail_rows_rendered")),
       detail_rows_reused_metric_(registry().counter("serve.detail_rows_reused")),
-      history_(config.history_capacity) {
+      history_(kHistoryCapacity) {
   // Info-gauge idiom: constant 1 with the identity in the labels, so any
   // scrape can join build identity against the numeric series.
   const obs::BuildInfo& build = obs::build_info();
@@ -872,18 +872,18 @@ Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) 
     const double to = req.num_or("to", skew_sweep ? 1.0 : 1.1);
     const long steps = req.long_or("steps", 5);
     if (steps < 1) return make_error(ErrorKind::kInvalidArgument, "steps must be >= 1");
-    if (steps > config_.max_sweep_steps) {
+    if (steps > kMaxSweepSteps) {
       return make_error(ErrorKind::kInvalidArgument,
-                        "steps exceeds the cap of " + std::to_string(config_.max_sweep_steps));
+                        "steps exceeds the cap of " + std::to_string(kMaxSweepSteps));
     }
     for (long i = 0; i < steps; ++i) {
       factors.push_back(steps == 1 ? from : from + (to - from) * static_cast<double>(i) /
                                                        static_cast<double>(steps - 1));
     }
   }
-  if (factors.size() > static_cast<size_t>(config_.max_sweep_steps)) {
+  if (factors.size() > static_cast<size_t>(kMaxSweepSteps)) {
     return make_error(ErrorKind::kInvalidArgument,
-                      "factors exceeds the cap of " + std::to_string(config_.max_sweep_steps));
+                      "factors exceeds the cap of " + std::to_string(kMaxSweepSteps));
   }
   for (const double f : factors) {
     // A skew of exactly zero is meaningful; a scale of zero is not.
@@ -902,10 +902,10 @@ Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) 
       .run = [param, skew_sweep, factors = std::move(factors)](
                  sta::AnalysisSession& s, Entry&, Pending& p) -> Expected<Json> {
         // Every step edits from the ORIGINAL state (not the previous step's)
-        // and the undo log restores the pre-sweep state exactly — content
-        // fingerprint included (checked below via the generation-independent
-        // fingerprint cache keys). A skew sweep broadcasts each value over
-        // every element, so consecutive steps simply overwrite each other.
+        // and rewinds to it through the undo log before the next, so the
+        // log holds one step's records at most and the pre-sweep state
+        // comes back exactly — content fingerprint included (checked below
+        // via the generation-independent fingerprint cache keys).
         const ClockSchedule base = s.schedule();
         const size_t mark = s.mark();
         Json result = Json::object();
@@ -929,8 +929,8 @@ Expected<TimingService::SessionWork> TimingService::verb_sweep(const Json& req) 
             row.set("worst_hold_slack", Json(report.worst_hold_slack));
           }
           rows.push(std::move(row));
+          s.undo_to(mark);
         }
-        s.undo_to(mark);
         p.engine_done();
         result.set("results", std::move(rows));
         return result;

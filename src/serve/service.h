@@ -163,8 +163,6 @@ struct ServiceConfig {
   int analyze_threads = 0;
   /// Per-frame size cap enforced on handle_line input.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Hard cap on `sweep` steps per request.
-  long max_sweep_steps = 4096;
   /// Request-path telemetry master switch: the request record and every
   /// view of it (stage times, cost accounts, serve.* metric updates, the
   /// audit log, the slow table, the sampled-record ring and the
@@ -181,8 +179,6 @@ struct ServiceConfig {
   std::string audit_path;
   /// Active-audit-file size cap before rotation to "<path>.1".
   size_t audit_rotate_bytes = 8u << 20;
-  /// Samples kept in the status dashboard's metric HistoryRing.
-  size_t history_capacity = 240;
 };
 
 class TimingService {
@@ -269,6 +265,10 @@ class TimingService {
   /// forgotten with the undo records only it could reach, so a session that
   /// is edited and never rewound keeps a bounded log.
   static constexpr size_t kUndoCommits = 512;
+  /// Hard cap on `sweep` steps per request.
+  static constexpr long kMaxSweepSteps = 4096;
+  /// Samples kept in the status dashboard's metric HistoryRing.
+  static constexpr size_t kHistoryCapacity = 240;
 
  private:
   /// A session's last `detail` analyze answer that the result cache

@@ -9,6 +9,10 @@ namespace mintc::sim {
 
 namespace {
 
+// The VCD timescale unit, and picoseconds per circuit time unit (ns).
+constexpr int kTimescalePs = 1;
+constexpr double kUnitPs = 1000.0;
+
 // VCD identifier codes over printable ASCII, excluding '#' so that
 // timestamp lines are the only lines containing it.
 std::string code_of(int index) {
@@ -36,7 +40,7 @@ std::string write_vcd(const Circuit& circuit, const ClockSchedule& schedule,
   std::ostringstream out;
   out << "$date mintc $end\n";
   out << "$version mintc timing reproduction $end\n";
-  out << "$timescale " << options.timescale_ps << "ps $end\n";
+  out << "$timescale " << kTimescalePs << "ps $end\n";
   out << "$scope module " << circuit.name() << " $end\n";
 
   const int k = schedule.num_phases();
@@ -57,7 +61,7 @@ std::string write_vcd(const Circuit& circuit, const ClockSchedule& schedule,
   // Collect (time_ps, code, value) changes.
   std::multimap<long, std::pair<std::string, char>> changes;
   const auto ps = [&](double t) {
-    return static_cast<long>(std::llround(t * options.unit_ps / options.timescale_ps));
+    return static_cast<long>(std::llround(t * kUnitPs / kTimescalePs));
   };
   for (int cyc = 0; cyc < options.cycles; ++cyc) {
     const double base = cyc * schedule.cycle;

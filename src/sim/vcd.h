@@ -15,13 +15,12 @@
 namespace mintc::sim {
 
 struct VcdOptions {
-  int cycles = 4;           // clock cycles to dump
-  int timescale_ps = 1;     // VCD timescale unit
-  double unit_ps = 1000.0;  // picoseconds per circuit time unit (ns -> 1000)
+  int cycles = 4;  // clock cycles to dump
 };
 
 /// Render a VCD document for the circuit under `schedule` with steady-state
 /// departures `departure` (e.g. MlpResult::departure or SimResult::departure).
+/// Circuit times are read as nanoseconds and dumped at a 1 ps timescale.
 std::string write_vcd(const Circuit& circuit, const ClockSchedule& schedule,
                       const std::vector<double>& departure, const VcdOptions& options = {});
 

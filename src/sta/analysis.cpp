@@ -140,11 +140,11 @@ struct CheckSummary {
 // rose (or stopped being a candidate) can an untouched element take its
 // place, so only then are all l slacks scanned.
 template <typename SlackOf, typename Eval>
-void refresh_check(int l, const std::vector<int>& elements, double eps, SlackOf slack_of,
-                   Eval eval, CheckSummary summary) {
+void refresh_check(int l, const std::vector<int>& elements, SlackOf slack_of, Eval eval,
+                   CheckSummary summary) {
   for (const int i : elements) {
-    if (definitely_lt(slack_of(i), 0.0, eps)) --summary.violations;
-    if (definitely_lt(eval(i), 0.0, eps)) ++summary.violations;
+    if (definitely_lt(slack_of(i), 0.0, kAnalysisEps)) --summary.violations;
+    if (definitely_lt(eval(i), 0.0, kAnalysisEps)) ++summary.violations;
   }
   const int prev = summary.element;
   double worst = kInf;
@@ -166,7 +166,7 @@ void refresh_check(int l, const std::vector<int>& elements, double eps, SlackOf 
 }
 
 void fill_setup_slacks(const TimingView& view, const ClockSchedule& schedule,
-                       const ShiftTable& shifts, double eps, TimingReport& rep) {
+                       const ShiftTable& shifts, TimingReport& rep) {
   const int l = view.num_elements();
   rep.setup_violations = 0;
   rep.worst_setup_slack = kInf;
@@ -175,14 +175,14 @@ void fill_setup_slacks(const TimingView& view, const ClockSchedule& schedule,
     ElementTiming& t = rep.elements[static_cast<size_t>(i)];
     setup_timing(view, schedule, shifts, rep.fixpoint.departure, i, t);
     fold_worst(t.setup_slack, i, rep.worst_setup_slack, rep.worst_setup_element);
-    if (definitely_lt(t.setup_slack, 0.0, eps)) ++rep.setup_violations;
+    if (definitely_lt(t.setup_slack, 0.0, kAnalysisEps)) ++rep.setup_violations;
   }
   if (l == 0) rep.worst_setup_slack = 0.0;
   rep.setup_ok = rep.setup_violations == 0;
 }
 
 void fill_hold_slacks(const TimingView& view, const ClockSchedule& schedule,
-                      const ShiftTable& shifts, const std::vector<double>* early, double eps,
+                      const ShiftTable& shifts, const std::vector<double>* early,
                       TimingReport& rep) {
   rep.hold_violations = 0;
   rep.worst_hold_slack = kInf;
@@ -191,7 +191,7 @@ void fill_hold_slacks(const TimingView& view, const ClockSchedule& schedule,
     ElementTiming& t = rep.elements[static_cast<size_t>(i)];
     t.hold_slack = early == nullptr ? kInf : hold_slack(view, schedule, shifts, *early, i);
     fold_worst(t.hold_slack, i, rep.worst_hold_slack, rep.worst_hold_element);
-    if (definitely_lt(t.hold_slack, 0.0, eps)) ++rep.hold_violations;
+    if (definitely_lt(t.hold_slack, 0.0, kAnalysisEps)) ++rep.hold_violations;
   }
   rep.hold_ok = rep.hold_violations == 0;
 }
@@ -201,13 +201,13 @@ void fill_hold_slacks(const TimingView& view, const ClockSchedule& schedule,
 void refresh_slacks(const TimingView& view, const ClockSchedule& schedule,
                     const ShiftTable& shifts, const std::vector<int>& setup_elements,
                     const std::vector<int>& hold_elements, const std::vector<double>* early,
-                    double eps, TimingReport& rep) {
+                    TimingReport& rep) {
   const int l = view.num_elements();
   if (l == 0) return;
   std::vector<ElementTiming>& records = rep.elements;
   const auto at = [](int i) { return static_cast<size_t>(i); };
   refresh_check(
-      l, setup_elements, eps, [&](int i) { return records[at(i)].setup_slack; },
+      l, setup_elements, [&](int i) { return records[at(i)].setup_slack; },
       [&](int i) {
         setup_timing(view, schedule, shifts, rep.fixpoint.departure, i, records[at(i)]);
         return records[at(i)].setup_slack;
@@ -216,7 +216,7 @@ void refresh_slacks(const TimingView& view, const ClockSchedule& schedule,
   rep.setup_ok = rep.setup_violations == 0;
   if (early == nullptr) return;
   refresh_check(
-      l, hold_elements, eps, [&](int i) { return records[at(i)].hold_slack; },
+      l, hold_elements, [&](int i) { return records[at(i)].hold_slack; },
       [&](int i) {
         return records[at(i)].hold_slack = hold_slack(view, schedule, shifts, *early, i);
       },
@@ -256,7 +256,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   rep.elements.resize(static_cast<size_t>(l));
 
   // Clock constraints.
-  rep.clock_violations = check_clock_constraints(schedule, circuit.k_matrix(), options.eps);
+  rep.clock_violations = check_clock_constraints(schedule, circuit.k_matrix(), kAnalysisEps);
   rep.schedule_ok = rep.clock_violations.empty();
 
   rep.fixpoint = std::move(fixpoint);
@@ -266,7 +266,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   rep.stats.add_stage("departure-fixpoint", rep.fixpoint.stats.solve_seconds);
 
   const StageTimer setup_timer;
-  fill_setup_slacks(view, schedule, shifts, options.eps, rep);
+  fill_setup_slacks(view, schedule, shifts, rep);
   rep.stats.add_stage("setup-slack", setup_timer.seconds());
 
   // Hold slacks (exact short-path check).
@@ -281,7 +281,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
   }
   const StageTimer hold_timer;
   fill_hold_slacks(view, schedule, shifts, options.check_hold ? &early->departure : nullptr,
-                   options.eps, rep);
+                   rep);
   if (options.check_hold) rep.stats.add_stage("hold-slack", hold_timer.seconds());
 
   // Constraint provenance (which term produced each D_i, what is tight).
@@ -289,7 +289,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
     const StageTimer prov_timer;
     const obs::TraceSpan prov_span("analysis.provenance", "sta");
     rep.provenance = constraint_provenance(circuit, view, schedule, shifts,
-                                           rep.fixpoint.departure, options.eps);
+                                           rep.fixpoint.departure, kAnalysisEps);
     rep.stats.add_stage("provenance", prov_timer.seconds());
   }
 

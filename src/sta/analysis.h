@@ -24,13 +24,15 @@
 
 namespace mintc::sta {
 
+/// The tolerance of every analysis's clock, setup and hold checks.
+inline constexpr double kAnalysisEps = 1e-7;
+
 struct AnalysisOptions {
   FixpointOptions fixpoint;
   bool check_hold = false;
   /// Attach a constraint-provenance report (arg-max edges, tight
   /// constraints, named critical chain) to the TimingReport.
   bool provenance = false;
-  double eps = 1e-7;
 };
 
 /// Per-element timing summary.
@@ -92,7 +94,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
                              const FixpointResult* early = nullptr);
 
 /// The slack passes of assemble_report, for a few elements. `rep` must be a
-/// report of the same view, schedule and eps whose records are current
+/// report of the same view and schedule whose records are current
 /// except those named here: the setup records (D_i, A_i, setup slack) of
 /// `setup_elements` and, when `early` is set, the hold slacks of
 /// `hold_elements` are re-evaluated by the per-element functions the full
@@ -103,7 +105,7 @@ TimingReport assemble_report(const Circuit& circuit, const ClockSchedule& schedu
 void refresh_slacks(const TimingView& view, const ClockSchedule& schedule,
                     const ShiftTable& shifts, const std::vector<int>& setup_elements,
                     const std::vector<int>& hold_elements, const std::vector<double>* early,
-                    double eps, TimingReport& rep);
+                    TimingReport& rep);
 
 /// Earliest departure times (min-fixpoint over min delays); used by the
 /// exact hold check and exposed for tests.

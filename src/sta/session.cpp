@@ -655,7 +655,7 @@ void AnalysisSession::refresh_report_warm(FixpointResult fp) {
   }
 
   refresh_slacks(*view_, schedule_, *shifts_, setup_refresh_, hold_refresh_,
-                 options_.check_hold ? &early_.departure : nullptr, options_.eps, rep);
+                 options_.check_hold ? &early_.departure : nullptr, rep);
   for (const int i : setup_refresh_) refresh_mark_[static_cast<size_t>(i)] = 0;
   counters_.slack_refreshes += static_cast<long>(setup_refresh_.size());
 

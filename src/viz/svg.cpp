@@ -8,6 +8,8 @@ namespace {
 
 using obs::trimmed;
 
+constexpr double kRowHeight = 26.0;  // one clock phase or element strip
+
 void rect(obs::TextOut& out, double x, double y, double w, double h, const char* fill,
           double opacity = 1.0) {
   if (w <= 0.0) return;
@@ -36,7 +38,7 @@ void svg_timing_diagram(obs::TextOut& out, const Circuit& circuit, const ClockSc
   const double margin = 90.0;
   const double plot_w = options.width - margin - 10.0;
   const int rows = schedule.num_phases() + circuit.num_elements();
-  const double height = (rows + 2) * options.row_height + 20.0;
+  const double height = (rows + 2) * kRowHeight + 20.0;
   const auto x_of = [&](double t) { return margin + t / horizon * plot_w; };
 
   out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << trimmed(options.width, 0)
@@ -50,29 +52,29 @@ void svg_timing_diagram(obs::TextOut& out, const Circuit& circuit, const ClockSc
   double y = 10.0;
   // Clock waveforms.
   for (int p = 1; p <= schedule.num_phases(); ++p) {
-    text_at(out, 5.0, y + options.row_height * 0.7) << "phi" << p << "</text>\n";
+    text_at(out, 5.0, y + kRowHeight * 0.7) << "phi" << p << "</text>\n";
     for (int cyc = 0; cyc < options.cycles + 1; ++cyc) {
       const double s = schedule.s(p) + cyc * schedule.cycle;
       const double e = std::min(s + schedule.T(p), horizon);
       if (s >= horizon) continue;
-      rect(out, x_of(s), y + 4.0, x_of(e) - x_of(s), options.row_height - 10.0, "#4477aa");
+      rect(out, x_of(s), y + 4.0, x_of(e) - x_of(s), kRowHeight - 10.0, "#4477aa");
     }
-    y += options.row_height;
+    y += kRowHeight;
   }
   // Element strips.
   for (int i = 0; i < circuit.num_elements(); ++i) {
     const Element& e = circuit.element(i);
-    text_at(out, 5.0, y + options.row_height * 0.7) << obs::html(e.name) << "</text>\n";
+    text_at(out, 5.0, y + kRowHeight * 0.7) << obs::html(e.name) << "</text>\n";
     for (int cyc = 0; cyc < options.cycles + 1; ++cyc) {
       const double dep =
           schedule.s(e.phase) + departure[static_cast<size_t>(i)] + cyc * schedule.cycle;
       if (dep > horizon) continue;
       const double edge = schedule.s(e.phase) + cyc * schedule.cycle;
       // Waiting gap (light), latch delay (dark shade), combinational (mid).
-      rect(out, x_of(edge), y + 8.0, x_of(dep) - x_of(edge), options.row_height - 18.0,
+      rect(out, x_of(edge), y + 8.0, x_of(dep) - x_of(edge), kRowHeight - 18.0,
            "#dddddd");
       rect(out, x_of(dep), y + 4.0, x_of(std::min(dep + e.dq, horizon)) - x_of(dep),
-           options.row_height - 10.0, "#555555");
+           kRowHeight - 10.0, "#555555");
       double longest = 0.0;
       for (const int pe : circuit.fanout(i)) {
         longest = std::max(longest, circuit.path(pe).delay);
@@ -80,16 +82,16 @@ void svg_timing_diagram(obs::TextOut& out, const Circuit& circuit, const ClockSc
       if (longest > 0.0 && dep + e.dq < horizon) {
         rect(out, x_of(dep + e.dq), y + 4.0,
              x_of(std::min(dep + e.dq + longest, horizon)) - x_of(dep + e.dq),
-             options.row_height - 10.0, "#cc6677", 0.8);
+             kRowHeight - 10.0, "#cc6677", 0.8);
       }
     }
-    y += options.row_height;
+    y += kRowHeight;
   }
   // Cycle boundaries.
   for (int cyc = 0; cyc <= options.cycles; ++cyc) {
     vline(out, x_of(std::min(cyc * schedule.cycle, horizon)), 6.0, y);
   }
-  text_at(out, margin, y + options.row_height * 0.7)
+  text_at(out, margin, y + kRowHeight * 0.7)
       << "Tc = " << trimmed(schedule.cycle) << "  (" << options.cycles << " cycles)</text>\n";
   out << "</svg>\n";
 }

@@ -13,7 +13,6 @@ namespace mintc::viz {
 
 struct SvgOptions {
   double width = 900.0;
-  double row_height = 26.0;
   int cycles = 2;
 };
 

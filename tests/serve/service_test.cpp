@@ -1320,6 +1320,93 @@ TEST(ServeService, SkewSweepProducesToleranceCurveAndRestoresState) {
                "invalid_argument");
 }
 
+// A sweep rewinds to the pre-sweep state after every step, on a design
+// large enough that each skew step logs 500+ records: every row is
+// check_schedule of that step's state alone, whatever the step before it
+// was, the content comes back exactly, and `undo` still reaches the commits
+// made before the sweep.
+TEST(ServeService, SweepRowsAreEachStepsCheckScheduleAndTheStateComesBack) {
+  circuits::SyntheticParams params;  // dashboard_read's 504-latch design
+  params.num_phases = 3;
+  params.num_stages = 63;
+  params.latches_per_stage = 8;
+  params.extra_long_edges = 8;
+  DetailWalk walk;
+  ASSERT_TRUE(walk.load(parser::write_circuit(circuits::synthetic_circuit(params, 2104))));
+  sta::AnalysisSession& mirror = *walk.mirror;
+  const int l = mirror.circuit().num_elements();
+  ASSERT_GE(l, 500);
+
+  // Two commits before the sweeps: relax the optimum, then raise a delay.
+  Json scale = Json::array();
+  scale.push(req({{"op", Json("scale_schedule")}, {"factor", Json(1.25)}}));
+  mirror.set_schedule(mirror.schedule().scaled(1.25));
+  walk.batch(std::move(scale), 0);
+  const size_t second = mirror.mark();
+  const double raised = mirror.circuit().path(0).delay + 1.0;
+  Json raise = Json::array();
+  raise.push(req({{"op", Json("set_path_delay")}, {"path", Json(0L)}, {"delay", Json(raised)}}));
+  mirror.set_path_delay(0, raised);
+  walk.batch(std::move(raise), second);
+  ASSERT_EQ(walk.commits.size(), 2u);
+  const std::string fp = obs::hash_hex(mirror.content_fingerprint());
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto sweep = [&](const std::string& param, const std::vector<double>& values) {
+    const bool skew = param == "clock_skew";
+    Json factors = Json::array();
+    for (const double v : values) factors.push(Json(v));
+    const Json r = expect_ok(walk.service, req({{"verb", Json("sweep")},
+                                                {"circuit", Json("c")},
+                                                {"param", Json(param)},
+                                                {"factors", std::move(factors)}}))
+                       .get("result");
+    const Json& rows = r.get("results");
+    ASSERT_EQ(rows.size(), values.size()) << param;
+    for (size_t k = 0; k < values.size(); ++k) {
+      Circuit circuit = mirror.circuit();
+      ClockSchedule schedule = mirror.schedule();
+      if (skew) {
+        for (int i = 0; i < l; ++i) circuit.element(i).skew = values[k];
+      } else {
+        schedule = schedule.scaled(values[k]);
+      }
+      const sta::TimingReport want =
+          sta::check_schedule(circuit, schedule, DetailWalk::options());
+      const Json& row = rows.at(k);
+      const std::string at = param + " step " + std::to_string(k);
+      EXPECT_EQ(bits(row.get("cycle").as_number()), bits(schedule.cycle)) << at;
+      EXPECT_EQ(row.get("feasible").as_bool(!want.feasible), want.feasible) << at;
+      EXPECT_EQ(row.get("converged").as_bool(!want.converged), want.converged) << at;
+      EXPECT_EQ(bits(row.get("worst_setup_slack").as_number()), bits(want.worst_setup_slack))
+          << at;
+      ASSERT_TRUE(std::isfinite(want.worst_hold_slack)) << at;
+      EXPECT_EQ(bits(row.get("worst_hold_slack").as_number()), bits(want.worst_hold_slack))
+          << at;
+    }
+    EXPECT_EQ(r.get("fingerprint").as_string(), fp) << param;
+    const Json analyzed =
+        expect_ok(walk.service, req({{"verb", Json("analyze")}, {"circuit", Json("c")}}))
+            .get("result");
+    EXPECT_EQ(analyzed.get("fingerprint").as_string(), fp) << param;
+  };
+  // Skews that fall and then rise, so steps both shrink and grow the worst.
+  sweep("clock_skew", {2.0, 0.5, 1.0});
+  sweep("scale", {1.0, 1.4, 0.9, 1.2});
+
+  const Json undone = expect_ok(walk.service, req({{"verb", Json("undo")},
+                                                   {"circuit", Json("c")},
+                                                   {"steps", Json(1L)}}))
+                          .get("result");
+  EXPECT_EQ(undone.get("mark").as_long(-1), static_cast<long>(second));
+  mirror.undo_to(second);
+  const Json analyzed = expect_ok(walk.service, req({{"verb", Json("analyze")},
+                                                     {"circuit", Json("c")}}))
+                            .get("result");
+  EXPECT_EQ(analyzed.get("fingerprint").as_string(), obs::hash_hex(mirror.content_fingerprint()));
+  EXPECT_NE(analyzed.get("fingerprint").as_string(), fp);
+}
+
 TEST(ServeService, MinVerbMatchesLoadOptimum) {
   TimingService service;
   load_example1(service, "e1");
