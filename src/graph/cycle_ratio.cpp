@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-
-#include "graph/scc.h"
 
 namespace mintc::graph {
 
@@ -15,32 +14,41 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double tol) {
-  const int n = g.num_nodes();
-  if (n == 0 || !has_cycle(g)) return std::nullopt;
+std::optional<CycleRatioResult> max_cycle_ratio_howard(int num_nodes,
+                                                       std::span<const Edge> edges,
+                                                       double tol) {
+  const int n = num_nodes;
+  // An acyclic graph needs no test of its own: no policy closes a cycle, so
+  // every lambda stays -inf, no edge improves a policy and no node is best.
+  if (n == 0) return std::nullopt;
+  assert(edges.size() <= static_cast<size_t>(std::numeric_limits<int>::max()));
 
-  // policy[u]: chosen out-edge id, or -1 for dead ends.
+  // policy[u]: chosen out-edge id (the lowest-id out-edge first), or -1 for
+  // dead ends.
   std::vector<int> policy(static_cast<size_t>(n), -1);
-  for (int u = 0; u < n; ++u) {
-    const auto& outs = g.out_edges(u);
-    if (!outs.empty()) policy[static_cast<size_t>(u)] = outs.front();
+  for (size_t id = 0; id < edges.size(); ++id) {
+    const Edge& e = edges[id];
+    assert(e.from >= 0 && e.from < n && e.to >= 0 && e.to < n);
+    int& first = policy[static_cast<size_t>(e.from)];
+    if (first < 0) first = static_cast<int>(id);
   }
 
   std::vector<double> lambda(static_cast<size_t>(n), kNegInf);
   std::vector<double> value(static_cast<size_t>(n), 0.0);
   std::vector<int> cycle_entry(static_cast<size_t>(n), -1);  // anchor node of reached cycle
+  std::vector<int> state(static_cast<size_t>(n));  // 0=unseen 1=on current walk 2=done
+  std::vector<int> walk;
 
   const auto succ = [&](int u) -> int {
     const int e = policy[static_cast<size_t>(u)];
-    return e < 0 ? -1 : g.edge(e).to;
+    return e < 0 ? -1 : edges[static_cast<size_t>(e)].to;
   };
 
   const auto evaluate = [&]() {
     std::fill(lambda.begin(), lambda.end(), kNegInf);
     std::fill(value.begin(), value.end(), 0.0);
     std::fill(cycle_entry.begin(), cycle_entry.end(), -1);
-    std::vector<int> state(static_cast<size_t>(n), 0);  // 0=unseen 1=on current walk 2=done
-    std::vector<int> walk;
+    std::fill(state.begin(), state.end(), 0);
     for (int start = 0; start < n; ++start) {
       if (state[static_cast<size_t>(start)] != 0) continue;
       walk.clear();
@@ -56,7 +64,7 @@ std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double 
         double wsum = 0.0;
         double tsum = 0.0;
         for (auto p = it; p != walk.end(); ++p) {
-          const Edge& e = g.edge(policy[static_cast<size_t>(*p)]);
+          const Edge& e = edges[static_cast<size_t>(policy[static_cast<size_t>(*p)])];
           wsum += e.weight;
           tsum += e.transit;
         }
@@ -71,7 +79,7 @@ std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double 
         value[static_cast<size_t>(u)] = 0.0;
         cycle_entry[static_cast<size_t>(u)] = u;
         for (auto p = walk.end() - 1; *p != u; --p) {
-          const Edge& e = g.edge(policy[static_cast<size_t>(*p)]);
+          const Edge& e = edges[static_cast<size_t>(policy[static_cast<size_t>(*p)])];
           lambda[static_cast<size_t>(*p)] = lam;
           cycle_entry[static_cast<size_t>(*p)] = u;
           value[static_cast<size_t>(*p)] =
@@ -87,7 +95,7 @@ std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double 
           const int s = succ(v);
           if (s >= 0 && lambda[static_cast<size_t>(s)] != kNegInf &&
               std::isfinite(lambda[static_cast<size_t>(s)])) {
-            const Edge& e = g.edge(policy[static_cast<size_t>(v)]);
+            const Edge& e = edges[static_cast<size_t>(policy[static_cast<size_t>(v)])];
             const double lam = lambda[static_cast<size_t>(s)];
             lambda[static_cast<size_t>(v)] = lam;
             cycle_entry[static_cast<size_t>(v)] = cycle_entry[static_cast<size_t>(s)];
@@ -100,22 +108,29 @@ std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double 
     }
   };
 
-  const int max_iters = 10 * n * std::max(1, g.num_edges());
-  int iters = 0;
+  // At most 10·n·E improvement rounds. The product passes 2^31 on graphs of
+  // a few tens of thousands of nodes, so it is counted in 64 bits, and
+  // saturates where even those would overflow.
+  const std::int64_t rounds_per_node =
+      10 * std::max<std::int64_t>(1, static_cast<std::int64_t>(edges.size()));
+  const std::int64_t max_rounds = n > std::numeric_limits<std::int64_t>::max() / rounds_per_node
+                                      ? std::numeric_limits<std::int64_t>::max()
+                                      : n * rounds_per_node;
   evaluate();
-  while (iters++ < max_iters) {
+  for (std::int64_t round = 0; round < max_rounds; ++round) {
     bool changed = false;
-    for (const Edge& e : g.edges()) {
+    for (size_t id = 0; id < edges.size(); ++id) {
+      const Edge& e = edges[id];
       const size_t u = static_cast<size_t>(e.from);
       const size_t x = static_cast<size_t>(e.to);
       if (lambda[x] == kNegInf) continue;
       if (lambda[x] > lambda[u] + tol) {
-        policy[u] = static_cast<int>(&e - g.edges().data());
+        policy[u] = static_cast<int>(id);
         changed = true;
       } else if (std::fabs(lambda[x] - lambda[u]) <= tol && std::isfinite(lambda[u])) {
         const double cand = e.weight - lambda[u] * e.transit + value[x];
         if (cand > value[u] + tol) {
-          policy[u] = static_cast<int>(&e - g.edges().data());
+          policy[u] = static_cast<int>(id);
           changed = true;
         }
       }
@@ -146,9 +161,13 @@ std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double 
   do {
     const int e = policy[static_cast<size_t>(u)];
     res.cycle_edges.push_back(e);
-    u = g.edge(e).to;
+    u = edges[static_cast<size_t>(e)].to;
   } while (u != anchor);
   return res;
+}
+
+std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double tol) {
+  return max_cycle_ratio_howard(g.num_nodes(), g.edges(), tol);
 }
 
 }  // namespace mintc::graph

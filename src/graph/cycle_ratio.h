@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -27,9 +28,15 @@ struct CycleRatioResult {
   std::vector<int> cycle_edges;
 };
 
-/// Howard-style policy iteration; also recovers a critical cycle. A cycle
-/// with zero total transit and positive weight makes the ratio +inf.
+/// Howard-style policy iteration over `num_nodes` nodes and a flat edge
+/// list, whose indices are the edge ids (each edge's `tag` is ignored);
+/// also recovers a critical cycle. Each node's first policy is its
+/// lowest-id out-edge, and improvements are taken in edge-id order. A
+/// cycle with zero total transit and positive weight makes the ratio +inf.
 /// Returns nullopt if the graph is acyclic.
+std::optional<CycleRatioResult> max_cycle_ratio_howard(int num_nodes,
+                                                       std::span<const Edge> edges,
+                                                       double tol = 1e-9);
 std::optional<CycleRatioResult> max_cycle_ratio_howard(const Digraph& g, double tol = 1e-9);
 
 }  // namespace mintc::graph

@@ -48,27 +48,49 @@ enum class RowKind : std::uint8_t {
   kPropagation,     // L2R:src->e            i = path
 };
 
-// One difference constraint x_u - x_v <= base + tc_coeff * Tc.
-struct DiffEdge {
-  int u = 0;
-  int v = 0;
-  double base = 0.0;
-  double tc_coeff = 0.0;
-  RowKind row = RowKind::kWidthLeTc;
+// The P2 row (or variable bound) a difference row encodes.
+struct RowTag {
+  RowKind kind = RowKind::kWidthLeTc;
   int i = 0;
   int j = 0;
 };
 
-// The difference system for a circuit: node 0 is the time origin; phases
-// contribute start/end nodes; every element contributes an absolute-departure
-// node.
+// The difference system for a circuit, as flat arrays: row r is
+//     x_u[r] - x_v[r] <= base[r] + tc_coeff[r] * Tc,
+// and encodes tag[r]. Node 0 is the time origin; phases contribute
+// start/end nodes; every element contributes an absolute-departure node.
 struct DiffSystem {
   int num_nodes = 0;
-  std::vector<DiffEdge> edges;
+  std::vector<int> u, v;
+  std::vector<double> base, tc_coeff;
+  std::vector<RowTag> tag;
   std::vector<int> s_node, e_node, d_node;
 
-  void add(RowKind row, int i, int u, int v, double base, double tc_coeff = 0.0, int j = 0) {
-    edges.push_back({u, v, base, tc_coeff, row, i, j});
+  size_t num_rows() const { return u.size(); }
+  void reserve(size_t rows) {
+    u.reserve(rows);
+    v.reserve(rows);
+    base.reserve(rows);
+    tc_coeff.reserve(rows);
+    tag.reserve(rows);
+  }
+  void add(RowKind kind, int i, int xu, int xv, double a, double k = 0.0, int j = 0) {
+    u.push_back(xu);
+    v.push_back(xv);
+    base.push_back(a);
+    tc_coeff.push_back(k);
+    tag.push_back({kind, i, j});
+  }
+  // The rows without a Tc term, in order, over the same nodes.
+  DiffSystem tc_free() const {
+    DiffSystem out;
+    out.num_nodes = num_nodes;
+    out.reserve(num_rows());
+    for (size_t r = 0; r < num_rows(); ++r) {
+      if (tc_coeff[r] != 0.0) continue;
+      out.add(tag[r].kind, tag[r].i, u[r], v[r], base[r], tc_coeff[r], tag[r].j);
+    }
+    return out;
   }
 };
 
@@ -78,6 +100,9 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
   const int k = circuit.num_phases();
   const int l = circuit.num_elements();
   sys.num_nodes = 1 + 2 * k + l;
+  // At most five rows a phase, one per ordered phase pair, three an element
+  // and three a path.
+  sys.reserve(static_cast<size_t>(5 * k + k * k + 3 * l + 3 * circuit.num_paths()));
   for (int p = 0; p < k; ++p) {
     sys.s_node.push_back(1 + p);
     sys.e_node.push_back(1 + k + p);
@@ -175,14 +200,14 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
   return sys;
 }
 
-// generate_lp's name for the row an edge encodes.
-std::string row_name(const Circuit& circuit, const DiffEdge& e) {
+// generate_lp's name for the row a tag names.
+std::string row_name(const Circuit& circuit, const RowTag& e) {
   const std::string p = std::to_string(e.i);
   const auto path_ends = [&](const char* sep) {
     const CombPath& path = circuit.path(e.i);
     return circuit.element(path.to).name + sep + circuit.element(path.from).name;
   };
-  switch (e.row) {
+  switch (e.kind) {
     case RowKind::kWidthLeTc: return "C1:T" + p + "<=Tc";
     case RowKind::kStartLeTc: return "C1:s" + p + "<=Tc";
     case RowKind::kStartBound: return "C4:s" + p + ">=0";
@@ -204,26 +229,26 @@ std::string row_name(const Circuit& circuit, const DiffEdge& e) {
   return "?";
 }
 
-// A cycle of the parent graph, where parent[u] is the id of the edge that
-// last lowered x_u, as edge ids in constraint-graph order (each edge's u is
-// the next edge's v); empty when the parent graph is a forest. Every such
-// cycle is a negative cycle of the system.
+// A cycle of the parent graph, where parent[u] is the row that last lowered
+// x_u, as row ids in constraint-graph order (each row's u is the next row's
+// v); empty when the parent graph is a forest. Every such cycle is a
+// negative cycle of the system.
 std::vector<int> parent_cycle(const DiffSystem& sys, const std::vector<int>& parent) {
   std::vector<int> walk_of(static_cast<size_t>(sys.num_nodes), -1);
   for (int start = 0; start < sys.num_nodes; ++start) {
     int u = start;
     while (u >= 0 && walk_of[static_cast<size_t>(u)] < 0) {
       walk_of[static_cast<size_t>(u)] = start;
-      const int e = parent[static_cast<size_t>(u)];
-      u = e < 0 ? -1 : sys.edges[static_cast<size_t>(e)].v;
+      const int r = parent[static_cast<size_t>(u)];
+      u = r < 0 ? -1 : sys.v[static_cast<size_t>(r)];
     }
     if (u < 0 || walk_of[static_cast<size_t>(u)] != start) continue;  // reached an old walk
     std::vector<int> cycle;
     int node = u;
     do {
-      const int e = parent[static_cast<size_t>(node)];
-      cycle.push_back(e);
-      node = sys.edges[static_cast<size_t>(e)].v;
+      const int r = parent[static_cast<size_t>(node)];
+      cycle.push_back(r);
+      node = sys.v[static_cast<size_t>(r)];
     } while (node != u);
     std::reverse(cycle.begin(), cycle.end());
     return cycle;
@@ -233,18 +258,20 @@ std::vector<int> parent_cycle(const DiffSystem& sys, const std::vector<int>& par
 
 // Bellman-Ford over the difference system at a concrete Tc, from a virtual
 // source (every potential starts at 0), relaxing only improvements larger
-// than `eps`. Returns true once a pass lowers nothing: `x` then meets every
-// row to within eps, shifted so x[0] == 0. `zero_transit_only` skips the
-// rows with a Tc term. When `cycle` is given, a run that does not settle
-// within num_nodes passes keeps going (up to twice that) until its parent
-// graph closes a cycle, and returns that negative cycle (or none, if the
-// budget runs out first).
+// than `eps`, in row order. Each row's weight base + tc_coeff * Tc is
+// computed once per run. Returns true once a pass lowers nothing: `x` then
+// meets every row to within eps, shifted so x[0] == 0. When `cycle` is
+// given, a run that does not settle within num_nodes passes keeps going (up
+// to twice that) until its parent graph closes a cycle, and returns that
+// negative cycle (or none, if the budget runs out first).
 bool feasible_at(const DiffSystem& sys, double tc, double eps, std::vector<double>& x,
-                 long& relaxations, bool zero_transit_only = false,
-                 std::vector<int>* cycle = nullptr) {
+                 long& relaxations, std::vector<int>* cycle = nullptr) {
   obs::Tracer& tracer = obs::Tracer::instance();
   const bool tracing = tracer.enabled();
   const obs::TraceSpan span("graph.bellman-ford", "opt");
+  const size_t rows = sys.num_rows();
+  std::vector<double> w(rows);
+  for (size_t r = 0; r < rows; ++r) w[r] = sys.base[r] + sys.tc_coeff[r] * tc;
   x.assign(static_cast<size_t>(sys.num_nodes), 0.0);
   std::vector<int> parent;
   if (cycle != nullptr) {
@@ -255,20 +282,18 @@ bool feasible_at(const DiffSystem& sys, double tc, double eps, std::vector<doubl
   for (int pass = 0; pass < max_passes; ++pass) {
     bool improved = false;
     long pass_improvements = 0;  // relaxation-round record, kept when tracing
-    for (size_t id = 0; id < sys.edges.size(); ++id) {
-      const DiffEdge& e = sys.edges[id];
-      if (zero_transit_only && e.tc_coeff != 0.0) continue;
+    for (size_t r = 0; r < rows; ++r) {
       // Constraint x_u <= x_v + w: relax dist(u) against dist(v) + w.
-      const double w = e.base + e.tc_coeff * tc;
-      const double cand = x[static_cast<size_t>(e.v)] + w;
-      ++relaxations;
-      if (cand < x[static_cast<size_t>(e.u)] - eps) {
-        x[static_cast<size_t>(e.u)] = cand;
+      const double cand = x[static_cast<size_t>(sys.v[r])] + w[r];
+      double& xu = x[static_cast<size_t>(sys.u[r])];
+      if (cand < xu - eps) {
+        xu = cand;
         improved = true;
-        if (cycle != nullptr) parent[static_cast<size_t>(e.u)] = static_cast<int>(id);
+        if (cycle != nullptr) parent[static_cast<size_t>(sys.u[r])] = static_cast<int>(r);
         if (tracing) ++pass_improvements;
       }
     }
+    relaxations += static_cast<long>(rows);
     if (tracing) {
       tracer.counter("graph.pass_improvements", static_cast<double>(pass_improvements), "opt");
     }
@@ -389,35 +414,48 @@ Expected<ExactSolveResult> solve_exact(const Circuit& circuit, const GraphSolveO
   const StageTimer wall_timer;
   const obs::TraceSpan span("graph.exact", "opt");
   const TimingView view(circuit);
-  const DiffSystem sys = build_system(circuit, view, options.generator);
   ExactSolveResult res;
   res.stats.view_build_seconds = view.build_seconds();
 
+  // The system once, as the rows Bellman-Ford relaxes and, for Howard, as
+  // edges v -> u of weight -a and transit k.
+  const StageTimer system_timer;
+  const DiffSystem sys = build_system(circuit, view, options.generator);
+  std::vector<graph::Edge> ratio_edges;
+  if (!lower_bound) {
+    ratio_edges.reserve(sys.num_rows());
+    for (size_t r = 0; r < sys.num_rows(); ++r) {
+      ratio_edges.push_back({sys.v[r], sys.u[r], -sys.base[r], sys.tc_coeff[r]});
+    }
+  }
   // Every threshold is relative to the largest row constant, so delays in
   // picoseconds and in microseconds certify alike.
   double scale = 0.0;
-  for (const DiffEdge& e : sys.edges) scale = std::max(scale, std::fabs(e.base));
+  for (const double a : sys.base) scale = std::max(scale, std::fabs(a));
   const double eps = kRelaxRelTol * scale;
   std::vector<double> x;
+  res.stats.add_stage("system", system_timer.seconds());
 
   // 1. A negative cycle of Tc-free rows is infeasible at every Tc.
-  const StageTimer ratio_timer;
+  const StageTimer zero_transit_timer;
   const auto infeasible = [&] {
     return make_error(ErrorKind::kInfeasible,
                       "timing constraints of '" + circuit.name() +
                           "' close a negative cycle without a Tc term");
   };
-  if (!feasible_at(sys, 0.0, eps, x, res.relaxations, /*zero_transit_only=*/true)) {
+  if (!feasible_at(sys.tc_free(), 0.0, eps, x, res.relaxations)) {
     return infeasible();
   }
+  res.stats.add_stage("zero-transit", zero_transit_timer.seconds());
 
   // 2. The maximum cycle ratio over edges v -> u of weight -a, transit k.
+  const StageTimer ratio_timer;
   const auto ratio_of = [&](const std::vector<int>& cycle, double& transit) {
     double sum_a = 0.0;
     transit = 0.0;
-    for (const int id : cycle) {
-      sum_a += sys.edges[static_cast<size_t>(id)].base;
-      transit += sys.edges[static_cast<size_t>(id)].tc_coeff;
+    for (const int r : cycle) {
+      sum_a += sys.base[static_cast<size_t>(r)];
+      transit += sys.tc_coeff[static_cast<size_t>(r)];
     }
     return transit > 0.0 ? (0.0 - sum_a) / transit : 0.0;  // 0 - x: never -0.0
   };
@@ -427,9 +465,8 @@ Expected<ExactSolveResult> solve_exact(const Circuit& circuit, const GraphSolveO
   if (lower_bound) {
     tc = *lower_bound;
   } else {
-    graph::Digraph g(sys.num_nodes);
-    for (const DiffEdge& e : sys.edges) g.add_edge(e.v, e.u, -e.base, e.tc_coeff);
-    if (const auto howard = graph::max_cycle_ratio_howard(g, kHowardRelTol * scale)) {
+    if (const auto howard =
+            graph::max_cycle_ratio_howard(sys.num_nodes, ratio_edges, kHowardRelTol * scale)) {
       critical = howard->cycle_edges;
     }
     tc = ratio_of(critical, transit);
@@ -442,7 +479,7 @@ Expected<ExactSolveResult> solve_exact(const Circuit& circuit, const GraphSolveO
   //    whose ratio does not exceed Tc, and then Tc rises by one ulp.
   const StageTimer certify_timer;
   std::vector<int> cycle;
-  while (!feasible_at(sys, tc, eps, x, res.relaxations, false, &cycle)) {
+  while (!feasible_at(sys, tc, eps, x, res.relaxations, &cycle)) {
     if (cycle.empty() || res.newton_steps + res.ulp_raises >= kMaxCertifyRounds) {
       return make_error(ErrorKind::kNotConverged,
                         "cycle-ratio certification of '" + circuit.name() +
@@ -468,10 +505,10 @@ Expected<ExactSolveResult> solve_exact(const Circuit& circuit, const GraphSolveO
   if (!fix) return fix.error();
   res.departure = std::move(fix->departure);
   for (const int id : critical) {
-    const DiffEdge& e = sys.edges[static_cast<size_t>(id)];
+    const size_t r = static_cast<size_t>(id);
     // + 0.0 turns the -0.0 of a negated zero margin into 0.
     res.critical_cycle.push_back(
-        {row_name(circuit, e), e.base + 0.0, static_cast<int>(e.tc_coeff)});
+        {row_name(circuit, sys.tag[r]), sys.base[r] + 0.0, static_cast<int>(sys.tc_coeff[r])});
   }
   res.stats.absorb(fix->stats);
   res.stats.wall_seconds = wall_timer.seconds();

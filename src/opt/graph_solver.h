@@ -35,15 +35,20 @@
 // step), and the certified potentials are the returned schedule. It is the
 // production `min`. The returned schedule is one optimal schedule, in
 // general not the vertex the simplex picks; Tc* agrees with MLP's to
-// rounding.
+// rounding. A solve builds the system once, as flat arrays: Bellman-Ford
+// relaxes them, and Howard reads them as one flat edge list.
 //
 // minimize_cycle_time_graph binary-searches Tc over Bellman-Ford
 // feasibility instead, to an absolute 1e-7. It is the reference svcbench
 // checks the service's `min` answers against, and a leg of the fuzzer's
-// agreement matrix; it shares only build_system with the exact solver.
+// agreement matrix. It shares build_system and the Bellman-Ford run with
+// the exact solver, so a fault in either can pass that check;
+// ExactSolverPins (tests/opt/exact_solver_pins_test.cpp), which hashes
+// every output of both solvers, is the independent guard.
 //
 // Tests pin both solvers to the simplex result on every circuit;
-// bench_ablation_graph_solver compares the bisection's cost with MLP's.
+// bench_ablation_graph_solver compares the bisection's cost with MLP's and
+// splits the exact solver into its stages.
 #pragma once
 
 #include <string>
@@ -96,7 +101,10 @@ struct ExactSolveResult {
   int newton_steps = 0;            // certification passes that raised Tc* to a cycle's ratio
   int ulp_raises = 0;              // ... that raised it by one ulp (float noise)
   long relaxations = 0;            // Bellman-Ford edge relaxations, total
-  EngineStats stats;               // wall + "cycle-ratio" / "certify" stages
+  /// Wall time and four disjoint stages: "system" (build_system and its
+  /// flat arrays), "zero-transit" (the k = 0 check), "cycle-ratio"
+  /// (Howard) and "certify", plus the departure fixpoint's own.
+  EngineStats stats;
 };
 
 /// Tc* as the maximum cycle ratio of the constraint graph (see above).

@@ -74,30 +74,24 @@ std::optional<Circuit> builtin_circuit(const std::string& name, const Json& req,
   return std::nullopt;
 }
 
-Json schedule_json(const ClockSchedule& schedule) {
-  Json s = Json::object();
-  s.set("cycle", Json(schedule.cycle));
-  Json start = Json::array();
-  for (const double v : schedule.start) start.push(Json(v));
-  Json width = Json::array();
-  for (const double v : schedule.width) width.push(Json(v));
-  s.set("start", std::move(start));
-  s.set("width", std::move(width));
-  return s;
-}
-
-/// The rows of a critical cycle, in cycle order: name, constant a and Tc
-/// coefficient k of x_u − x_v ≤ a + k·Tc. Tc* = −Σa / Σk.
-Json cycle_json(const std::vector<opt::CycleRow>& rows) {
-  Json out = Json::array();
-  for (const opt::CycleRow& r : rows) {
-    Json row = Json::object();
-    row.set("row", Json(r.name));
-    row.set("a", Json(r.a));
-    row.set("k", Json(static_cast<long>(r.k)));
-    out.push(std::move(row));
-  }
-  return out;
+/// A schedule as the JSON object {"cycle", "start", "width"}: the one
+/// writer of a schedule in an answer, `load`'s and `min`'s.
+void write_schedule_json(std::string& out, const ClockSchedule& schedule) {
+  const auto write_list = [&out](const std::vector<double>& values) {
+    out += '[';
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i) out += ',';
+      json_double_to(out, values[i]);
+    }
+    out += ']';
+  };
+  out += "{\"cycle\":";
+  json_double_to(out, schedule.cycle);
+  out += ",\"start\":";
+  write_list(schedule.start);
+  out += ",\"width\":";
+  write_list(schedule.width);
+  out += '}';
 }
 
 /// Row i of a `detail` analyze: the bytes a Json {name, departure,
@@ -441,15 +435,14 @@ Json TimingService::run_session_verb(const Json& request, const Json& id,
       }
     }
     // A read's work ends at its engine step (Pending::engine_done); what
-    // follows is render. A detail analyze's answer comes back rendered.
+    // follows is render. A detail analyze's and a min's answer come back
+    // rendered.
     Expected<Json> result = work->run(s, *entry, p);
     ResultCache::Value rendered = result ? result->raw_text() : nullptr;
-    if (result && !rendered) {
-      if (!result->has("fingerprint")) {
-        result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-      }
-      if (work->write) cache_.invalidate(key, s.generation());
+    if (result && !rendered && !result->has("fingerprint")) {
+      result->set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
     }
+    if (result && work->write) cache_.invalidate(key, s.generation());
     if (!result || work->write) {
       p.lap(stages.work);
       return result;
@@ -554,7 +547,9 @@ Expected<Json> TimingService::verb_load(const Json& req) {
     result.set("phases", Json(static_cast<long>(s.circuit().num_phases())));
     result.set("generation", Json(s.generation()));
     result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
-    result.set("schedule", schedule_json(s.schedule()));
+    std::string schedule_text;
+    write_schedule_json(schedule_text, s.schedule());
+    result.set("schedule", Json::raw(std::move(schedule_text)));
   });
   if (optimized) result.set("min_cycle", Json(min_cycle));
 
@@ -989,22 +984,44 @@ Expected<TimingService::SessionWork> TimingService::verb_min(const Json& req) {
             opt::minimize_cycle_time_exact(s.circuit(), options);
         if (!exact) return exact.error();
         p.engine_done();
-        Json result = Json::object();
-        result.set("min_cycle", Json(exact->min_cycle));
-        result.set("schedule", schedule_json(exact->schedule));
-        result.set("lcs", Json(parser::write_schedule(exact->schedule)));
-        result.set("critical_cycle", cycle_json(exact->critical_cycle));
+        // The bytes a Json {min_cycle, schedule, lcs, critical_cycle,
+        // fingerprint} object dumps to, written in one pass. Each critical
+        // row is {row, a, k} for x_u − x_v ≤ a + k·Tc, in cycle order, so
+        // Tc* = −Σa / Σk. The fingerprint names the content the schedule
+        // was solved for, so an applied answer is stamped before its
+        // commit, whose mark and generation follow.
+        const std::vector<opt::CycleRow>& rows = exact->critical_cycle;
+        const std::string lcs = parser::write_schedule(exact->schedule);
+        std::string out = "{\"min_cycle\":";
+        json_double_to(out, exact->min_cycle);
+        out += ",\"schedule\":";
+        write_schedule_json(out, exact->schedule);
+        out += ",\"lcs\":\"";
+        obs::json_escape_to(out, lcs);
+        out += "\",\"critical_cycle\":[";
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out += i ? ",{\"row\":\"" : "{\"row\":\"";
+          obs::json_escape_to(out, rows[i].name);
+          out += "\",\"a\":";
+          json_double_to(out, rows[i].a);
+          out += ",\"k\":";
+          json_double_to(out, static_cast<double>(rows[i].k));
+          out += '}';
+        }
+        out += "],\"fingerprint\":\"";
+        out += obs::hash_hex(s.content_fingerprint());
+        out += '"';
         if (apply) {
-          // The answer names the content the schedule was solved for, so it
-          // is stamped before the commit.
-          result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
           const size_t mark = s.mark();
           s.set_schedule(exact->schedule);
           if (s.mark() > mark) commit(s, entry.commits, mark);
-          result.set("mark", Json(static_cast<long>(mark)));
-          result.set("generation", Json(s.generation()));
+          out += ",\"mark\":";
+          json_double_to(out, static_cast<double>(mark));
+          out += ",\"generation\":";
+          json_double_to(out, static_cast<double>(s.generation()));
         }
-        return result;
+        out += '}';
+        return Json::raw(std::move(out));
       }};
 }
 

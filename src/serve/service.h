@@ -323,9 +323,10 @@ class TimingService {
     /// the content it names: the session's after the work, unless the work
     /// stamped the one it solved for (min apply:true). A read calls
     /// Pending::engine_done when its engine step ends, so the rest of its
-    /// answer is timed as `render`. A read may return its answer already
+    /// answer is timed as `render`. A verb may return its answer already
     /// rendered, fingerprint included, as a Json::raw: a `detail` analyze
-    /// does (render_detail).
+    /// does (render_detail), and so does `min`, read or applied. A write's
+    /// answer invalidates older cache generations either way.
     std::function<Expected<Json>(sta::AnalysisSession&, Entry&, Pending&)> run;
   };
 

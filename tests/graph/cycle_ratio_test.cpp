@@ -113,5 +113,27 @@ TEST(CycleRatio, ZeroTransitPositiveCycleIsUnbounded) {
   EXPECT_TRUE(std::isinf(howard->ratio));
 }
 
+TEST(CycleRatio, IterationCapDoesNotOverflowOnLargeGraphs) {
+  // 10·n·E improvement rounds is 2.5e10 here, past int's range; wrapped to
+  // a negative cap it would stop Howard before its first improvement. The
+  // lowest-id policy follows the ring (ratio 1), and only an improvement
+  // step finds the self-loop at node 0 (ratio 5).
+  constexpr int kNodes = 50000;
+  std::vector<Edge> edges;
+  for (int v = 0; v < kNodes; ++v) edges.push_back({v, (v + 1) % kNodes, 1.0, 1.0});
+  edges.push_back({0, 0, 5.0, 1.0});
+  const auto howard = max_cycle_ratio_howard(kNodes, edges);
+  ASSERT_TRUE(howard);
+  EXPECT_EQ(howard->ratio, 5.0);
+  EXPECT_EQ(howard->cycle_edges, std::vector<int>{kNodes});
+  // The Digraph overload answers the same.
+  Digraph g(kNodes);
+  for (const Edge& e : edges) g.add_edge(e.from, e.to, e.weight, e.transit);
+  const auto via_digraph = max_cycle_ratio_howard(g);
+  ASSERT_TRUE(via_digraph);
+  EXPECT_EQ(via_digraph->ratio, howard->ratio);
+  EXPECT_EQ(via_digraph->cycle_edges, howard->cycle_edges);
+}
+
 }  // namespace
 }  // namespace mintc::graph

@@ -30,6 +30,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/constraints.h"
+#include "opt/graph_solver.h"
 #include "parser/lct.h"
 #include "parser/lcs.h"
 #include "sta/analysis.h"
@@ -1461,6 +1462,138 @@ TEST(ServeService, MinNamesItsCriticalCycle) {
     ASSERT_GT(sum_k, 0) << pin.builtin;
     EXPECT_EQ((0.0 - sum_a) / static_cast<double>(sum_k), pin.tc) << pin.builtin;
   }
+}
+
+// The tree a `min` answer was built as before it was written in one pass:
+// {min_cycle, schedule, lcs, critical_cycle, fingerprint}, plus mark and
+// generation when applied.
+Json schedule_tree(const ClockSchedule& schedule) {
+  Json s = Json::object();
+  s.set("cycle", Json(schedule.cycle));
+  Json start = Json::array();
+  for (const double v : schedule.start) start.push(Json(v));
+  Json width = Json::array();
+  for (const double v : schedule.width) width.push(Json(v));
+  s.set("start", std::move(start));
+  s.set("width", std::move(width));
+  return s;
+}
+
+Json min_tree(const opt::ExactSolveResult& exact, const std::string& fingerprint) {
+  Json result = Json::object();
+  result.set("min_cycle", Json(exact.min_cycle));
+  result.set("schedule", schedule_tree(exact.schedule));
+  result.set("lcs", Json(parser::write_schedule(exact.schedule)));
+  Json rows = Json::array();
+  for (const opt::CycleRow& r : exact.critical_cycle) {
+    Json row = Json::object();
+    row.set("row", Json(r.name));
+    row.set("a", Json(r.a));
+    row.set("k", Json(static_cast<long>(r.k)));
+    rows.push(std::move(row));
+  }
+  result.set("critical_cycle", std::move(rows));
+  result.set("fingerprint", Json(fingerprint));
+  return result;
+}
+
+TEST(ServeService, MinAnswerIsTheBytesOfItsJsonTree) {
+  struct Input {
+    std::string what;
+    Json load;  // the load request's source fields
+    Circuit circuit;
+  };
+  std::vector<Input> inputs;
+  // ServeFrameGolden's five designs.
+  const std::pair<const char*, Circuit> builtins[] = {
+      {"example1", circuits::example1()},
+      {"example2", circuits::example2()},
+      {"gaas", circuits::gaas_datapath()},
+      {"appendix", circuits::appendix_fig1()}};
+  for (const auto& [name, circuit] : builtins) {
+    inputs.push_back({name, req({{"builtin", Json(name)}}), circuit});
+  }
+  circuits::SyntheticParams params;
+  params.num_phases = 3;
+  params.num_stages = 12;
+  params.latches_per_stage = 4;
+  params.fanin = 3;
+  params.extra_long_edges = 2;
+  std::vector<std::pair<std::string, std::string>> texts = {
+      {"synthetic", parser::write_circuit(circuits::synthetic_circuit(params, 7001))},
+      // Row names that need JSON escapes.
+      {"odd",
+       "circuit odd\nphases 2\n"
+       "latch q\"a\\\"b\" phase=1 setup=1 dq=2\n"
+       "latch back\\slash phase=2 setup=1 dq=2\n"
+       "latch ctl\x01\x1f phase=1 setup=1 dq=2\n"
+       "path q\"a\\\"b\" back\\slash delay=7.3\n"
+       "path back\\slash ctl\x01\x1f delay=0.1\n"
+       "path ctl\x01\x1f q\"a\\\"b\" delay=12.25\n"}};
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    texts.push_back({"fuzz seed " + std::to_string(seed),
+                     parser::write_circuit(check::fuzz_circuit(seed))});
+  }
+  for (const auto& [what, text] : texts) {
+    Expected<Circuit> circuit = parser::parse_circuit(text);
+    ASSERT_TRUE(circuit) << what;
+    inputs.push_back({what, req({{"text", Json(text)}}), std::move(*circuit)});
+  }
+
+  int applied = 0;
+  for (const Input& in : inputs) {
+    const Expected<opt::ExactSolveResult> exact = opt::minimize_cycle_time_exact(in.circuit);
+    TimingService service;
+    Json load = in.load;
+    load.set("verb", Json("load"));
+    load.set("circuit", Json("c"));
+    const std::string loaded = service.handle_line(load.dump());
+    if (!exact) {
+      EXPECT_NE(loaded.find("\"ok\":false"), std::string::npos) << in.what;
+      continue;
+    }
+    // The load answer's schedule is the same writer's.
+    EXPECT_NE(loaded.find("\"schedule\":" + schedule_tree(exact->schedule).dump()),
+              std::string::npos)
+        << in.what << "\nframe: " << loaded;
+
+    // Stretch the schedule, so the optimum applied below is new content.
+    Json edits = Json::array();
+    edits.push(req({{"op", Json("scale_schedule")}, {"factor", Json(1.25)}}));
+    const Json scaled = expect_ok(service, req({{"verb", Json("edit_batch")},
+                                               {"circuit", Json("c")},
+                                               {"edits", edits}}))
+                            .get("result");
+    const std::string fingerprint = scaled.get("fingerprint").as_string();
+    const std::uint64_t generation =
+        static_cast<std::uint64_t>(scaled.get("generation").as_long(-1));
+
+    const Json min_read = req({{"verb", Json("min")}, {"circuit", Json("c")}});
+    const std::string read = service.handle_line(min_read.dump());
+    EXPECT_NE(read.find("\"result\":" + min_tree(*exact, fingerprint).dump()), std::string::npos)
+        << in.what << "\nframe: " << read;
+    expect_ok(service, req({{"verb", Json("analyze")}, {"circuit", Json("c")}}));
+    EXPECT_EQ(service.cache().stats().entries, 2u) << in.what;
+
+    Json apply = min_read;
+    apply.set("apply", Json(true));
+    const std::string written = service.handle_line(apply.dump());
+    const Expected<Json> parsed = parse_json(written);
+    ASSERT_TRUE(parsed) << in.what;
+    const Json& result = parsed->get("result");
+    EXPECT_GT(static_cast<std::uint64_t>(result.get("generation").as_long(-1)), generation)
+        << in.what;
+    Json tree = min_tree(*exact, fingerprint);
+    tree.set("mark", Json(result.get("mark").as_long(-1)));
+    tree.set("generation", Json(result.get("generation").as_long(-1)));
+    EXPECT_NE(written.find("\"result\":" + tree.dump()), std::string::npos)
+        << in.what << "\nframe: " << written;
+    // The apply moved the key to a new generation and dropped both older
+    // entries.
+    EXPECT_EQ(service.cache().stats().entries, 0u) << in.what;
+    ++applied;
+  }
+  EXPECT_GT(applied, 40);
 }
 
 TEST(ServeService, ReportVerbRendersInMemory) {
